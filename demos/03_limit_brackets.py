@@ -51,11 +51,8 @@ print(f"ceiling along t -> t: best_upper {ceil_ray.best_upper} "
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
 bracket = simultaneous_limit(sqrt_prod, schedule, delta=0.01)
-per_shell: dict[int, float] = {}
-for s in bracket.samples:
-    per_shell[s.shell] = min(per_shell.get(s.shell, s.ratio), s.ratio)
 svg = line_plot_svg(
-    [PlotSeries("shell minimum", tuple((float(k), v) for k, v in sorted(per_shell.items()))),
+    [PlotSeries("shell minimum", tuple((float(k), v) for k, v in bracket.shell_extremes())),
      PlotSeries("running bound", tuple((float(k), v) for k, v in bracket.running_bound_by_shell()),
                 dashed=True)],
     title="sqrt_prod ratio net", xlabel="shell", ylabel="ratio", timestamp=None)

@@ -6,8 +6,8 @@ so the normalized count along growing cubes decreases to the entropy
 and every evaluated ratio is a certified upper bound.  For
 one-dimensional subshifts the exact per-state word counts also bound
 the window transfer matrix's Perron root (Collatz-Wielandt), a second
-certified upper bound that converges geometrically; power iteration on
-the same matrix gives an independent float cross-check.
+certified upper bound that converges geometrically; the eigenvalues of
+the same matrix give an independent float cross-check.
 """
 
 import math

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -79,19 +78,6 @@ def _resolve(ns: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
-def _resolve_threads(ns: argparse.Namespace, config: dict) -> int:
-    raw = _resolve(ns, config, "threads", None)
-    if raw is None:
-        raw = os.environ.get("FEKETE_LAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"thread count must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def _parse_point(text: str) -> Point:
     try:
         return Point(tuple(float(c) for c in str(text).split(",")))
@@ -129,7 +115,6 @@ class _Run:
         self.config = config
         self.out = Path(_resolve(ns, config, "out", "fekete_results"))
         self.seed = int(_resolve(ns, config, "seed", 2024))
-        self.threads = _resolve_threads(ns, config)
         no_ts = bool(getattr(ns, "no_timestamp", False) or config.get("no_timestamp", False))
         self.timestamp = None if no_ts else datetime.now(timezone.utc).isoformat()
 
@@ -192,13 +177,9 @@ def _bracket_outputs(run: _Run, stem: str, bracket) -> None:
     payload = {"meta": _meta("limit", run.seed), **bracket.to_json_dict()}
     write_json_atomic(run.out / f"{stem}.json", payload)
     write_text_atomic(run.out / f"{stem}.csv", csv_text(bracket.samples_csv_rows()))
-    per_shell: dict[int, float] = {}
-    fold = min if bracket.sense == "inf" else max
-    for s in bracket.samples:
-        per_shell[s.shell] = fold(per_shell.get(s.shell, s.ratio), s.ratio)
     series = [
         PlotSeries(name="shell extreme",
-                   points=tuple((float(k), v) for k, v in sorted(per_shell.items()))),
+                   points=tuple((float(k), v) for k, v in bracket.shell_extremes())),
         PlotSeries(name="running bound", dashed=True,
                    points=tuple((float(k), v) for k, v in bracket.running_bound_by_shell())),
     ]
@@ -443,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output directory (default fekete_results)")
         p.add_argument("--seed", type=int, help="seed for all sampling (default 2024)")
-        p.add_argument("--threads", help="worker cap, or env FEKETE_LAB_THREADS")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generation timestamp from SVG output")
         p.add_argument("--config", help="JSON config file mirroring the flags")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .domain import (
 from .registry import Domain, FunctionOracle
 
 __all__ = [
-    "RatioSample",
     "LimitBracket",
     "simultaneous_limit",
     "IteratedLimit",
@@ -66,13 +65,6 @@ _STATUS_RANK = {CONVERGED: 0, DIVERGING_PLUS: 1, DIVERGING_MINUS: 1, INCONCLUSIV
 
 
 @dataclass(frozen=True)
-class RatioSample:
-    shell: int
-    point: tuple[float, ...]
-    ratio: float
-
-
-@dataclass(frozen=True)
 class LimitBracket:
     """One-sided bracket for a ratio-net limit.
 
@@ -81,7 +73,8 @@ class LimitBracket:
     componentwise subadditive).  In sup sense (odd orthants) the
     bracket flips: best_lower is the maximum ratio and bounds the limit
     from below.  tail_estimate is the extreme ratio over the outermost
-    schedule shell.
+    schedule shell.  The evaluated samples are the arrays shells (n,),
+    points (n, d) and ratios (n,), row i being one evaluated point.
     """
 
     sense: str
@@ -93,7 +86,9 @@ class LimitBracket:
     shell: int | None
     threshold_point: tuple[float, ...] | None
     evaluations: int
-    samples: tuple[RatioSample, ...] = field(default=(), repr=False)
+    shells: np.ndarray = field(repr=False, compare=False)
+    points: np.ndarray = field(repr=False, compare=False)
+    ratios: np.ndarray = field(repr=False, compare=False)
 
     @property
     def best_bound(self) -> float:
@@ -101,19 +96,18 @@ class LimitBracket:
         assert bound is not None
         return bound
 
+    def shell_extremes(self) -> list[tuple[int, float]]:
+        """Extreme ratio of each shell (minimum in inf sense, maximum in sup sense)."""
+        order = np.argsort(self.shells, kind="stable")
+        shells, starts = np.unique(self.shells[order], return_index=True)
+        fold = np.minimum if self.sense == "inf" else np.maximum
+        return list(zip(shells.tolist(), fold.reduceat(self.ratios[order], starts).tolist()))
+
     def running_bound_by_shell(self) -> list[tuple[int, float]]:
         """Running best bound after each shell, nonincreasing in inf sense."""
+        shells, extremes = zip(*self.shell_extremes())
         fold = min if self.sense == "inf" else max
-        by_shell: dict[int, list[float]] = {}
-        for s in self.samples:
-            by_shell.setdefault(s.shell, []).append(s.ratio)
-        out: list[tuple[int, float]] = []
-        current: float | None = None
-        for shell in sorted(by_shell):
-            extreme = fold(by_shell[shell])
-            current = extreme if current is None else fold(current, extreme)
-            out.append((shell, current))
-        return out
+        return list(zip(shells, itertools.accumulate(extremes, fold)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,12 +123,42 @@ class LimitBracket:
         }
 
     def samples_csv_rows(self) -> list[list[str]]:
-        dim = len(self.samples[0].point) if self.samples else 0
-        header = ["shell"] + [f"x{i + 1}" for i in range(dim)] + ["ratio"]
+        header = ["shell"] + [f"x{i + 1}" for i in range(self.points.shape[1])] + ["ratio"]
+        order = np.lexsort((*self.points.T[::-1], self.shells))  # by shell, then point
         rows = [header]
-        for s in sorted(self.samples, key=lambda s: (s.shell, s.point)):
-            rows.append([str(s.shell)] + [repr(c) for c in s.point] + [repr(s.ratio)])
+        for shell, point, ratio in zip(self.shells[order].tolist(),
+                                       self.points[order].tolist(),
+                                       self.ratios[order].tolist()):
+            rows.append([str(shell)] + [repr(c) for c in point] + [repr(ratio)])
         return rows
+
+
+def _bracket(shells: np.ndarray, points: np.ndarray, ratios: np.ndarray,
+             upper_max: np.ndarray, corners: np.ndarray, delta: float,
+             divergence_floor: float) -> LimitBracket:
+    """Assemble an inf-sense bracket from the evaluated ratios.
+
+    upper_max[k] is the largest ratio over the upper set of shell k, the
+    samples beyond its corner corners[k] in the product order.  The
+    bracket converges at the first shell whose upper set stays within
+    delta of the minimum ratio.
+    """
+    best_upper = float(ratios.min())
+    tail_estimate = float(ratios[shells == shells.max()].min())
+    within = np.flatnonzero(upper_max - best_upper <= delta)
+    shell = int(within[0]) if within.size else None
+    if best_upper == -math.inf or tail_estimate < divergence_floor:
+        status = DIVERGING_MINUS
+    elif shell is not None:
+        status = CONVERGED
+    else:
+        status = INCONCLUSIVE
+    return LimitBracket(sense="inf", best_upper=best_upper, best_lower=None,
+                        tail_estimate=tail_estimate, status=status, delta=delta,
+                        shell=shell,
+                        threshold_point=None if shell is None else tuple(corners[shell].tolist()),
+                        evaluations=int(ratios.size), shells=shells, points=points,
+                        ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -184,45 +208,17 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
         denom = denom * ax.reshape(shape)
     ratios = values / denom
 
-    idx = np.indices(ratios.shape)
-    shell_of = np.maximum.reduce(idx, axis=0)
-
-    best_upper = float(ratios.min())
-    tail_estimate = float(ratios[shell_of == levels - 1].min())
+    shell_of = np.indices(ratios.shape).max(axis=0)
 
     # suffix max over the product-order upper sets [k..L]^d
     suffix_max = ratios.copy()
     for a in range(d):
         suffix_max = np.flip(np.maximum.accumulate(np.flip(suffix_max, axis=a), axis=a), axis=a)
 
-    shell: int | None = None
-    threshold: tuple[float, ...] | None = None
-    for k in range(levels):
-        corner = tuple([k] * d)
-        if suffix_max[corner] - best_upper <= delta:
-            shell = k
-            threshold = tuple(float(ax[k]) for ax in axes)
-            break
-
-    if best_upper == -math.inf or tail_estimate < divergence_floor:
-        status = DIVERGING_MINUS
-    elif shell is not None:
-        status = CONVERGED
-    else:
-        status = INCONCLUSIVE
-
-    samples = tuple(
-        RatioSample(
-            shell=int(shell_of[ix]),
-            point=tuple(float(axes[i][ix[i]]) for i in range(d)),
-            ratio=float(ratios[ix]),
-        )
-        for ix in np.ndindex(*ratios.shape)
-    )
-    return LimitBracket(sense="inf", best_upper=best_upper, best_lower=None,
-                        tail_estimate=tail_estimate, status=status, delta=delta,
-                        shell=shell, threshold_point=threshold,
-                        evaluations=int(ratios.size), samples=samples)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return _bracket(shell_of.ravel(), np.stack([m.ravel() for m in mesh], axis=1),
+                    ratios.ravel(), suffix_max[(np.arange(levels),) * d],
+                    np.stack(axes, axis=1), delta, divergence_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +244,21 @@ def _adaptive_tail(g: Callable[[float], float], *, base: float, growth: float,
     when sustained geometric growth marks divergence to +inf, when the
     tail crosses the divergence floor, or at the step cap (inconclusive).
     The returned value is the running minimum, the certified-style upper
-    estimate when g is a ratio of a subadditive function.
+    estimate when g is a ratio of a subadditive function.  An integer
+    ladder must stay strictly increasing after rounding, as in
+    GridSchedule.axis_values; a repeated rung raises DomainError.
     """
     samples: list[float] = []
     stable_run = 0
     evals = 0
+    previous = -math.inf
     for k in range(max_steps + 1):
         x = base * growth ** k
         if integer:
             x = float(int(round(x)))
+            if x <= previous:
+                raise DomainError("integer schedule is not strictly increasing; use growth >= 2")
+            previous = x
         if not math.isfinite(x) or x > 1e300:
             break
         v = as_extended(g(x))
@@ -329,6 +331,44 @@ def _worst_status(statuses: Sequence[str]) -> str:
     return max(statuses, key=lambda s: _STATUS_RANK[s])
 
 
+def _level_tol(delta: float, depth: int) -> float:
+    return delta * 2.0 ** -(depth + 1)
+
+
+def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Sequence[int],
+                  schedule: GridSchedule, delta: float, *, max_steps: int,
+                  divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR,
+                  ) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
+                             list[list[_TailEstimate]]]:
+    """One adaptive tail per axis, nested: axes[0] outermost, axes[-1] innermost.
+
+    Returns estimate(assigned), which runs the nested limits with the
+    coordinates in assigned held fixed, and sweeps, where sweeps[k] logs
+    every tail estimate run at depth k.  The innermost level evaluates
+    f(x)/prod(x_j for j in denom_axes), multiplying in denom_axes order.
+    """
+    d = oracle.domain.dim
+    sweeps: list[list[_TailEstimate]] = [[] for _ in axes]
+
+    def estimate(assigned: Mapping[int, float], depth: int = 0) -> _TailEstimate:
+        axis = axes[depth]
+
+        def g(x: float) -> float:
+            here = {**assigned, axis: x}
+            if depth + 1 < len(axes):
+                return estimate(here, depth + 1).value
+            point = Point(tuple(here[i] for i in range(d)))
+            return oracle.evaluate(point) / math.prod(here[j] for j in denom_axes)
+
+        est = _adaptive_tail(g, base=schedule.base[axis], growth=schedule.growth,
+                             tol=_level_tol(delta, depth), integer=oracle.domain.integer,
+                             max_steps=max_steps, divergence_floor=divergence_floor)
+        sweeps[depth].append(est)
+        return est
+
+    return estimate, sweeps
+
+
 def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
                    schedule: GridSchedule | None = None, delta: float = 0.01, *,
                    max_steps: int = 200,
@@ -349,84 +389,50 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
     d = oracle.domain.dim
     if sorted(order) != list(range(d)):
         raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
-    schedule = schedule or default_schedule(d)
-    integer = oracle.domain.integer
-
-    statuses: list[list[str]] = [[] for _ in range(d)]
-    sweeps = [0] * d
-    level_evals = [0] * d
-    stabilized: list[float | None] = [None] * d
-    total_evals = 0
-
-    def run_level(depth: int, assigned: dict[int, float]) -> _TailEstimate:
-        axis = order[depth]
-        tol = delta * 2.0 ** -(depth + 1)
-
-        def g(x: float) -> float:
-            nonlocal total_evals
-            here = dict(assigned)
-            here[axis] = x
-            if depth == d - 1:
-                point = Point(tuple(here[i] for i in range(d)))
-                total_evals += 1
-                level_evals[depth] += 1
-                value = oracle.evaluate(point)
-                return value / point.product()
-            inner = run_level(depth + 1, here)
-            return inner.value
-
-        est = _adaptive_tail(g, base=schedule.base[axis], growth=schedule.growth,
-                             tol=tol, integer=integer, max_steps=max_steps,
-                             divergence_floor=divergence_floor)
-        statuses[depth].append(est.status)
-        sweeps[depth] += 1
-        if est.stabilized_at is not None:
-            stabilized[depth] = est.stabilized_at
-        if depth < d - 1:
-            level_evals[depth] += est.evaluations
-        return est
-
-    top = run_level(0, {})
+    estimate, sweeps = _nested_tails(oracle, tuple(order), range(d),
+                                     schedule or default_schedule(d), delta,
+                                     max_steps=max_steps, divergence_floor=divergence_floor)
+    top = estimate({})
     levels = tuple(
-        LevelSummary(axis=order[depth], status=_worst_status(statuses[depth]),
-                     tol=delta * 2.0 ** -(depth + 1), sweeps=sweeps[depth],
-                     evaluations=level_evals[depth],
-                     last_stabilized_at=stabilized[depth])
-        for depth in range(d)
+        LevelSummary(axis=order[depth], status=_worst_status([e.status for e in runs]),
+                     tol=_level_tol(delta, depth), sweeps=len(runs),
+                     evaluations=sum(e.evaluations for e in runs),
+                     last_stabilized_at=next((e.stabilized_at for e in reversed(runs)
+                                              if e.stabilized_at is not None), None))
+        for depth, runs in enumerate(sweeps)
     )
     overall = _worst_status([top.status] + [l.status for l in levels])
+    # every evaluation of the oracle happens at the innermost level
     return IteratedLimit(value=top.value, status=overall, order=tuple(order),
-                         levels=levels, evaluations=total_evals)
+                         levels=levels, evaluations=levels[-1].evaluations)
 
 
 # ---------------------------------------------------------------------------
 # Diagonal / path limits
 # ---------------------------------------------------------------------------
 
-def _bracket_from_path(points: list[tuple[float, ...]], ratios: list[float],
-                       params: list[float], delta: float,
-                       divergence_floor: float) -> LimitBracket:
-    best_upper = min(ratios)
-    tail_estimate = ratios[-1]
-    shell: int | None = None
-    threshold: tuple[float, ...] | None = None
-    for k in range(len(ratios)):
-        if max(ratios[k:]) - best_upper <= delta:
-            shell = k
-            threshold = (params[k],)
-            break
-    if best_upper == -math.inf or tail_estimate < divergence_floor:
-        status = DIVERGING_MINUS
-    elif shell is not None:
-        status = CONVERGED
-    else:
-        status = INCONCLUSIVE
-    samples = tuple(RatioSample(shell=k, point=points[k], ratio=ratios[k])
-                    for k in range(len(ratios)))
-    return LimitBracket(sense="inf", best_upper=best_upper, best_lower=None,
-                        tail_estimate=tail_estimate, status=status, delta=delta,
-                        shell=shell, threshold_point=threshold,
-                        evaluations=len(ratios), samples=samples)
+def _path_schedule(schedule: GridSchedule | None, kind: str) -> GridSchedule:
+    schedule = schedule or GridSchedule(base=Point((1.0,)), growth=2.0, levels=40)
+    if schedule.dim != 1:
+        raise DomainError(f"{kind} limits use a one-dimensional parameter schedule")
+    return schedule
+
+
+def _path_bracket(oracle: FunctionOracle, ts: Sequence[float],
+                  path: Callable[[float], tuple[float, ...]],
+                  scale: Callable[[float, tuple[float, ...]], float], delta: float,
+                  divergence_floor: float) -> LimitBracket:
+    """Bracket the ratios f(path(t))/scale(t, path(t)); sample k is shell k."""
+    points: list[tuple[float, ...]] = []
+    ratios: list[float] = []
+    for t in ts:
+        coords = path(t)
+        points.append(coords)
+        ratios.append(oracle.evaluate(coords) / scale(t, coords))
+    ratio_arr = np.array(ratios, dtype=float)
+    return _bracket(np.arange(len(ratios)), np.array(points, dtype=float), ratio_arr,
+                    np.maximum.accumulate(ratio_arr[::-1])[::-1],
+                    np.array(ts, dtype=float).reshape(-1, 1), delta, divergence_floor)
 
 
 def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], float]],
@@ -446,9 +452,7 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
     d = oracle.domain.dim
     if len(paths) != d:
         raise DimensionMismatchError(f"{len(paths)} paths for {d} axes")
-    schedule = schedule or GridSchedule(base=Point((1.0,)), growth=2.0, levels=40)
-    if schedule.dim != 1:
-        raise DomainError("diagonal limits use a one-dimensional parameter schedule")
+    schedule = _path_schedule(schedule, "diagonal")
     ts = schedule.axis_values(0)
 
     first = [float(p(ts[0])) for p in paths]
@@ -462,14 +466,10 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
             )
 
     integer = oracle.domain.integer
-    points: list[tuple[float, ...]] = []
-    ratios: list[float] = []
-    for t in ts:
-        coords = tuple(float(round(p(t))) if integer else float(p(t)) for p in paths)
-        value = oracle.evaluate(coords)
-        points.append(coords)
-        ratios.append(value / math.prod(coords))
-    return _bracket_from_path(points, ratios, list(map(float, ts)), delta, divergence_floor)
+    return _path_bracket(
+        oracle, ts,
+        lambda t: tuple(float(round(p(t))) if integer else float(p(t)) for p in paths),
+        lambda t, coords: math.prod(coords), delta, divergence_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -612,28 +612,16 @@ def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
         claims_componentwise_subadditive=oracle.claims_componentwise_subadditive,
     )
     base = simultaneous_limit(mirror, schedule, delta, divergence_floor=divergence_floor)
-
-    def reflect_back(point: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(c * s for c, s in zip(point, signs))
-
+    threshold = (tuple(c * s for c, s in zip(base.threshold_point, signs))
+                 if base.threshold_point else None)
+    reflected_base = replace(base, threshold_point=threshold, points=base.points * signs)
     if w.parity == 0:
-        samples = tuple(RatioSample(s.shell, reflect_back(s.point), s.ratio)
-                        for s in base.samples)
-        threshold = reflect_back(base.threshold_point) if base.threshold_point else None
-        return LimitBracket(sense="inf", best_upper=base.best_upper, best_lower=None,
-                            tail_estimate=base.tail_estimate, status=base.status,
-                            delta=delta, shell=base.shell, threshold_point=threshold,
-                            evaluations=base.evaluations, samples=samples)
-
-    status = {DIVERGING_MINUS: DIVERGING_PLUS}.get(base.status, base.status)
-    samples = tuple(RatioSample(s.shell, reflect_back(s.point), -s.ratio)
-                    for s in base.samples)
-    threshold = reflect_back(base.threshold_point) if base.threshold_point else None
+        return reflected_base
     assert base.best_upper is not None
-    return LimitBracket(sense="sup", best_upper=None, best_lower=-base.best_upper,
-                        tail_estimate=-base.tail_estimate, status=status,
-                        delta=delta, shell=base.shell, threshold_point=threshold,
-                        evaluations=base.evaluations, samples=samples)
+    return replace(reflected_base, sense="sup", best_upper=None, best_lower=-base.best_upper,
+                   tail_estimate=-base.tail_estimate,
+                   status={DIVERGING_MINUS: DIVERGING_PLUS}.get(base.status, base.status),
+                   ratios=-base.ratios)
 
 
 def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
@@ -653,19 +641,9 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
             f"direction of dimension {dirp.dim} vs oracle {oracle.domain.dim}")
     if all(c == 0 for c in dirp):
         raise DomainError("direction must be nonzero")
-    schedule = schedule or GridSchedule(base=Point((1.0,)), growth=2.0, levels=40)
-    if schedule.dim != 1:
-        raise DomainError("ray limits use a one-dimensional parameter schedule")
-    ts = schedule.axis_values(0)
-
-    points: list[tuple[float, ...]] = []
-    ratios: list[float] = []
-    for t in ts:
-        coords = tuple(t * c for c in dirp)
-        value = oracle.evaluate(coords)
-        points.append(coords)
-        ratios.append(value / t)
-    return _bracket_from_path(points, ratios, list(map(float, ts)), delta, divergence_floor)
+    ts = _path_schedule(schedule, "ray").axis_values(0)
+    return _path_bracket(oracle, ts, lambda t: tuple(t * c for c in dirp),
+                         lambda t, coords: t, delta, divergence_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -728,30 +706,11 @@ def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
             f"limits={list(limit_axes)}, fixed={sorted(fixed)}")
     if not limit_axes:
         raise DomainError("need at least one limit axis")
-    schedule = schedule or default_schedule(d)
-    integer = oracle.domain.integer
-
-    def estimate(depth: int, assigned: dict[int, float]) -> _TailEstimate:
-        axis = limit_axes[depth]
-        tol = delta * 2.0 ** -(depth + 1)
-
-        def g(x: float) -> float:
-            here = dict(assigned)
-            here[axis] = x
-            if depth == len(limit_axes) - 1:
-                point = Point(tuple(here[i] for i in range(d)))
-                denom = math.prod(here[j] for j in limit_axes)
-                return oracle.evaluate(point) / denom
-            return estimate(depth + 1, here).value
-
-        return _adaptive_tail(g, base=schedule.base[axis], growth=schedule.growth,
-                              tol=tol, integer=integer, max_steps=max_steps)
-
+    estimate, _ = _nested_tails(oracle, tuple(limit_axes), tuple(limit_axes),
+                                schedule or default_schedule(d), delta, max_steps=max_steps)
     entries: list[tuple[float, float, str]] = []
     for v in probe_values:
-        assigned = dict(fixed)
-        assigned[probe_axis] = float(v)
-        est = estimate(0, assigned)
+        est = estimate({**fixed, probe_axis: float(v)})
         entries.append((float(v), est.value, est.status))
     return InnerLimitProfile(oracle=oracle.name, probe_axis=probe_axis,
                              limit_axes=tuple(limit_axes),

@@ -368,21 +368,16 @@ def transfer_matrix_1d(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]
     return states, matrix
 
 
-def dominant_eigenvalue(matrix: np.ndarray, *, iterations: int = 1000) -> float:
-    """Dominant eigenvalue by plain power iteration from the all-ones vector."""
+def dominant_eigenvalue(matrix: np.ndarray) -> float:
+    """Spectral radius, the largest eigenvalue modulus from numpy's eigenvalues.
+
+    For a nonnegative matrix this is the Perron root, also when it sits
+    in a Jordan block, where power iteration converges only as 1/steps.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DomainError("power iteration needs a nonempty square matrix")
-    v = np.ones(m.shape[0])
-    rayleigh = 0.0
-    for _ in range(iterations):
-        mv = m @ v
-        norm = float(np.linalg.norm(mv))
-        if norm == 0.0:
-            return 0.0
-        rayleigh = float(v @ mv) / float(v @ v)
-        v = mv / norm
-    return rayleigh
+        raise DomainError("the spectral radius needs a nonempty square matrix")
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +467,8 @@ class EntropyBracket:
     matrix, applied to exact integer counts).  The cube ratio converges
     as O(1/n); the transfer bound converges geometrically.
     transfer_value_1d, present for one-dimensional subshifts, is the log
-    of the dominant eigenvalue by float power iteration; it is a
-    cross-check, not part of the bound.
+    of the transfer matrix's spectral radius from float eigenvalues; it
+    is a cross-check, not part of the bound.
     """
 
     entries: tuple[EntropyEntry, ...]

@@ -39,6 +39,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _escape(text: str) -> str:
+    """Escape XML text content, so any title, label or series name is valid SVG."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot_svg(series: Sequence[PlotSeries], *, title: str, xlabel: str,
                   ylabel: str, width: int = 640, height: int = 420,
                   timestamp: str | None = None) -> str:
@@ -76,7 +81,7 @@ def line_plot_svg(series: Sequence[PlotSeries], *, title: str, xlabel: str,
         parts.append(f"<!-- generated: {timestamp} -->")
     parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
     parts.append(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="14">{title}</text>')
+                 f'font-family="sans-serif" font-size="14">{_escape(title)}</text>')
 
     # axes box and ticks
     parts.append(f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
@@ -93,10 +98,12 @@ def line_plot_svg(series: Sequence[PlotSeries], *, title: str, xlabel: str,
         parts.append(f'<text x="{margin_l - 8}" y="{py(ty) + 3:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(ty)}</text>')
     parts.append(f'<text x="{margin_l + plot_w / 2:.2f}" y="{height - 8}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
+                 f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+                 f"{_escape(xlabel)}</text>")
     parts.append(f'<text x="14" y="{margin_t + plot_h / 2:.2f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 14 {margin_t + plot_h / 2:.2f})">{ylabel}</text>')
+                 f'transform="rotate(-90 14 {margin_t + plot_h / 2:.2f})">'
+                 f"{_escape(ylabel)}</text>")
 
     for i, s in enumerate(series):
         pts = _finite(s.points)
@@ -112,7 +119,7 @@ def line_plot_svg(series: Sequence[PlotSeries], *, title: str, xlabel: str,
                      f'x2="{margin_l + plot_w - 110}" y2="{ly - 4:.2f}" '
                      f'stroke="{color}" stroke-width="1.5"{dash}/>')
         parts.append(f'<text x="{margin_l + plot_w - 105}" y="{ly:.2f}" '
-                     f'font-family="sans-serif" font-size="10">{s.name}</text>')
+                     f'font-family="sans-serif" font-size="10">{_escape(s.name)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

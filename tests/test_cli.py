@@ -132,15 +132,6 @@ def test_explicit_flag_overrides_config(tmp_path):
     assert not (tmp_path / "check_joint.json").exists()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEKETE_LAB_THREADS", "4")
-    assert run(["check", "--fn", "abs", "--mode", "joint", "--count", 200,
-                "--out", tmp_path]) == 0
-    monkeypatch.setenv("FEKETE_LAB_THREADS", "zero")
-    assert run(["check", "--fn", "abs", "--mode", "joint", "--count", 200,
-                "--out", tmp_path]) == 2
-
-
 def test_reruns_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -172,6 +163,18 @@ def test_svg_output_is_well_formed_xml(tmp_path):
     assert root.tag.endswith("svg")
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) >= 2  # the series and the running-bound overlay
+
+
+def test_svg_escapes_markup_in_input_names(tmp_path):
+    import xml.etree.ElementTree as ET
+    from fekete_lab.subshift import builtin_sft, sft_to_json_dict
+    spec = tmp_path / "a&b<c.json"
+    spec.write_text(json.dumps(sft_to_json_dict(builtin_sft("golden_mean_1d"))))
+    assert run(["entropy", "--sft", spec, "--max-side", 6, "--out", tmp_path / "out",
+                "--no-timestamp"]) == 0
+    root = ET.fromstring((tmp_path / "out" / "entropy.svg").read_text())
+    titles = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert f"entropy bounds: {spec}" in titles
 
 
 def test_set_union_mode(tmp_path):

@@ -55,7 +55,7 @@ def test_best_upper_never_exceeds_tail_estimate():
         d = oracle.domain.dim
         bracket = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,) * d), levels=12))
         assert bracket.best_upper <= bracket.tail_estimate
-        assert all(bracket.best_upper <= s.ratio for s in bracket.samples)
+        assert (bracket.best_upper <= bracket.ratios).all()
 
 
 def test_full_shift_constant_ratio():
@@ -121,6 +121,23 @@ def test_iterated_agrees_with_simultaneous_for_subadditive_oracles():
             assert abs(it.value - sim.best_upper) <= 0.02
 
 
+def test_iterated_rejects_repeated_integer_rungs():
+    half = FunctionOracle(name="half_successor",
+                          domain=Domain(dim=1, orthant=Orthant.main(1), integer=True),
+                          fn=lambda p: (p[0] + 1) / 2)
+    # growth 1.1 rounds the first rungs to 1, 1, 1, 1, 1, 2, ...: not a ladder
+    with pytest.raises(DomainError):
+        iterated_limit(half, (0,), GridSchedule(base=Point((1.0,)), growth=1.1))
+    scaled = FunctionOracle(name="scaled_half_successor",
+                            domain=Domain(dim=2, orthant=Orthant.main(2), integer=True),
+                            fn=lambda p: p[0] * (p[1] + 1) / 2)
+    with pytest.raises(DomainError):
+        inner_limit_profile(scaled, {}, limit_axes=(1,), probe_axis=0, probe_values=[1.0],
+                            schedule=GridSchedule(base=Point((1.0, 1.0)), growth=1.1))
+    result = iterated_limit(half, (0,), GridSchedule(base=Point((1.0,)), growth=2.0))
+    assert result.status == CONVERGED and result.value == 0.5009765625
+
+
 def test_iterated_validates_order():
     with pytest.raises(DomainError):
         iterated_limit(SQRT, (0, 0))
@@ -151,8 +168,7 @@ def test_diagonal_identity_matches_simultaneous():
 def test_diagonal_constant_ratio_and_unit_start():
     bracket = diagonal_limit(FULL, [lambda t: t, lambda t: t * t], delta=0.01)
     assert bracket.status == CONVERGED and bracket.best_upper == 1.0
-    first = bracket.samples[0]
-    assert first.point == (1.0, 1.0) and first.ratio == 1.0
+    assert tuple(bracket.points[0].tolist()) == (1.0, 1.0) and bracket.ratios[0] == 1.0
 
 
 def test_diagonal_rejects_bounded_path():
@@ -162,8 +178,8 @@ def test_diagonal_rejects_bounded_path():
 
 def test_diagonal_first_sample_is_unit_for_sqrt_prod():
     bracket = diagonal_limit(SQRT, [lambda t: t, lambda t: t])
-    assert bracket.samples[0].point == (1.0, 1.0)
-    assert bracket.samples[0].ratio == 1.0  # f(1,1)/1
+    assert tuple(bracket.points[0].tolist()) == (1.0, 1.0)
+    assert bracket.ratios[0] == 1.0  # f(1,1)/1
 
 
 def test_three_dimensional_simultaneous_and_profile():
@@ -270,8 +286,7 @@ def test_orthant_limit_integer_domain():
     bracket = orthant_limit(neg_abs, schedule=GridSchedule(base=Point((1.0,)), levels=12))
     assert bracket.sense == "sup"
     assert bracket.best_lower == -1.0  # ratio |n|/n = -1 on the negatives
-    assert all(s.point[0] < 0 and s.point[0] == int(s.point[0])
-               for s in bracket.samples)
+    assert all(c < 0 and c == int(c) for c in bracket.points[:, 0].tolist())
 
 
 def test_orthant_limit_even_parity_reflection():
@@ -283,7 +298,28 @@ def test_orthant_limit_even_parity_reflection():
     bracket = orthant_limit(both_negative, schedule=schedule2())
     assert bracket.sense == "inf"
     assert bracket.status == CONVERGED and bracket.best_upper <= 0.01
-    assert all(c < 0 for c in bracket.samples[0].point)
+    assert all(c < 0 for c in bracket.points[0].tolist())
+
+
+def test_sup_sense_shell_extremes_match_max_fold():
+    odd = FunctionOracle(name="sqrt_abs_prod_on_10",
+                         domain=Domain(dim=2, orthant=Orthant.from_string("10")),
+                         fn=lambda p: math.sqrt(abs(p[0] * p[1])))
+    bracket = orthant_limit(odd, schedule=schedule2(8))
+    assert bracket.sense == "sup"
+    per_shell: dict[int, float] = {}
+    for shell, ratio in zip(bracket.shells.tolist(), bracket.ratios.tolist()):
+        per_shell[shell] = max(per_shell.get(shell, ratio), ratio)
+    expected = sorted(per_shell.items())
+    assert bracket.shell_extremes() == expected
+    running, current = [], -math.inf
+    for shell, extreme in expected:
+        current = max(current, extreme)
+        running.append((shell, current))
+    assert bracket.running_bound_by_shell() == running
+    bounds = [v for _, v in running]
+    assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+    assert bounds[-1] == bracket.best_lower
 
 
 def test_ray_limits():

@@ -288,6 +288,16 @@ def test_transfer_upper_dominates_spectral_radius(sft):
         assert e.ratio >= entropy - 1e-9
 
 
+def test_transfer_value_at_a_jordan_block():
+    # forbidding "10" leaves the n + 1 words 0^k 1^(n-k): entropy 0, and the
+    # transfer matrix [[1, 1], [0, 1]] has a Jordan block at its Perron root 1
+    staircase = SftSpec(alphabet=2, dim=1, forbidden=(
+        ForbiddenPattern(((0,), (1,)), (1, 0)),))
+    bracket = entropy_bounds(staircase, 6)
+    assert [e.count for e in bracket.entries] == [2, 3, 4, 5, 6, 7]
+    assert abs(bracket.transfer_value_1d) <= 1e-12
+
+
 def test_power_iteration_matches_closed_forms():
     states, matrix = transfer_matrix_1d(GOLDEN)
     assert sorted(states) == [(0,), (1,)]
