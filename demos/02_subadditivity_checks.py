@@ -2,9 +2,9 @@
 
 The product of two subadditive functions is subadditive in each
 variable separately, yet usually fails the joint inequality: sqrt(x*y)
-is the standard witness.  The checkers hunt for violations over a
-seeded counter-based stream, shrink random hits toward readable
-coordinates, and report exact margins.
+is the standard witness.  The checkers screen the whole budget of a
+seeded counter-based stream in one batch, shrink the random hits toward
+readable coordinates in lockstep, and report exact margins.
 """
 
 from fekete_lab import (

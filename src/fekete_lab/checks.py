@@ -1,25 +1,29 @@
 """Sampling-based refutation of subadditivity properties.
 
-A check draws a deterministic stream of witnesses candidates, evaluates
-the inequality it guards, and reports every sampled violation with its
-margin.  Sampling can only refute, never prove: an empty report means
-"no violation found at this budget", nothing stronger.
+A check runs in two steps.  It screens: the whole budget of witness
+candidates (a small probe lattice, then the deterministic sample stream)
+is drawn as arrays, masked to the domain, and the inequality it guards
+is evaluated in one batch per term.  Then it shrinks: the random hits are
+halved toward the small-coordinate corner in lockstep, each while its
+violation persists, which keeps regression fixtures readable; probed
+pairs are reported as given.  Sampling can only refute, never prove: an
+empty report means "no violation found at this budget", nothing stronger.
 
 Every reported violation satisfies lhs > rhs + tau with the relative
-tolerance tau below, so float rounding noise is never reported.  Random
-hits are shrunk toward the small-coordinate corner while the violation
-persists, which keeps regression fixtures readable; explicitly probed
-pairs are reported as given.
+tolerance tau below, so float rounding noise is never reported.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .domain import DomainError, EvaluationError, Point, ext_add, ext_sum
+import numpy as np
+
+from .domain import DomainError, EvaluationError, ext_add
 from .registry import Domain, FiniteSetFunction, FunctionOracle
 from .sampling import SampleBudget, integer_in, uniform_in
 
@@ -119,7 +123,7 @@ class ViolationReport:
 
 
 # ---------------------------------------------------------------------------
-# Domain-aware candidate streams
+# The candidate stream and the screen-then-shrink engine
 # ---------------------------------------------------------------------------
 
 def _axis_range(domain: Domain, axis: int, budget: SampleBudget) -> tuple[float, float]:
@@ -135,32 +139,34 @@ def _axis_range(domain: Domain, axis: int, budget: SampleBudget) -> tuple[float,
     return (lo, hi)
 
 
-def _sample_coord(domain: Domain, axis: int, budget: SampleBudget, counter: int) -> float:
-    if domain.grid_axes is not None:
-        # tabulated domains: draw grid coordinates, not floats that would
-        # land off-grid with probability one
-        grid = domain.grid_axes[axis]
-        return grid[integer_in(budget.seed, counter, 0, len(grid) - 1)]
-    lo, hi = _axis_range(domain, axis, budget)
-    if domain.integer:
-        return float(integer_in(budget.seed, counter, int(math.ceil(lo)), int(math.floor(hi))))
-    return uniform_in(budget.seed, counter, lo, hi)
+def _sample(domain: Domain, budget: SampleBudget, counters: np.ndarray) -> np.ndarray:
+    """Points of the stream, one per row: coordinate i of row k drawn at counters[k] + i."""
+    points = np.empty((len(counters), domain.dim))
+    for i in range(domain.dim):
+        at = counters + np.uint64(i)
+        if domain.grid_axes is not None:
+            # tabulated domains: draw grid coordinates, not floats that would
+            # land off-grid with probability one
+            grid = np.asarray(domain.grid_axes[i])
+            points[:, i] = grid[integer_in(budget.seed, at, 0, len(grid) - 1)]
+            continue
+        lo, hi = _axis_range(domain, i, budget)
+        if domain.integer:
+            points[:, i] = integer_in(budget.seed, at, math.ceil(lo), math.floor(hi))
+        else:
+            points[:, i] = uniform_in(budget.seed, at, lo, hi)
+    return points
 
 
-def _sample_tuple(domain: Domain, budget: SampleBudget, base_counter: int) -> tuple[float, ...]:
-    return tuple(_sample_coord(domain, i, budget, base_counter + i)
-                 for i in range(domain.dim))
-
-
-def _probe_points(domain: Domain) -> list[tuple[float, ...]]:
-    """Small deterministic lattice of in-domain points.
+def _probe_points(domain: Domain) -> np.ndarray:
+    """Small deterministic lattice of in-domain points, one per row.
 
     These catch the textbook violations at readable witnesses (unit-ish
     coordinates) before any random sampling runs.
     """
     if domain.grid_axes is not None:
         grid = list(itertools.product(*domain.grid_axes))
-        return grid if len(grid) <= 64 else []
+        return np.array(grid if len(grid) <= 64 else [], dtype=float).reshape(-1, domain.dim)
     per_axis: list[list[float]] = []
     for i in range(domain.dim):
         if domain.orthant is None:
@@ -168,85 +174,97 @@ def _probe_points(domain: Domain) -> list[tuple[float, ...]]:
         else:
             s = -1.0 if domain.orthant.bits[i] == 1 else 1.0
             per_axis.append([s * 1.0, s * 2.0, s * 3.0])
-    return [tuple(c) for c in itertools.product(*per_axis)]
+    return np.array(list(itertools.product(*per_axis)), dtype=float)
 
 
-def _pair_in_domain(domain: Domain, x: tuple, y: tuple) -> bool:
-    s = tuple(a + b for a, b in zip(x, y))
-    try:
-        return domain.contains(Point(s))
-    except DomainError:
-        return False
+def _ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ext_add: inf + (-inf) raises instead of making NaN."""
+    clash = np.isinf(a) & (a == -b)
+    if clash.any():
+        j = int(np.argmax(clash))
+        ext_add(float(a[j]), float(b[j]))  # raises IndeterminateFormError
+    return a + b
 
 
-def _candidate_pairs(domain: Domain, budget: SampleBudget) -> Iterable[tuple[tuple, tuple, bool]]:
-    """Yield (x, y, is_probe) with x, y, and x+y all in the domain."""
-    probes = _probe_points(domain)
-    for x, y in itertools.product(probes, probes):
-        if _pair_in_domain(domain, x, y):
-            yield x, y, True
-    width = 2 * domain.dim
-    for j in range(budget.count):
-        x = _sample_tuple(domain, budget, j * width)
-        y = _sample_tuple(domain, budget, j * width + domain.dim)
-        if _pair_in_domain(domain, x, y):
-            yield x, y, False
+def _exceeds(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elementwise lhs > rhs + violation_tolerance(lhs, rhs)."""
+    tol = np.where(np.isinf(lhs) | np.isinf(rhs), 0.0,
+                   REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
+    return lhs > rhs + tol
 
 
-def _shrink_pair(domain: Domain,
-                 violated: Callable[[tuple, tuple], tuple[float, float] | None],
-                 x: tuple, y: tuple) -> tuple[tuple, tuple, float, float]:
-    """Halve the witness toward the origin while the violation persists."""
-    best = (x, y) + violated(x, y)  # caller guarantees a violation at (x, y)
-    for _ in range(_MAX_SHRINK_STEPS):
-        x, y = best[0], best[1]
-        if domain.integer:
-            nx = tuple(math.copysign(max(1, abs(int(c)) // 2), c) for c in x)
-            ny = tuple(math.copysign(max(1, abs(int(c)) // 2), c) for c in y)
-        else:
-            nx = tuple(c / 2.0 for c in x)
-            ny = tuple(c / 2.0 for c in y)
-        if (nx, ny) == (x, y) or any(abs(c) < _SHRINK_FLOOR for c in nx + ny):
-            break
-        if not (_pair_in_domain(domain, nx, ny)
-                and domain.contains(Point(nx)) and domain.contains(Point(ny))):
-            break
-        hit = violated(nx, ny)
-        if hit is None:
-            break
-        best = (nx, ny) + hit
-    return best
-
-
-def _run_pair_check(oracle: FunctionOracle, budget: SampleBudget, kind: str,
-                    lhs_rhs: Callable[[tuple, tuple], tuple[float, float]],
-                    metadata: dict | None = None) -> ViolationReport:
-    domain = oracle.domain
-
-    def violated(x: tuple, y: tuple) -> tuple[float, float] | None:
+def _evaluator(oracle: FunctionOracle, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+    """f on points given one per row, through the oracle's batch entry point."""
+    def f(points: np.ndarray) -> np.ndarray:
         try:
-            lhs, rhs = lhs_rhs(x, y)
+            return oracle.evaluate_points(list(points.T))
         except (DomainError, EvaluationError) as exc:
-            raise EvaluationError(f"evaluation failed at witness ({x}, {y}): {exc}") from exc
-        if lhs > rhs + violation_tolerance(lhs, rhs):
-            return lhs, rhs
-        return None
+            raise EvaluationError(f"{kind} check of {oracle.name!r}: {exc}") from exc
+    return f
 
-    violations: list[Violation] = []
-    checked = 0
-    for x, y, is_probe in _candidate_pairs(domain, budget):
-        checked += 1
-        hit = violated(x, y)
-        if hit is None:
-            continue
-        if not is_probe:
-            x, y, *hit = _shrink_pair(domain, violated, x, y)
-        violations.append(Violation(kind=kind, axis=None, witness=(x, y),
-                                    lhs=hit[0], rhs=hit[1]))
-    return ViolationReport(kind=kind, oracle=oracle.name,
-                           violations=tuple(violations), samples_checked=checked,
-                           metadata={"seed": budget.seed, "count": budget.count,
-                                     **(metadata or {})})
+
+def _violations(kind: str, axis: int | None, x: np.ndarray, y: np.ndarray,
+                lhs: np.ndarray, rhs: np.ndarray) -> list[Violation]:
+    """One Violation per row, holding Python floats (their repr is the output format)."""
+    return [Violation(kind=kind, axis=axis, witness=(tuple(a), tuple(b)), lhs=l, rhs=r)
+            for a, b, l, r in zip(x.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())]
+
+
+def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
+                  inequality: Callable[..., tuple[np.ndarray, np.ndarray]],
+                  axis: int | None = None) -> tuple[list[Violation], int]:
+    """Screen every candidate pair in one batch, then shrink the random hits in lockstep.
+
+    inequality(f, x, y) -> (lhs, rhs) states lhs <= rhs for pairs given one
+    per row.  Candidates are the probe-lattice pairs, then budget pair j
+    (x at counters 2dj.., y at the next d); each needs x + y in the domain,
+    and with axis given, also y once restricted to the axis line through x.
+    Each random hit is halved toward the origin, as if alone, until a fixed
+    point, a coordinate below _SHRINK_FLOOR, a step out of the domain or
+    without violation, or _MAX_SHRINK_STEPS.  Returns the violations in
+    stream order and the number of pairs checked.
+    """
+    domain, d = oracle.domain, oracle.domain.dim
+    inside = domain._member_mask
+    f = _evaluator(oracle, kind)
+    probes = _probe_points(domain)
+    m = len(probes)
+    counters = np.arange(budget.count, dtype=np.uint64) * np.uint64(2 * d)
+    pairs = np.vstack([np.hstack([np.repeat(probes, m, axis=0), np.tile(probes, (m, 1))]),
+                       np.hstack([_sample(domain, budget, counters),
+                                  _sample(domain, budget, counters + np.uint64(d))])])
+    probe = np.arange(len(pairs)) < m * m
+    keep = inside(pairs[:, :d] + pairs[:, d:])
+    if axis is not None:  # y moves to the axis line through x
+        pairs[:, d:] = np.where(np.arange(d) == axis, pairs[:, d:], pairs[:, :d])
+        keep &= inside(pairs[:, d:])
+    pairs, probe = pairs[keep], probe[keep]
+    if not (inside(pairs[:, :d]) & inside(pairs[:, d:])).all():
+        raise EvaluationError(f"{kind} check: sampled points leave the domain of {oracle.name!r}")
+    lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:])
+    hit = _exceeds(lhs, rhs)
+    pairs, lhs, rhs, rows = pairs[hit], lhs[hit], rhs[hit], np.flatnonzero(~probe[hit])
+    for _ in range(_MAX_SHRINK_STEPS):
+        old = pairs[rows]
+        new = (np.copysign(np.maximum(1.0, np.floor(np.abs(old) / 2)), old)
+               if domain.integer else old / 2.0)
+        go = ((new != old).any(axis=1) & (np.abs(new) >= _SHRINK_FLOOR).all(axis=1)
+              & inside(new[:, :d] + new[:, d:]) & inside(new[:, :d]) & inside(new[:, d:]))
+        rows, new = rows[go], new[go]
+        if not rows.size:
+            break
+        new_lhs, new_rhs = inequality(f, new[:, :d], new[:, d:])
+        still = _exceeds(new_lhs, new_rhs)
+        rows = rows[still]
+        pairs[rows], lhs[rows], rhs[rows] = new[still], new_lhs[still], new_rhs[still]
+    return _violations(kind, axis, pairs[:, :d], pairs[:, d:], lhs, rhs), int(keep.sum())
+
+
+def _report(kind: str, oracle: FunctionOracle, violations: list[Violation], checked: int,
+            budget: SampleBudget) -> ViolationReport:
+    return ViolationReport(kind=kind, oracle=oracle.name, violations=tuple(violations),
+                           samples_checked=checked,
+                           metadata={"seed": budget.seed, "count": budget.count})
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +275,10 @@ def check_joint(oracle: FunctionOracle, budget: SampleBudget | None = None) -> V
     """Refute f(x+y) <= f(x) + f(y) over sampled in-domain pairs."""
     budget = budget or SampleBudget()
 
-    def lhs_rhs(x: tuple, y: tuple) -> tuple[float, float]:
-        s = tuple(a + b for a, b in zip(x, y))
-        return oracle.evaluate(s), ext_add(oracle.evaluate(x), oracle.evaluate(y))
+    def joint(f, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return f(x + y), _ext_add(f(x), f(y))
 
-    return _run_pair_check(oracle, budget, "joint", lhs_rhs)
+    return _report("joint", oracle, *_refute_pairs(oracle, budget, "joint", joint), budget)
 
 
 def check_componentwise(oracle: FunctionOracle,
@@ -272,41 +289,16 @@ def check_componentwise(oracle: FunctionOracle,
     replaced, so both evaluations sit on the same axis-i line.
     """
     budget = budget or SampleBudget()
-    domain = oracle.domain
-    violations: list[Violation] = []
-    checked = 0
 
-    for axis in range(domain.dim):
+    def on_axis(f, x: np.ndarray, y: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        z = x.copy()
+        z[:, axis] += y[:, axis]
+        return f(z), _ext_add(f(x), f(y))
 
-        def violated(x: tuple, y: tuple) -> tuple[float, float] | None:
-            z = tuple(x[i] + y[i] if i == axis else x[i] for i in range(len(x)))
-            try:
-                lhs = oracle.evaluate(z)
-                rhs = ext_add(oracle.evaluate(x), oracle.evaluate(y))
-            except (DomainError, EvaluationError) as exc:
-                raise EvaluationError(
-                    f"evaluation failed at axis-{axis} witness ({x}, {y}): {exc}") from exc
-            if lhs > rhs + violation_tolerance(lhs, rhs):
-                return lhs, rhs
-            return None
-
-        for x, y0, is_probe in _candidate_pairs(domain, budget):
-            # restrict the second point to the axis-i line through x
-            y = tuple(y0[i] if i == axis else x[i] for i in range(domain.dim))
-            if not domain.contains(Point(y)):
-                continue
-            checked += 1
-            hit = violated(x, y)
-            if hit is None:
-                continue
-            if not is_probe:
-                x, y, *hit = _shrink_pair(domain, violated, x, y)
-            violations.append(Violation(kind="componentwise", axis=axis,
-                                        witness=(x, y), lhs=hit[0], rhs=hit[1]))
-
-    return ViolationReport(kind="componentwise", oracle=oracle.name,
-                           violations=tuple(violations), samples_checked=checked,
-                           metadata={"seed": budget.seed, "count": budget.count})
+    runs = [_refute_pairs(oracle, budget, "componentwise", partial(on_axis, axis=axis), axis)
+            for axis in range(oracle.domain.dim)]
+    return _report("componentwise", oracle, [v for found, _ in runs for v in found],
+                   sum(n for _, n in runs), budget)
 
 
 def check_four_term(oracle: FunctionOracle,
@@ -321,16 +313,15 @@ def check_four_term(oracle: FunctionOracle,
     budget = budget or SampleBudget()
     d = oracle.domain.dim
 
-    def lhs_rhs(x: tuple, y: tuple) -> tuple[float, float]:
-        s = tuple(a + b for a, b in zip(x, y))
-        lhs = oracle.evaluate(s)
-        terms = []
-        for bits in itertools.product((0, 1), repeat=d):
-            mix = tuple(y[i] if bits[i] else x[i] for i in range(d))
-            terms.append(oracle.evaluate(mix))
-        return lhs, ext_sum(terms)
+    def four_term(f, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lhs = f(x + y)
+        rhs = np.zeros(len(lhs))  # summed left to right from 0.0, as ext_sum does
+        for bits in itertools.product((False, True), repeat=d):
+            rhs = _ext_add(rhs, f(np.where(bits, y, x)))
+        return lhs, rhs
 
-    return _run_pair_check(oracle, budget, "four_term", lhs_rhs)
+    return _report("four_term", oracle,
+                   *_refute_pairs(oracle, budget, "four_term", four_term), budget)
 
 
 def check_monoid_sign(oracle: FunctionOracle,
@@ -340,7 +331,8 @@ def check_monoid_sign(oracle: FunctionOracle,
     Subadditive f must have f(0) >= 0, and on a group f(x) + f(-x) >= 0.
     Violations are recorded with lhs = 0 so that margin = -f(...) stays
     positive, matching the other report kinds.  Only meaningful for
-    oracles that already look jointly subadditive.
+    oracles that already look jointly subadditive.  x runs over the probe
+    lattice, then over the stream, sample j drawn at counters dj..dj+d-1.
     """
     budget = budget or SampleBudget()
     domain = oracle.domain
@@ -350,25 +342,17 @@ def check_monoid_sign(oracle: FunctionOracle,
     violations: list[Violation] = []
     zero = (0.0,) * domain.dim
     f0 = oracle.evaluate(zero)
-    checked = 1
     if 0.0 > f0 + violation_tolerance(0.0, f0):
         violations.append(Violation(kind="monoid", axis=None, witness=(zero,),
                                     lhs=0.0, rhs=f0))
 
-    candidates = _probe_points(domain)
-    for j in range(budget.count):
-        candidates.append(_sample_tuple(domain, budget, j * domain.dim))
-    for x in candidates:
-        neg = tuple(-c for c in x)
-        checked += 1
-        total = ext_add(oracle.evaluate(x), oracle.evaluate(neg))
-        if 0.0 > total + violation_tolerance(0.0, total):
-            violations.append(Violation(kind="monoid", axis=None, witness=(x, neg),
-                                        lhs=0.0, rhs=total))
-
-    return ViolationReport(kind="monoid", oracle=oracle.name,
-                           violations=tuple(violations), samples_checked=checked,
-                           metadata={"seed": budget.seed, "count": budget.count})
+    counters = np.arange(budget.count, dtype=np.uint64) * np.uint64(domain.dim)
+    x = np.vstack([_probe_points(domain), _sample(domain, budget, counters)])
+    f = _evaluator(oracle, "monoid")
+    rhs = _ext_add(f(x), f(-x))
+    hit = _exceeds(np.zeros_like(rhs), rhs)
+    violations += _violations("monoid", None, x[hit], -x[hit], np.zeros(hit.sum()), rhs[hit])
+    return _report("monoid", oracle, violations, 1 + len(rhs), budget)
 
 
 def check_set_union(g: FiniteSetFunction,
@@ -407,7 +391,4 @@ def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,
         fn=lambda p: oracle.evaluate((p[0] + shift,)),
     )
     report = check_joint(shifted, budget)
-    return ViolationReport(kind=report.kind, oracle=report.oracle,
-                           violations=report.violations,
-                           samples_checked=report.samples_checked,
-                           metadata={**report.metadata, "shift": shift})
+    return replace(report, metadata={**report.metadata, "shift": shift})

@@ -30,7 +30,7 @@ from .checks import (
     check_set_union,
     check_shifted_subadditivity,
 )
-from .domain import ConfigError, FeketeLabError, GridSchedule, Point
+from .domain import ConfigError, DomainError, FeketeLabError, GridSchedule, Point
 from .ioutil import csv_text, write_json_atomic, write_text_atomic
 from .levelset import check_levelset_lemma, rubin_unboundedness_demo
 from .limits import (
@@ -200,11 +200,21 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
     direction = _resolve(ns, run.config, "direction", None)
     diagonal = _resolve(ns, run.config, "diagonal", None)
     d = oracle.domain.dim
+    on_path = iterated is None and (direction is not None or diagonal is not None)
+    if on_path:  # ray and diagonal limits run a one-dimensional parameter t from 1
+        base = Point((1.0,))
+    else:
+        base = _parse_point(base_text) if base_text else Point((1.0,) * d)
+    try:  # a schedule the estimators cannot use is a usage error
+        schedule = GridSchedule(base=base, growth=growth, levels=levels)
+        if oracle.domain.integer and not on_path:  # rounded rungs must stay increasing
+            for i in range(d):
+                schedule.axis_values(i, integer=True)
+    except DomainError as exc:
+        raise ConfigError(f"unusable schedule: {exc}") from exc
 
     if iterated is not None:
         order = _parse_order(iterated, d)
-        base = _parse_point(base_text) if base_text else Point((1.0,) * d)
-        schedule = GridSchedule(base=base, growth=growth, levels=levels)
         result = iterated_limit(oracle, order, schedule, delta)
         payload = {"meta": _meta("limit", run.seed), **result.to_json_dict()}
         write_json_atomic(run.out / "iterated.json", payload)
@@ -216,7 +226,6 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
 
     if direction is not None:
         dirp = _parse_point(direction)
-        schedule = GridSchedule(base=Point((1.0,)), growth=growth, levels=levels)
         bracket = ray_limit(oracle, dirp, schedule, delta)
         _bracket_outputs(run, "ray", bracket)
         print(f"ray {direction}: status {bracket.status}, best_upper {bracket.best_upper!r}")
@@ -230,15 +239,12 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
         if len(powers) != d:
             raise ConfigError(f"{len(powers)} powers for {d} axes")
         paths = [(lambda t, p=p: t ** p) for p in powers]
-        schedule = GridSchedule(base=Point((1.0,)), growth=growth, levels=levels)
         bracket = diagonal_limit(oracle, paths, schedule, delta)
         _bracket_outputs(run, "diagonal", bracket)
         print(f"diagonal t^{powers}: status {bracket.status}, "
               f"best_upper {bracket.best_upper!r}")
         return EXIT_OK
 
-    base = _parse_point(base_text) if base_text else Point((1.0,) * d)
-    schedule = GridSchedule(base=base, growth=growth, levels=levels)
     bracket = simultaneous_limit(oracle, schedule, delta)
     _bracket_outputs(run, "bracket", bracket)
     print(f"simultaneous: status {bracket.status}, best_upper {bracket.best_upper!r}, "

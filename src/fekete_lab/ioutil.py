@@ -2,7 +2,7 @@
 
 JSON output is strict (no bare Infinity tokens): non-finite floats are
 encoded as the strings "+inf" / "-inf".  Files are written atomically
-(temp file + rename) and floats are rendered with repr, which is the
+(uniquely named temp file + rename) and floats are rendered with repr, which is the
 shortest round-tripping form and deterministic across runs.
 """
 
@@ -38,9 +38,14 @@ def format_float(value: float) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:

@@ -110,7 +110,8 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
     cell_vol = spec.box_volume / cells ** d
 
     center_axes = [(np.arange(cells) + 0.5) * (t[i] / cells) for i in range(d)]
-    inside_centers = oracle.evaluate_mesh(center_axes) >= spec.k
+    mesh = np.meshgrid(*center_axes, indexing="ij")
+    inside_centers = oracle.evaluate_points([m.ravel() for m in mesh]) >= spec.k
     value = float(inside_centers.sum()) * cell_vol
 
     # Corner grid: the open box excludes 0, so nudge the zero corner inward.
@@ -119,7 +120,9 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
         ax = np.arange(cells + 1) * (t[i] / cells)
         ax[0] = t[i] / cells * 1e-9
         corner_axes.append(ax)
-    inside_corners = oracle.evaluate_mesh(corner_axes) >= spec.k
+    mesh = np.meshgrid(*corner_axes, indexing="ij")
+    inside_corners = oracle.evaluate_points([m.ravel() for m in mesh]) >= spec.k
+    inside_corners = inside_corners.reshape(mesh[0].shape)
 
     ref = inside_corners[tuple(slice(0, cells) for _ in range(d))]
     agree = np.ones(ref.shape, dtype=bool)
@@ -138,10 +141,8 @@ def _monte_carlo(oracle: FunctionOracle, spec: LevelSetSpec,
                  samples: int, seed: int) -> MeasureEstimate:
     t = spec.t
     d = t.dim
-    columns = [
-        np.array([unit_uniform(seed, j * d + i) * t[i] for j in range(samples)])
-        for i in range(d)
-    ]
+    counters = np.arange(samples, dtype=np.uint64) * np.uint64(d)
+    columns = [unit_uniform(seed, counters + np.uint64(i)) * t[i] for i in range(d)]
     values = oracle.evaluate_points(columns)
     hits = int(np.count_nonzero(values >= spec.k))
     vol = spec.box_volume
@@ -236,7 +237,8 @@ def compact_bound_scan(oracle: FunctionOracle,
         if not a <= b:
             raise DomainError(f"degenerate interval [{a!r}, {b!r}]")
     axes = [np.linspace(a, b, resolution) for a, b in box]
-    values = oracle.evaluate_mesh(axes)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    values = oracle.evaluate_points([m.ravel() for m in mesh]).reshape(mesh[0].shape)
     flat_min = int(np.argmin(values))
     flat_max = int(np.argmax(values))
     idx_min = np.unravel_index(flat_min, values.shape)

@@ -200,7 +200,8 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
             for i in range(d)]
     levels = len(axes[0])
 
-    values = oracle.evaluate_mesh(axes)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    values = oracle.evaluate_points([m.ravel() for m in mesh]).reshape(mesh[0].shape)
     denom = np.ones_like(values)
     for i, ax in enumerate(axes):
         shape = [1] * d
@@ -215,7 +216,6 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     for a in range(d):
         suffix_max = np.flip(np.maximum.accumulate(np.flip(suffix_max, axis=a), axis=a), axis=a)
 
-    mesh = np.meshgrid(*axes, indexing="ij")
     return _bracket(shell_of.ravel(), np.stack([m.ravel() for m in mesh], axis=1),
                     ratios.ravel(), suffix_max[(np.arange(levels),) * d],
                     np.stack(axes, axis=1), delta, divergence_floor)

@@ -84,13 +84,21 @@ class Domain:
             raise DimensionMismatchError(
                 f"point of dimension {point.dim} vs domain of dimension {self.dim}"
             )
-        if self.integer and any(c != int(c) for c in point):
-            return False
-        if self.grid_axes is not None:
-            return all(c in axis for c, axis in zip(point, self.grid_axes))
-        if self.orthant is not None:
-            return self.orthant.contains(point)
-        return True
+        return bool(self._member_mask(np.array([point.coords]))[0])
+
+    def _member_mask(self, points: np.ndarray) -> np.ndarray:
+        """Membership of each row of points, the one rule behind contains: finite,
+        integral on integer domains, then on the grid if any, else in the orthant."""
+        inside = np.ones(len(points), dtype=bool)
+        for i, c in enumerate(points.T):
+            inside &= np.isfinite(c)
+            if self.integer:
+                inside &= c == np.floor(c)
+            if self.grid_axes is not None:
+                inside &= np.isin(c, self.grid_axes[i])
+            elif self.orthant is not None:
+                inside &= c * self.orthant.sign(i) > 0
+        return inside
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,8 @@ class FunctionOracle:
     claims_componentwise_subadditive: bool = False
     claims_joint_subadditive: bool = False
     known_limit: KnownLimit | None = None
-    # optional vectorized path over numpy meshgrids, used by quadrature
+    # optional vectorized fn over coordinate arrays (one per axis); it must
+    # agree with fn bit for bit, since batch evaluation uses it instead
     array_fn: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
     def evaluate(self, point: Point | Sequence[float] | float) -> float:
@@ -118,30 +127,20 @@ class FunctionOracle:
             raise DomainError(f"{tuple(p)} is outside the domain of {self.name!r}")
         return as_extended(self.fn(p))
 
-    def evaluate_mesh(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate on the full cartesian grid of the given axis arrays."""
-        grids = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
-        if self.array_fn is not None:
-            values = np.asarray(self.array_fn(*grids), dtype=float)
-        else:
-            values = np.empty(grids[0].shape, dtype=float)
-            for idx in np.ndindex(*grids[0].shape):
-                values[idx] = self.fn(Point(tuple(g[idx] for g in grids)))
-        if np.isnan(values).any():
-            raise EvaluationError(f"{self.name!r} produced NaN on the evaluation grid")
-        return values
-
     def evaluate_points(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate pointwise on parallel coordinate columns (one array per axis)."""
+        """Evaluate at the in-domain points (unchecked) whose axis-i coordinates
+        form the 1-D array columns[i]; with array_fn if present, else fn by point."""
         cols = [np.asarray(c, dtype=float) for c in columns]
         if self.array_fn is not None:
             values = np.asarray(self.array_fn(*cols), dtype=float)
         else:
-            values = np.empty(cols[0].shape, dtype=float)
-            for j in range(cols[0].size):
-                values[j] = self.fn(Point(tuple(c[j] for c in cols)))
-        if np.isnan(values).any():
-            raise EvaluationError(f"{self.name!r} produced NaN on the evaluation points")
+            values = np.array([self.fn(Point(p)) for p in zip(*(c.tolist() for c in cols))],
+                              dtype=float)
+        nan = np.isnan(values)
+        if nan.any():
+            j = int(np.argmax(nan))
+            raise EvaluationError(
+                f"{self.name!r} produced NaN at {tuple(float(c[j]) for c in cols)}")
         return values
 
 
@@ -281,7 +280,8 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         name="ceiling",
         domain=Domain(dim=1, orthant=None, integer=False),
         fn=lambda p: float(math.ceil(p[0])),
-        array_fn=lambda x: np.ceil(x),
+        # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into fn's 0.0
+        array_fn=lambda x: np.ceil(x) + 0.0,
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=True,
         known_limit=KnownLimit(1.0, "analytic: ceil(x)/x attains its infimum 1 at integers"),

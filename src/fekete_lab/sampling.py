@@ -4,12 +4,16 @@ Sample j is a pure function of (seed, j): there is no generator state to
 advance, so identical budgets reproduce identical streams regardless of
 evaluation order, chunking, or platform.  The mixer is the standard
 splitmix64 finalizer over a Weyl sequence, which is cheap, well
-distributed, and trivially portable across languages.
+distributed, and trivially portable across languages.  A draw takes one
+counter or a numpy uint64 array of counters; an array draw equals the
+scalar draws element for element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import DomainError
 
@@ -19,31 +23,31 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def raw64(seed: int, counter: int) -> int:
-    """The counter-th 64-bit word of the stream for this seed."""
-    z = (seed + (counter + 1) * _GAMMA) & _MASK
+def raw64(seed: int, counter: int | np.ndarray) -> int | np.ndarray:
+    """The counter-th 64-bit word of the stream for this seed (any int, taken mod 2^64)."""
+    z = ((seed & _MASK) + (counter + 1) * _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
 
 
-def unit_uniform(seed: int, counter: int) -> float:
+def unit_uniform(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     """Uniform float in [0, 1) with 53 random bits."""
     return (raw64(seed, counter) >> 11) * 2.0 ** -53
 
 
-def uniform_in(seed: int, counter: int, lo: float, hi: float) -> float:
+def uniform_in(seed: int, counter: int | np.ndarray, lo: float, hi: float) -> float | np.ndarray:
     if not lo < hi:
         raise DomainError(f"empty sampling range [{lo!r}, {hi!r})")
     return lo + unit_uniform(seed, counter) * (hi - lo)
 
 
-def integer_in(seed: int, counter: int, lo: int, hi: int) -> int:
-    """Uniform integer in the inclusive range [lo, hi]."""
+def integer_in(seed: int, counter: int | np.ndarray, lo: int, hi: int) -> int | np.ndarray:
+    """Uniform integer in the inclusive range [lo, hi] (int64 for counter arrays)."""
     if lo > hi:
         raise DomainError(f"empty integer range [{lo}, {hi}]")
-    span = hi - lo + 1
-    return lo + raw64(seed, counter) % span
+    offset = raw64(seed, counter) % (hi - lo + 1)
+    return lo + (offset.astype(np.int64) if isinstance(offset, np.ndarray) else offset)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from fekete_lab.checks import (
+    Violation,
+    ViolationReport,
     check_componentwise,
     check_four_term,
     check_joint,
@@ -15,7 +19,14 @@ from fekete_lab.checks import (
     check_shifted_subadditivity,
     violation_tolerance,
 )
-from fekete_lab.domain import DomainError
+from fekete_lab.domain import (
+    DomainError,
+    EvaluationError,
+    IndeterminateFormError,
+    Orthant,
+    Point,
+    ext_add,
+)
 from fekete_lab.registry import (
     Domain,
     FunctionOracle,
@@ -24,7 +35,7 @@ from fekete_lab.registry import (
     cardinality_set_function,
     set_function_from_integer,
 )
-from fekete_lab.sampling import SampleBudget
+from fekete_lab.sampling import SampleBudget, integer_in, uniform_in
 
 BUDGET = SampleBudget(count=2000, seed=20240117)
 
@@ -213,3 +224,112 @@ def test_report_serialization_shapes():
     rows = report.to_csv_rows()
     assert rows[0] == ["kind", "axis", "witness", "lhs", "rhs", "margin"]
     assert len(rows) == len(report.violations) + 1
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_nan_at_sampled_points_raises_evaluation_error(vectorized):
+    # finite on the probe lattice (coordinates up to 6), NaN far out
+    oracle = FunctionOracle(
+        name="nan_far_out", domain=Domain(dim=2, orthant=Orthant.main(2)),
+        fn=lambda p: math.nan if p[0] > 10 else p[0],
+        array_fn=(lambda x1, x2: np.where(x1 > 10, np.nan, x1)) if vectorized else None)
+    with pytest.raises(EvaluationError, match="NaN"):
+        check_joint(oracle, SampleBudget(count=200, seed=3))
+
+
+@pytest.mark.parametrize("check", [check_joint, check_four_term])
+def test_mixed_infinities_raise_indeterminate_form(check):
+    # f(x) + f(y) is inf + (-inf) whenever x and y have opposite signs
+    oracle = FunctionOracle(name="signed_infinity", domain=Domain(dim=1, orthant=None),
+                            fn=lambda p: math.inf if p[0] > 0 else -math.inf)
+    with pytest.raises(IndeterminateFormError):
+        check(oracle, SampleBudget(count=200, seed=3))
+
+
+def _reference_pair_check(oracle, budget, axis=None):
+    """The joint (axis None) or axis-i check as one scalar loop, pair by pair.
+
+    Covers oracles on the main orthant of R^d, on all of Z^d and on grids
+    too large to probe, at the default ranges.  Each random hit is halved
+    while x, y and x + y stay in the domain, above the 0.05 floor, and
+    violating, for at most 80 steps.
+    """
+    domain, d = oracle.domain, oracle.domain.dim
+    integer, grid = domain.integer, domain.grid_axes
+
+    def draw(counter, i):
+        if grid is not None:
+            return grid[i][integer_in(budget.seed, counter, 0, len(grid[i]) - 1)]
+        if integer:
+            return float(integer_in(budget.seed, counter, -100, 100))
+        return uniform_in(budget.seed, counter, 0.1, 100.0)
+
+    def inside(p):
+        return domain.contains(Point(p))
+
+    def violated(x, y):
+        s = tuple(a + b if axis in (None, i) else a for i, (a, b) in enumerate(zip(x, y)))
+        lhs, rhs = oracle.evaluate(s), ext_add(oracle.evaluate(x), oracle.evaluate(y))
+        return (lhs, rhs) if lhs > rhs + violation_tolerance(lhs, rhs) else None
+
+    def halve(c):
+        return math.copysign(max(1, abs(int(c)) // 2), c) if integer else c / 2.0
+
+    lattice = [-2.0, -1.0, 1.0, 2.0, 3.0] if integer else [1.0, 2.0, 3.0]
+    probes = [] if grid is not None else list(itertools.product(lattice, repeat=d))
+    candidates = [(x, y, True) for x in probes for y in probes]
+    for j in range(budget.count):
+        candidates.append((tuple(draw(2 * d * j + i, i) for i in range(d)),
+                           tuple(draw(2 * d * j + d + i, i) for i in range(d)), False))
+    violations, checked = [], 0
+    for x, y, probe in candidates:
+        if not inside(tuple(a + b for a, b in zip(x, y))):
+            continue
+        if axis is not None:
+            y = tuple(b if i == axis else a for i, (a, b) in enumerate(zip(x, y)))
+            if not inside(y):
+                continue
+        checked += 1
+        hit = violated(x, y)
+        for _ in range(0 if probe or hit is None else 80):
+            nx, ny = tuple(map(halve, x)), tuple(map(halve, y))
+            if ((nx, ny) == (x, y) or min(map(abs, nx + ny)) < 0.05
+                    or not (inside(nx) and inside(ny)
+                            and inside(tuple(a + b for a, b in zip(nx, ny))))):
+                break
+            new_hit = violated(nx, ny)
+            if new_hit is None:
+                break
+            x, y, hit = nx, ny, new_hit
+        if hit is not None:
+            violations.append(Violation(kind="joint" if axis is None else "componentwise",
+                                        axis=axis, witness=(x, y), lhs=hit[0], rhs=hit[1]))
+    return violations, checked
+
+
+def test_batch_engine_matches_the_scalar_reference_loop():
+    zint = FunctionOracle(name="zint", domain=Domain(dim=2, orthant=None, integer=True),
+                          fn=lambda p: float(abs(p[0]) * abs(p[1]) % 7) - 2.0)
+    # a 12 x 12 grid (too large to probe) on which x1 + x2 breaks at the far corner
+    axis = tuple(float(k) for k in range(1, 13))
+    table = TabulatedFunction(axes=(axis, axis), values=tuple(
+        100.0 if x + y > 20 else x + y for x in axis for y in axis)).to_oracle("grid")
+    probes = set(itertools.product([-2.0, -1.0, 1.0, 2.0, 3.0], repeat=2))
+    shrunk = 0
+    for oracle in (builtin("sqrt_prod"), builtin("neg_x1_sqrt_x2"), zint, table):
+        for seed in (-1, 2024):
+            budget = SampleBudget(count=300, seed=seed)
+            cases = [(check_joint, [None])]
+            cases.append((check_componentwise, list(range(oracle.domain.dim))))
+            for check, axes in cases:
+                runs = [_reference_pair_check(oracle, budget, axis) for axis in axes]
+                expected = ViolationReport(
+                    kind=check(oracle, SampleBudget(count=1, seed=seed)).kind,
+                    oracle=oracle.name, violations=tuple(v for r in runs for v in r[0]),
+                    samples_checked=sum(r[1] for r in runs),
+                    metadata={"seed": seed, "count": 300})
+                got = check(oracle, budget)
+                assert got.to_json_dict() == expected.to_json_dict()
+                assert got.to_csv_rows() == expected.to_csv_rows()
+                shrunk += sum(v.witness[0] not in probes for v in got.violations)
+    assert shrunk > 1000  # random hits, shrunk on real and on integer domains

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
 from fekete_lab.cli import main
+from fekete_lab.ioutil import write_text_atomic
 
 
 def run(argv):
@@ -193,3 +196,34 @@ def test_shift_mode(tmp_path):
     code = run(["check", "--fn", "nmod2", "--mode", "shift", "--shift", 0,
                 "--count", 300, "--out", tmp_path])
     assert code == 0
+
+
+def test_evaluation_fault_exits_four(tmp_path, capsys):
+    # random float samples are not exact rationals: an evaluation fault
+    assert run(["check", "--fn", "rubin_min_denominator", "--mode", "joint",
+                "--count", 50, "--out", tmp_path]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("growth, extra", [(1.1, []), (1.1, ["--iterated", "1,2"]), (0.5, [])])
+def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
+    # growth 1.1 rounds the integer ladder 1, 1.1, 1.21, ... to 1, 1, 1, ...;
+    # growth 0.5 shrinks instead of growing
+    argv = ["limit", "--fn", "full_shift_count_log", "--growth", growth, *extra,
+            "--out", tmp_path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: unusable schedule")
+
+
+def test_atomic_write_ignores_a_stale_fixed_temp_name(tmp_path):
+    # a directory squatting on the old fixed temp name "<name>.tmp"
+    (tmp_path / "x.json.tmp").mkdir()
+    write_text_atomic(tmp_path / "x.json", "{}\n")
+    assert (tmp_path / "x.json").read_text() == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.tmp"]
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(tmp_path / "y.json", "\udc80")  # lone surrogate: unencodable
+    assert list(tmp_path.iterdir()) == []

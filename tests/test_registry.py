@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fekete_lab.domain import ConfigError, DomainError, EvaluationError
@@ -21,7 +22,7 @@ from fekete_lab.registry import (
     set_function_from_integer,
     write_tabulated,
 )
-from fekete_lab.sampling import integer_in
+from fekete_lab.sampling import integer_in, uniform_in
 
 
 def test_builtin_values():
@@ -59,6 +60,30 @@ def test_domain_enforcement():
     with pytest.raises(DomainError):
         nm.evaluate((1.5,))
     assert nm.evaluate((-3,)) == 1.0
+
+
+def test_array_fn_matches_fn_bit_for_bit():
+    # batch evaluation uses array_fn in place of fn, so they must agree
+    # exactly, signed zeros included; sample 10k points per builtin, over
+    # both halves of every axis that is not restricted to an orthant
+    counters = np.arange(10_000, dtype=np.uint64)
+    for name in builtin_names():
+        oracle = builtin(name)
+        if oracle.array_fn is None:
+            continue
+        domain = oracle.domain
+        lo = -3.0 if domain.orthant is None else 0.01
+        columns = []
+        for i in range(domain.dim):
+            c = uniform_in(77, counters * np.uint64(domain.dim) + np.uint64(i), lo, 100.0)
+            if domain.integer:
+                c = np.ceil(c)
+            columns.append(c if domain.orthant is None else c * domain.orthant.sign(i))
+        if domain.orthant is None:  # ceiling's (-1, 0) included
+            assert ((columns[0] > -1) & (columns[0] < 0)).sum() > 50
+        batch = oracle.evaluate_points(columns)
+        scalar = np.array([oracle.evaluate(p) for p in zip(*(c.tolist() for c in columns))])
+        assert np.array_equal(batch.view(np.uint64), scalar.view(np.uint64)), name
 
 
 def test_rubin_eval_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from fekete_lab.domain import DomainError
@@ -36,6 +37,19 @@ def test_uniform_in_respects_bounds():
 def test_integer_in_hits_all_values():
     seen = {integer_in(1, i, 1, 4) for i in range(200)}
     assert seen == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 + 5, 2024])
+def test_array_draws_equal_scalar_draws(seed):
+    counters = np.arange(3000, dtype=np.uint64)
+    draws = [
+        (unit_uniform, ()),
+        (uniform_in, (-3.0, 5.0)),
+        (integer_in, (-100, 100)),
+    ]
+    for draw, bounds in draws:
+        batch = draw(seed, counters, *bounds).tolist()
+        assert batch == [draw(seed, j, *bounds) for j in range(3000)]
 
 
 def test_budget_validation():
