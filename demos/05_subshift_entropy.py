@@ -27,7 +27,7 @@ print("== golden mean shift: binary strings with no adjacent ones ==")
 golden = builtin_sft("golden_mean_1d")
 print("n :", *[f"{n:>6}" for n in range(1, 11)])
 print("count:", *[f"{count_patterns(golden, (n,)).count:>6}" for n in range(1, 11)])
-print("(the Fibonacci numbers, via the depth-first enumerator)")
+print("(the Fibonacci numbers, via the frontier-window sweep)")
 print("transfer-matrix route agrees:",
       all(transfer_matrix_count_1d(golden, n) == count_patterns(golden, (n,)).count
           for n in range(1, 21)))

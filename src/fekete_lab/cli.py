@@ -205,11 +205,14 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
         base = Point((1.0,))
     else:
         base = _parse_point(base_text) if base_text else Point((1.0,) * d)
+    if not delta > 0:
+        raise ConfigError(f"delta must be positive, got {delta!r}")
     try:  # a schedule the estimators cannot use is a usage error
         schedule = GridSchedule(base=base, growth=growth, levels=levels)
         if oracle.domain.integer and not on_path:  # rounded rungs must stay increasing
+            ladder = schedule.tail_values if iterated is not None else schedule.axis_values
             for i in range(d):
-                schedule.axis_values(i, integer=True)
+                ladder(i, integer=True)
     except DomainError as exc:
         raise ConfigError(f"unusable schedule: {exc}") from exc
 

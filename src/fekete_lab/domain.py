@@ -122,11 +122,6 @@ class Point:
     def __getitem__(self, i: int) -> float:
         return self.coords[i]
 
-    def replace(self, axis: int, value: float) -> "Point":
-        coords = list(self.coords)
-        coords[axis] = value
-        return Point(tuple(coords))
-
     def product(self) -> float:
         return math.prod(self.coords)
 
@@ -295,12 +290,44 @@ def qr_decompose(x: float, t: float) -> QRDecomposition:
 # Geometric sampling schedules
 # ---------------------------------------------------------------------------
 
+_LADDER_TOP = 1e300  # a ladder ends before its first rung above this
+_TAIL_STEPS = 200    # how far the adaptive tail estimators may extend a ladder
+
+
+def _ladder(base: float, growth: float, rungs: int, *,
+            integer: bool) -> list[float] | list[int]:
+    """The rung rule of every schedule: up to rungs coordinates base * growth^k, k = 0, 1, ...
+
+    The ladder ends early, before its first coordinate that overflows or
+    exceeds _LADDER_TOP.  Integer mode rounds each rung to the nearest
+    integer; the base must be a whole number >= 1 and the rounded ladder
+    must still be strictly increasing (guaranteed for growth >= 2).
+    """
+    if integer and (base != int(base) or base < 1):
+        raise DomainError(f"integer schedules need whole base coordinates >= 1, got {base!r}")
+    values: list = []
+    for k in range(rungs):
+        try:
+            x = base * growth ** k
+        except OverflowError:
+            break
+        if not x <= _LADDER_TOP:
+            break
+        if integer:
+            x = round(x)
+            if values and x <= values[-1]:
+                raise DomainError("integer schedule is not strictly increasing; use growth >= 2")
+        values.append(x)
+    return values
+
+
 @dataclass(frozen=True)
 class GridSchedule:
     """Geometric per-axis sampling schedule: coordinate i takes base_i * growth^k.
 
-    Levels run k = 0..levels inclusive.  Geometric spacing keeps sample
-    counts polynomial in the level count while the step-count ratio q/x
+    Levels run k = 0..levels inclusive, and every level must stay at or
+    below 1e300 on every axis.  Geometric spacing keeps sample counts
+    polynomial in the level count while the step-count ratio q/x
     converges quickly, which is what the limit estimators need.
     """
 
@@ -316,35 +343,28 @@ class GridSchedule:
             raise DomainError(f"growth factor must exceed 1, got {self.growth!r}")
         if self.levels < 1:
             raise DomainError(f"level count must be >= 1, got {self.levels!r}")
+        if any(len(_ladder(b, self.growth, self.levels + 1, integer=False)) <= self.levels
+               for b in self.base):
+            raise DomainError("schedule coordinate overflowed; reduce levels")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def axis_values(self, axis: int, *, integer: bool = False) -> list[float] | list[int]:
-        """Sample coordinates for one axis, strictly increasing.
+        """The levels + 1 sample coordinates of one axis, strictly increasing.
 
-        Integer mode rounds each level to the nearest integer; the base
-        must be a whole number >= 1 and the rounded ladder must still be
-        strictly increasing (guaranteed for growth >= 2).
+        Integer mode rounds each level to the nearest integer (see _ladder).
         """
-        b = self.base[axis]
-        raw = [b * self.growth ** k for k in range(self.levels + 1)]
-        if not integer:
-            for v in raw:
-                if not math.isfinite(v):
-                    raise DomainError("schedule coordinate overflowed; reduce levels")
-            return raw
-        if b != int(b) or b < 1:
-            raise DomainError(f"integer schedules need whole base coordinates >= 1, got {b!r}")
-        vals = [int(round(v)) for v in raw]
-        if any(n >= m for n, m in zip(vals, vals[1:])):
-            raise DomainError("integer schedule is not strictly increasing; use growth >= 2")
-        return vals
+        return _ladder(self.base[axis], self.growth, self.levels + 1, integer=integer)
 
-    def point_at(self, level: int, *, integer: bool = False) -> Point:
-        return Point(tuple(self.axis_values(i, integer=integer)[level]
-                           for i in range(self.dim)))
+    def tail_values(self, axis: int, *, integer: bool = False) -> list[float] | list[int]:
+        """The ladder the adaptive tail estimators walk on one axis.
+
+        The rungs of axis_values, extended or cut to _TAIL_STEPS + 1 of
+        them, and fewer where the ladder passes 1e300 first.
+        """
+        return _ladder(self.base[axis], self.growth, _TAIL_STEPS + 1, integer=integer)
 
 
 def default_schedule(dim: int, *, growth: float = 2.0, levels: int = 40) -> GridSchedule:

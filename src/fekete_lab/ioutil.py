@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-__all__ = ["jsonable", "format_float", "write_text_atomic", "write_json_atomic", "csv_text"]
+__all__ = ["jsonable", "write_text_atomic", "write_json_atomic", "csv_text"]
 
 
 def jsonable(value: Any) -> Any:
@@ -27,12 +27,6 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return value
-
-
-def format_float(value: float) -> str:
-    if math.isinf(value):
-        return "+inf" if value > 0 else "-inf"
-    return repr(value)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -233,8 +233,8 @@ class _TailEstimate:
     stabilized_at: float | None
 
 
-def _adaptive_tail(g: Callable[[float], float], *, base: float, growth: float,
-                   tol: float, integer: bool, min_steps: int = 8, max_steps: int = 200,
+def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
+                   tol: float, min_steps: int = 8,
                    divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR,
                    stable_steps: int = 3, growth_window: int = 8,
                    growth_trigger: float = 4.0) -> _TailEstimate:
@@ -242,25 +242,15 @@ def _adaptive_tail(g: Callable[[float], float], *, base: float, growth: float,
 
     Stops when the tail stabilizes (consecutive differences within tol),
     when sustained geometric growth marks divergence to +inf, when the
-    tail crosses the divergence floor, or at the step cap (inconclusive).
-    The returned value is the running minimum, the certified-style upper
-    estimate when g is a ratio of a subadditive function.  An integer
-    ladder must stay strictly increasing after rounding, as in
-    GridSchedule.axis_values; a repeated rung raises DomainError.
+    tail crosses the divergence floor, or at the end of the ladder
+    (inconclusive).  The returned value is the running minimum, the
+    certified-style upper estimate when g is a ratio of a subadditive
+    function.
     """
     samples: list[float] = []
     stable_run = 0
     evals = 0
-    previous = -math.inf
-    for k in range(max_steps + 1):
-        x = base * growth ** k
-        if integer:
-            x = float(int(round(x)))
-            if x <= previous:
-                raise DomainError("integer schedule is not strictly increasing; use growth >= 2")
-            previous = x
-        if not math.isfinite(x) or x > 1e300:
-            break
+    for x in ladder:
         v = as_extended(g(x))
         evals += 1
         if v == -math.inf:
@@ -283,8 +273,6 @@ def _adaptive_tail(g: Callable[[float], float], *, base: float, growth: float,
             increasing = all(a < b for a, b in zip(window, window[1:]))
             if increasing and window[0] > 0 and window[-1] >= growth_trigger * window[0]:
                 return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
-    if not samples:
-        raise EvaluationError("empty ladder: schedule overflowed immediately")
     return _TailEstimate(min(samples), INCONCLUSIVE, evals, None)
 
 
@@ -336,7 +324,7 @@ def _level_tol(delta: float, depth: int) -> float:
 
 
 def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Sequence[int],
-                  schedule: GridSchedule, delta: float, *, max_steps: int,
+                  schedule: GridSchedule, delta: float, *,
                   divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR,
                   ) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
                              list[list[_TailEstimate]]]:
@@ -346,8 +334,13 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
     coordinates in assigned held fixed, and sweeps, where sweeps[k] logs
     every tail estimate run at depth k.  The innermost level evaluates
     f(x)/prod(x_j for j in denom_axes), multiplying in denom_axes order.
+    Every ladder is built before the first evaluation, so an unusable
+    schedule raises DomainError up front.
     """
     d = oracle.domain.dim
+    integer = oracle.domain.integer
+    ladders = {axis: [float(x) for x in schedule.tail_values(axis, integer=integer)]
+               for axis in axes}
     sweeps: list[list[_TailEstimate]] = [[] for _ in axes]
 
     def estimate(assigned: Mapping[int, float], depth: int = 0) -> _TailEstimate:
@@ -360,9 +353,8 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
             point = Point(tuple(here[i] for i in range(d)))
             return oracle.evaluate(point) / math.prod(here[j] for j in denom_axes)
 
-        est = _adaptive_tail(g, base=schedule.base[axis], growth=schedule.growth,
-                             tol=_level_tol(delta, depth), integer=oracle.domain.integer,
-                             max_steps=max_steps, divergence_floor=divergence_floor)
+        est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth),
+                             divergence_floor=divergence_floor)
         sweeps[depth].append(est)
         return est
 
@@ -371,7 +363,6 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
 
 def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
                    schedule: GridSchedule | None = None, delta: float = 0.01, *,
-                   max_steps: int = 200,
                    divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> IteratedLimit:
     """Nested one-variable limits of f(x)/prod(x) in the given axis order.
 
@@ -391,7 +382,7 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
         raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
     estimate, sweeps = _nested_tails(oracle, tuple(order), range(d),
                                      schedule or default_schedule(d), delta,
-                                     max_steps=max_steps, divergence_floor=divergence_floor)
+                                     divergence_floor=divergence_floor)
     top = estimate({})
     levels = tuple(
         LevelSummary(axis=order[depth], status=_worst_status([e.status for e in runs]),
@@ -689,8 +680,7 @@ class InnerLimitProfile:
 def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
                         limit_axes: Sequence[int], probe_axis: int,
                         probe_values: Sequence[float], delta: float = 0.01, *,
-                        schedule: GridSchedule | None = None,
-                        max_steps: int = 200) -> InnerLimitProfile:
+                        schedule: GridSchedule | None = None) -> InnerLimitProfile:
     """Estimate h at each probe value by nested limits over the chosen axes.
 
     The denominator carries only the limit-axis coordinates, so the probe
@@ -707,7 +697,7 @@ def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
     if not limit_axes:
         raise DomainError("need at least one limit axis")
     estimate, _ = _nested_tails(oracle, tuple(limit_axes), tuple(limit_axes),
-                                schedule or default_schedule(d), delta, max_steps=max_steps)
+                                schedule or default_schedule(d), delta)
     entries: list[tuple[float, float, str]] = []
     for v in probe_values:
         est = estimate({**fixed, probe_axis: float(v)})

@@ -10,16 +10,17 @@ true upper bound for the entropy.  In one dimension the exact per-state
 word counts also give a Collatz-Wielandt upper bound on the transfer
 matrix's Perron root, which converges geometrically instead of as 1/n.
 
-All counts are exact arbitrary-precision integers.  The enumerator is a
-depth-first search in row-major cell order with incremental checks of
-newly completed forbidden translates, memoized on the frontier window
-(the trailing cells future checks can still read), which keeps the
-effective state space far below the raw a^cells search space.
+All counts are exact arbitrary-precision integers.  The counter is a
+forward transfer sweep in row-major cell order: one layer maps each
+frontier window (the trailing cells future checks can still read) to
+the number of admissible prefixes ending in it, and each cell advances
+the layer through the forbidden translates it completes.  Only the
+current layer is held, so memory grows with the number of windows, far
+below the raw a^cells search space, and not with the cell count.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -55,9 +56,9 @@ __all__ = [
     "relabel",
 ]
 
-MAX_PATTERN_SIDE = 8          # enumeration feasibility cap per axis
-DEFAULT_CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
-DEFAULT_STATE_CAP_BITS = 48.0  # frontier window * log2(a) <= this
+MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
+CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
+STATE_CAP_BITS = 48.0  # frontier window * log2(a) <= this
 
 
 class CapExceededError(FeketeLabError):
@@ -141,7 +142,7 @@ def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
 
 
 def _placements(sft: SftSpec, sides: tuple[int, ...]) -> tuple[list[list[tuple]], int]:
-    """Per-cell incremental checks for the row-major enumerator.
+    """Per-cell incremental checks for the row-major sweep.
 
     For each cell index k, the list of forbidden-pattern translates
     whose row-major-last cell is k and which fit fully inside the box;
@@ -178,65 +179,50 @@ def _placements(sft: SftSpec, sides: tuple[int, ...]) -> tuple[list[list[tuple]]
     return checks, span
 
 
-def count_patterns(sft: SftSpec, sides: Sequence[int], *,
-                   cell_cap_bits: float = DEFAULT_CELL_CAP_BITS,
-                   state_cap_bits: float = DEFAULT_STATE_CAP_BITS) -> PatternCount:
+def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
     """Exactly count locally admissible symbol boxes of the given sides.
 
-    Depth-first over cells in row-major order; a symbol choice is
-    checked against every forbidden translate it completes.  Suffix
-    counts are memoized on (position, trailing window), which is valid
-    because no future check reads anything older than the window.
+    A forward sweep over cells in row-major order.  The layer after k
+    cells maps each frontier window, the trailing span symbols, to the
+    number of admissible k-cell prefixes ending in it; that suffices
+    because no later check reads anything older than the window.  A
+    symbol choice at cell k is checked against every forbidden translate
+    it completes.  The count is the sum of the last layer.
     """
     sides = _validate_sides(sft, sides)
     cells = math.prod(sides)
     log2a = math.log2(sft.alphabet)
-    if cells * log2a > cell_cap_bits:
+    if cells * log2a > CELL_CAP_BITS:
         raise CapExceededError(
             f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
-            f"{cell_cap_bits}-bit cell cap")
+            f"{CELL_CAP_BITS}-bit cell cap")
     checks, span = _placements(sft, sides)
-    if span * log2a > state_cap_bits:
+    if span * log2a > STATE_CAP_BITS:
         raise CapExceededError(
-            f"frontier window of {span} cells exceeds the {state_cap_bits}-bit state cap")
+            f"frontier window of {span} cells exceeds the {STATE_CAP_BITS}-bit state cap")
 
     alphabet = range(sft.alphabet)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def suffix_count(k: int, window: tuple[int, ...]) -> int:
-        if k == cells:
-            return 1
-        key = (k, window)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for s in alphabet:
-            completed_forbidden = False
-            for deltas, symbols in checks[k]:
-                match = True
-                for dlt, sym in zip(deltas, symbols):
-                    cur = s if dlt == 0 else window[dlt]
-                    if cur != sym:
-                        match = False
+    layer: dict[tuple[int, ...], int] = {(): 1}
+    for cell_checks in checks:
+        advanced: dict[tuple[int, ...], int] = {}
+        for window, prefixes in layer.items():
+            for s in alphabet:
+                completed_forbidden = False
+                for deltas, symbols in cell_checks:
+                    match = True
+                    for dlt, sym in zip(deltas, symbols):
+                        cur = s if dlt == 0 else window[dlt]
+                        if cur != sym:
+                            match = False
+                            break
+                    if match:
+                        completed_forbidden = True
                         break
-                if match:
-                    completed_forbidden = True
-                    break
-            if not completed_forbidden:
-                nxt = (window + (s,))[-span:] if span else ()
-                total += suffix_count(k + 1, nxt)
-        memo[key] = total
-        return total
-
-    return PatternCount(sides=sides, count=suffix_count(0, ()))
-
-
-@functools.lru_cache(maxsize=None)
-def _count_cached(sft: SftSpec, sides: tuple[int, ...],
-                  cell_cap_bits: float, state_cap_bits: float) -> int:
-    return count_patterns(sft, sides, cell_cap_bits=cell_cap_bits,
-                          state_cap_bits=state_cap_bits).count
+                if not completed_forbidden:
+                    nxt = (window + (s,))[-span:] if span else ()
+                    advanced[nxt] = advanced.get(nxt, 0) + prefixes
+        layer = advanced
+    return PatternCount(sides=sides, count=sum(layer.values()))
 
 
 def _exact_log(value: Fraction, alphabet: int) -> int | None:
@@ -255,13 +241,9 @@ def _log_count(count: int, alphabet: int) -> float:
     return float(k) if k is not None else math.log(count) / math.log(alphabet)
 
 
-def log_complexity(sft: SftSpec, sides: Sequence[int], *,
-                   cell_cap_bits: float = DEFAULT_CELL_CAP_BITS,
-                   state_cap_bits: float = DEFAULT_STATE_CAP_BITS) -> float:
+def log_complexity(sft: SftSpec, sides: Sequence[int]) -> float:
     """log base alphabet of the pattern count; -inf signals an empty count."""
-    sides = _validate_sides(sft, sides)
-    return _log_count(_count_cached(sft, sides, cell_cap_bits, state_cap_bits),
-                      sft.alphabet)
+    return _log_count(count_patterns(sft, sides).count, sft.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +313,7 @@ def _window_counts_1d(sft: SftSpec) -> Iterator[dict[tuple[int, ...], int]]:
 def transfer_matrix_count_1d(sft: SftSpec, n: int) -> int:
     """Count admissible length-n words by window dynamic programming.
 
-    Independent of the depth-first enumerator: states are the trailing
+    Independent of the sweep in count_patterns: states are the trailing
     w-1 symbols (see _window_counts_1d).  Must agree with count_patterns
     exactly.
     """
@@ -505,9 +487,7 @@ class EntropyBracket:
         return rows
 
 
-def entropy_bounds(sft: SftSpec, max_side: int, *,
-                   cell_cap_bits: float = DEFAULT_CELL_CAP_BITS,
-                   state_cap_bits: float = DEFAULT_STATE_CAP_BITS) -> EntropyBracket:
+def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
     """Certified upper bounds for the entropy along cubes n = 1..max_side.
 
     Every side gives the cube ratio log_a(count)/n^d, valid because the
@@ -526,7 +506,7 @@ def entropy_bounds(sft: SftSpec, max_side: int, *,
     for n in range(1, max_side + 1):
         sides = (n,) * sft.dim
         try:
-            count = _count_cached(sft, sides, cell_cap_bits, state_cap_bits)
+            count = count_patterns(sft, sides).count
         except CapExceededError:
             truncated = True
             break
@@ -550,23 +530,24 @@ def entropy_bounds(sft: SftSpec, max_side: int, *,
                           transfer_value_1d=transfer_value)
 
 
-def check_count_submultiplicativity(sft: SftSpec, side_cap: int, *,
-                                    cell_cap_bits: float = DEFAULT_CELL_CAP_BITS,
-                                    state_cap_bits: float = DEFAULT_STATE_CAP_BITS,
-                                    ) -> ViolationReport:
+def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationReport:
     """Exact integer check of count(.., p+q, ..) <= count(.., p, ..) * count(.., q, ..).
 
     Runs over every box with all sides <= side_cap and every split of
     every axis.  Violations are reported with log-alphabet values so the
     record stays finite even for astronomically large counts; the
-    comparison itself is exact integer arithmetic.
+    comparison itself is exact integer arithmetic.  Each box is counted
+    once: the counts are memoized for the length of the call.
     """
     if side_cap < 2:
         raise DomainError("side_cap must be >= 2 to admit a split")
     loga = math.log(sft.alphabet)
+    counts: dict[tuple[int, ...], int] = {}
 
     def count(sides: tuple[int, ...]) -> int:
-        return _count_cached(sft, sides, cell_cap_bits, state_cap_bits)
+        if sides not in counts:
+            counts[sides] = count_patterns(sft, sides).count
+        return counts[sides]
 
     violations: list[Violation] = []
     checked = 0
@@ -591,9 +572,7 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int, *,
                            metadata={"side_cap": side_cap, "exact": True})
 
 
-def folner_box_ratio(sft: SftSpec, boxes: Iterable[Sequence[int]], *,
-                     cell_cap_bits: float = DEFAULT_CELL_CAP_BITS,
-                     state_cap_bits: float = DEFAULT_STATE_CAP_BITS,
+def folner_box_ratio(sft: SftSpec, boxes: Iterable[Sequence[int]],
                      ) -> list[tuple[tuple[int, ...], float]]:
     """Ratios log_a(count)/volume over an explicit box sequence.
 
@@ -603,9 +582,8 @@ def folner_box_ratio(sft: SftSpec, boxes: Iterable[Sequence[int]], *,
     """
     out: list[tuple[tuple[int, ...], float]] = []
     for box in boxes:
-        sides = _validate_sides(sft, box)
-        count = _count_cached(sft, sides, cell_cap_bits, state_cap_bits)
-        out.append((sides, _log_count(count, sft.alphabet) / math.prod(sides)))
+        pc = count_patterns(sft, box)
+        out.append((pc.sides, _log_count(pc.count, sft.alphabet) / math.prod(pc.sides)))
     return out
 
 

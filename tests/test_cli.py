@@ -205,14 +205,28 @@ def test_evaluation_fault_exits_four(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("internal error:")
 
 
-@pytest.mark.parametrize("growth, extra", [(1.1, []), (1.1, ["--iterated", "1,2"]), (0.5, [])])
+@pytest.mark.parametrize("growth, extra", [
+    (1.1, []), (1.1, ["--iterated", "1,2"]), (0.5, []),
+    (1.5, ["--iterated", "1,2", "--levels", "1"]),
+    *[(1e200, ["--fn", "sqrt_prod", "--levels", 3, *mode])
+      for mode in ([], ["--iterated", "1,2"], ["--direction", "1,1"])],
+])
 def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
     # growth 1.1 rounds the integer ladder 1, 1.1, 1.21, ... to 1, 1, 1, ...;
-    # growth 0.5 shrinks instead of growing
+    # growth 0.5 shrinks instead of growing.  With one level, growth 1.5
+    # passes the grid (1, 2), but the iterated tail walks on to rung 2.25,
+    # which rounds back to 2.  Growth 1e200 overflows a float at level 2,
+    # on the real oracle that the later --fn selects, in every mode.
     argv = ["limit", "--fn", "full_shift_count_log", "--growth", growth, *extra,
             "--out", tmp_path]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: unusable schedule")
+
+
+@pytest.mark.parametrize("extra", [["--delta", -1], ["--iterated", "1,2", "--delta", 0]])
+def test_nonpositive_delta_exits_two(tmp_path, capsys, extra):
+    assert run(["limit", "--fn", "sqrt_prod", *extra, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith("error: delta must be positive")
 
 
 def test_atomic_write_ignores_a_stale_fixed_temp_name(tmp_path):

@@ -170,6 +170,51 @@ def test_enumerator_matches_brute_force_2d(sft, sides):
     assert count_patterns(sft, sides).count == brute_force_grid_2d(sft, sides)
 
 
+def brute_force_box(sft: SftSpec, sides: tuple[int, ...]) -> int:
+    """Count symbol boxes of any dimension by checking every translate of every pattern.
+
+    The translates tried cover patterns whose offsets lie in 0..1 on every axis.
+    """
+    box = list(itertools.product(*[range(n) for n in sides]))
+    total = 0
+    for assignment in itertools.product(range(sft.alphabet), repeat=len(box)):
+        grid = dict(zip(box, assignment))
+        total += not any(
+            all(grid.get(tuple(v + o for v, o in zip(shift, off))) == sym
+                for off, sym in zip(pat.offsets, pat.symbols))
+            for pat in sft.forbidden
+            for shift in itertools.product(*[range(-n, n) for n in sides]))
+    return total
+
+
+@st.composite
+def random_two_cell_sft_3d(draw):
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        cells = draw(st.lists(st.tuples(*[st.integers(0, 1)] * 3),
+                              min_size=2, max_size=2, unique=True))
+        symbols = [draw(st.integers(0, 1)) for _ in cells]
+        patterns.append(ForbiddenPattern(tuple(cells), tuple(symbols)))
+    return SftSpec(alphabet=2, dim=3, forbidden=tuple(patterns))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sft=random_two_cell_sft_3d(),
+       sides=st.sampled_from([(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3),
+                              (3, 2, 2)]))
+def test_enumerator_matches_brute_force_3d(sft, sides):
+    assert count_patterns(sft, sides).count == brute_force_box(sft, sides)
+
+
+def test_hard_cube_counts():
+    cube = SftSpec(alphabet=2, dim=3, forbidden=tuple(
+        ForbiddenPattern(((0, 0, 0), tuple(int(i == axis) for i in range(3))), (1, 1))
+        for axis in range(3)))
+    assert count_patterns(cube, (2, 2, 2)).count == 35  # independent sets of the 3-cube
+    assert count_patterns(cube, (2, 2, 3)).count == 181
+    assert brute_force_box(cube, (2, 2, 3)) == 181
+
+
 def test_full_shift_counts():
     full = builtin_sft("full_shift", alphabet=2, dim=2)
     assert count_patterns(full, (2, 3)).count == 64
