@@ -3,8 +3,9 @@
 The product of two subadditive functions is subadditive in each
 variable separately, yet usually fails the joint inequality: sqrt(x*y)
 is the standard witness.  The checkers screen the whole budget of a
-seeded counter-based stream in one batch, shrink the random hits toward
-readable coordinates in lockstep, and report exact margins.
+seeded counter-based stream in one batch and count every hit.  They list
+the probe-lattice hits as given and only the strongest few random hits,
+shrunk toward readable coordinates in lockstep, with exact margins.
 """
 
 from fekete_lab import (
@@ -22,7 +23,8 @@ print("== sqrt(x1*x2): componentwise subadditive, jointly not ==")
 sqrt_prod = builtin("sqrt_prod")
 joint = check_joint(sqrt_prod, budget)
 witness = joint.find(((1.0, 2.0), (2.0, 1.0)))
-print(f"joint violations: {len(joint.violations)} over {joint.samples_checked} samples")
+print(f"joint violations: {joint.hit_count} hits, {joint.violation_count} distinct, "
+      f"over {joint.samples_checked} samples; {len(joint.violations)} listed")
 print(f"the textbook witness (1,2)+(2,1): f(3,3) = {witness.lhs} > "
       f"{witness.rhs:.6f} = f(1,2)+f(2,1), margin {witness.margin:.6f}")
 print("componentwise check clean:", check_componentwise(sqrt_prod, budget).clean)
@@ -32,7 +34,8 @@ print("== -x1*sqrt(x2): the separation runs the other way too ==")
 neg = builtin("neg_x1_sqrt_x2")
 report = check_componentwise(neg, budget)
 axes = sorted({v.axis for v in report.violations})
-print(f"componentwise violations on axes {axes} (axis 1 is the sqrt axis):")
+print(f"componentwise violations on axes {axes} (axis 1 is the sqrt axis), "
+      f"{report.violation_count} distinct; the strongest listed:")
 v = report.violations[0]
 print(f"  x={v.witness[0]}, y={v.witness[1]}: {v.lhs:.6f} > {v.rhs:.6f}")
 print("yet the joint check stays clean (sqrt(x2+y2) dominates both roots):",

@@ -24,6 +24,7 @@ from .domain import (
     Orthant,
     Point,
     QRDecomposition,
+    ScheduleError,
     as_point,
     default_schedule,
     directed_upper_bound,

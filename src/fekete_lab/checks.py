@@ -1,13 +1,18 @@
 """Sampling-based refutation of subadditivity properties.
 
-A check runs in two steps.  It screens: the whole budget of witness
+A check runs in three steps.  It screens: the whole budget of witness
 candidates (a small probe lattice, then the deterministic sample stream)
 is drawn as arrays, masked to the domain, and the inequality it guards
-is evaluated in one batch per term.  Then it shrinks: the random hits are
-halved toward the small-coordinate corner in lockstep, each while its
-violation persists, which keeps regression fixtures readable; probed
-pairs are reported as given.  Sampling can only refute, never prove: an
-empty report means "no violation found at this budget", nothing stronger.
+is evaluated in one batch per term.  It selects: every hit is counted,
+every probe hit is kept as given, and of the distinct random hits only
+the TOP_K with the largest margin lhs - rhs are kept.  Then it shrinks:
+the kept random hits are halved toward the small-coordinate corner in
+lockstep, each while its violation persists, which keeps regression
+fixtures readable.  A report therefore lists the strongest few
+witnesses, as a property-based tester reports one shrunk counterexample
+rather than every failing input, and counts the rest.  Sampling can only
+refute, never prove: an empty report means "no violation found at this
+budget", nothing stronger.
 
 Every reported violation satisfies lhs > rhs + tau with the relative
 tolerance tau below, so float rounding noise is never reported.
@@ -29,6 +34,7 @@ from .sampling import SampleBudget, integer_in, uniform_in
 
 __all__ = [
     "REL_TOL",
+    "TOP_K",
     "violation_tolerance",
     "Violation",
     "ViolationReport",
@@ -44,11 +50,15 @@ __all__ = [
 # exact over the reals, so anything below a few ulps is rounding noise.
 REL_TOL = 2.0 ** -26
 
+# random hits kept, shrunk and listed per screened inequality (per axis
+# for the componentwise check); every hit is still counted
+TOP_K = 20
+
 _DEFAULT_POSITIVE_RANGE = (0.1, 100.0)
 _DEFAULT_INTEGER_RANGE = (1.0, 100.0)
-# stop halving shrunken witnesses near the default range floor: smaller
+# stop halving shrunken witnesses at the default range floor: smaller
 # coordinates stop being representative of the sampled domain
-_SHRINK_FLOOR = 0.05
+_SHRINK_FLOOR = _DEFAULT_POSITIVE_RANGE[0]
 _MAX_SHRINK_STEPS = 80
 
 
@@ -83,15 +93,29 @@ class Violation:
 
 @dataclass(frozen=True)
 class ViolationReport:
+    """The violations a check lists, strongest first, and how many it found.
+
+    hit_count counts every violating candidate, repeats included, and
+    violation_count the distinct violating pairs; a sampling check lists
+    only a subset of them (see the module docstring).  Both default to
+    the number listed, which is everything an exhaustive check found.
+    """
+
     kind: str
     oracle: str
     violations: tuple[Violation, ...]
     samples_checked: int
     metadata: dict = field(default_factory=dict)
+    violation_count: int | None = None
+    hit_count: int | None = None
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.violations), key=lambda v: (v.witness, v.axis or -1)))
+        ordered = tuple(sorted(set(self.violations), key=lambda v: (
+            -v.margin, v.witness, -1 if v.axis is None else v.axis)))
         object.__setattr__(self, "violations", ordered)
+        for name in ("violation_count", "hit_count"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, len(ordered))
 
     @property
     def clean(self) -> bool:
@@ -108,7 +132,8 @@ class ViolationReport:
             "kind": self.kind,
             "oracle": self.oracle,
             "samples_checked": self.samples_checked,
-            "violation_count": len(self.violations),
+            "violation_count": self.violation_count,
+            "hit_count": self.hit_count,
             "metadata": self.metadata,
             "violations": [v.to_record() for v in self.violations],
         }
@@ -210,19 +235,43 @@ def _violations(kind: str, axis: int | None, x: np.ndarray, y: np.ndarray,
             for a, b, l, r in zip(x.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())]
 
 
+# One screened inequality: the violations it keeps, then the counts of
+# candidates checked, of hits and of distinct hits.
+_Found = tuple[list[Violation], int, int, int]
+
+
+def _strongest(hits: np.ndarray, margin: np.ndarray,
+               probe: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Select the hits to list from hits, one witness per row in stream order.
+
+    Keeps the first of each distinct row: every probe row, then of the
+    others the TOP_K with the largest margin, ties going to the earlier
+    row.  Returns the kept row indices, probe rows first, how many of
+    them are probe rows, and the number of distinct rows.
+    """
+    _, first = np.unique(hits, axis=0, return_index=True)
+    first.sort()
+    probed, drawn = first[probe[first]], first[~probe[first]]
+    drawn = drawn[np.lexsort((drawn, -margin[drawn]))[:TOP_K]]
+    return np.concatenate([probed, drawn]), len(probed), len(first)
+
+
 def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
                   inequality: Callable[..., tuple[np.ndarray, np.ndarray]],
-                  axis: int | None = None) -> tuple[list[Violation], int]:
-    """Screen every candidate pair in one batch, then shrink the random hits in lockstep.
+                  axis: int | None = None) -> _Found:
+    """Screen every candidate pair in one batch, then shrink the strongest random hits.
 
     inequality(f, x, y) -> (lhs, rhs) states lhs <= rhs for pairs given one
     per row.  Candidates are the probe-lattice pairs, then budget pair j
     (x at counters 2dj.., y at the next d); each needs x + y in the domain,
     and with axis given, also y once restricted to the axis line through x.
-    Each random hit is halved toward the origin, as if alone, until a fixed
-    point, a coordinate below _SHRINK_FLOOR, a step out of the domain or
-    without violation, or _MAX_SHRINK_STEPS.  Returns the violations in
-    stream order and the number of pairs checked.
+    Every hit is counted.  Probe hits are kept as given; of the distinct
+    random hits only the TOP_K with the largest screen margin are kept
+    (_strongest), and only those are shrunk, in lockstep.  Each is halved
+    toward the origin, as if alone, until a fixed point, a coordinate below
+    _SHRINK_FLOOR, a step out of the domain or without violation, or
+    _MAX_SHRINK_STEPS.  Returns the kept violations, the number of pairs
+    checked, of hits and of distinct hits.
     """
     domain, d = oracle.domain, oracle.domain.dim
     inside = domain._member_mask
@@ -243,7 +292,9 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         raise EvaluationError(f"{kind} check: sampled points leave the domain of {oracle.name!r}")
     lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:])
     hit = _exceeds(lhs, rhs)
-    pairs, lhs, rhs, rows = pairs[hit], lhs[hit], rhs[hit], np.flatnonzero(~probe[hit])
+    listed, probed, distinct = _strongest(pairs[hit], lhs[hit] - rhs[hit], probe[hit])
+    pairs, lhs, rhs = pairs[hit][listed], lhs[hit][listed], rhs[hit][listed]
+    rows = np.arange(probed, len(listed))
     for _ in range(_MAX_SHRINK_STEPS):
         old = pairs[rows]
         new = (np.copysign(np.maximum(1.0, np.floor(np.abs(old) / 2)), old)
@@ -257,13 +308,17 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         still = _exceeds(new_lhs, new_rhs)
         rows = rows[still]
         pairs[rows], lhs[rows], rhs[rows] = new[still], new_lhs[still], new_rhs[still]
-    return _violations(kind, axis, pairs[:, :d], pairs[:, d:], lhs, rhs), int(keep.sum())
+    return (_violations(kind, axis, pairs[:, :d], pairs[:, d:], lhs, rhs),
+            int(keep.sum()), int(hit.sum()), distinct)
 
 
-def _report(kind: str, oracle: FunctionOracle, violations: list[Violation], checked: int,
+def _report(kind: str, oracle: FunctionOracle, runs: list[_Found],
             budget: SampleBudget) -> ViolationReport:
-    return ViolationReport(kind=kind, oracle=oracle.name, violations=tuple(violations),
-                           samples_checked=checked,
+    violations, checked, hits, distinct = zip(*runs)
+    return ViolationReport(kind=kind, oracle=oracle.name,
+                           violations=tuple(itertools.chain.from_iterable(violations)),
+                           samples_checked=sum(checked), violation_count=sum(distinct),
+                           hit_count=sum(hits),
                            metadata={"seed": budget.seed, "count": budget.count})
 
 
@@ -278,7 +333,7 @@ def check_joint(oracle: FunctionOracle, budget: SampleBudget | None = None) -> V
     def joint(f, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return f(x + y), _ext_add(f(x), f(y))
 
-    return _report("joint", oracle, *_refute_pairs(oracle, budget, "joint", joint), budget)
+    return _report("joint", oracle, [_refute_pairs(oracle, budget, "joint", joint)], budget)
 
 
 def check_componentwise(oracle: FunctionOracle,
@@ -295,10 +350,9 @@ def check_componentwise(oracle: FunctionOracle,
         z[:, axis] += y[:, axis]
         return f(z), _ext_add(f(x), f(y))
 
-    runs = [_refute_pairs(oracle, budget, "componentwise", partial(on_axis, axis=axis), axis)
-            for axis in range(oracle.domain.dim)]
-    return _report("componentwise", oracle, [v for found, _ in runs for v in found],
-                   sum(n for _, n in runs), budget)
+    return _report("componentwise", oracle,
+                   [_refute_pairs(oracle, budget, "componentwise", partial(on_axis, axis=axis),
+                                  axis) for axis in range(oracle.domain.dim)], budget)
 
 
 def check_four_term(oracle: FunctionOracle,
@@ -321,7 +375,7 @@ def check_four_term(oracle: FunctionOracle,
         return lhs, rhs
 
     return _report("four_term", oracle,
-                   *_refute_pairs(oracle, budget, "four_term", four_term), budget)
+                   [_refute_pairs(oracle, budget, "four_term", four_term)], budget)
 
 
 def check_monoid_sign(oracle: FunctionOracle,
@@ -332,27 +386,30 @@ def check_monoid_sign(oracle: FunctionOracle,
     Violations are recorded with lhs = 0 so that margin = -f(...) stays
     positive, matching the other report kinds.  Only meaningful for
     oracles that already look jointly subadditive.  x runs over the probe
-    lattice, then over the stream, sample j drawn at counters dj..dj+d-1.
+    lattice, then over the stream, sample j drawn at counters dj..dj+d-1;
+    the hits are selected as in the pair checks, and none is shrunk.
     """
     budget = budget or SampleBudget()
     domain = oracle.domain
     if domain.orthant is not None or domain.grid_axes is not None:
         raise DomainError("monoid check needs an oracle on the whole of R^d or Z^d")
 
-    violations: list[Violation] = []
     zero = (0.0,) * domain.dim
     f0 = oracle.evaluate(zero)
-    if 0.0 > f0 + violation_tolerance(0.0, f0):
-        violations.append(Violation(kind="monoid", axis=None, witness=(zero,),
-                                    lhs=0.0, rhs=f0))
+    at_zero = ([Violation(kind="monoid", axis=None, witness=(zero,), lhs=0.0, rhs=f0)]
+               if 0.0 > f0 + violation_tolerance(0.0, f0) else [])
 
+    probes = _probe_points(domain)
     counters = np.arange(budget.count, dtype=np.uint64) * np.uint64(domain.dim)
-    x = np.vstack([_probe_points(domain), _sample(domain, budget, counters)])
+    x = np.vstack([probes, _sample(domain, budget, counters)])
     f = _evaluator(oracle, "monoid")
     rhs = _ext_add(f(x), f(-x))
     hit = _exceeds(np.zeros_like(rhs), rhs)
-    violations += _violations("monoid", None, x[hit], -x[hit], np.zeros(hit.sum()), rhs[hit])
-    return _report("monoid", oracle, violations, 1 + len(rhs), budget)
+    listed, _, distinct = _strongest(x[hit], -rhs[hit], (np.arange(len(x)) < len(probes))[hit])
+    kept, kept_rhs = x[hit][listed], rhs[hit][listed]
+    found = _violations("monoid", None, kept, -kept, np.zeros(len(kept)), kept_rhs)
+    return _report("monoid", oracle, [(at_zero, 1, len(at_zero), len(at_zero)),
+                                      (found, len(rhs), int(hit.sum()), distinct)], budget)
 
 
 def check_set_union(g: FiniteSetFunction,

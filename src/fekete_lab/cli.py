@@ -30,7 +30,7 @@ from .checks import (
     check_set_union,
     check_shifted_subadditivity,
 )
-from .domain import ConfigError, DomainError, FeketeLabError, GridSchedule, Point
+from .domain import ConfigError, FeketeLabError, GridSchedule, Point, ScheduleError
 from .ioutil import csv_text, write_json_atomic, write_text_atomic
 from .levelset import check_levelset_lemma, rubin_unboundedness_demo
 from .limits import (
@@ -163,9 +163,10 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         payload = {"meta": _meta("check", run.seed), **report.to_json_dict()}
         write_json_atomic(run.out / f"{stem}.json", payload)
         write_text_atomic(run.out / f"{stem}.csv", csv_text(report.to_csv_rows()))
-        total += len(report.violations)
-        print(f"{report.kind}: {len(report.violations)} violation(s) "
-              f"over {report.samples_checked} samples -> {run.out / (stem + '.json')}")
+        total += report.violation_count
+        print(f"{report.kind}: {report.hit_count} hit(s), {report.violation_count} distinct, "
+              f"{len(report.violations)} listed, over {report.samples_checked} samples "
+              f"-> {run.out / (stem + '.json')}")
     return EXIT_VIOLATIONS if total else EXIT_OK
 
 
@@ -207,14 +208,9 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
         base = _parse_point(base_text) if base_text else Point((1.0,) * d)
     if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta!r}")
-    try:  # a schedule the estimators cannot use is a usage error
-        schedule = GridSchedule(base=base, growth=growth, levels=levels)
-        if oracle.domain.integer and not on_path:  # rounded rungs must stay increasing
-            ladder = schedule.tail_values if iterated is not None else schedule.axis_values
-            for i in range(d):
-                ladder(i, integer=True)
-    except DomainError as exc:
-        raise ConfigError(f"unusable schedule: {exc}") from exc
+    # the estimators check the schedule before they evaluate; main turns a
+    # ScheduleError into a usage error
+    schedule = GridSchedule(base=base, growth=growth, levels=levels)
 
     if iterated is not None:
         order = _parse_order(iterated, d)
@@ -496,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         return ns.func(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ScheduleError as exc:
+        print(f"error: unusable schedule: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

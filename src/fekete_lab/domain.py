@@ -23,6 +23,7 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "DomainError",
+    "ScheduleError",
     "EvaluationError",
     "IndeterminateFormError",
     "as_extended",
@@ -54,6 +55,11 @@ class DimensionMismatchError(FeketeLabError):
 
 class DomainError(FeketeLabError):
     """A point lies outside the domain an operation requires."""
+
+
+class ScheduleError(DomainError):
+    """A sampling schedule the estimators cannot use: a rung, sample point
+    or ratio denominator that is not finite, or a ladder that does not grow."""
 
 
 class EvaluationError(FeketeLabError):
@@ -304,7 +310,7 @@ def _ladder(base: float, growth: float, rungs: int, *,
     must still be strictly increasing (guaranteed for growth >= 2).
     """
     if integer and (base != int(base) or base < 1):
-        raise DomainError(f"integer schedules need whole base coordinates >= 1, got {base!r}")
+        raise ScheduleError(f"integer schedules need whole base coordinates >= 1, got {base!r}")
     values: list = []
     for k in range(rungs):
         try:
@@ -316,7 +322,7 @@ def _ladder(base: float, growth: float, rungs: int, *,
         if integer:
             x = round(x)
             if values and x <= values[-1]:
-                raise DomainError("integer schedule is not strictly increasing; use growth >= 2")
+                raise ScheduleError("integer schedule is not strictly increasing; use growth >= 2")
         values.append(x)
     return values
 
@@ -338,14 +344,14 @@ class GridSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", as_point(self.base))
         if not all(c > 0 for c in self.base):
-            raise DomainError("schedule base must have positive coordinates")
+            raise ScheduleError("schedule base must have positive coordinates")
         if not self.growth > 1.0:
-            raise DomainError(f"growth factor must exceed 1, got {self.growth!r}")
+            raise ScheduleError(f"growth factor must exceed 1, got {self.growth!r}")
         if self.levels < 1:
-            raise DomainError(f"level count must be >= 1, got {self.levels!r}")
+            raise ScheduleError(f"level count must be >= 1, got {self.levels!r}")
         if any(len(_ladder(b, self.growth, self.levels + 1, integer=False)) <= self.levels
                for b in self.base):
-            raise DomainError("schedule coordinate overflowed; reduce levels")
+            raise ScheduleError("schedule coordinate overflowed; reduce levels")
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,10 @@
 """Serialization helpers shared by the reporting paths and the CLI.
 
-JSON output is strict (no bare Infinity tokens): non-finite floats are
-encoded as the strings "+inf" / "-inf".  Files are written atomically
-(uniquely named temp file + rename) and floats are rendered with repr, which is the
-shortest round-tripping form and deterministic across runs.
+JSON output is strict (no bare Infinity or NaN tokens): infinite floats
+are encoded as the strings "+inf" / "-inf", and NaN raises ValueError.
+Files are written atomically (uniquely named temp file + rename) and
+floats are rendered with repr, which is the shortest round-tripping form
+and deterministic across runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
-    write_text_atomic(path, json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n")
+    # NaN has no JSON encoding: raise before any file is touched
+    write_text_atomic(path, json.dumps(jsonable(obj), sort_keys=True, indent=2,
+                                       allow_nan=False) + "\n")
 
 
 def csv_text(rows: list[list[str]]) -> str:

@@ -29,6 +29,7 @@ from .domain import (
     GridSchedule,
     Orthant,
     Point,
+    ScheduleError,
     as_extended,
     as_point,
     default_schedule,
@@ -133,6 +134,19 @@ class LimitBracket:
         return rows
 
 
+def _require_finite(points: np.ndarray | Sequence[float],
+                    denominators: np.ndarray | Sequence[float] | float) -> None:
+    """The overflow rule of every estimator, applied before it evaluates.
+
+    Each point it will evaluate and each ratio denominator it will divide
+    by must be finite; an overflowing one would turn the ratio into NaN
+    or a silent 0, so the schedule is unusable.
+    """
+    if not (np.isfinite(points).all() and np.isfinite(denominators).all()):
+        raise ScheduleError("a sample point or ratio denominator is not finite; "
+                            "lower the growth or the levels")
+
+
 def _bracket(shells: np.ndarray, points: np.ndarray, ratios: np.ndarray,
              upper_max: np.ndarray, corners: np.ndarray, delta: float,
              divergence_floor: float) -> LimitBracket:
@@ -201,12 +215,14 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     levels = len(axes[0])
 
     mesh = np.meshgrid(*axes, indexing="ij")
+    denom = np.ones(mesh[0].shape)
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        for i, ax in enumerate(axes):
+            shape = [1] * d
+            shape[i] = levels
+            denom = denom * ax.reshape(shape)
+    _require_finite(np.concatenate(axes), denom)
     values = oracle.evaluate_points([m.ravel() for m in mesh]).reshape(mesh[0].shape)
-    denom = np.ones_like(values)
-    for i, ax in enumerate(axes):
-        shape = [1] * d
-        shape[i] = levels
-        denom = denom * ax.reshape(shape)
     ratios = values / denom
 
     shell_of = np.indices(ratios.shape).max(axis=0)
@@ -350,8 +366,11 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
             here = {**assigned, axis: x}
             if depth + 1 < len(axes):
                 return estimate(here, depth + 1).value
-            point = Point(tuple(here[i] for i in range(d)))
-            return oracle.evaluate(point) / math.prod(here[j] for j in denom_axes)
+            point = tuple(here[i] for i in range(d))
+            denominator = math.prod(here[j] for j in denom_axes)
+            if not math.isfinite(denominator):  # a cheap test first: this runs per point
+                _require_finite(point, denominator)
+            return oracle.evaluate(point) / denominator
 
         est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth),
                              divergence_floor=divergence_floor)
@@ -409,19 +428,23 @@ def _path_schedule(schedule: GridSchedule | None, kind: str) -> GridSchedule:
     return schedule
 
 
-def _path_bracket(oracle: FunctionOracle, ts: Sequence[float],
-                  path: Callable[[float], tuple[float, ...]],
-                  scale: Callable[[float, tuple[float, ...]], float], delta: float,
+def _path_points(ts: Sequence[float],
+                 path: Callable[[float], Sequence[float]]) -> np.ndarray:
+    """path(t) for every t, one point per row; an overflow makes the schedule unusable."""
+    try:
+        return np.array([path(t) for t in ts], dtype=float)
+    except OverflowError as exc:
+        raise ScheduleError(f"a path point overflows: {exc}") from exc
+
+
+def _path_bracket(oracle: FunctionOracle, ts: Sequence[float], points: np.ndarray,
+                  scales: Sequence[float], delta: float,
                   divergence_floor: float) -> LimitBracket:
-    """Bracket the ratios f(path(t))/scale(t, path(t)); sample k is shell k."""
-    points: list[tuple[float, ...]] = []
-    ratios: list[float] = []
-    for t in ts:
-        coords = path(t)
-        points.append(coords)
-        ratios.append(oracle.evaluate(coords) / scale(t, coords))
-    ratio_arr = np.array(ratios, dtype=float)
-    return _bracket(np.arange(len(ratios)), np.array(points, dtype=float), ratio_arr,
+    """Bracket the ratios f(points[k])/scales[k]; sample k is shell k, at parameter ts[k]."""
+    _require_finite(points, scales)
+    ratio_arr = (np.array([oracle.evaluate(p) for p in points.tolist()], dtype=float)
+                 / np.asarray(scales, dtype=float))
+    return _bracket(np.arange(len(ratio_arr)), points, ratio_arr,
                     np.maximum.accumulate(ratio_arr[::-1])[::-1],
                     np.array(ts, dtype=float).reshape(-1, 1), delta, divergence_floor)
 
@@ -445,9 +468,9 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
         raise DimensionMismatchError(f"{len(paths)} paths for {d} axes")
     schedule = _path_schedule(schedule, "diagonal")
     ts = schedule.axis_values(0)
+    coords = _path_points(ts, lambda t: [p(t) for p in paths])
 
-    first = [float(p(ts[0])) for p in paths]
-    last = [float(p(ts[-1])) for p in paths]
+    first, last = coords[0].tolist(), coords[-1].tolist()
     escape = schedule.growth ** (schedule.levels / 2)
     for i in range(d):
         if not last[i] > first[i] * escape:
@@ -456,11 +479,10 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
                 f"({first[i]!r} -> {last[i]!r}); need growth beyond factor {escape!r}"
             )
 
-    integer = oracle.domain.integer
-    return _path_bracket(
-        oracle, ts,
-        lambda t: tuple(float(round(p(t))) if integer else float(p(t)) for p in paths),
-        lambda t, coords: math.prod(coords), delta, divergence_floor)
+    if oracle.domain.integer:
+        coords = np.round(coords)  # half to even, as round(); inf stays inf
+    return _path_bracket(oracle, ts, coords, [math.prod(c) for c in coords.tolist()],
+                         delta, divergence_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +655,8 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     if all(c == 0 for c in dirp):
         raise DomainError("direction must be nonzero")
     ts = _path_schedule(schedule, "ray").axis_values(0)
-    return _path_bracket(oracle, ts, lambda t: tuple(t * c for c in dirp),
-                         lambda t, coords: t, delta, divergence_floor)
+    return _path_bracket(oracle, ts, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
+                         delta, divergence_floor)
 
 
 # ---------------------------------------------------------------------------

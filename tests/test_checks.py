@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fekete_lab.checks import (
+    TOP_K,
     Violation,
     ViolationReport,
     check_componentwise,
@@ -250,9 +252,12 @@ def _reference_pair_check(oracle, budget, axis=None):
     """The joint (axis None) or axis-i check as one scalar loop, pair by pair.
 
     Covers oracles on the main orthant of R^d, on all of Z^d and on grids
-    too large to probe, at the default ranges.  Each random hit is halved
-    while x, y and x + y stay in the domain, above the 0.05 floor, and
-    violating, for at most 80 steps.
+    too large to probe, at the default ranges.  Every hit is counted;
+    probe hits are listed as given, and of the distinct random hits the
+    TOP_K with the largest screen margin (the earlier one on ties) are
+    each halved while x, y and x + y stay in the domain, above the 0.1
+    floor, and violating, for at most 80 steps.  Also returns how many of
+    those moved at least one step.
     """
     domain, d = oracle.domain, oracle.domain.dim
     integer, grid = domain.integer, domain.grid_axes
@@ -281,7 +286,7 @@ def _reference_pair_check(oracle, budget, axis=None):
     for j in range(budget.count):
         candidates.append((tuple(draw(2 * d * j + i, i) for i in range(d)),
                            tuple(draw(2 * d * j + d + i, i) for i in range(d)), False))
-    violations, checked = [], 0
+    hits, checked = [], 0
     for x, y, probe in candidates:
         if not inside(tuple(a + b for a, b in zip(x, y))):
             continue
@@ -291,9 +296,19 @@ def _reference_pair_check(oracle, budget, axis=None):
                 continue
         checked += 1
         hit = violated(x, y)
-        for _ in range(0 if probe or hit is None else 80):
+        if hit is not None:
+            hits.append((x, y, probe, hit))
+    first = {}
+    for order, (x, y, probe, hit) in enumerate(hits):
+        first.setdefault((x, y), (order, probe, hit))
+    listed = [(x, y, hit) for (x, y), (_, probe, hit) in first.items() if probe]
+    drawn = sorted(((-(hit[0] - hit[1]), order, x, y, hit)
+                    for (x, y), (order, probe, hit) in first.items() if not probe))
+    moved = 0
+    for _, _, x, y, hit in drawn[:TOP_K]:
+        for step in range(80):
             nx, ny = tuple(map(halve, x)), tuple(map(halve, y))
-            if ((nx, ny) == (x, y) or min(map(abs, nx + ny)) < 0.05
+            if ((nx, ny) == (x, y) or min(map(abs, nx + ny)) < 0.1
                     or not (inside(nx) and inside(ny)
                             and inside(tuple(a + b for a, b in zip(nx, ny))))):
                 break
@@ -301,10 +316,11 @@ def _reference_pair_check(oracle, budget, axis=None):
             if new_hit is None:
                 break
             x, y, hit = nx, ny, new_hit
-        if hit is not None:
-            violations.append(Violation(kind="joint" if axis is None else "componentwise",
-                                        axis=axis, witness=(x, y), lhs=hit[0], rhs=hit[1]))
-    return violations, checked
+            moved += step == 0
+        listed.append((x, y, hit))
+    violations = [Violation(kind="joint" if axis is None else "componentwise", axis=axis,
+                            witness=(x, y), lhs=hit[0], rhs=hit[1]) for x, y, hit in listed]
+    return violations, checked, len(hits), len(first), moved
 
 
 def test_batch_engine_matches_the_scalar_reference_loop():
@@ -314,8 +330,7 @@ def test_batch_engine_matches_the_scalar_reference_loop():
     axis = tuple(float(k) for k in range(1, 13))
     table = TabulatedFunction(axes=(axis, axis), values=tuple(
         100.0 if x + y > 20 else x + y for x in axis for y in axis)).to_oracle("grid")
-    probes = set(itertools.product([-2.0, -1.0, 1.0, 2.0, 3.0], repeat=2))
-    shrunk = 0
+    hits, moved = 0, {}
     for oracle in (builtin("sqrt_prod"), builtin("neg_x1_sqrt_x2"), zint, table):
         for seed in (-1, 2024):
             budget = SampleBudget(count=300, seed=seed)
@@ -327,9 +342,78 @@ def test_batch_engine_matches_the_scalar_reference_loop():
                     kind=check(oracle, SampleBudget(count=1, seed=seed)).kind,
                     oracle=oracle.name, violations=tuple(v for r in runs for v in r[0]),
                     samples_checked=sum(r[1] for r in runs),
-                    metadata={"seed": seed, "count": 300})
+                    metadata={"seed": seed, "count": 300},
+                    hit_count=sum(r[2] for r in runs), violation_count=sum(r[3] for r in runs))
                 got = check(oracle, budget)
                 assert got.to_json_dict() == expected.to_json_dict()
                 assert got.to_csv_rows() == expected.to_csv_rows()
-                shrunk += sum(v.witness[0] not in probes for v in got.violations)
-    assert shrunk > 1000  # random hits, shrunk on real and on integer domains
+                hits += got.hit_count
+                kind = "integer" if oracle.domain.integer else "real"
+                moved[kind] = moved.get(kind, 0) + sum(r[4] for r in runs)
+    assert hits > 1000  # the whole budget is screened and counted
+    # listed random hits really shrink, on real and on integer domains
+    assert moved["real"] >= TOP_K and moved["integer"] >= TOP_K
+
+
+def _random_witnesses(report, probe_lattice):
+    """Listed witnesses whose first point is off the probe lattice."""
+    return [v for v in report.violations
+            if not set(v.witness[0]) <= set(probe_lattice)]
+
+
+def test_shrunk_real_coordinates_stay_at_the_sampling_floor():
+    budget = SampleBudget(count=3000, seed=5)
+    reports = [check_joint(builtin("sqrt_prod"), budget),
+               check_componentwise(builtin("neg_x1_sqrt_x2"), budget)]
+    for report in reports:
+        witnesses = _random_witnesses(report, (1.0, 2.0, 3.0))
+        assert witnesses
+        assert all(abs(c) >= 0.1 for v in witnesses for w in v.witness for c in w)
+
+
+def _square_product():
+    # (x1 x2)^2 breaks the 2^d-term bound: (x+y)^2 terms exceed the mixed sums
+    return FunctionOracle(name="square_product", domain=Domain(dim=2, orthant=Orthant.main(2)),
+                          fn=lambda p: (p[0] * p[1]) ** 2,
+                          array_fn=lambda x1, x2: (x1 * x2) ** 2)
+
+
+def _negative_square_norm():
+    # f(x) + f(-x) = -2|x|^2 < 0 away from the origin
+    return FunctionOracle(name="negative_square_norm", domain=Domain(dim=2, orthant=None),
+                          fn=lambda p: -(p[0] ** 2 + p[1] ** 2),
+                          array_fn=lambda x1, x2: -(x1 ** 2 + x2 ** 2))
+
+
+@pytest.mark.parametrize("check, oracle, probe, lattice, engine_calls", [
+    (check_joint, "sqrt_prod", ((1.0, 2.0), (2.0, 1.0)), (1.0, 2.0, 3.0), 1),
+    (check_componentwise, "neg_x1_sqrt_x2", ((1.0, 2.0), (1.0, 1.0)), (1.0, 2.0, 3.0), 2),
+    (check_four_term, _square_product, ((1.0, 2.0), (2.0, 1.0)), (1.0, 2.0, 3.0), 1),
+    (check_monoid_sign, _negative_square_norm, ((1.0, 2.0), (-1.0, -2.0)),
+     (-2.0, -1.0, 1.0, 2.0, 3.0), 1),
+], ids=["joint", "componentwise", "four_term", "monoid"])
+def test_reports_list_the_strongest_few_and_count_every_hit(check, oracle, probe, lattice,
+                                                          engine_calls):
+    oracle = builtin(oracle) if isinstance(oracle, str) else oracle()
+    budget = SampleBudget(count=5000, seed=31)
+    report = check(oracle, budget)
+    hit = report.find(probe)
+    assert hit is not None and hit.margin > 0  # the probe witness, listed as given
+    drawn = _random_witnesses(report, lattice)
+    assert 0 < len(drawn) <= TOP_K * engine_calls
+    assert report.hit_count >= report.violation_count >= len(drawn)
+    assert report.violation_count > len(report.violations)  # some hits are only counted
+    margins = [v.margin for v in report.violations]
+    assert margins == sorted(margins, reverse=True)
+    payload = report.to_json_dict()
+    assert (payload["hit_count"], payload["violation_count"]) == (report.hit_count,
+                                                                  report.violation_count)
+    rerun = check(oracle, budget)
+    assert json.dumps(rerun.to_json_dict()) == json.dumps(payload)
+    assert rerun.to_csv_rows() == report.to_csv_rows()
+
+
+def test_exhaustive_reports_count_what_they_list():
+    g = set_function_from_integer(builtin("nmod2"))
+    report = check_set_union(g, [[1, 2], [2, 3], [2, 3]])
+    assert report.violation_count == report.hit_count == len(report.violations) == 1

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from fekete_lab.cli import main
-from fekete_lab.ioutil import write_text_atomic
+from fekete_lab.ioutil import write_json_atomic, write_text_atomic
 
 
 def run(argv):
@@ -210,6 +210,9 @@ def test_evaluation_fault_exits_four(tmp_path, capsys):
     (1.5, ["--iterated", "1,2", "--levels", "1"]),
     *[(1e200, ["--fn", "sqrt_prod", "--levels", 3, *mode])
       for mode in ([], ["--iterated", "1,2"], ["--direction", "1,1"])],
+    *[(1e100, ["--fn", "sqrt_prod", "--levels", 3, *mode])
+      for mode in ([], ["--diagonal", "1,2"], ["--direction", "1e10,1"],
+                   ["--iterated", "1,2"])],
 ])
 def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
     # growth 1.1 rounds the integer ladder 1, 1.1, 1.21, ... to 1, 1, 1, ...;
@@ -217,10 +220,14 @@ def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
     # passes the grid (1, 2), but the iterated tail walks on to rung 2.25,
     # which rounds back to 2.  Growth 1e200 overflows a float at level 2,
     # on the real oracle that the later --fn selects, in every mode.
+    # Growth 1e100 keeps every rung at or below 1e300, but the grid and
+    # iterated denominators x1 * x2, the diagonal point t^2 and the ray
+    # point 1e10 * t overflow.
     argv = ["limit", "--fn", "full_shift_count_log", "--growth", growth, *extra,
             "--out", tmp_path]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: unusable schedule")
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("extra", [["--delta", -1], ["--iterated", "1,2", "--delta", 0]])
@@ -235,6 +242,22 @@ def test_atomic_write_ignores_a_stale_fixed_temp_name(tmp_path):
     write_text_atomic(tmp_path / "x.json", "{}\n")
     assert (tmp_path / "x.json").read_text() == "{}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.tmp"]
+
+
+def test_nan_payload_raises_and_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        write_json_atomic(tmp_path / "z.json", {"best_upper": math.nan})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_defaults_write_a_small_report(tmp_path, capsys):
+    assert run(["check", "--fn", "sqrt_prod", "--mode", "joint", "--out", tmp_path]) == 3
+    assert sum(p.stat().st_size for p in tmp_path.iterdir()) < 100_000
+    payload = read_json(tmp_path / "check_joint.json")
+    listed = len(payload["violations"])
+    assert payload["hit_count"] >= payload["violation_count"] > listed
+    out = capsys.readouterr().out
+    assert f"{payload['hit_count']} hit(s)" in out and f"{listed} listed" in out
 
 
 def test_failed_atomic_write_leaves_no_temp_file(tmp_path):

@@ -382,3 +382,38 @@ def test_bracket_serialization_shapes():
     rows = bracket.samples_csv_rows()
     assert rows[0] == ["shell", "x1", "x2", "ratio"]
     assert len(rows) == bracket.evaluations + 1
+
+
+def _shifted_product(d):
+    # prod(x_i + 1): each factor is subadditive and positive, so the product
+    # is componentwise subadditive, and its ratio prod(1 + 1/x_i) falls to 1
+    return FunctionOracle(name=f"shifted_product_{d}",
+                          domain=Domain(dim=d, orthant=Orthant.main(d)),
+                          fn=lambda p: math.prod(c + 1.0 for c in p),
+                          claims_componentwise_subadditive=True)
+
+
+@pytest.mark.parametrize("d, levels, delta", [(4, 8, 0.05), (5, 6, 0.1)])
+def test_simultaneous_limit_in_four_and_five_dimensions(d, levels, delta):
+    schedule = GridSchedule(base=Point((1.0,) * d), levels=levels)
+    bracket = simultaneous_limit(_shifted_product(d), schedule, delta=delta)
+    assert bracket.evaluations == (levels + 1) ** d
+    assert bracket.status == CONVERGED
+    assert bracket.best_upper - delta <= 1.0 <= bracket.best_upper
+    # shells and ratios from the grid levels themselves, folded by hand
+    per_shell: dict[int, float] = {}
+    for ks in itertools.product(range(levels + 1), repeat=d):
+        ratio = math.prod(1.0 + 2.0 ** -k for k in ks)
+        per_shell[max(ks)] = min(per_shell.get(max(ks), ratio), ratio)
+    extremes = bracket.shell_extremes()
+    assert [k for k, _ in extremes] == sorted(per_shell)
+    assert [v for _, v in extremes] == pytest.approx([per_shell[k] for k in sorted(per_shell)],
+                                                     rel=1e-12)
+    assert extremes[-1][1] == bracket.best_upper
+
+
+def test_iterated_limit_in_four_dimensions():
+    result = iterated_limit(_shifted_product(4), (3, 1, 0, 2), delta=0.05)
+    assert result.status == CONVERGED
+    assert abs(result.value - 1.0) <= 0.05 and result.value >= 1.0
+    assert [level.axis for level in result.levels] == [3, 1, 0, 2]
