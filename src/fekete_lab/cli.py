@@ -268,6 +268,8 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
         raise ConfigError(f"unknown subshift {name!r}: not a fixture "
                           f"({', '.join(builtin_sft_names())}) and not a file")
     max_side = int(_resolve(ns, run.config, "max_side", 12))
+    if max_side < 1:
+        raise ConfigError(f"max_side must be >= 1, got {max_side}")
     bracket = entropy_bounds(sft, max_side)
     payload = {"meta": _meta("entropy", run.seed), "sft": name, **bracket.to_json_dict()}
     write_json_atomic(run.out / "entropy.json", payload)

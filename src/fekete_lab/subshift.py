@@ -14,9 +14,14 @@ All counts are exact arbitrary-precision integers.  The counter is a
 forward transfer sweep in row-major cell order: one layer maps each
 frontier window (the trailing cells future checks can still read) to
 the number of admissible prefixes ending in it, and each cell advances
-the layer through the forbidden translates it completes.  Only the
-current layer is held, so memory grows with the number of windows, far
-below the raw a^cells search space, and not with the cell count.
+the layer through the forbidden translates it completes.  A window is
+coded as one integer, b = max(1, (a-1).bit_length()) bits per symbol
+with the newest symbol in the low bits, and every forbidden translate
+is compiled into a (mask, value) test on that code, so a cell costs one
+AND and one compare per test and one shift-or-mask per new window.
+Only the current layer is held, so memory grows with the number of
+windows, far below the raw a^cells search space, and not with the cell
+count.
 """
 
 from __future__ import annotations
@@ -141,13 +146,20 @@ def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
     return sides
 
 
-def _placements(sft: SftSpec, sides: tuple[int, ...]) -> tuple[list[list[tuple]], int]:
-    """Per-cell incremental checks for the row-major sweep.
+def _placements(sft: SftSpec, sides: tuple[int, ...],
+                ) -> tuple[list[list[list[tuple[int, int]]]], int, int]:
+    """Per-cell incremental checks for the row-major sweep, as mask tests.
 
-    For each cell index k, the list of forbidden-pattern translates
-    whose row-major-last cell is k and which fit fully inside the box;
-    each entry is (deltas, symbols) with row-major deltas <= 0.  Also
-    returns the frontier span: how far back any future check can reach.
+    A frontier window is coded as one integer of b-bit digits, b =
+    max(1, (a-1).bit_length()), the newest symbol in the low digit.  A
+    forbidden translate whose row-major-last cell is k and which fits
+    fully inside the box reads the cells k - j for a few j >= 0; in the
+    shifted code (window << b) | s cell k - j is digit j.  For each cell k
+    and each symbol s the translate is compiled into one (mask, value)
+    pair over digits j >= 1, filed under the symbol it needs at digit 0:
+    s at cell k completes that translate exactly when
+    (window << b) & mask == value.  Returns the per-cell, per-symbol test
+    lists, the frontier span (how far back any check can reach) and b.
     """
     d = sft.dim
     strides = [0] * d
@@ -155,39 +167,54 @@ def _placements(sft: SftSpec, sides: tuple[int, ...]) -> tuple[list[list[tuple]]
     for i in range(d - 2, -1, -1):
         strides[i] = strides[i + 1] * sides[i + 1]
     cells = strides[0] * sides[0]
+    bits = max(1, (sft.alphabet - 1).bit_length())
+    digit = (1 << bits) - 1
 
     def rm(coord: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(coord, strides))
 
-    checks: list[list[tuple]] = [[] for _ in range(cells)]
+    checks: list[list[list[tuple[int, int]]]] = [
+        [[] for _ in range(sft.alphabet)] for _ in range(cells)]
     span = 0
     for pat in sft.forbidden:
         if any(pat.extent(axis) > sides[axis] for axis in range(d)):
             continue  # cannot fit inside this box
         # Within a box the pattern fits, row-major order of its cells is
-        # the lexicographic order of the offsets.
+        # the lexicographic order of the offsets, and the row-major
+        # distance of each cell back from the last one is the same at
+        # every placement.
         anchor = max(pat.offsets)
         rel = [tuple(o - a for o, a in zip(off, anchor)) for off in pat.offsets]
-        for cell_coord in itertools.product(*[range(s) for s in sides]):
-            placed = [tuple(c + r for c, r in zip(cell_coord, off)) for off in rel]
-            if any(not 0 <= pc[i] < sides[i] for pc in placed for i in range(d)):
-                continue
-            k = rm(cell_coord)
-            deltas = tuple(rm(pc) - k for pc in placed)
-            span = max(span, max(-dlt for dlt in deltas))
-            checks[k].append((deltas, pat.symbols))
-    return checks, span
+        mask = value = 0
+        for off, sym in zip(rel, pat.symbols):
+            back = -rm(off)
+            if back == 0:
+                last = sym
+            else:
+                mask |= digit << (bits * back)
+                value |= sym << (bits * back)
+                span = max(span, back)
+        # the placements that keep every cell inside the box
+        fits = [range(-min(r[i] for r in rel), sides[i] - max(r[i] for r in rel))
+                for i in range(d)]
+        for cell_coord in itertools.product(*fits):
+            checks[rm(cell_coord)][last].append((mask, value))
+    return checks, span, bits
 
 
 def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
     """Exactly count locally admissible symbol boxes of the given sides.
 
     A forward sweep over cells in row-major order.  The layer after k
-    cells maps each frontier window, the trailing span symbols, to the
-    number of admissible k-cell prefixes ending in it; that suffices
-    because no later check reads anything older than the window.  A
-    symbol choice at cell k is checked against every forbidden translate
-    it completes.  The count is the sum of the last layer.
+    cells maps each frontier window, the trailing span symbols coded as
+    one integer (see _placements), to the number of admissible k-cell
+    prefixes ending in it; that suffices because no later check reads
+    anything older than the window.  Within a layer every window has the
+    same length, so the codes map one-to-one onto symbol tuples.  A
+    symbol s at cell k is admissible unless one of its mask tests
+    matches the shifted window; the next window is
+    ((window << b) | s) & keep, the last span digits.  The count is the
+    sum of the last layer.
     """
     sides = _validate_sides(sft, sides)
     cells = math.prod(sides)
@@ -196,30 +223,23 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
         raise CapExceededError(
             f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
             f"{CELL_CAP_BITS}-bit cell cap")
-    checks, span = _placements(sft, sides)
+    checks, span, bits = _placements(sft, sides)
     if span * log2a > STATE_CAP_BITS:
         raise CapExceededError(
             f"frontier window of {span} cells exceeds the {STATE_CAP_BITS}-bit state cap")
 
-    alphabet = range(sft.alphabet)
-    layer: dict[tuple[int, ...], int] = {(): 1}
+    keep = (1 << (bits * span)) - 1
+    layer: dict[int, int] = {0: 1}
     for cell_checks in checks:
-        advanced: dict[tuple[int, ...], int] = {}
+        advanced: dict[int, int] = {}
         for window, prefixes in layer.items():
-            for s in alphabet:
-                completed_forbidden = False
-                for deltas, symbols in cell_checks:
-                    match = True
-                    for dlt, sym in zip(deltas, symbols):
-                        cur = s if dlt == 0 else window[dlt]
-                        if cur != sym:
-                            match = False
-                            break
-                    if match:
-                        completed_forbidden = True
+            shifted = window << bits
+            for s, tests in enumerate(cell_checks):
+                for mask, value in tests:
+                    if shifted & mask == value:
                         break
-                if not completed_forbidden:
-                    nxt = (window + (s,))[-span:] if span else ()
+                else:
+                    nxt = (shifted | s) & keep
                     advanced[nxt] = advanced.get(nxt, 0) + prefixes
         layer = advanced
     return PatternCount(sides=sides, count=sum(layer.values()))
@@ -420,8 +440,9 @@ def _transfer_uppers_1d(sft: SftSpec) -> Iterator[float | None]:
 class EntropyEntry:
     """The bounds one cube side n contributes to an entropy bracket.
 
-    ratio is the cube ratio log_a(count)/n^d, an upper bound because the
-    log-count is componentwise subadditive.  transfer_upper, set only for
+    ratio is the cube ratio log_a(count)/n^d, rounded up (exact for
+    powers of the alphabet), an upper bound because the log-count is
+    componentwise subadditive.  transfer_upper, set only for
     one-dimensional subshifts at sides n >= w (the forbidden-word
     window), is the Collatz-Wielandt bound on the window transfer
     matrix's Perron root from the exact count vectors at lengths n-1 and
@@ -490,12 +511,12 @@ class EntropyBracket:
 def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
     """Certified upper bounds for the entropy along cubes n = 1..max_side.
 
-    Every side gives the cube ratio log_a(count)/n^d, valid because the
-    log-count is componentwise subadditive.  One-dimensional subshifts
-    also get the Collatz-Wielandt transfer bound at each side n >= w,
-    valid because it is computed from exact counts and rounded up.  A
-    cap hit truncates the bracket instead of failing it: the bounds
-    already collected stay valid upper bounds.
+    Every side gives the cube ratio log_a(count)/n^d, rounded up, valid
+    because the log-count is componentwise subadditive.  One-dimensional
+    subshifts also get the Collatz-Wielandt transfer bound at each side
+    n >= w, valid because it is computed from exact counts and rounded
+    up.  A cap hit truncates the bracket instead of failing it: the
+    bounds already collected stay valid upper bounds.
     """
     if max_side < 1:
         raise DomainError(f"max_side must be >= 1, got {max_side!r}")
@@ -511,7 +532,12 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
             truncated = True
             break
         log_value = _log_count(count, sft.alphabet)
-        ratio = log_value / n ** sft.dim
+        # the upward-rounded log over the volume, itself rounded up unless exact
+        volume = n ** sft.dim
+        log_up = _log_upper(Fraction(count), sft.alphabet)
+        ratio = log_up / volume
+        if math.isfinite(ratio) and Fraction(ratio) * volume != Fraction(log_up):
+            ratio = math.nextafter(ratio, math.inf)
         upper = next(transfer_uppers) if transfer_uppers is not None else None
         running = min(running, ratio) if upper is None else min(running, ratio, upper)
         entries.append(EntropyEntry(sides=sides, count=count, log_value=log_value,
@@ -638,9 +664,11 @@ def load_sft_spec(path: str | Path) -> SftSpec:
             )
             for entry in obj.get("forbidden", [])
         )
+        return SftSpec(alphabet=alphabet, dim=dim, forbidden=forbidden)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read subshift spec from {path}: {exc}") from exc
-    return SftSpec(alphabet=alphabet, dim=dim, forbidden=forbidden)
+    except DomainError as exc:
+        raise ConfigError(f"invalid subshift spec {path}: {exc}") from exc
 
 
 def relabel(sft: SftSpec, permutation: Sequence[int]) -> SftSpec:

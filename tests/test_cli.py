@@ -97,6 +97,24 @@ def test_entropy_unknown_sft_exits_two(tmp_path):
     assert run(["entropy", "--sft", "nosuch", "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("spec, extra", [
+    ({"alphabet": 2, "dim": 1,
+      "forbidden": [{"offsets": [[0], [8]], "symbols": [1, 1]}]}, []),  # 9 cells wide
+    ({"alphabet": 2, "dim": 1, "forbidden": [{"offsets": [[0]], "symbols": [2]}]}, []),
+    ({"alphabet": 1, "dim": 1, "forbidden": []}, []),
+    (None, ["--sft", "golden_mean_1d", "--max-side", 0]),
+])
+def test_bad_subshift_input_exits_two(tmp_path, capsys, spec, extra):
+    argv = ["entropy", *extra, "--out", tmp_path / "out"]
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv += ["--sft", path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_levelset_command(tmp_path):
     code = run(["levelset", "--fn", "sqrt_prod", "--anchors", "1,1",
                 "--cells", 800, "--out", tmp_path])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +34,12 @@ from fekete_lab.subshift import (
 
 GOLDEN = builtin_sft("golden_mean_1d")
 HARD = builtin_sft("hard_square_2d")
+HARD_CUBE = SftSpec(alphabet=2, dim=3, forbidden=tuple(
+    ForbiddenPattern(((0, 0, 0), tuple(int(i == axis) for i in range(3))), (1, 1))
+    for axis in range(3)))
+# proper 3-colourings of the grid: no two adjacent cells share a colour
+COLOUR3 = SftSpec(alphabet=3, dim=2, forbidden=tuple(
+    ForbiddenPattern(((0, 0), unit), (c, c)) for unit in ((0, 1), (1, 0)) for c in range(3)))
 
 
 def fibonacci(n: int) -> int:
@@ -145,11 +153,27 @@ def random_sft_1d(draw):
 
 
 @st.composite
-def random_sft_2d(draw):
+def random_sft_2d(draw, alphabets=(2,)):
+    a = draw(st.sampled_from(alphabets))
     patterns = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         cells = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                               min_size=1, max_size=3, unique=True))
+        symbols = [draw(st.integers(0, a - 1)) for _ in cells]
+        patterns.append(ForbiddenPattern(tuple(sorted(cells)), tuple(symbols)))
+    return SftSpec(alphabet=a, dim=2, forbidden=tuple(patterns))
+
+
+@st.composite
+def wide_sft_2d(draw):
+    """Binary patterns with offsets in -1..1 that span 3 cells on some axis."""
+    coord = st.integers(-1, 1)
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        cells = {(-1, draw(coord)), (1, draw(coord))}
+        cells |= set(draw(st.lists(st.tuples(coord, coord), max_size=2)))
+        if draw(st.booleans()):
+            cells = {(j, i) for i, j in cells}
         symbols = [draw(st.integers(0, 1)) for _ in cells]
         patterns.append(ForbiddenPattern(tuple(sorted(cells)), tuple(symbols)))
     return SftSpec(alphabet=2, dim=2, forbidden=tuple(patterns))
@@ -167,6 +191,22 @@ def test_enumerator_and_transfer_match_brute_force_1d(sft, n):
 @given(sft=random_sft_2d(),
        sides=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]))
 def test_enumerator_matches_brute_force_2d(sft, sides):
+    assert count_patterns(sft, sides).count == brute_force_grid_2d(sft, sides)
+
+
+# alphabet 3 codes a window in 2-bit digits and alphabet 5 in 3-bit digits,
+# so both leave digit values that no symbol uses
+@settings(max_examples=30, deadline=None)
+@given(sft=random_sft_2d(alphabets=(3, 5)),
+       sides=st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 3), (3, 2)]))
+def test_enumerator_matches_brute_force_2d_non_binary(sft, sides):
+    assert count_patterns(sft, sides).count == brute_force_grid_2d(sft, sides)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sft=wide_sft_2d(),
+       sides=st.sampled_from([(2, 4), (3, 2), (3, 3), (3, 4), (4, 3)]))
+def test_enumerator_matches_brute_force_2d_wide_patterns(sft, sides):
     assert count_patterns(sft, sides).count == brute_force_grid_2d(sft, sides)
 
 
@@ -188,14 +228,14 @@ def brute_force_box(sft: SftSpec, sides: tuple[int, ...]) -> int:
 
 
 @st.composite
-def random_two_cell_sft_3d(draw):
+def random_two_cell_sft_3d(draw, alphabet=2):
     patterns = []
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         cells = draw(st.lists(st.tuples(*[st.integers(0, 1)] * 3),
                               min_size=2, max_size=2, unique=True))
-        symbols = [draw(st.integers(0, 1)) for _ in cells]
+        symbols = [draw(st.integers(0, alphabet - 1)) for _ in cells]
         patterns.append(ForbiddenPattern(tuple(cells), tuple(symbols)))
-    return SftSpec(alphabet=2, dim=3, forbidden=tuple(patterns))
+    return SftSpec(alphabet=alphabet, dim=3, forbidden=tuple(patterns))
 
 
 @settings(max_examples=30, deadline=None)
@@ -206,13 +246,24 @@ def test_enumerator_matches_brute_force_3d(sft, sides):
     assert count_patterns(sft, sides).count == brute_force_box(sft, sides)
 
 
+@settings(max_examples=12, deadline=None)
+@given(sft=random_two_cell_sft_3d(alphabet=3),
+       sides=st.sampled_from([(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 1), (1, 3, 2),
+                              (2, 2, 2)]))
+def test_enumerator_matches_brute_force_3d_ternary(sft, sides):
+    assert count_patterns(sft, sides).count == brute_force_box(sft, sides)
+
+
 def test_hard_cube_counts():
-    cube = SftSpec(alphabet=2, dim=3, forbidden=tuple(
-        ForbiddenPattern(((0, 0, 0), tuple(int(i == axis) for i in range(3))), (1, 1))
-        for axis in range(3)))
-    assert count_patterns(cube, (2, 2, 2)).count == 35  # independent sets of the 3-cube
-    assert count_patterns(cube, (2, 2, 3)).count == 181
-    assert brute_force_box(cube, (2, 2, 3)) == 181
+    assert count_patterns(HARD_CUBE, (2, 2, 2)).count == 35  # independent sets of the 3-cube
+    assert count_patterns(HARD_CUBE, (2, 2, 3)).count == 181
+    assert brute_force_box(HARD_CUBE, (2, 2, 3)) == 181
+    assert count_patterns(HARD_CUBE, (3, 3, 3)).count == 70633  # by layer transfer
+
+
+def test_proper_three_colourings_of_the_grid():
+    # values from an independent row-transfer count over proper row colourings
+    assert [count_patterns(COLOUR3, (n, n)).count for n in range(1, 5)] == [3, 18, 246, 7812]
 
 
 def test_full_shift_counts():
@@ -279,6 +330,20 @@ def test_entropy_bounds_golden_mean():
     assert 0.014 < gap16 < 0.015
     assert cube_min[22] - golden_ratio_log > 0.01
     assert cube_min[23] - golden_ratio_log <= 0.01
+
+
+def test_cube_ratios_round_up():
+    for sft, max_side in ((GOLDEN, 40), (HARD, 12), (COLOUR3, 9), (HARD_CUBE, 4)):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            loga = Decimal(sft.alphabet).ln()
+            for e in entropy_bounds(sft, max_side).entries:
+                exact = Fraction(Decimal(e.count).ln() / loga)
+                bound = Fraction(e.ratio) * math.prod(e.sides)
+                # the slack covers the reference's own 50-digit rounding; a
+                # ratio rounded to nearest falls short by up to 1e-16 relative
+                assert bound >= exact * (1 - Fraction(1, 10 ** 40)), e
+                assert bound - exact <= exact * Fraction(1, 10 ** 14), e
 
 
 def test_transfer_upper_golden_mean():
