@@ -11,94 +11,70 @@ computations:
 * level-set measures, boundedness scans, and subshift pattern counts
   supply the supporting inequalities with exact or error-bounded
   arithmetic.
+
+The public names below are resolved lazily (PEP 562): `from fekete_lab
+import X` imports only the module that defines X, so a caller that
+needs no numpy-backed module does not load numpy.
 """
 
-from .domain import (
-    ConfigError,
-    DimensionMismatchError,
-    DomainError,
-    EvaluationError,
-    FeketeLabError,
-    GridSchedule,
-    IndeterminateFormError,
-    Orthant,
-    Point,
-    QRDecomposition,
-    ScheduleError,
-    as_point,
-    default_schedule,
-    directed_upper_bound,
-    orthant_reflect,
-    product_leq,
-    qr_decompose,
-)
-from .registry import (
-    Domain,
-    FiniteSetFunction,
-    FunctionOracle,
-    IRRATIONAL,
-    KnownLimit,
-    TabulatedFunction,
-    builtin,
-    builtin_names,
-    cardinality_set_function,
-    load_set_family,
-    load_tabulated,
-    rubin_eval,
-    set_function_from_integer,
-    write_tabulated,
-)
-from .sampling import SampleBudget
-from .checks import (
-    Violation,
-    ViolationReport,
-    check_componentwise,
-    check_four_term,
-    check_joint,
-    check_monoid_sign,
-    check_set_union,
-    check_shifted_subadditivity,
-)
-from .limits import (
-    DecompositionBound,
-    IteratedLimit,
-    LimitBracket,
-    diagonal_limit,
-    inner_limit_profile,
-    iterated_limit,
-    multiple_inf,
-    orthant_limit,
-    ray_limit,
-    simultaneous_limit,
-    verify_decomposition_bound,
-)
-from .levelset import (
-    BoxScan,
-    LevelSetSpec,
-    MeasureEstimate,
-    check_levelset_lemma,
-    compact_bound_scan,
-    levelset_measure,
-    rubin_rational_box_scan,
-    rubin_unboundedness_demo,
-)
-from .subshift import (
-    CapExceededError,
-    EntropyBracket,
-    ForbiddenPattern,
-    PatternCount,
-    SftSpec,
-    builtin_sft,
-    builtin_sft_names,
-    check_count_submultiplicativity,
-    count_patterns,
-    dominant_eigenvalue,
-    entropy_bounds,
-    folner_box_ratio,
-    load_sft_spec,
-    log_complexity,
-    transfer_matrix_1d,
-    transfer_matrix_count_1d,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "domain": (
+        "ConfigError", "DimensionMismatchError", "DomainError", "EvaluationError",
+        "FeketeLabError", "GridSchedule", "IndeterminateFormError", "Orthant", "Point",
+        "QRDecomposition", "ScheduleError", "as_point", "default_schedule",
+        "directed_upper_bound", "orthant_reflect", "product_leq", "qr_decompose",
+    ),
+    "registry": (
+        "Domain", "FiniteSetFunction", "FunctionOracle", "IRRATIONAL", "KnownLimit",
+        "TabulatedFunction", "builtin", "builtin_names", "cardinality_set_function",
+        "load_set_family", "load_tabulated", "rubin_eval", "set_function_from_integer",
+        "write_tabulated",
+    ),
+    "sampling": ("SampleBudget",),
+    "checks": (
+        "Violation", "ViolationReport", "check_componentwise", "check_four_term",
+        "check_joint", "check_monoid_sign", "check_set_union",
+        "check_shifted_subadditivity",
+    ),
+    "limits": (
+        "DecompositionBound", "IteratedLimit", "LimitBracket", "diagonal_limit",
+        "inner_limit_profile", "iterated_limit", "multiple_inf", "orthant_limit",
+        "ray_limit", "simultaneous_limit", "verify_decomposition_bound",
+    ),
+    "levelset": (
+        "BoxScan", "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma",
+        "compact_bound_scan", "levelset_measure", "rubin_rational_box_scan",
+        "rubin_unboundedness_demo",
+    ),
+    "subshift": (
+        "CapExceededError", "EntropyBracket", "ForbiddenPattern", "PatternCount",
+        "SftSpec", "builtin_sft", "builtin_sft_names", "check_count_submultiplicativity",
+        "count_patterns", "dominant_eigenvalue", "entropy_bounds", "folner_box_ratio",
+        "load_sft_spec", "log_complexity", "transfer_matrix_1d",
+        "transfer_matrix_count_1d",
+    ),
+}
+_MODULES = ("cli", "ioutil", "svgplot", *_EXPORTS)
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    """Import the module behind a public name, or a submodule, on first use."""
+    if name in _DEFINED_IN:
+        value = getattr(importlib.import_module(f".{_DEFINED_IN[name]}", __name__), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFINED_IN, *_MODULES})

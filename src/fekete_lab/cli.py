@@ -22,30 +22,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .checks import (
-    check_componentwise,
-    check_four_term,
-    check_joint,
-    check_monoid_sign,
-    check_set_union,
-    check_shifted_subadditivity,
-)
 from .domain import ConfigError, FeketeLabError, GridSchedule, Point, ScheduleError
 from .ioutil import csv_text, write_json_atomic, write_text_atomic
-from .levelset import check_levelset_lemma, rubin_unboundedness_demo
-from .limits import (
-    CONVERGED,
-    DIVERGING_PLUS,
-    INCONCLUSIVE,
-    diagonal_limit,
-    iterated_limit,
-    ray_limit,
-    simultaneous_limit,
-)
-from .registry import builtin, builtin_names, load_set_family, load_tabulated
-from .sampling import SampleBudget
-from .subshift import CapExceededError, builtin_sft, builtin_sft_names, entropy_bounds, load_sft_spec
 from .svgplot import PlotSeries, line_plot_svg
+
+# Each subcommand imports the modules it needs inside its handler, so a run
+# loads only those: entropy on a 2-D or 3-D subshift never loads numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,6 +60,16 @@ def _resolve(ns: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
+def _number(ns: argparse.Namespace, config: dict, key: str, default, kind: type = int):
+    """_resolve(...) converted by kind (int or float); a failed conversion is a ConfigError."""
+    value = _resolve(ns, config, key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
+
+
 def _parse_point(text: str) -> Point:
     try:
         return Point(tuple(float(c) for c in str(text).split(",")))
@@ -96,6 +88,7 @@ def _parse_order(text: str, dim: int) -> tuple[int, ...]:
 
 
 def _get_oracle(name: str | None, table: str | None):
+    from .registry import builtin, load_tabulated
     if table is not None:
         return load_tabulated(table)
     if name is None:
@@ -114,7 +107,7 @@ class _Run:
         config = _load_config(ns.config)
         self.config = config
         self.out = Path(_resolve(ns, config, "out", "fekete_results"))
-        self.seed = int(_resolve(ns, config, "seed", 2024))
+        self.seed = _number(ns, config, "seed", 2024)
         no_ts = bool(getattr(ns, "no_timestamp", False) or config.get("no_timestamp", False))
         self.timestamp = None if no_ts else datetime.now(timezone.utc).isoformat()
 
@@ -127,11 +120,15 @@ _CHECK_MODES = ("joint", "componentwise", "four_term", "monoid", "shift", "set_u
 
 
 def _cmd_check(ns: argparse.Namespace) -> int:
+    from .checks import (check_componentwise, check_four_term, check_joint,
+                         check_monoid_sign, check_set_union, check_shifted_subadditivity)
+    from .registry import load_set_family
+    from .sampling import SampleBudget
     run = _Run(ns)
     mode = _resolve(ns, run.config, "mode", "all")
     if mode not in _CHECK_MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(_CHECK_MODES)}")
-    count = int(_resolve(ns, run.config, "count", 10_000))
+    count = _number(ns, run.config, "count", 10_000)
 
     reports = []
     if mode == "set_union":
@@ -154,7 +151,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
                                 and oracle.domain.grid_axes is None):
             reports.append(check_monoid_sign(oracle, budget))
         if mode == "shift":
-            shift = int(_resolve(ns, run.config, "shift", 1))
+            shift = _number(ns, run.config, "shift", 1)
             reports.append(check_shifted_subadditivity(oracle, shift, budget))
 
     total = 0
@@ -190,12 +187,13 @@ def _bracket_outputs(run: _Run, stem: str, bracket) -> None:
 
 
 def _cmd_limit(ns: argparse.Namespace) -> int:
+    from .limits import diagonal_limit, iterated_limit, ray_limit, simultaneous_limit
     run = _Run(ns)
     oracle = _get_oracle(_resolve(ns, run.config, "fn", None),
                          _resolve(ns, run.config, "table", None))
-    delta = float(_resolve(ns, run.config, "delta", 0.01))
-    growth = float(_resolve(ns, run.config, "growth", 2.0))
-    levels = int(_resolve(ns, run.config, "levels", 40))
+    delta = _number(ns, run.config, "delta", 0.01, float)
+    growth = _number(ns, run.config, "growth", 2.0, float)
+    levels = _number(ns, run.config, "levels", 40)
     base_text = _resolve(ns, run.config, "base", None)
     iterated = _resolve(ns, run.config, "iterated", None)
     direction = _resolve(ns, run.config, "direction", None)
@@ -256,6 +254,7 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(ns: argparse.Namespace) -> int:
+    from .subshift import builtin_sft, builtin_sft_names, entropy_bounds, load_sft_spec
     run = _Run(ns)
     name = _resolve(ns, run.config, "sft", None)
     if name is None:
@@ -267,7 +266,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"unknown subshift {name!r}: not a fixture "
                           f"({', '.join(builtin_sft_names())}) and not a file")
-    max_side = int(_resolve(ns, run.config, "max_side", 12))
+    max_side = _number(ns, run.config, "max_side", 12)
     if max_side < 1:
         raise ConfigError(f"max_side must be >= 1, got {max_side}")
     bracket = entropy_bounds(sft, max_side)
@@ -292,6 +291,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_levelset(ns: argparse.Namespace) -> int:
+    from .levelset import check_levelset_lemma
     run = _Run(ns)
     oracle = _get_oracle(_resolve(ns, run.config, "fn", None),
                          _resolve(ns, run.config, "table", None))
@@ -300,8 +300,8 @@ def _cmd_levelset(ns: argparse.Namespace) -> int:
         raise ConfigError("give anchors with --anchors \"t1,t2[;u1,u2...]\"")
     anchors = [_parse_point(chunk) for chunk in str(anchors_text).split(";")]
     method = _resolve(ns, run.config, "method", "grid")
-    cells = int(_resolve(ns, run.config, "cells", 400))
-    samples = int(_resolve(ns, run.config, "samples", 20_000))
+    cells = _number(ns, run.config, "cells", 400)
+    samples = _number(ns, run.config, "samples", 20_000)
     rows = check_levelset_lemma(oracle, anchors, method, cells=cells,
                                 samples=samples, seed=run.seed)
     payload = {"meta": _meta("levelset", run.seed), "oracle": oracle.name,
@@ -326,6 +326,9 @@ def _cmd_levelset(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _replay_sqrt_product(seed: int) -> dict:
+    from .checks import check_componentwise, check_joint
+    from .registry import builtin
+    from .sampling import SampleBudget
     oracle = builtin("sqrt_prod")
     budget = SampleBudget(count=2000, seed=seed)
     joint = check_joint(oracle, budget)
@@ -343,6 +346,7 @@ def _replay_sqrt_product(seed: int) -> dict:
 
 
 def _replay_min_denominator() -> dict:
+    from .levelset import rubin_unboundedness_demo
     demo = rubin_unboundedness_demo(100)
     values_ok = all(v == p[0].denominator for p, v in demo.diagonal)
     return {
@@ -354,6 +358,8 @@ def _replay_min_denominator() -> dict:
 
 
 def _replay_mixed_curvature() -> dict:
+    from .limits import CONVERGED, DIVERGING_PLUS, INCONCLUSIVE, iterated_limit, simultaneous_limit
+    from .registry import builtin
     oracle = builtin("x1sq_sqrt_x2")
     schedule = GridSchedule(base=Point((1.0, 1.0)), levels=40)
     lo = iterated_limit(oracle, (0, 1), schedule, 0.01)
@@ -373,8 +379,10 @@ def _replay_mixed_curvature() -> dict:
 
 
 def _replay_parity_set_lift(seed: int) -> dict:
+    from .checks import check_set_union, check_shifted_subadditivity
+    from .registry import builtin, set_function_from_integer
+    from .sampling import SampleBudget
     oracle = builtin("nmod2")
-    from .registry import set_function_from_integer
     g = set_function_from_integer(oracle)
     union = check_set_union(g, [[1, 2], [2, 3]])
     union_hit = union.find(((1, 2), (2, 3)))
@@ -436,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file mirroring the flags")
 
     p = sub.add_parser("check", help="run subadditivity checks on an oracle")
-    p.add_argument("--fn", help=f"builtin oracle: {', '.join(builtin_names())}")
+    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
     p.add_argument("--table", help="tabulated-function JSON file")
     p.add_argument("--mode", help=f"one of {', '.join(_CHECK_MODES)} (default all)")
     p.add_argument("--count", type=int, help="random sample count (default 10000)")
@@ -446,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("limit", help="estimate ratio-net limits")
-    p.add_argument("--fn", help="builtin oracle name")
+    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
     p.add_argument("--table", help="tabulated-function JSON file")
     p.add_argument("--delta", type=float, help="convergence tolerance (default 0.01)")
     p.add_argument("--base", help="schedule base point, e.g. 1,1")
@@ -459,14 +467,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("entropy", help="pattern-count entropy bounds for a subshift")
-    p.add_argument("--sft", help=f"fixture ({', '.join(builtin_sft_names())}) or JSON file")
+    p.add_argument("--sft", help="fixture name or JSON spec file "
+                                 "(an unknown name lists the fixtures)")
     p.add_argument("--max-side", dest="max_side", type=int,
                    help="largest cube side (default 12)")
     common(p)
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("levelset", help="level-set measure lemma margins")
-    p.add_argument("--fn", help="builtin oracle name")
+    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
     p.add_argument("--table", help="tabulated-function JSON file")
     p.add_argument("--anchors", help="semicolon-separated anchor points, e.g. 1,1;2,3")
     p.add_argument("--method", help="grid or mc (default grid)")
@@ -497,9 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ScheduleError as exc:
         print(f"error: unusable schedule: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FeketeLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -50,4 +50,4 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
 
 
 def csv_text(rows: list[list[str]]) -> str:
-    return "".join(",".join(row) + "\n" for row in rows)
+    return "\n".join(map(",".join, rows)) + "\n" if rows else ""

@@ -126,12 +126,26 @@ class LimitBracket:
     def samples_csv_rows(self) -> list[list[str]]:
         header = ["shell"] + [f"x{i + 1}" for i in range(self.points.shape[1])] + ["ratio"]
         order = np.lexsort((*self.points.T[::-1], self.shells))  # by shell, then point
-        rows = [header]
-        for shell, point, ratio in zip(self.shells[order].tolist(),
-                                       self.points[order].tolist(),
-                                       self.ratios[order].tolist()):
-            rows.append([str(shell)] + [repr(c) for c in point] + [repr(ratio)])
-        return rows
+        points = self.points[order]
+        columns = [_reprs(self.shells[order]),
+                   *(_reprs(points[:, i]) for i in range(points.shape[1])),
+                   _reprs(self.ratios[order])]
+        return [header, *np.stack(columns, axis=1).tolist()]
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each entry as an object array, formatted once per distinct entry.
+
+    A grid axis repeats each of its levels + 1 coordinates across the
+    whole grid.  Floats are keyed by their bit pattern, because np.unique
+    equates -0.0 and 0.0, whose reprs differ.
+    """
+    is_float = values.dtype == np.float64
+    keys = np.ascontiguousarray(values).view(np.int64) if is_float else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if is_float:
+        distinct = distinct.view(np.float64)
+    return np.array([repr(v) for v in distinct.tolist()], dtype=object)[inverse]
 
 
 def _require_finite(points: np.ndarray | Sequence[float],

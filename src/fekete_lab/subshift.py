@@ -32,12 +32,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+from .domain import ConfigError, DomainError
 
-from .checks import Violation, ViolationReport
-from .domain import ConfigError, DomainError, FeketeLabError
+# numpy (the 1-D eigenvalue cross-check) and checks (the submultiplicativity
+# report) are imported where they are used, so 2-D and 3-D counts load neither
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .checks import ViolationReport
 
 __all__ = [
     "CapExceededError",
@@ -66,7 +70,7 @@ CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
 STATE_CAP_BITS = 48.0  # frontier window * log2(a) <= this
 
 
-class CapExceededError(FeketeLabError):
+class CapExceededError(ConfigError):
     """The requested box exceeds the configured enumeration work caps."""
 
 
@@ -345,6 +349,7 @@ def transfer_matrix_count_1d(sft: SftSpec, n: int) -> int:
 
 def transfer_matrix_1d(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """States (admissible windows of w-1 symbols) and 0/1 transition matrix."""
+    import numpy as np
     w = _window_1d(sft)
     patterns = _word_patterns_1d(sft)
     if w == 1:
@@ -376,6 +381,7 @@ def dominant_eigenvalue(matrix: np.ndarray) -> float:
     For a nonnegative matrix this is the Perron root, also when it sits
     in a Jordan block, where power iteration converges only as 1/steps.
     """
+    import numpy as np
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DomainError("the spectral radius needs a nonempty square matrix")
@@ -565,6 +571,7 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
     comparison itself is exact integer arithmetic.  Each box is counted
     once: the counts are memoized for the length of the call.
     """
+    from .checks import Violation, ViolationReport
     if side_cap < 2:
         raise DomainError("side_cap must be >= 2 to admit a split")
     loga = math.log(sft.alphabet)

@@ -115,6 +115,21 @@ def test_bad_subshift_input_exits_two(tmp_path, capsys, spec, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("entropy", {"sft": "golden_mean_1d", "max_side": "abc"}),
+    ("check", {"fn": "abs", "mode": "joint", "count": "x"}),
+    ("check", {"fn": "abs", "mode": "joint", "seed": [1]}),
+    ("limit", {"fn": "sqrt_prod", "growth": "fast"}),
+    ("levelset", {"fn": "sqrt_prod", "anchors": "1,1", "cells": None}),
+])
+def test_non_numeric_config_value_exits_two(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_levelset_command(tmp_path):
     code = run(["levelset", "--fn", "sqrt_prod", "--anchors", "1,1",
                 "--cells", 800, "--out", tmp_path])

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from fekete_lab.domain import DomainError, GridSchedule, Orthant, Point
+from fekete_lab.ioutil import csv_text
 from fekete_lab.limits import (
     CONVERGED,
     DIVERGING_MINUS,
     DIVERGING_PLUS,
     INCONCLUSIVE,
+    LimitBracket,
     diagonal_limit,
     inner_limit_profile,
     iterated_limit,
@@ -382,6 +384,46 @@ def test_bracket_serialization_shapes():
     rows = bracket.samples_csv_rows()
     assert rows[0] == ["shell", "x1", "x2", "ratio"]
     assert len(rows) == bracket.evaluations + 1
+
+
+def _per_row_csv(bracket):
+    """The plain writer: one repr per field and per row, rows by shell, then point."""
+    header = ["shell"] + [f"x{i + 1}" for i in range(bracket.points.shape[1])] + ["ratio"]
+    order = np.lexsort((*bracket.points.T[::-1], bracket.shells))
+    rows = [header]
+    for shell, point, ratio in zip(bracket.shells[order].tolist(),
+                                   bracket.points[order].tolist(),
+                                   bracket.ratios[order].tolist()):
+        rows.append([str(shell)] + [repr(c) for c in point] + [repr(ratio)])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _signed_zero_bracket():
+    # np.unique equates -0.0 and 0.0; the CSV must still tell them apart
+    points = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [1.5, -0.0]])
+    ratios = np.array([-0.0, 0.0, math.inf, -math.inf, 0.1])
+    return LimitBracket(
+        sense="inf", best_upper=-math.inf, best_lower=None, tail_estimate=-math.inf,
+        status=DIVERGING_MINUS, delta=0.01, shell=None, threshold_point=None,
+        evaluations=5, shells=np.array([0, 1, 1, 2, 0]), points=points, ratios=ratios)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simultaneous_limit(SQRT, GridSchedule(base=Point((1.0, 1.0)), growth=1.05,
+                                                  levels=40)),
+    lambda: orthant_limit(builtin("abs"), Orthant.from_string("1"),
+                          GridSchedule(base=Point((1.0,)), levels=14)),
+    lambda: orthant_limit(FunctionOracle(name="sqrt_abs_prod_on_10",
+                                         domain=Domain(dim=2, orthant=Orthant.from_string("10")),
+                                         fn=lambda p: math.sqrt(abs(p[0] * p[1]))),
+                          schedule=schedule2(8)),
+    lambda: ray_limit(SQRT, Point((1.0, 3.0)), GridSchedule(base=Point((1.0,)), levels=20)),
+    lambda: diagonal_limit(FULL, [lambda t: t, lambda t: t * t], delta=0.01),
+    _signed_zero_bracket,
+])
+def test_bracket_csv_matches_the_per_row_writer(make):
+    bracket = make()
+    assert csv_text(bracket.samples_csv_rows()) == _per_row_csv(bracket)
 
 
 def _shifted_product(d):

@@ -1,0 +1,138 @@
+"""Start-up: lazy package names, per-subcommand imports, and --help."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fekete_lab
+from fekete_lab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+NUMPY_BACKED = {"numpy", "fekete_lab.checks", "fekete_lab.limits", "fekete_lab.levelset",
+                "fekete_lab.registry", "fekete_lab.sampling"}
+HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
+    {"offsets": [[0, 0, 0], off], "symbols": [1, 1]}
+    for off in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+
+# every name the package exported when its __init__ imported all modules eagerly
+EXPORTS = {
+    "domain": "ConfigError DimensionMismatchError DomainError EvaluationError FeketeLabError "
+              "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
+              "ScheduleError as_point default_schedule directed_upper_bound "
+              "orthant_reflect product_leq qr_decompose",
+    "registry": "Domain FiniteSetFunction FunctionOracle IRRATIONAL KnownLimit "
+                "TabulatedFunction builtin builtin_names cardinality_set_function "
+                "load_set_family load_tabulated rubin_eval set_function_from_integer "
+                "write_tabulated",
+    "sampling": "SampleBudget",
+    "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
+              "check_monoid_sign check_set_union check_shifted_subadditivity",
+    "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
+              "inner_limit_profile iterated_limit multiple_inf orthant_limit ray_limit "
+              "simultaneous_limit verify_decomposition_bound",
+    "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
+                "compact_bound_scan levelset_measure rubin_rational_box_scan "
+                "rubin_unboundedness_demo",
+    "subshift": "CapExceededError EntropyBracket ForbiddenPattern PatternCount SftSpec "
+                "builtin_sft builtin_sft_names check_count_submultiplicativity "
+                "count_patterns dominant_eigenvalue entropy_bounds folner_box_ratio "
+                "load_sft_spec log_complexity transfer_matrix_1d transfer_matrix_count_1d",
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+
+def modules_after(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def cli_run(argv: list[str]) -> str:
+    return ("from fekete_lab.cli import main\n"
+            f"assert main({argv!r}) in (0, 3)")
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    loaded = modules_after("import fekete_lab.cli", tmp_path)
+    assert loaded & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["entropy", "--help"]])
+def test_help_loads_no_subcommand_module(tmp_path, argv):
+    code = f"from fekete_lab.cli import main\nassert main({argv!r}) == 0"
+    assert modules_after(code, tmp_path) & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
+
+
+@pytest.mark.parametrize("sft", ["hard_square_2d", "hard_cube.json"])
+def test_entropy_in_two_and_three_dimensions_loads_no_numpy(tmp_path, sft):
+    (tmp_path / "hard_cube.json").write_text(json.dumps(HARD_CUBE))
+    loaded = modules_after(cli_run(["entropy", "--sft", sft, "--max-side", "3",
+                                    "--out", "out", "--no-timestamp"]), tmp_path)
+    assert "fekete_lab.subshift" in loaded
+    assert loaded & NUMPY_BACKED == set()
+    assert json.loads((tmp_path / "out" / "entropy.json").read_text())["entries"]
+
+
+def test_check_does_not_load_subshift(tmp_path):
+    loaded = modules_after(cli_run(["check", "--fn", "abs", "--mode", "joint",
+                                    "--count", "50", "--out", "out"]), tmp_path)
+    assert "fekete_lab.checks" in loaded
+    assert loaded & {"fekete_lab.subshift", "fekete_lab.limits", "fekete_lab.levelset"} == set()
+
+
+def test_limit_loads_neither_levelset_nor_subshift(tmp_path):
+    loaded = modules_after(cli_run(["limit", "--fn", "sqrt_prod", "--levels", "4",
+                                    "--out", "out", "--no-timestamp"]), tmp_path)
+    assert "fekete_lab.limits" in loaded
+    assert loaded & {"fekete_lab.levelset", "fekete_lab.subshift"} == set()
+
+
+def test_a_package_name_loads_only_its_module(tmp_path):
+    loaded = modules_after("from fekete_lab import count_patterns", tmp_path)
+    assert "fekete_lab.subshift" in loaded
+    assert loaded & NUMPY_BACKED == set()
+
+
+def test_package_names_resolve_to_their_defining_module():
+    wrong = []
+    for module, name in EXPORTED:
+        namespace: dict = {}
+        exec(f"from fekete_lab import {name}", namespace)
+        if namespace[name] is not getattr(importlib.import_module(f"fekete_lab.{module}"), name):
+            wrong.append(name)
+    assert wrong == []
+    assert {name for _, name in EXPORTED} <= set(dir(fekete_lab))
+
+
+def test_star_import_and_submodule_attributes():
+    namespace: dict = {}
+    exec("from fekete_lab import *", namespace)
+    assert {name for _, name in EXPORTED} <= set(namespace)
+    assert fekete_lab.limits is importlib.import_module("fekete_lab.limits")
+    assert fekete_lab.__version__ == "0.1.0"
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fekete_lab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from fekete_lab import no_such_name", {})
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  *([sub, "--help"] for sub in ("check", "limit", "entropy",
+                                                                "levelset", "counterexamples"))])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out

@@ -487,6 +487,13 @@ def test_caps():
     assert bracket.entries[-1].sides == (12, 12)
 
 
+def test_cap_errors_are_config_errors():
+    # the CLI reports a ConfigError as a usage error (exit 2), caps included
+    assert issubclass(CapExceededError, ConfigError)
+    with pytest.raises(ConfigError, match="cell cap"):
+        count_patterns(builtin_sft("full_shift", dim=2), (13, 12))
+
+
 def test_pattern_validation():
     with pytest.raises(DomainError):
         ForbiddenPattern(((0,), (0,)), (1, 1))
