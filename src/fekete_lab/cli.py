@@ -8,7 +8,10 @@ files embed a generation timestamp unless --no-timestamp is given;
 JSON and CSV never contain one.
 
 Exit codes: 0 success, 2 usage/config error, 3 violations found,
-4 internal error.  Divergent or inconclusive limit statuses are
+4 internal error.  An argument error is any ConfigError, DomainError or
+DimensionMismatchError, and exits 2 wherever the library raises it;
+oracle faults (EvaluationError, IndeterminateFormError) and broken
+invariants exit 4.  Divergent or inconclusive limit statuses are
 findings, not failures, and exit 0.
 """
 
@@ -22,7 +25,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .domain import ConfigError, FeketeLabError, GridSchedule, Point, ScheduleError
+from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
+                     GridSchedule, Point, ScheduleError)
 from .ioutil import csv_text, write_json_atomic, write_text_atomic
 from .svgplot import PlotSeries, line_plot_svg
 
@@ -73,7 +77,7 @@ def _number(ns: argparse.Namespace, config: dict, key: str, default, kind: type 
 def _parse_point(text: str) -> Point:
     try:
         return Point(tuple(float(c) for c in str(text).split(",")))
-    except (ValueError, FeketeLabError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot parse point {text!r}: {exc}") from exc
 
 
@@ -204,10 +208,7 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
         base = Point((1.0,))
     else:
         base = _parse_point(base_text) if base_text else Point((1.0,) * d)
-    if not delta > 0:
-        raise ConfigError(f"delta must be positive, got {delta!r}")
-    # the estimators check the schedule before they evaluate; main turns a
-    # ScheduleError into a usage error
+    # the estimators check delta and the schedule before they evaluate
     schedule = GridSchedule(base=base, growth=growth, levels=levels)
 
     if iterated is not None:
@@ -233,8 +234,6 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
             powers = [float(p) for p in str(diagonal).split(",")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse diagonal powers {diagonal!r}: {exc}") from exc
-        if len(powers) != d:
-            raise ConfigError(f"{len(powers)} powers for {d} axes")
         paths = [(lambda t, p=p: t ** p) for p in powers]
         bracket = diagonal_limit(oracle, paths, schedule, delta)
         _bracket_outputs(run, "diagonal", bracket)
@@ -266,10 +265,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"unknown subshift {name!r}: not a fixture "
                           f"({', '.join(builtin_sft_names())}) and not a file")
-    max_side = _number(ns, run.config, "max_side", 12)
-    if max_side < 1:
-        raise ConfigError(f"max_side must be >= 1, got {max_side}")
-    bracket = entropy_bounds(sft, max_side)
+    bracket = entropy_bounds(sft, _number(ns, run.config, "max_side", 12))
     payload = {"meta": _meta("entropy", run.seed), "sft": name, **bracket.to_json_dict()}
     write_json_atomic(run.out / "entropy.json", payload)
     write_text_atomic(run.out / "entropy.csv", csv_text(bracket.to_csv_rows()))
@@ -501,11 +497,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return ns.func(ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScheduleError as exc:
         print(f"error: unusable schedule: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ConfigError, DomainError, DimensionMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FeketeLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -373,5 +373,5 @@ class GridSchedule:
         return _ladder(self.base[axis], self.growth, _TAIL_STEPS + 1, integer=integer)
 
 
-def default_schedule(dim: int, *, growth: float = 2.0, levels: int = 40) -> GridSchedule:
-    return GridSchedule(base=Point((1.0,) * dim), growth=growth, levels=levels)
+def default_schedule(dim: int) -> GridSchedule:
+    return GridSchedule(base=Point((1.0,) * dim))

@@ -60,8 +60,9 @@ DIVERGING_MINUS = "diverging_to_minus_infinity"
 DIVERGING_PLUS = "diverging_to_plus_infinity"
 INCONCLUSIVE = "inconclusive"
 
-# -inf detection is inherently heuristic; these are defaults, not constants.
-DEFAULT_DIVERGENCE_FLOOR = -1e12
+# -inf detection is inherently heuristic: a ratio or tail below this floor
+# counts as diverging to -inf
+DIVERGENCE_FLOOR = -1e12
 _STATUS_RANK = {CONVERGED: 0, DIVERGING_PLUS: 1, DIVERGING_MINUS: 1, INCONCLUSIVE: 2}
 
 
@@ -90,12 +91,6 @@ class LimitBracket:
     shells: np.ndarray = field(repr=False, compare=False)
     points: np.ndarray = field(repr=False, compare=False)
     ratios: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def best_bound(self) -> float:
-        bound = self.best_upper if self.sense == "inf" else self.best_lower
-        assert bound is not None
-        return bound
 
     def shell_extremes(self) -> list[tuple[int, float]]:
         """Extreme ratio of each shell (minimum in inf sense, maximum in sup sense)."""
@@ -161,9 +156,14 @@ def _require_finite(points: np.ndarray | Sequence[float],
                             "lower the growth or the levels")
 
 
+def _require_delta(delta: float) -> None:
+    """Every estimator's tolerance rule: delta > 0, which also refuses NaN."""
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, got {delta!r}")
+
+
 def _bracket(shells: np.ndarray, points: np.ndarray, ratios: np.ndarray,
-             upper_max: np.ndarray, corners: np.ndarray, delta: float,
-             divergence_floor: float) -> LimitBracket:
+             upper_max: np.ndarray, corners: np.ndarray, delta: float) -> LimitBracket:
     """Assemble an inf-sense bracket from the evaluated ratios.
 
     upper_max[k] is the largest ratio over the upper set of shell k, the
@@ -175,7 +175,7 @@ def _bracket(shells: np.ndarray, points: np.ndarray, ratios: np.ndarray,
     tail_estimate = float(ratios[shells == shells.max()].min())
     within = np.flatnonzero(upper_max - best_upper <= delta)
     shell = int(within[0]) if within.size else None
-    if best_upper == -math.inf or tail_estimate < divergence_floor:
+    if best_upper == -math.inf or tail_estimate < DIVERGENCE_FLOOR:
         status = DIVERGING_MINUS
     elif shell is not None:
         status = CONVERGED
@@ -203,9 +203,16 @@ def _require_main_orthant(oracle: FunctionOracle) -> None:
         raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
 
 
+def _schedule(schedule: GridSchedule | None, d: int) -> GridSchedule:
+    """The schedule of an estimator over d axes: the default one if none is given."""
+    schedule = schedule or default_schedule(d)
+    if schedule.dim != d:
+        raise DimensionMismatchError(f"schedule of dimension {schedule.dim} vs oracle {d}")
+    return schedule
+
+
 def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = None,
-                       delta: float = 0.01, *,
-                       divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> LimitBracket:
+                       delta: float = 0.01) -> LimitBracket:
     """Bracket the product-order limit of f(x)/prod(x) on the main orthant.
 
     Evaluates the full schedule grid.  Shell k is the layer of grid
@@ -215,13 +222,10 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     ratio at points beyond the shell corner (product order) lies within
     delta of the minimum.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    _require_delta(delta)
     _require_main_orthant(oracle)
     d = oracle.domain.dim
-    schedule = schedule or default_schedule(d)
-    if schedule.dim != d:
-        raise DimensionMismatchError(f"schedule of dimension {schedule.dim} vs oracle {d}")
+    schedule = _schedule(schedule, d)
 
     integer = oracle.domain.integer
     axes = [np.asarray(schedule.axis_values(i, integer=integer), dtype=float)
@@ -248,7 +252,7 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
 
     return _bracket(shell_of.ravel(), np.stack([m.ravel() for m in mesh], axis=1),
                     ratios.ravel(), suffix_max[(np.arange(levels),) * d],
-                    np.stack(axes, axis=1), delta, divergence_floor)
+                    np.stack(axes, axis=1), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +268,16 @@ class _TailEstimate:
 
 
 def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
-                   tol: float, min_steps: int = 8,
-                   divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR,
-                   stable_steps: int = 3, growth_window: int = 8,
-                   growth_trigger: float = 4.0) -> _TailEstimate:
+                   tol: float) -> _TailEstimate:
     """Estimate the limit of g along a geometric ladder, extending adaptively.
 
-    Stops when the tail stabilizes (consecutive differences within tol),
-    when sustained geometric growth marks divergence to +inf, when the
-    tail crosses the divergence floor, or at the end of the ladder
-    (inconclusive).  The returned value is the running minimum, the
-    certified-style upper estimate when g is a ratio of a subadditive
-    function.
+    Stops when the tail stabilizes (at least 8 samples, the last 3
+    consecutive differences within tol), when sustained geometric growth
+    marks divergence to +inf (8 increasing positive samples rising at
+    least 4-fold), when the tail crosses the divergence floor, or at the
+    end of the ladder (inconclusive).  The returned value is the running
+    minimum, the certified-style upper estimate when g is a ratio of a
+    subadditive function.
     """
     samples: list[float] = []
     stable_run = 0
@@ -292,16 +294,16 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
         elif samples:
             stable_run = 0
         samples.append(v)
-        if len(samples) >= min_steps and stable_run >= stable_steps:
+        if len(samples) >= 8 and stable_run >= 3:
             return _TailEstimate(min(samples), CONVERGED, evals, x)
-        if v < divergence_floor:
+        if v < DIVERGENCE_FLOOR:
             return _TailEstimate(-math.inf, DIVERGING_MINUS, evals, None)
-        if v > -divergence_floor and len(samples) >= 2 and v > samples[-2]:
+        if v > -DIVERGENCE_FLOOR and len(samples) >= 2 and v > samples[-2]:
             return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
-        if len(samples) >= max(growth_window, min_steps):
-            window = samples[-growth_window:]
+        if len(samples) >= 8:
+            window = samples[-8:]
             increasing = all(a < b for a, b in zip(window, window[1:]))
-            if increasing and window[0] > 0 and window[-1] >= growth_trigger * window[0]:
+            if increasing and window[0] > 0 and window[-1] >= 4.0 * window[0]:
                 return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
     return _TailEstimate(min(samples), INCONCLUSIVE, evals, None)
 
@@ -354,8 +356,7 @@ def _level_tol(delta: float, depth: int) -> float:
 
 
 def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Sequence[int],
-                  schedule: GridSchedule, delta: float, *,
-                  divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR,
+                  schedule: GridSchedule, delta: float,
                   ) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
                              list[list[_TailEstimate]]]:
     """One adaptive tail per axis, nested: axes[0] outermost, axes[-1] innermost.
@@ -386,8 +387,7 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
                 _require_finite(point, denominator)
             return oracle.evaluate(point) / denominator
 
-        est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth),
-                             divergence_floor=divergence_floor)
+        est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth))
         sweeps[depth].append(est)
         return est
 
@@ -395,8 +395,7 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
 
 
 def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
-                   schedule: GridSchedule | None = None, delta: float = 0.01, *,
-                   divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> IteratedLimit:
+                   schedule: GridSchedule | None = None, delta: float = 0.01) -> IteratedLimit:
     """Nested one-variable limits of f(x)/prod(x) in the given axis order.
 
     order[0] is the outermost limit variable and order[-1] the
@@ -407,15 +406,13 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
     tolerances halve with depth so the compounded error stays near
     delta; the result carries the worst level status.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    _require_delta(delta)
     _require_main_orthant(oracle)
     d = oracle.domain.dim
     if sorted(order) != list(range(d)):
         raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
     estimate, sweeps = _nested_tails(oracle, tuple(order), range(d),
-                                     schedule or default_schedule(d), delta,
-                                     divergence_floor=divergence_floor)
+                                     _schedule(schedule, d), delta)
     top = estimate({})
     levels = tuple(
         LevelSummary(axis=order[depth], status=_worst_status([e.status for e in runs]),
@@ -452,21 +449,18 @@ def _path_points(ts: Sequence[float],
 
 
 def _path_bracket(oracle: FunctionOracle, ts: Sequence[float], points: np.ndarray,
-                  scales: Sequence[float], delta: float,
-                  divergence_floor: float) -> LimitBracket:
+                  scales: Sequence[float], delta: float) -> LimitBracket:
     """Bracket the ratios f(points[k])/scales[k]; sample k is shell k, at parameter ts[k]."""
     _require_finite(points, scales)
     ratio_arr = (np.array([oracle.evaluate(p) for p in points.tolist()], dtype=float)
                  / np.asarray(scales, dtype=float))
     return _bracket(np.arange(len(ratio_arr)), points, ratio_arr,
                     np.maximum.accumulate(ratio_arr[::-1])[::-1],
-                    np.array(ts, dtype=float).reshape(-1, 1), delta, divergence_floor)
+                    np.array(ts, dtype=float).reshape(-1, 1), delta)
 
 
 def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], float]],
-                   schedule: GridSchedule | None = None,
-                   delta: float = 0.01, *,
-                   divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> LimitBracket:
+                   schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
     """Bracket the limit along a parametrized path x(t) with every axis diverging.
 
     Any such path is a subnet of the product-order net, so for a
@@ -474,8 +468,7 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
     simultaneous one and its sampled infimum already equals the global
     infimum on identity-style integer diagonals.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    _require_delta(delta)
     _require_main_orthant(oracle)
     d = oracle.domain.dim
     if len(paths) != d:
@@ -495,8 +488,7 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
 
     if oracle.domain.integer:
         coords = np.round(coords)  # half to even, as round(); inf stays inf
-    return _path_bracket(oracle, ts, coords, [math.prod(c) for c in coords.tolist()],
-                         delta, divergence_floor)
+    return _path_bracket(oracle, ts, coords, [math.prod(c) for c in coords.tolist()], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +602,7 @@ def verify_decomposition_bound(oracle: FunctionOracle,
 # ---------------------------------------------------------------------------
 
 def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
-                  schedule: GridSchedule | None = None, delta: float = 0.01, *,
-                  divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> LimitBracket:
+                  schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
     """Bracket the ratio-net limit on an arbitrary orthant via reflection.
 
     Reflecting the orthant onto the main one preserves componentwise
@@ -638,7 +629,7 @@ def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
         fn=reflected,
         claims_componentwise_subadditive=oracle.claims_componentwise_subadditive,
     )
-    base = simultaneous_limit(mirror, schedule, delta, divergence_floor=divergence_floor)
+    base = simultaneous_limit(mirror, schedule, delta)
     threshold = (tuple(c * s for c, s in zip(base.threshold_point, signs))
                  if base.threshold_point else None)
     reflected_base = replace(base, threshold_point=threshold, points=base.points * signs)
@@ -652,16 +643,14 @@ def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
 
 
 def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
-              schedule: GridSchedule | None = None, delta: float = 0.01, *,
-              divergence_floor: float = DEFAULT_DIVERGENCE_FLOOR) -> LimitBracket:
+              schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
     """One-dimensional bracket for f(t * direction)/t as t grows.
 
     For a jointly subadditive f the restriction g(t) = f(t * direction)
     is subadditive in t, so g(t)/t converges to its infimum and the
     usual bracket semantics apply along the ray.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    _require_delta(delta)
     dirp = as_point(direction)
     if dirp.dim != oracle.domain.dim:
         raise DimensionMismatchError(
@@ -670,7 +659,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
         raise DomainError("direction must be nonzero")
     ts = _path_schedule(schedule, "ray").axis_values(0)
     return _path_bracket(oracle, ts, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
-                         delta, divergence_floor)
+                         delta)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +713,7 @@ def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
     keys + limit axes + the probe axis cover every axis exactly once.
     Divergence at a probe point is flagged per entry, not raised.
     """
+    _require_delta(delta)
     d = oracle.domain.dim
     claimed = sorted([probe_axis, *limit_axes, *fixed])
     if claimed != list(range(d)):
@@ -733,7 +723,7 @@ def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
     if not limit_axes:
         raise DomainError("need at least one limit axis")
     estimate, _ = _nested_tails(oracle, tuple(limit_axes), tuple(limit_axes),
-                                schedule or default_schedule(d), delta)
+                                _schedule(schedule, d), delta)
     entries: list[tuple[float, float, str]] = []
     for v in probe_values:
         est = estimate({**fixed, probe_axis: float(v)})

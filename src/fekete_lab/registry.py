@@ -361,16 +361,9 @@ class TabulatedFunction:
             index = index * len(axis) + i
         return self.values[index]
 
-    def to_oracle(self, name: str = "tabulated", *,
-                  claims_componentwise_subadditive: bool = False,
-                  claims_joint_subadditive: bool = False) -> FunctionOracle:
-        return FunctionOracle(
-            name=name,
-            domain=Domain(dim=self.dim, grid_axes=self.axes),
-            fn=self.lookup,
-            claims_componentwise_subadditive=claims_componentwise_subadditive,
-            claims_joint_subadditive=claims_joint_subadditive,
-        )
+    def to_oracle(self, name: str = "tabulated") -> FunctionOracle:
+        return FunctionOracle(name=name, domain=Domain(dim=self.dim, grid_axes=self.axes),
+                              fn=self.lookup)
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "axes": [list(a) for a in self.axes],
@@ -389,7 +382,7 @@ def _parse_tabulated(obj: dict) -> TabulatedFunction:
     return TabulatedFunction(axes=axes, values=values)
 
 
-def load_tabulated(path: str | Path, name: str | None = None) -> FunctionOracle:
+def load_tabulated(path: str | Path) -> FunctionOracle:
     """Load a tabulated oracle from JSON {"dim", "axes", "values"} (row-major)."""
     path = Path(path)
     try:
@@ -397,7 +390,7 @@ def load_tabulated(path: str | Path, name: str | None = None) -> FunctionOracle:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read tabulated function from {path}: {exc}") from exc
     table = _parse_tabulated(obj)
-    return table.to_oracle(name or path.stem)
+    return table.to_oracle(path.stem)
 
 
 def write_tabulated(path: str | Path, table: TabulatedFunction) -> None:
@@ -421,8 +414,7 @@ class FiniteSetFunction:
         return as_extended(self.fn(s))
 
 
-def set_function_from_integer(oracle: FunctionOracle,
-                              name: str | None = None) -> FiniteSetFunction:
+def set_function_from_integer(oracle: FunctionOracle) -> FiniteSetFunction:
     """Lift an integer function to sets via cardinality: g(A) = f(|A|), g({}) = 0.
 
     The lift is invariant under translating A, but it need not preserve
@@ -436,7 +428,7 @@ def set_function_from_integer(oracle: FunctionOracle,
             return 0.0
         return oracle.evaluate((float(len(s)),))
 
-    return FiniteSetFunction(name=name or f"{oracle.name}_of_cardinality", fn=g)
+    return FiniteSetFunction(name=f"{oracle.name}_of_cardinality", fn=g)
 
 
 def cardinality_set_function() -> FiniteSetFunction:

@@ -67,7 +67,8 @@ __all__ = [
 
 MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
 CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
-STATE_CAP_BITS = 48.0  # frontier window * log2(a) <= this
+STATE_CAP_BITS = 48.0  # (frontier window + 1) * log2(a) <= this: the pairs of a
+                       # window and a new symbol one cell's step may visit
 
 
 class CapExceededError(ConfigError):
@@ -164,6 +165,8 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
     s at cell k completes that translate exactly when
     (window << b) & mask == value.  Returns the per-cell, per-symbol test
     lists, the frontier span (how far back any check can reach) and b.
+    Both caps are checked before any per-cell or per-symbol list is
+    built, so a box or alphabet past them fails at once.
     """
     d = sft.dim
     strides = [0] * d
@@ -177,8 +180,7 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
     def rm(coord: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(coord, strides))
 
-    checks: list[list[list[tuple[int, int]]]] = [
-        [[] for _ in range(sft.alphabet)] for _ in range(cells)]
+    compiled = []  # (mask, value, symbol at the last cell, placement ranges)
     span = 0
     for pat in sft.forbidden:
         if any(pat.extent(axis) > sides[axis] for axis in range(d)):
@@ -201,6 +203,20 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
         # the placements that keep every cell inside the box
         fits = [range(-min(r[i] for r in rel), sides[i] - max(r[i] for r in rel))
                 for i in range(d)]
+        compiled.append((mask, value, last, fits))
+
+    log2a = math.log2(sft.alphabet)
+    if cells * log2a > CELL_CAP_BITS:
+        raise CapExceededError(
+            f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
+            f"{CELL_CAP_BITS}-bit cell cap")
+    if (span + 1) * log2a > STATE_CAP_BITS:
+        raise CapExceededError(
+            f"frontier window of {span} cells and a new cell over {sft.alphabet} symbols "
+            f"exceed the {STATE_CAP_BITS}-bit state cap")
+    checks: list[list[list[tuple[int, int]]]] = [
+        [[] for _ in range(sft.alphabet)] for _ in range(cells)]
+    for mask, value, last, fits in compiled:
         for cell_coord in itertools.product(*fits):
             checks[rm(cell_coord)][last].append((mask, value))
     return checks, span, bits
@@ -221,16 +237,7 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
     sum of the last layer.
     """
     sides = _validate_sides(sft, sides)
-    cells = math.prod(sides)
-    log2a = math.log2(sft.alphabet)
-    if cells * log2a > CELL_CAP_BITS:
-        raise CapExceededError(
-            f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
-            f"{CELL_CAP_BITS}-bit cell cap")
     checks, span, bits = _placements(sft, sides)
-    if span * log2a > STATE_CAP_BITS:
-        raise CapExceededError(
-            f"frontier window of {span} cells exceeds the {STATE_CAP_BITS}-bit state cap")
 
     keep = (1 << (bits * span)) - 1
     layer: dict[int, int] = {0: 1}
@@ -535,6 +542,8 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
         try:
             count = count_patterns(sft, sides).count
         except CapExceededError:
+            if not entries:
+                raise  # even the unit box is past a cap
             truncated = True
             break
         log_value = _log_count(count, sft.alphabet)
@@ -549,8 +558,6 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
         entries.append(EntropyEntry(sides=sides, count=count, log_value=log_value,
                                     ratio=ratio, running_min=running,
                                     transfer_upper=upper))
-    if not entries:
-        raise CapExceededError("even the unit box exceeds the configured caps")
     transfer_value = None
     if sft.dim == 1:
         _, matrix = transfer_matrix_1d(sft)

@@ -29,10 +29,11 @@ def _finite(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
     return [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if lo == hi:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _fmt(v: float) -> str:
@@ -45,8 +46,8 @@ def _escape(text: str) -> str:
 
 
 def line_plot_svg(series: Sequence[PlotSeries], *, title: str, xlabel: str,
-                  ylabel: str, width: int = 640, height: int = 420,
-                  timestamp: str | None = None) -> str:
+                  ylabel: str, timestamp: str | None = None) -> str:
+    width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
+import resource
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +274,87 @@ def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
 def test_nonpositive_delta_exits_two(tmp_path, capsys, extra):
     assert run(["limit", "--fn", "sqrt_prod", *extra, "--out", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: delta must be positive")
+
+
+# input files for the argument-error cases, written to the working directory
+ARGUMENT_ERROR_INPUTS = {
+    "sets_sqrt.json": {"base": "sqrt_prod", "sets": [[1, 2], [2, 3]]},  # not an integer oracle
+    "short.json": {"dim": 1, "axes": [[1, 2, 3]], "values": [1, 2]},
+    "decreasing.json": {"dim": 1, "axes": [[3, 2, 1]], "values": [1, 2, 3]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "limit --fn sqrt_prod --direction=-1,1",
+    "limit --fn sqrt_prod --direction=0,0",
+    "limit --fn sqrt_prod --direction=1,1,1",
+    "limit --fn sqrt_prod --diagonal=-1,1",
+    "limit --fn sqrt_prod --diagonal=0.1,1",
+    "limit --fn sqrt_prod --diagonal=1,2,3",
+    "limit --fn sqrt_prod --base 1",
+    "limit --fn sqrt_prod --base 1,1,1 --iterated 1,2",
+    "levelset --fn sqrt_prod --anchors 1,1 --method foo",
+    "levelset --fn sqrt_prod --anchors 1,1 --cells 1",
+    "levelset --fn sqrt_prod --anchors 1,1 --method mc --samples 5",
+    "levelset --fn sqrt_prod --anchors=-1,1",
+    "levelset --fn sqrt_prod --anchors 1,1,1",
+    "levelset --fn nmod2 --anchors 1",
+    "check --fn abs --mode shift",
+    "check --fn sqrt_prod --mode monoid",
+    "check --fn abs --count 0",
+    "check --mode set_union --sets sets_sqrt.json",
+    "check --table short.json",
+    "check --table decreasing.json",
+])
+def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # the library's own DomainError or DimensionMismatchError is a usage error
+    for name, obj in ARGUMENT_ERROR_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv.split(), "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_alphabet_past_the_state_cap_fails_before_allocating(tmp_path):
+    # 2^49 symbols: the unit box passes the cell cap, but one cell's step
+    # over the whole alphabet is past the state cap
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"alphabet": 2 ** 49, "dim": 1, "forbidden": [
+        {"offsets": [[0], [1]], "symbols": [1, 1]}]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "fekete_lab.cli", "entropy", "--sft", str(spec),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "state cap" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_commands(),
+                         ids=lambda line: line.partition("#")[0].strip())
+def test_readme_command_line_runs(tmp_path, line):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "fekete-lab"
+    code = run([*argv[1:], "--out", tmp_path, "--no-timestamp"])
+    stated = re.search(r"exit (\d)", comment)
+    if stated:
+        assert code == int(stated.group(1))
+    else:
+        assert code in (0, 3)  # a finding at most, never a usage or internal error
 
 
 def test_atomic_write_ignores_a_stale_fixed_temp_name(tmp_path):

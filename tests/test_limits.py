@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from fekete_lab.domain import DomainError, GridSchedule, Orthant, Point
+from fekete_lab.domain import DimensionMismatchError, DomainError, GridSchedule, Orthant, Point
 from fekete_lab.ioutil import csv_text
 from fekete_lab.limits import (
     CONVERGED,
@@ -88,13 +88,10 @@ def test_known_limits_are_bracketed_and_reached():
 
 
 def test_crafted_divergence_flag():
-    # ratio at x is -x: crosses any configured floor once the ladder is deep enough
+    # ratio at x is -x: crosses the divergence floor once the ladder is deep enough
     oracle = FunctionOracle(name="neg_square",
                             domain=Domain(dim=1, orthant=Orthant.main(1)),
                             fn=lambda p: -p[0] * p[0])
-    bracket = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,)), levels=20),
-                                 divergence_floor=-1e5)
-    assert bracket.status == DIVERGING_MINUS
     deep = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,)), levels=45))
     assert deep.status == DIVERGING_MINUS  # default floor -1e12 crossed at 2^45
 
@@ -459,3 +456,31 @@ def test_iterated_limit_in_four_dimensions():
     assert result.status == CONVERGED
     assert abs(result.value - 1.0) <= 0.05 and result.value >= 1.0
     assert [level.axis for level in result.levels] == [3, 1, 0, 2]
+
+
+# every limit estimator, called with the given tolerance and schedule on sqrt_prod
+ESTIMATORS = {
+    "simultaneous": lambda delta, schedule=None: simultaneous_limit(SQRT, schedule, delta),
+    "orthant": lambda delta, schedule=None: orthant_limit(SQRT, None, schedule, delta),
+    "iterated": lambda delta, schedule=None: iterated_limit(SQRT, (0, 1), schedule, delta),
+    "diagonal": lambda delta, schedule=None: diagonal_limit(
+        SQRT, [lambda t: t, lambda t: t], schedule, delta),
+    "ray": lambda delta, schedule=None: ray_limit(SQRT, (1.0, 1.0), schedule, delta),
+    "inner_profile": lambda delta, schedule=None: inner_limit_profile(
+        SQRT, {}, limit_axes=(1,), probe_axis=0, probe_values=[1.0], delta=delta,
+        schedule=schedule),
+}
+
+
+@pytest.mark.parametrize("name, delta", [*((name, math.nan) for name in sorted(ESTIMATORS)),
+                                         ("inner_profile", 0.0)])
+def test_every_estimator_refuses_a_nan_or_nonpositive_delta(name, delta):
+    with pytest.raises(DomainError, match="delta must be positive"):
+        ESTIMATORS[name](delta)
+
+
+@pytest.mark.parametrize("name", ["iterated", "inner_profile"])
+@pytest.mark.parametrize("base", [(1.0,), (1.0, 1.0, 1.0)])
+def test_grid_estimators_refuse_a_schedule_of_the_wrong_dimension(name, base):
+    with pytest.raises(DimensionMismatchError, match="schedule of dimension"):
+        ESTIMATORS[name](0.01, GridSchedule(base=Point(base), levels=6))
