@@ -274,7 +274,10 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
     checked, of hits and of distinct hits.
     """
     domain, d = oracle.domain, oracle.domain.dim
-    inside = domain._member_mask
+
+    def inside(rows: np.ndarray) -> np.ndarray:
+        return domain._member_mask(rows.T)
+
     f = _evaluator(oracle, kind)
     probes = _probe_points(domain)
     m = len(probes)
@@ -288,8 +291,6 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         pairs[:, d:] = np.where(np.arange(d) == axis, pairs[:, d:], pairs[:, :d])
         keep &= inside(pairs[:, d:])
     pairs, probe = pairs[keep], probe[keep]
-    if not (inside(pairs[:, :d]) & inside(pairs[:, d:])).all():
-        raise EvaluationError(f"{kind} check: sampled points leave the domain of {oracle.name!r}")
     lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:])
     hit = _exceeds(lhs, rhs)
     listed, probed, distinct = _strongest(pairs[hit], lhs[hit] - rhs[hit], probe[hit])
@@ -445,7 +446,7 @@ def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,
     shifted = FunctionOracle(
         name=f"{oracle.name}_shifted_by_{shift}",
         domain=oracle.domain,
-        fn=lambda p: oracle.evaluate((p[0] + shift,)),
+        array_fn=lambda n: oracle.evaluate_points([n + shift]),
     )
     report = check_joint(shifted, budget)
     return replace(report, metadata={**report.metadata, "shift": shift})

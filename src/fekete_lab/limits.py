@@ -452,8 +452,7 @@ def _path_bracket(oracle: FunctionOracle, ts: Sequence[float], points: np.ndarra
                   scales: Sequence[float], delta: float) -> LimitBracket:
     """Bracket the ratios f(points[k])/scales[k]; sample k is shell k, at parameter ts[k]."""
     _require_finite(points, scales)
-    ratio_arr = (np.array([oracle.evaluate(p) for p in points.tolist()], dtype=float)
-                 / np.asarray(scales, dtype=float))
+    ratio_arr = oracle.evaluate_points(list(points.T)) / np.asarray(scales, dtype=float)
     return _bracket(np.arange(len(ratio_arr)), points, ratio_arr,
                     np.maximum.accumulate(ratio_arr[::-1])[::-1],
                     np.array(ts, dtype=float).reshape(-1, 1), delta)
@@ -583,15 +582,13 @@ def verify_decomposition_bound(oracle: FunctionOracle,
                               f"x={px[i]!r}, t={pt[i]!r}")
     decomp = [qr_decompose(px[i], pt[i]) for i in range(d)]
 
-    terms: list[DecompositionTerm] = []
-    for bits in itertools.product((0, 1), repeat=d):
-        coeff = math.prod(decomp[i].q if bits[i] else 1 for i in range(d))
-        point = tuple(decomp[i].t if bits[i] else decomp[i].r for i in range(d))
-        value = oracle.evaluate(point)
-        terms.append(DecompositionTerm(bits=bits, coefficient=coeff,
-                                       point=point, value=value))
+    words = list(itertools.product((0, 1), repeat=d))
+    points = [tuple(decomp[i].t if w[i] else decomp[i].r for i in range(d)) for w in words]
+    *values, lhs = oracle.evaluate_points(list(np.array([*points, px.coords]).T)).tolist()
+    terms = [DecompositionTerm(bits=w, point=point, value=value,
+                               coefficient=math.prod(decomp[i].q for i in range(d) if w[i]))
+             for w, point, value in zip(words, points, values)]
     rhs = ext_sum(term.contribution for term in terms)
-    lhs = oracle.evaluate(px)
     holds = lhs <= rhs + violation_tolerance(lhs, rhs)
     return DecompositionBound(x=tuple(px), t=tuple(pt), lhs=lhs, rhs=rhs,
                               holds=holds, terms=tuple(terms))
@@ -619,14 +616,10 @@ def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
         raise DimensionMismatchError(f"orthant word of length {w.dim} vs oracle {d}")
 
     signs = tuple(w.sign(i) for i in range(d))
-
-    def reflected(p: Point) -> float:
-        return oracle.evaluate(tuple(c * s for c, s in zip(p, signs)))
-
     mirror = FunctionOracle(
         name=f"{oracle.name}_on_{w}",
         domain=Domain(dim=d, orthant=Orthant.main(d), integer=oracle.domain.integer),
-        fn=reflected,
+        array_fn=lambda *cols: oracle.evaluate_points([c * s for c, s in zip(cols, signs)]),
         claims_componentwise_subadditive=oracle.claims_componentwise_subadditive,
     )
     base = simultaneous_limit(mirror, schedule, delta)

@@ -7,6 +7,10 @@ to the checkers and estimators, never conclusions: the checkers exist to
 refute them and the estimators only certify their brackets when the
 componentwise claim is trusted.
 
+Every evaluation takes one path, FunctionOracle.evaluate_points: it checks
+domain membership, calls array_fn on the coordinate arrays (or fn per
+point), and refuses NaN.  Each built-in is defined once, over arrays.
+
 Oracles are immutable and evaluation is pure, so they are safe to share
 across threads.
 """
@@ -80,17 +84,17 @@ class Domain:
             raise DimensionMismatchError("one grid axis per dimension required")
 
     def contains(self, point: Point) -> bool:
-        if point.dim != self.dim:
-            raise DimensionMismatchError(
-                f"point of dimension {point.dim} vs domain of dimension {self.dim}"
-            )
-        return bool(self._member_mask(np.array([point.coords]))[0])
+        return bool(self._member_mask(np.array([point.coords]).T)[0])
 
-    def _member_mask(self, points: np.ndarray) -> np.ndarray:
-        """Membership of each row of points, the one rule behind contains: finite,
-        integral on integer domains, then on the grid if any, else in the orthant."""
-        inside = np.ones(len(points), dtype=bool)
-        for i, c in enumerate(points.T):
+    def _member_mask(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Membership of each point whose axis-i coordinates form columns[i], the
+        one rule of the domain: as many columns as axes, finite, integral on
+        integer domains, then on the grid if any, else in the orthant."""
+        if len(columns) != self.dim:
+            raise DimensionMismatchError(
+                f"point of dimension {len(columns)} vs domain of dimension {self.dim}")
+        inside = np.ones(len(columns[0]), dtype=bool)
+        for i, c in enumerate(columns):
             inside &= np.isfinite(c)
             if self.integer:
                 inside &= c == np.floor(c)
@@ -111,31 +115,45 @@ class KnownLimit:
 
 @dataclass(frozen=True)
 class FunctionOracle:
+    """A named function on a declared domain, with the claims made about it.
+
+    Give fn (one Point to its value) or array_fn (coordinate arrays, one per
+    axis, to the values).  Every evaluation checks domain membership, then
+    calls array_fn if given, else fn per point, then refuses NaN.
+    """
+
     name: str
     domain: Domain
-    fn: Callable[[Point], float]
+    fn: Callable[[Point], float] | None = None
     claims_componentwise_subadditive: bool = False
     claims_joint_subadditive: bool = False
     known_limit: KnownLimit | None = None
-    # optional vectorized fn over coordinate arrays (one per axis); it must
-    # agree with fn bit for bit, since batch evaluation uses it instead
     array_fn: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.fn is None and self.array_fn is None:
+            raise ConfigError(f"oracle {self.name!r} needs fn or array_fn")
+
     def evaluate(self, point: Point | Sequence[float] | float) -> float:
-        p = as_point(point)
-        if not self.domain.contains(p):
-            raise DomainError(f"{tuple(p)} is outside the domain of {self.name!r}")
-        return as_extended(self.fn(p))
+        """f at one point: evaluate_points on a single row."""
+        return float(self.evaluate_points(np.array(as_point(point).coords)[:, None])[0])
 
     def evaluate_points(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate at the in-domain points (unchecked) whose axis-i coordinates
-        form the 1-D array columns[i]; with array_fn if present, else fn by point."""
+        """f at the points whose axis-i coordinates form the 1-D array columns[i],
+        by the one path of the class docstring.  Overflow to +-inf is a legal
+        extended real, so it raises no warning."""
         cols = [np.asarray(c, dtype=float) for c in columns]
-        if self.array_fn is not None:
-            values = np.asarray(self.array_fn(*cols), dtype=float)
-        else:
-            values = np.array([self.fn(Point(p)) for p in zip(*(c.tolist() for c in cols))],
-                              dtype=float)
+        inside = self.domain._member_mask(cols)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            raise DomainError(f"{tuple(float(c[j]) for c in cols)} is outside the domain "
+                              f"of {self.name!r}")
+        with np.errstate(over="ignore"):
+            if self.array_fn is not None:
+                values = np.asarray(self.array_fn(*cols), dtype=float)
+            else:
+                values = np.array([self.fn(Point(p)) for p in zip(*(c.tolist() for c in cols))],
+                                  dtype=float)
         nan = np.isnan(values)
         if nan.any():
             j = int(np.argmax(nan))
@@ -195,19 +213,13 @@ def rubin_eval(coords: Sequence[Fraction | int | object]) -> float:
     return float(min(values))
 
 
-def _rubin_point_eval(point: Point) -> float:
-    # Float coordinates are only accepted when integral (exactly the
-    # integer they denote); anything else must go through rubin_eval
-    # with exact Fraction inputs.
-    exact: list[int] = []
-    for c in point:
-        if c != int(c):
-            raise EvaluationError(
-                "rubin_min_denominator needs exact rational inputs; "
-                "use rubin_eval with Fraction coordinates"
-            )
-        exact.append(int(c))
-    return rubin_eval(exact)
+def _rubin_points(*columns: np.ndarray) -> np.ndarray:
+    # Float coordinates are only accepted when integral (denominator 1);
+    # anything else must go through rubin_eval with exact Fraction inputs.
+    if any((c != np.floor(c)).any() for c in columns):
+        raise EvaluationError("rubin_min_denominator needs exact rational inputs; "
+                              "use rubin_eval with Fraction coordinates")
+    return np.ones(len(columns[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +238,6 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "sqrt_prod": lambda: FunctionOracle(
         name="sqrt_prod",
         domain=_main_real(2),
-        fn=lambda p: math.sqrt(p[0] * p[1]),
         array_fn=lambda x1, x2: np.sqrt(x1 * x2),
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=False,
@@ -238,7 +249,6 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "neg_x1_sqrt_x2": lambda: FunctionOracle(
         name="neg_x1_sqrt_x2",
         domain=_main_real(2),
-        fn=lambda p: -p[0] * math.sqrt(p[1]),
         array_fn=lambda x1, x2: -x1 * np.sqrt(x2),
         claims_componentwise_subadditive=False,
         claims_joint_subadditive=True,
@@ -247,14 +257,13 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "rubin_min_denominator": lambda: FunctionOracle(
         name="rubin_min_denominator",
         domain=_main_real(2),
-        fn=_rubin_point_eval,
+        array_fn=_rubin_points,
         claims_componentwise_subadditive=False,
         claims_joint_subadditive=False,
     ),
     "x1sq_sqrt_x2": lambda: FunctionOracle(
         name="x1sq_sqrt_x2",
         domain=_main_real(2),
-        fn=lambda p: p[0] * p[0] * math.sqrt(p[1]),
         array_fn=lambda x1, x2: x1 * x1 * np.sqrt(x2),
         claims_componentwise_subadditive=False,
         claims_joint_subadditive=False,
@@ -262,7 +271,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "nmod2": lambda: FunctionOracle(
         name="nmod2",
         domain=Domain(dim=1, orthant=None, integer=True),
-        fn=lambda p: float(int(p[0]) % 2),
+        array_fn=lambda n: np.remainder(n, 2.0),
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=True,
         known_limit=KnownLimit(0.0, "analytic: (n mod 2)/n vanishes along even n"),
@@ -270,7 +279,6 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "full_shift_count_log": lambda: FunctionOracle(
         name="full_shift_count_log",
         domain=_main_int(2),
-        fn=lambda p: p[0] * p[1],
         array_fn=lambda x1, x2: x1 * x2,
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=False,
@@ -279,8 +287,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "ceiling": lambda: FunctionOracle(
         name="ceiling",
         domain=Domain(dim=1, orthant=None, integer=False),
-        fn=lambda p: float(math.ceil(p[0])),
-        # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into fn's 0.0
+        # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into 0.0
         array_fn=lambda x: np.ceil(x) + 0.0,
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=True,
@@ -289,8 +296,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     "abs": lambda: FunctionOracle(
         name="abs",
         domain=Domain(dim=1, orthant=None, integer=False),
-        fn=lambda p: abs(p[0]),
-        array_fn=lambda x: np.abs(x),
+        array_fn=np.abs,
         claims_componentwise_subadditive=True,
         claims_joint_subadditive=True,
         known_limit=KnownLimit(1.0, "analytic: |x|/x = 1 for x > 0"),
@@ -349,21 +355,13 @@ class TabulatedFunction:
     def dim(self) -> int:
         return len(self.axes)
 
-    def lookup(self, point: Point) -> float:
-        index = 0
-        for c, axis in zip(point, self.axes):
-            try:
-                i = axis.index(c)
-            except ValueError:
-                raise DomainError(
-                    f"coordinate {c!r} is off-grid for axis {axis!r}; no interpolation"
-                ) from None
-            index = index * len(axis) + i
-        return self.values[index]
-
     def to_oracle(self, name: str = "tabulated") -> FunctionOracle:
-        return FunctionOracle(name=name, domain=Domain(dim=self.dim, grid_axes=self.axes),
-                              fn=self.lookup)
+        # the domain admits only grid points, so searchsorted finds each coordinate
+        axes = [np.array(axis) for axis in self.axes]
+        values = np.array(self.values).reshape([len(axis) for axis in axes])
+        return FunctionOracle(
+            name=name, domain=Domain(dim=self.dim, grid_axes=self.axes),
+            array_fn=lambda *cols: values[tuple(map(np.searchsorted, axes, cols))])
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "axes": [list(a) for a in self.axes],

@@ -417,3 +417,22 @@ def test_exhaustive_reports_count_what_they_list():
     g = set_function_from_integer(builtin("nmod2"))
     report = check_set_union(g, [[1, 2], [2, 3], [2, 3]])
     assert report.violation_count == report.hit_count == len(report.violations) == 1
+
+
+def test_shifted_translate_evaluates_the_oracle_once_per_batch(monkeypatch):
+    batches, calls = [], []
+    evaluate_points = FunctionOracle.evaluate_points
+    monkeypatch.setattr(FunctionOracle, "evaluate_points", lambda self, columns: (
+        batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
+    nmod3 = FunctionOracle(name="nmod3", domain=Domain(dim=1, integer=True),
+                           fn=lambda p: float(int(p[0]) % 3),
+                           array_fn=lambda n: calls.append(len(n)) or np.remainder(n, 3.0))
+    report = check_shifted_subadditivity(nmod3, 1, SampleBudget(count=2000, seed=5))
+    shifted = [n for name, n in batches if name == "nmod3_shifted_by_1"]
+    assert len(shifted) >= 3 and [n for name, n in batches if name == "nmod3"] == shifted
+    assert calls == shifted
+    # pinned from the per-point translate this replaced
+    assert (report.violation_count, report.hit_count, report.samples_checked) == (229, 231, 2025)
+    assert len(report.violations) == 24
+    assert report.violations[0].witness == ((-100.0,), (-19.0,))
+    assert report.violations[-1].witness == ((68.0,), (-37.0,))

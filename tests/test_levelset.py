@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fekete_lab.domain import DomainError, Point
+from fekete_lab.domain import DomainError, Orthant, Point
 from fekete_lab.levelset import (
     LevelSetSpec,
     check_levelset_lemma,
@@ -145,3 +145,16 @@ def test_rational_box_scan_grows_without_bound():
     assert small.minimum >= 1
     x, y = small.argmax
     assert min(x.denominator, y.denominator) == small.maximum
+
+
+def test_levelset_checks_membership_of_every_evaluated_point():
+    # the grid lies in the main quadrant, off this oracle's orthant
+    off = FunctionOracle(name="one_on_10", domain=Domain(dim=2, orthant=Orthant((1, 0))),
+                         fn=lambda p: 1.0)
+    with pytest.raises(DomainError):
+        levelset_measure(off, LevelSetSpec(t=Point((1.0, 1.0)), k=0.5), "grid", cells=4)
+
+
+def test_compact_scan_off_the_domain_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"\(-1\.0, 1\.0\) is outside the domain"):
+        compact_bound_scan(SQRT, [(-1.0, 1.0), (1.0, 2.0)])

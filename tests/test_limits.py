@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -484,3 +485,29 @@ def test_every_estimator_refuses_a_nan_or_nonpositive_delta(name, delta):
 def test_grid_estimators_refuse_a_schedule_of_the_wrong_dimension(name, base):
     with pytest.raises(DimensionMismatchError, match="schedule of dimension"):
         ESTIMATORS[name](0.01, GridSchedule(base=Point(base), levels=6))
+
+
+def test_orthant_mirror_evaluates_the_oracle_once_per_batch(monkeypatch):
+    batches, calls = [], []
+    evaluate_points = FunctionOracle.evaluate_points
+    monkeypatch.setattr(FunctionOracle, "evaluate_points", lambda self, columns: (
+        batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
+    oracle = FunctionOracle(
+        name="sqrt_on_10", domain=Domain(dim=2, orthant=Orthant.from_string("10")),
+        fn=lambda p: math.sqrt(-p[0] * p[1]),
+        array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(-x1 * x2),
+        claims_componentwise_subadditive=True)
+    bracket = orthant_limit(oracle, schedule=schedule2(levels=8))
+    assert batches == [("sqrt_on_10_on_10", 81), ("sqrt_on_10", 81)] and calls == [81]
+    # pinned from the per-point mirror this replaced
+    assert bracket.to_json_dict() == {
+        "sense": "sup", "best_upper": None, "best_lower": -0.00390625,
+        "tail_estimate": -0.00390625, "status": CONVERGED, "delta": 0.01, "shell": 7,
+        "R": [-128.0, 128.0], "evaluations": 81}
+    assert float(bracket.ratios.sum()).hex() == "-0x1.54c6fee0b46e8p+3"
+
+
+def test_estimators_raise_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        iterated_limit(MIXED, (1, 0))

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fekete_lab.domain import ConfigError, DomainError, EvaluationError
+from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from fekete_lab.registry import (
     IRRATIONAL,
+    Domain,
+    FunctionOracle,
     TabulatedFunction,
     builtin,
     builtin_names,
@@ -62,28 +65,79 @@ def test_domain_enforcement():
     assert nm.evaluate((-3,)) == 1.0
 
 
+def _rubin_reference(p) -> float:
+    if any(c != int(c) for c in p):
+        raise EvaluationError("rubin_min_denominator needs exact rational inputs; "
+                              "use rubin_eval with Fraction coordinates")
+    return rubin_eval([int(c) for c in p])
+
+
+# Scalar reference formulas for the built-ins, which are defined once over
+# coordinate arrays: evaluation must reproduce these bit for bit.
+SCALAR_REFERENCE = {
+    "sqrt_prod": lambda p: math.sqrt(p[0] * p[1]),
+    "neg_x1_sqrt_x2": lambda p: -p[0] * math.sqrt(p[1]),
+    "x1sq_sqrt_x2": lambda p: p[0] * p[0] * math.sqrt(p[1]),
+    "full_shift_count_log": lambda p: p[0] * p[1],
+    "ceiling": lambda p: float(math.ceil(p[0])),
+    "abs": lambda p: abs(p[0]),
+    "nmod2": lambda p: float(int(p[0]) % 2),
+    "rubin_min_denominator": _rubin_reference,
+}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_array_fn_matches_fn_bit_for_bit():
-    # batch evaluation uses array_fn in place of fn, so they must agree
-    # exactly, signed zeros included; sample 10k points per builtin, over
-    # both halves of every axis that is not restricted to an orthant
+    # every built-in's batch evaluation against its scalar reference,
+    # signed zeros included; 10k points per builtin, over both halves of
+    # every axis that is not restricted to an orthant, plus the extremes
+    assert set(SCALAR_REFERENCE) == set(builtin_names())
     counters = np.arange(10_000, dtype=np.uint64)
     for name in builtin_names():
         oracle = builtin(name)
-        if oracle.array_fn is None:
-            continue
         domain = oracle.domain
-        lo = -3.0 if domain.orthant is None else 0.01
+        whole = domain.orthant is None
+        integral = domain.integer or name == "rubin_min_denominator"
+        lo = -3.0 if whole else 0.01
         columns = []
         for i in range(domain.dim):
             c = uniform_in(77, counters * np.uint64(domain.dim) + np.uint64(i), lo, 100.0)
-            if domain.integer:
+            if integral:
                 c = np.ceil(c)
-            columns.append(c if domain.orthant is None else c * domain.orthant.sign(i))
-        if domain.orthant is None:  # ceiling's (-1, 0) included
+            c = np.concatenate([c, [1e300, 1.0] + ([-1e300, -0.0] if whole else [])])
+            columns.append(c if whole else c * domain.orthant.sign(i))
+        if whole and not domain.integer:  # ceiling's (-1, 0) included
             assert ((columns[0] > -1) & (columns[0] < 0)).sum() > 50
         batch = oracle.evaluate_points(columns)
-        scalar = np.array([oracle.evaluate(p) for p in zip(*(c.tolist() for c in columns))])
-        assert np.array_equal(batch.view(np.uint64), scalar.view(np.uint64)), name
+        scalar = [SCALAR_REFERENCE[name](p) for p in zip(*(c.tolist() for c in columns))]
+        assert _same_bits(batch, scalar), name
+    for p in [(1.5, 2.0), (2.0, 0.25)]:  # rubin's non-integral inputs, same error
+        with pytest.raises(EvaluationError) as batch:
+            builtin("rubin_min_denominator").evaluate(p)
+        with pytest.raises(EvaluationError) as scalar:
+            _rubin_reference(p)
+        assert str(batch.value) == str(scalar.value)
+
+
+def test_tabulated_lookup_matches_axis_index_bit_for_bit():
+    table = TabulatedFunction(axes=((-2.0, 0.0, 1.5), (0.25, 3.0), (-1.0, 7.0)),
+                              values=tuple(np.linspace(-5.5, 6.0, 12).tolist()[:-1]) + (-0.0,))
+    grid = [(x, y, z) for x in table.axes[0] for y in table.axes[1] for z in table.axes[2]]
+    rows = [grid[int(j)] for j in integer_in(5, np.arange(300, dtype=np.uint64), 0, 11)]
+    rows.append((-0.0, 3.0, 7.0))
+
+    def reference(p) -> float:
+        index = 0
+        for c, axis in zip(p, table.axes):
+            index = index * len(axis) + axis.index(c)
+        return table.values[index]
+
+    batch = table.to_oracle("t").evaluate_points(list(np.array(rows).T))
+    assert _same_bits(batch, [reference(p) for p in rows])
 
 
 def test_rubin_eval_examples():
@@ -189,3 +243,28 @@ def test_load_set_family(tmp_path):
     path.write_text(json.dumps({"base": "nmod2", "sets": []}))
     with pytest.raises(ConfigError):
         load_set_family(path)
+
+
+def test_evaluate_points_checks_dimension_and_membership():
+    sp = builtin("sqrt_prod")
+    with pytest.raises(DimensionMismatchError,
+                       match="point of dimension 3 vs domain of dimension 2"):
+        sp.evaluate_points([np.ones(4)] * 3)
+    with pytest.raises(DomainError) as scalar:
+        sp.evaluate((-1.0, 2.0))
+    with pytest.raises(DomainError) as batch:
+        sp.evaluate_points([np.array([1.0, -1.0, -2.0]), np.array([1.0, 2.0, 3.0])])
+    assert str(batch.value) == str(scalar.value)
+    assert str(scalar.value) == "(-1.0, 2.0) is outside the domain of 'sqrt_prod'"
+
+
+def test_oracle_needs_fn_or_array_fn():
+    with pytest.raises(ConfigError):
+        FunctionOracle(name="nothing", domain=Domain(dim=1))
+
+
+def test_overflow_to_inf_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert builtin("sqrt_prod").evaluate((1e300, 1e300)) == math.inf
+        assert builtin("full_shift_count_log").evaluate((1e300, 1e300)) == math.inf
