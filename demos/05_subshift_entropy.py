@@ -18,7 +18,6 @@ from fekete_lab import (
     count_patterns,
     dominant_eigenvalue,
     entropy_bounds,
-    folner_box_ratio,
     transfer_matrix_1d,
     transfer_matrix_count_1d,
 )
@@ -56,9 +55,9 @@ print("exact submultiplicativity of the counts:",
 
 print()
 print("== box sequences beyond cubes ==")
-ratios = folner_box_ratio(hard, [(2, 4), (4, 2), (3, 6), (6, 3)])
-for box, r in ratios:
-    print(f"  box {box}: ratio {r:.6f}")
+for box in [(2, 4), (4, 2), (3, 6), (6, 3)]:
+    ratio = math.log2(count_patterns(hard, box).count) / math.prod(box)
+    print(f"  box {box}: ratio {ratio:.6f}")
 print("transposed boxes agree because the rule set is symmetric")
 
 print()

@@ -32,7 +32,6 @@ _EXPORTS = {
         "Domain", "FiniteSetFunction", "FunctionOracle", "IRRATIONAL", "KnownLimit",
         "TabulatedFunction", "builtin", "builtin_names", "cardinality_set_function",
         "load_set_family", "load_tabulated", "rubin_eval", "set_function_from_integer",
-        "write_tabulated",
     ),
     "sampling": ("SampleBudget",),
     "checks": (
@@ -42,8 +41,8 @@ _EXPORTS = {
     ),
     "limits": (
         "DecompositionBound", "IteratedLimit", "LimitBracket", "diagonal_limit",
-        "inner_limit_profile", "iterated_limit", "multiple_inf", "orthant_limit",
-        "ray_limit", "simultaneous_limit", "verify_decomposition_bound",
+        "inner_limit_profile", "iterated_limit", "orthant_limit", "ray_limit",
+        "simultaneous_limit", "verify_decomposition_bound",
     ),
     "levelset": (
         "BoxScan", "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma",
@@ -53,9 +52,8 @@ _EXPORTS = {
     "subshift": (
         "CapExceededError", "EntropyBracket", "ForbiddenPattern", "PatternCount",
         "SftSpec", "builtin_sft", "builtin_sft_names", "check_count_submultiplicativity",
-        "count_patterns", "dominant_eigenvalue", "entropy_bounds", "folner_box_ratio",
-        "load_sft_spec", "log_complexity", "transfer_matrix_1d",
-        "transfer_matrix_count_1d",
+        "count_patterns", "dominant_eigenvalue", "entropy_bounds", "load_sft_spec",
+        "transfer_matrix_1d", "transfer_matrix_count_1d",
     ),
 }
 _MODULES = ("cli", "ioutil", "svgplot", *_EXPORTS)

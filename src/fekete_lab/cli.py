@@ -109,11 +109,18 @@ class _Run:
 
     def __init__(self, ns: argparse.Namespace):
         config = _load_config(ns.config)
+        # a config key must name one of the subcommand's own flags
+        unknown = sorted(set(config) - (set(vars(ns)) - {"command", "func", "config"}))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {ns.command}: {', '.join(unknown)}")
+        no_ts = config.get("no_timestamp", False)
+        if not isinstance(no_ts, bool):
+            raise ConfigError(f"no_timestamp must be true or false, got {no_ts!r}")
         self.config = config
         self.out = Path(_resolve(ns, config, "out", "fekete_results"))
         self.seed = _number(ns, config, "seed", 2024)
-        no_ts = bool(getattr(ns, "no_timestamp", False) or config.get("no_timestamp", False))
-        self.timestamp = None if no_ts else datetime.now(timezone.utc).isoformat()
+        self.timestamp = (None if ns.no_timestamp or no_ts
+                          else datetime.now(timezone.utc).isoformat())
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +209,16 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
     iterated = _resolve(ns, run.config, "iterated", None)
     direction = _resolve(ns, run.config, "direction", None)
     diagonal = _resolve(ns, run.config, "diagonal", None)
+    modes = [flag for flag, value in (("--iterated", iterated), ("--direction", direction),
+                                      ("--diagonal", diagonal)) if value is not None]
+    if len(modes) > 1:
+        raise ConfigError("give at most one of --iterated, --direction and --diagonal, "
+                          f"got {', '.join(modes)}")
     d = oracle.domain.dim
-    on_path = iterated is None and (direction is not None or diagonal is not None)
+    on_path = direction is not None or diagonal is not None
     if on_path:  # ray and diagonal limits run a one-dimensional parameter t from 1
+        if base_text is not None:
+            raise ConfigError(f"--base does not apply to {modes[0]}: the path starts at t = 1")
         base = Point((1.0,))
     else:
         base = _parse_point(base_text) if base_text else Point((1.0,) * d)

@@ -38,6 +38,7 @@ __all__ = [
     "QRDecomposition",
     "qr_decompose",
     "GridSchedule",
+    "default_schedule",
 ]
 
 

@@ -9,9 +9,14 @@ of f(t).  The estimators here check that inequality numerically.
 
 Measurability of f is assumed, not checked: f is treated as exactly
 evaluable pointwise, and the measure estimates are ordinary quadrature
-(center rule with a corner-disagreement error bound) or Monte Carlo
-(Hoeffding bound at 99% confidence).  A box scan is evidence of
-boundedness, never proof, and says so in its output.
+or Monte Carlo.  Neither error bound is certified; each rests on a
+premise that is not checked.  The center-rule quadrature's error bound,
+the volume of the cells whose corner verdicts disagree, assumes that the
+grid resolves the set: a feature thinner than a cell can cross no corner
+and is missed with an error bound of zero.  The Monte Carlo margin is a
+99% Hoeffding bound whose premise is that the counter stream acts as
+i.i.d. uniform draws.  A box scan is evidence of boundedness, never
+proof, and says so in its output.
 """
 
 from __future__ import annotations
@@ -87,17 +92,6 @@ class BoxScan:
     argmax: tuple[float, ...]
     note: str = "grid scan: evidence of boundedness, not proof"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "box": [list(b) for b in self.box],
-            "resolution": self.resolution,
-            "min": self.minimum,
-            "max": self.maximum,
-            "argmin": list(self.argmin),
-            "argmax": list(self.argmax),
-            "note": self.note,
-        }
-
 
 def _require_real_domain(oracle: FunctionOracle) -> None:
     if oracle.domain.integer or oracle.domain.grid_axes is not None:
@@ -160,9 +154,13 @@ def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
     """Estimate the Lebesgue measure of the level set V with a stated error bound.
 
     Grid quadrature counts a cell as inside iff its center is; the error
-    bound is the total volume of cells whose corner verdicts disagree,
-    which covers every cell the boundary can cross.  Monte Carlo uses
-    the deterministic counter stream and a Hoeffding bound.
+    bound is the total volume of cells whose corner verdicts disagree.
+    Its premise is resolution: every cell the boundary crosses has
+    corners on both sides.  A set thinner than a cell that touches no
+    corner breaks it, e.g. |x1 - 0.5013| < 1e-4 with t = (1, 1) and
+    cells=10 gives value 0 and bound 0 for a measure of 2e-4.  Monte
+    Carlo uses the deterministic counter stream and a 99% Hoeffding
+    bound, whose premise is that the stream acts as i.i.d. uniform draws.
     """
     _require_real_domain(oracle)
     if method == "grid":
@@ -205,7 +203,8 @@ def check_levelset_lemma(oracle: FunctionOracle, anchors: Iterable[Point | Seque
 
     The margin is the raw estimate minus the bound; "holds" allows the
     stated estimation error, since the inequality can be attained with
-    equality (|x| does exactly that at every anchor).
+    equality (|x| does exactly that at every anchor), so it rests on the
+    premise of that error bound (see levelset_measure).
     """
     rows: list[LemmaCheckRow] = []
     for anchor in anchors:
@@ -329,15 +328,6 @@ class RationalBoxScan:
     minimum: int
     maximum: int
     argmax: tuple[Fraction, Fraction]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q_max": self.q_max,
-            "grid_size": self.grid_size,
-            "min": self.minimum,
-            "max": self.maximum,
-            "argmax": [str(c) for c in self.argmax],
-        }
 
 
 def rubin_rational_box_scan(q_max: int) -> RationalBoxScan:

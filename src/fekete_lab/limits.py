@@ -24,8 +24,6 @@ from .checks import Violation, ViolationReport, violation_tolerance
 from .domain import (
     DimensionMismatchError,
     DomainError,
-    EvaluationError,
-    FeketeLabError,
     GridSchedule,
     Orthant,
     Point,
@@ -45,7 +43,6 @@ __all__ = [
     "LevelSummary",
     "iterated_limit",
     "diagonal_limit",
-    "multiple_inf",
     "DecompositionTerm",
     "DecompositionBound",
     "verify_decomposition_bound",
@@ -488,37 +485,6 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
     if oracle.domain.integer:
         coords = np.round(coords)  # half to even, as round(); inf stays inf
     return _path_bracket(oracle, ts, coords, [math.prod(c) for c in coords.tolist()], delta)
-
-
-# ---------------------------------------------------------------------------
-# Nested infima commute
-# ---------------------------------------------------------------------------
-
-def multiple_inf(values: np.ndarray | Sequence, order: Sequence[int]) -> float:
-    """Nested minimum along the axes in the given order; equals the flat minimum.
-
-    The equality is asserted, not assumed: a disagreement would be a
-    bookkeeping bug, and finite minima commute no matter the order.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise DomainError("empty grid has no minimum")
-    if np.isnan(arr).any():
-        raise EvaluationError("grid contains NaN")
-    d = arr.ndim
-    if sorted(order) != list(range(d)):
-        raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
-    out = arr
-    remaining = list(range(d))
-    for axis in reversed(list(order)):  # innermost reduction first
-        pos = remaining.index(axis)
-        out = out.min(axis=pos)
-        remaining.pop(pos)
-    nested = float(out)
-    flat = float(arr.min())
-    if nested != flat:
-        raise FeketeLabError(f"nested minimum {nested!r} disagrees with flat minimum {flat!r}")
-    return nested
 
 
 # ---------------------------------------------------------------------------

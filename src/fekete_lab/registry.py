@@ -47,7 +47,6 @@ __all__ = [
     "rubin_eval",
     "TabulatedFunction",
     "load_tabulated",
-    "write_tabulated",
     "FiniteSetFunction",
     "set_function_from_integer",
     "cardinality_set_function",
@@ -363,10 +362,6 @@ class TabulatedFunction:
             name=name, domain=Domain(dim=self.dim, grid_axes=self.axes),
             array_fn=lambda *cols: values[tuple(map(np.searchsorted, axes, cols))])
 
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "axes": [list(a) for a in self.axes],
-                "values": list(self.values)}
-
 
 def _parse_tabulated(obj: dict) -> TabulatedFunction:
     try:
@@ -391,10 +386,6 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
     return table.to_oracle(path.stem)
 
 
-def write_tabulated(path: str | Path, table: TabulatedFunction) -> None:
-    Path(path).write_text(json.dumps(table.to_json_dict(), sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # Functions of finite integer sets
 # ---------------------------------------------------------------------------
@@ -405,7 +396,6 @@ class FiniteSetFunction:
 
     name: str
     fn: Callable[[frozenset[int]], float]
-    translation_invariant: bool = True
 
     def evaluate(self, subset: Iterable[int]) -> float:
         s = frozenset(int(n) for n in subset)

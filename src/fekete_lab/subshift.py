@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .domain import ConfigError, DomainError
 
@@ -49,7 +49,6 @@ __all__ = [
     "SftSpec",
     "PatternCount",
     "count_patterns",
-    "log_complexity",
     "transfer_matrix_count_1d",
     "transfer_matrix_1d",
     "dominant_eigenvalue",
@@ -57,12 +56,9 @@ __all__ = [
     "EntropyBracket",
     "entropy_bounds",
     "check_count_submultiplicativity",
-    "folner_box_ratio",
     "builtin_sft",
     "builtin_sft_names",
     "load_sft_spec",
-    "sft_to_json_dict",
-    "relabel",
 ]
 
 MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
@@ -270,11 +266,6 @@ def _log_count(count: int, alphabet: int) -> float:
         return -math.inf
     k = _exact_log(Fraction(count), alphabet)
     return float(k) if k is not None else math.log(count) / math.log(alphabet)
-
-
-def log_complexity(sft: SftSpec, sides: Sequence[int]) -> float:
-    """log base alphabet of the pattern count; -inf signals an empty count."""
-    return _log_count(count_patterns(sft, sides).count, sft.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +499,6 @@ class EntropyBracket:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        if not self.entries:
-            return []
         d = len(self.entries[0].sides)
         header = [f"n{i + 1}" for i in range(d)]
         header += ["count", "log_complexity", "ratio", "running_min"]
@@ -612,21 +601,6 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
                            metadata={"side_cap": side_cap, "exact": True})
 
 
-def folner_box_ratio(sft: SftSpec, boxes: Iterable[Sequence[int]],
-                     ) -> list[tuple[tuple[int, ...], float]]:
-    """Ratios log_a(count)/volume over an explicit box sequence.
-
-    Boxes of the lattice form a Folner net, so the normalized log-counts
-    along any exhausting box sequence head to the same entropy value as
-    the cube schedule; this just evaluates the ratios for inspection.
-    """
-    out: list[tuple[tuple[int, ...], float]] = []
-    for box in boxes:
-        pc = count_patterns(sft, box)
-        out.append((pc.sides, _log_count(pc.count, sft.alphabet) / math.prod(pc.sides)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fixtures and serialization
 # ---------------------------------------------------------------------------
@@ -653,18 +627,6 @@ def builtin_sft_names() -> tuple[str, ...]:
     return ("full_shift", "golden_mean_1d", "hard_square_2d")
 
 
-def sft_to_json_dict(sft: SftSpec) -> dict:
-    return {
-        "alphabet": sft.alphabet,
-        "dim": sft.dim,
-        "forbidden": [
-            {"offsets": [list(off) for off in pat.offsets],
-             "symbols": list(pat.symbols)}
-            for pat in sft.forbidden
-        ],
-    }
-
-
 def load_sft_spec(path: str | Path) -> SftSpec:
     path = Path(path)
     try:
@@ -684,15 +646,3 @@ def load_sft_spec(path: str | Path) -> SftSpec:
     except DomainError as exc:
         raise ConfigError(f"invalid subshift spec {path}: {exc}") from exc
 
-
-def relabel(sft: SftSpec, permutation: Sequence[int]) -> SftSpec:
-    """Apply an alphabet permutation consistently to all forbidden patterns."""
-    perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(sft.alphabet)):
-        raise DomainError(f"{perm!r} is not a permutation of 0..{sft.alphabet - 1}")
-    forbidden = tuple(
-        ForbiddenPattern(offsets=pat.offsets,
-                         symbols=tuple(perm[s] for s in pat.symbols))
-        for pat in sft.forbidden
-    )
-    return SftSpec(alphabet=sft.alphabet, dim=sft.dim, forbidden=forbidden)

@@ -137,6 +137,52 @@ def test_non_numeric_config_value_exits_two(tmp_path, capsys, command, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("check", {"fn": "abs", "mode": "joint", "cuont": 5, "sed": 3},
+     "error: unknown config key(s) for check: cuont, sed\n"),
+    ("limit", {"fn": "sqrt_prod", "anchors": "1,1"},
+     "error: unknown config key(s) for limit: anchors\n"),
+    ("entropy", {"sft": "golden_mean_1d", "func": "x"},
+     "error: unknown config key(s) for entropy: func\n"),
+    ("check", {"fn": "abs", "mode": "joint", "no_timestamp": "false"},
+     "error: no_timestamp must be true or false, got 'false'\n"),
+], ids=["check_typos", "limit_anchors", "entropy_func", "no_timestamp_string"])
+def test_config_key_errors_exit_two(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("no_timestamp", [True, False])
+def test_config_no_timestamp_is_a_boolean(tmp_path, no_timestamp):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fn": "sqrt_prod", "levels": 4, "no_timestamp": no_timestamp}))
+    assert run(["limit", "--config", path, "--out", tmp_path]) == 0
+    assert ("generated" in (tmp_path / "bracket.svg").read_text()) is not no_timestamp
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--direction", "1,1", "--iterated", "1,2"], None),
+    (["--direction", "1,1", "--diagonal", "1,2"], None),
+    (["--iterated", "2,1"], {"diagonal": "1,2"}),
+    (["--base", "5,5", "--direction", "1,1"], None),
+    (["--diagonal", "1,2"], {"base": "5,5"}),
+], ids=["ray_iterated", "ray_diagonal", "iterated_diagonal_config", "base_ray",
+        "base_config_diagonal"])
+def test_limit_refuses_conflicting_modes(tmp_path, capsys, argv, config):
+    extra = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra = ["--config", path]
+    out = tmp_path / "out"
+    assert run(["limit", "--fn", "sqrt_prod", "--levels", 4, *argv, *extra, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_levelset_command(tmp_path):
     code = run(["levelset", "--fn", "sqrt_prod", "--anchors", "1,1",
                 "--cells", 800, "--out", tmp_path])
@@ -210,9 +256,9 @@ def test_svg_output_is_well_formed_xml(tmp_path):
 
 def test_svg_escapes_markup_in_input_names(tmp_path):
     import xml.etree.ElementTree as ET
-    from fekete_lab.subshift import builtin_sft, sft_to_json_dict
     spec = tmp_path / "a&b<c.json"
-    spec.write_text(json.dumps(sft_to_json_dict(builtin_sft("golden_mean_1d"))))
+    spec.write_text(json.dumps({"alphabet": 2, "dim": 1, "forbidden": [
+        {"offsets": [[0], [1]], "symbols": [1, 1]}]}))  # the golden mean shift
     assert run(["entropy", "--sft", spec, "--max-side", 6, "--out", tmp_path / "out",
                 "--no-timestamp"]) == 0
     root = ET.fromstring((tmp_path / "out" / "entropy.svg").read_text())

@@ -20,7 +20,6 @@ from fekete_lab.limits import (
     diagonal_limit,
     inner_limit_profile,
     iterated_limit,
-    multiple_inf,
     orthant_limit,
     ray_limit,
     simultaneous_limit,
@@ -197,25 +196,6 @@ def test_three_dimensional_simultaneous_and_profile():
     for v, h, status in profile.entries:
         assert status == CONVERGED
         assert h == 5.0 * v  # lim over x2 of (x1*x2*5)/x2
-
-
-def test_multiple_inf_matches_flat_min():
-    for trial in range(100):
-        for d, shape in ((1, (7,)), (2, (3, 4)), (3, (3, 4, 2))):
-            offset = trial * 1000
-            values = np.array([uniform_in(13, offset + i, -10, 10)
-                               for i in range(int(np.prod(shape)))]).reshape(shape)
-            flat = float(values.min())
-            for order in itertools.permutations(range(d)):
-                assert multiple_inf(values, order) == flat
-
-
-def test_multiple_inf_single_cell_and_duplicates():
-    assert multiple_inf([[3.5]], (0, 1)) == 3.5
-    grid = np.array([[1.0, 2.0], [1.0, 5.0]])
-    assert multiple_inf(grid, (0, 1)) == multiple_inf(grid, (1, 0)) == 1.0
-    with pytest.raises(DomainError):
-        multiple_inf(np.empty((0, 2)), (0, 1))
 
 
 def test_decomposition_bound_worked_example():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import os
@@ -21,7 +22,7 @@ HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
     {"offsets": [[0, 0, 0], off], "symbols": [1, 1]}
     for off in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
 
-# every name the package exported when its __init__ imported all modules eagerly
+# every name the package exports; each is in its module's __all__
 EXPORTS = {
     "domain": "ConfigError DimensionMismatchError DomainError EvaluationError FeketeLabError "
               "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
@@ -29,21 +30,20 @@ EXPORTS = {
               "orthant_reflect product_leq qr_decompose",
     "registry": "Domain FiniteSetFunction FunctionOracle IRRATIONAL KnownLimit "
                 "TabulatedFunction builtin builtin_names cardinality_set_function "
-                "load_set_family load_tabulated rubin_eval set_function_from_integer "
-                "write_tabulated",
+                "load_set_family load_tabulated rubin_eval set_function_from_integer",
     "sampling": "SampleBudget",
     "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
               "check_monoid_sign check_set_union check_shifted_subadditivity",
     "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
-              "inner_limit_profile iterated_limit multiple_inf orthant_limit ray_limit "
+              "inner_limit_profile iterated_limit orthant_limit ray_limit "
               "simultaneous_limit verify_decomposition_bound",
     "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
                 "compact_bound_scan levelset_measure rubin_rational_box_scan "
                 "rubin_unboundedness_demo",
     "subshift": "CapExceededError EntropyBracket ForbiddenPattern PatternCount SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
-                "count_patterns dominant_eigenvalue entropy_bounds folner_box_ratio "
-                "load_sft_spec log_complexity transfer_matrix_1d transfer_matrix_count_1d",
+                "count_patterns dominant_eigenvalue entropy_bounds load_sft_spec "
+                "transfer_matrix_1d transfer_matrix_count_1d",
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 
@@ -113,6 +113,27 @@ def test_package_names_resolve_to_their_defining_module():
             wrong.append(name)
     assert wrong == []
     assert {name for _, name in EXPORTED} <= set(dir(fekete_lab))
+
+
+def test_export_table_matches_module_all_and_holds_no_removed_name():
+    for module, names in fekete_lab._EXPORTS.items():
+        missing = set(names) - set(importlib.import_module(f"fekete_lab.{module}").__all__)
+        assert missing == set(), module
+    assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
+    removed = {"limits": ["multiple_inf"],
+               "registry": ["write_tabulated"],
+               "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
+                            "folner_box_ratio"]}
+    for module, names in removed.items():
+        mod = importlib.import_module(f"fekete_lab.{module}")
+        for name in names:
+            assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
+            assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
+    from fekete_lab.levelset import BoxScan, RationalBoxScan
+    from fekete_lab.registry import FiniteSetFunction, TabulatedFunction
+    for cls in (TabulatedFunction, BoxScan, RationalBoxScan):
+        assert not hasattr(cls, "to_json_dict"), cls.__name__
+    assert "translation_invariant" not in {f.name for f in dataclasses.fields(FiniteSetFunction)}
 
 
 def test_star_import_and_submodule_attributes():
