@@ -14,8 +14,6 @@ hypothesis breaks one conclusion:
 The same gallery runs as `fekete-lab counterexamples`.
 """
 
-import math
-
 from fekete_lab import (
     GridSchedule,
     Point,

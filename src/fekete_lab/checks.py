@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, EvaluationError, ext_add
+from .domain import REL_TOL, DomainError, EvaluationError, ext_add, violation_tolerance
 from .registry import Domain, FiniteSetFunction, FunctionOracle
 from .sampling import SampleBudget, integer_in, uniform_in
 
@@ -46,10 +46,6 @@ __all__ = [
     "check_shifted_subadditivity",
 ]
 
-# Relative tolerance for inequality checks; the guarded inequalities are
-# exact over the reals, so anything below a few ulps is rounding noise.
-REL_TOL = 2.0 ** -26
-
 # random hits kept, shrunk and listed per screened inequality (per axis
 # for the componentwise check); every hit is still counted
 TOP_K = 20
@@ -60,12 +56,6 @@ _DEFAULT_INTEGER_RANGE = (1.0, 100.0)
 # coordinates stop being representative of the sampled domain
 _SHRINK_FLOOR = _DEFAULT_POSITIVE_RANGE[0]
 _MAX_SHRINK_STEPS = 80
-
-
-def violation_tolerance(lhs: float, rhs: float) -> float:
-    if math.isinf(lhs) or math.isinf(rhs):
-        return 0.0
-    return REL_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)

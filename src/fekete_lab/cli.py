@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
                      GridSchedule, Point, ScheduleError)
-from .ioutil import csv_text, write_json_atomic, write_text_atomic
+from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
 from .svgplot import PlotSeries, line_plot_svg
 
 # Each subcommand imports the modules it needs inside its handler, so a run
@@ -170,7 +170,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         stem = f"check_{report.kind}"
         payload = {"meta": _meta("check", run.seed), **report.to_json_dict()}
         write_json_atomic(run.out / f"{stem}.json", payload)
-        write_text_atomic(run.out / f"{stem}.csv", csv_text(report.to_csv_rows()))
+        write_csv_atomic(run.out / f"{stem}.csv", report.to_csv_rows())
         total += report.violation_count
         print(f"{report.kind}: {report.hit_count} hit(s), {report.violation_count} distinct, "
               f"{len(report.violations)} listed, over {report.samples_checked} samples "
@@ -185,7 +185,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 def _bracket_outputs(run: _Run, stem: str, bracket) -> None:
     payload = {"meta": _meta("limit", run.seed), **bracket.to_json_dict()}
     write_json_atomic(run.out / f"{stem}.json", payload)
-    write_text_atomic(run.out / f"{stem}.csv", csv_text(bracket.samples_csv_rows()))
+    write_csv_atomic(run.out / f"{stem}.csv", bracket.samples_csv_rows())
     series = [
         PlotSeries(name="shell extreme",
                    points=tuple((float(k), v) for k, v in bracket.shell_extremes())),
@@ -282,7 +282,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
     bracket = entropy_bounds(sft, _number(ns, run.config, "max_side", 12))
     payload = {"meta": _meta("entropy", run.seed), "sft": name, **bracket.to_json_dict()}
     write_json_atomic(run.out / "entropy.json", payload)
-    write_text_atomic(run.out / "entropy.csv", csv_text(bracket.to_csv_rows()))
+    write_csv_atomic(run.out / "entropy.csv", bracket.to_csv_rows())
     pts_ratio = tuple((float(e.sides[0]), e.ratio) for e in bracket.entries)
     pts_min = tuple((float(e.sides[0]), e.running_min) for e in bracket.entries)
     series = [PlotSeries(name="ratio", points=pts_ratio),
@@ -323,7 +323,7 @@ def _cmd_levelset(ns: argparse.Namespace) -> int:
             " ".join(repr(c) for c in r.anchor), repr(r.k), repr(r.estimate.value),
             repr(r.estimate.error_bound), repr(r.bound), repr(r.margin), str(r.holds),
         ])
-    write_text_atomic(run.out / "levelset.csv", csv_text(csv_rows))
+    write_csv_atomic(run.out / "levelset.csv", csv_rows)
     failures = [r for r in rows if not r.holds]
     for r in rows:
         print(f"anchor {r.anchor}: margin {r.margin!r} "

@@ -97,6 +97,17 @@ def ext_sum(values: Iterable[float]) -> float:
     return total
 
 
+# Relative tolerance for inequality checks; the guarded inequalities are
+# exact over the reals, so anything below a few ulps is rounding noise.
+REL_TOL = 2.0 ** -26
+
+
+def violation_tolerance(lhs: float, rhs: float) -> float:
+    if math.isinf(lhs) or math.isinf(rhs):
+        return 0.0
+    return REL_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------

@@ -2,20 +2,28 @@
 
 JSON output is strict (no bare Infinity or NaN tokens): infinite floats
 are encoded as the strings "+inf" / "-inf", and NaN raises ValueError.
-Files are written atomically (uniquely named temp file + rename) and
-floats are rendered with repr, which is the shortest round-tripping form
-and deterministic across runs.
+Every file is written atomically: into a uniquely named temp file that
+is renamed over the target only once it is complete, so a failed write
+leaves no temp file and an existing target unchanged.  CSV rows are
+streamed in blocks of CSV_BLOCK_ROWS, so a large grid is never held as
+one string.  Floats are rendered with repr, which is the shortest
+round-tripping form and deterministic across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable, Iterable, Sequence
 
-__all__ = ["jsonable", "write_text_atomic", "write_json_atomic", "csv_text"]
+__all__ = ["jsonable", "write_text_atomic", "write_json_atomic", "write_csv_atomic"]
+
+# rows joined and written at a time: a block of limit-bracket rows is
+# about 250 kB of text
+CSV_BLOCK_ROWS = 4096
 
 
 def jsonable(value: Any) -> Any:
@@ -30,17 +38,22 @@ def jsonable(value: Any) -> Any:
     return value
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def _write_atomic(path: str | Path, write: Callable[[IO[str]], object]) -> None:
+    """Run write on a fresh temp file beside path, then rename it over path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
@@ -49,5 +62,11 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
                                        allow_nan=False) + "\n")
 
 
-def csv_text(rows: list[list[str]]) -> str:
-    return "\n".join(map(",".join, rows)) + "\n" if rows else ""
+def write_csv_atomic(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row as its fields joined by commas, one line per row."""
+    def write(fh: IO[str]) -> None:
+        stream = iter(rows)
+        while block := list(itertools.islice(stream, CSV_BLOCK_ROWS)):
+            fh.write("\n".join(map(",".join, block)) + "\n")
+
+    _write_atomic(path, write)

@@ -28,10 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, Point, as_point
+from .domain import DomainError, Point, as_point, violation_tolerance
 from .registry import FunctionOracle, rubin_eval
-from .sampling import unit_uniform
-from .checks import violation_tolerance
 
 __all__ = [
     "LevelSetSpec",
@@ -133,6 +131,7 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
 
 def _monte_carlo(oracle: FunctionOracle, spec: LevelSetSpec,
                  samples: int, seed: int) -> MeasureEstimate:
+    from .sampling import unit_uniform  # only the Monte Carlo method loads the sample stream
     t = spec.t
     d = t.dim
     counters = np.arange(samples, dtype=np.uint64) * np.uint64(d)

@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .checks import Violation, ViolationReport, violation_tolerance
 from .domain import (
     DimensionMismatchError,
     DomainError,
@@ -33,8 +32,15 @@ from .domain import (
     default_schedule,
     ext_sum,
     qr_decompose,
+    violation_tolerance,
 )
+from .ioutil import CSV_BLOCK_ROWS
 from .registry import Domain, FunctionOracle
+
+# checks (the inner-profile report) is imported where it is used, so a
+# limit run loads neither it nor the sample stream it imports
+if TYPE_CHECKING:
+    from .checks import ViolationReport
 
 __all__ = [
     "LimitBracket",
@@ -115,14 +121,21 @@ class LimitBracket:
             "evaluations": self.evaluations,
         }
 
-    def samples_csv_rows(self) -> list[list[str]]:
-        header = ["shell"] + [f"x{i + 1}" for i in range(self.points.shape[1])] + ["ratio"]
+    def samples_csv_rows(self) -> Iterator[list[str]]:
+        """The header, then one row per sample by shell, then point.
+
+        Rows are built from the per-column reprs one block of
+        CSV_BLOCK_ROWS at a time, so the grid is never one list of rows.
+        """
+        yield ["shell"] + [f"x{i + 1}" for i in range(self.points.shape[1])] + ["ratio"]
         order = np.lexsort((*self.points.T[::-1], self.shells))  # by shell, then point
         points = self.points[order]
         columns = [_reprs(self.shells[order]),
                    *(_reprs(points[:, i]) for i in range(points.shape[1])),
                    _reprs(self.ratios[order])]
-        return [header, *np.stack(columns, axis=1).tolist()]
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            yield from np.stack([c[start:start + CSV_BLOCK_ROWS] for c in columns],
+                                axis=1).tolist()
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
@@ -641,6 +654,7 @@ class InnerLimitProfile:
     entries: tuple[tuple[float, float, str], ...]  # (probe value, h, status)
 
     def check_subadditivity(self) -> ViolationReport:
+        from .checks import Violation, ViolationReport
         table = {v: h for v, h, status in self.entries if status == CONVERGED}
         violations: list[Violation] = []
         checked = 0

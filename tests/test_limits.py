@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fekete_lab.domain import DimensionMismatchError, DomainError, GridSchedule, Orthant, Point
-from fekete_lab.ioutil import csv_text
+from fekete_lab.ioutil import write_csv_atomic
 from fekete_lab.limits import (
     CONVERGED,
     DIVERGING_MINUS,
@@ -359,7 +359,7 @@ def test_bracket_serialization_shapes():
     payload = bracket.to_json_dict()
     assert set(payload) >= {"best_upper", "tail_estimate", "status", "delta",
                             "R", "evaluations"}
-    rows = bracket.samples_csv_rows()
+    rows = list(bracket.samples_csv_rows())
     assert rows[0] == ["shell", "x1", "x2", "ratio"]
     assert len(rows) == bracket.evaluations + 1
 
@@ -399,9 +399,10 @@ def _signed_zero_bracket():
     lambda: diagonal_limit(FULL, [lambda t: t, lambda t: t * t], delta=0.01),
     _signed_zero_bracket,
 ])
-def test_bracket_csv_matches_the_per_row_writer(make):
+def test_bracket_csv_matches_the_per_row_writer(tmp_path, make):
     bracket = make()
-    assert csv_text(bracket.samples_csv_rows()) == _per_row_csv(bracket)
+    write_csv_atomic(tmp_path / "bracket.csv", bracket.samples_csv_rows())
+    assert (tmp_path / "bracket.csv").read_text() == _per_row_csv(bracket)
 
 
 def _shifted_product(d):

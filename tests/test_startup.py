@@ -98,6 +98,16 @@ def test_limit_loads_neither_levelset_nor_subshift(tmp_path):
     assert loaded & {"fekete_lab.levelset", "fekete_lab.subshift"} == set()
 
 
+@pytest.mark.parametrize("module, argv", [
+    ("limits", ["limit", "--fn", "sqrt_prod", "--levels", "4"]),
+    ("levelset", ["levelset", "--fn", "sqrt_prod", "--anchors", "1,1", "--cells", "20"]),
+])
+def test_limit_and_levelset_load_neither_checks_nor_sampling(tmp_path, module, argv):
+    loaded = modules_after(cli_run([*argv, "--out", "out", "--no-timestamp"]), tmp_path)
+    assert f"fekete_lab.{module}" in loaded
+    assert loaded & {"fekete_lab.checks", "fekete_lab.sampling"} == set()
+
+
 def test_a_package_name_loads_only_its_module(tmp_path):
     loaded = modules_after("from fekete_lab import count_patterns", tmp_path)
     assert "fekete_lab.subshift" in loaded
