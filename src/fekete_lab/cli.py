@@ -5,7 +5,10 @@ run is reproducible from its flags (or --config JSON mirroring them)
 plus the package version: all randomness flows from the single seed and
 outputs are written atomically with deterministic formatting.  SVG
 files embed a generation timestamp unless --no-timestamp is given;
-JSON and CSV never contain one.
+JSON and CSV never contain one.  Each --config key names a flag of the
+subcommand, and its value is read as the text typed after that flag, so
+{"levels": 4.7} is refused as --levels 4.7 is; a flag given on the
+command line wins over the config.
 
 Exit codes: 0 success, 2 usage/config error, 3 violations found,
 4 internal error.  An argument error is any ConfigError, DomainError or
@@ -43,47 +46,49 @@ EXIT_INTERNAL = 4
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_defaults(command: argparse.ArgumentParser, ns: argparse.Namespace) -> dict:
+    """The --config file's values, each converted as if typed after its flag."""
     try:
-        obj = json.loads(Path(path).read_text())
+        config = json.loads(Path(ns.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
+        raise ConfigError(f"cannot read config {ns.config}: {exc}") from exc
+    if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    return obj
+    # a config key must name one of the subcommand's own flags
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {ns.command}: {', '.join(unknown)}")
+    if not isinstance(config.get("no_timestamp", False), bool):
+        raise ConfigError(f"no_timestamp must be true or false, got {config['no_timestamp']!r}")
+    defaults = {}
+    for key, value in config.items():
+        kind = actions[key].type or str
+        try:
+            defaults[key] = value if key == "no_timestamp" else kind(str(value))
+        except ValueError as exc:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
+    return defaults
 
 
-def _resolve(ns: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _number(ns: argparse.Namespace, config: dict, key: str, default, kind: type = int):
-    """_resolve(...) converted by kind (int or float); a failed conversion is a ConfigError."""
-    value = _resolve(ns, config, key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
+def _check_out(out: Path) -> None:
+    """Refuse an --out that is, or lies below, something other than a directory."""
+    path = next(p for p in (out, *out.parents) if p.exists())
+    if not path.is_dir():
+        raise ConfigError(f"cannot write to --out {out}: {path} is not a directory")
 
 
 def _parse_point(text: str) -> Point:
     try:
-        return Point(tuple(float(c) for c in str(text).split(",")))
+        return Point(tuple(float(c) for c in text.split(",")))
     except ValueError as exc:
         raise ConfigError(f"cannot parse point {text!r}: {exc}") from exc
 
 
 def _parse_order(text: str, dim: int) -> tuple[int, ...]:
     try:
-        order = tuple(int(c) - 1 for c in str(text).split(","))
+        order = tuple(int(c) - 1 for c in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse axis order {text!r}: {exc}") from exc
     if sorted(order) != list(range(dim)):
@@ -91,36 +96,21 @@ def _parse_order(text: str, dim: int) -> tuple[int, ...]:
     return order
 
 
-def _get_oracle(name: str | None, table: str | None):
+def _get_oracle(ns: argparse.Namespace):
     from .registry import builtin, load_tabulated
-    if table is not None:
-        return load_tabulated(table)
-    if name is None:
+    if ns.table is not None:
+        return load_tabulated(ns.table)
+    if ns.fn is None:
         raise ConfigError("give an oracle with --fn NAME or --table FILE")
-    return builtin(name)
+    return builtin(ns.fn)
 
 
-def _meta(ns_command: str, seed: int) -> dict:
-    return {"command": ns_command, "seed": seed, "version": __version__}
+def _meta(ns: argparse.Namespace) -> dict:
+    return {"command": ns.command, "seed": ns.seed, "version": __version__}
 
 
-class _Run:
-    """Resolved common options for one command invocation."""
-
-    def __init__(self, ns: argparse.Namespace):
-        config = _load_config(ns.config)
-        # a config key must name one of the subcommand's own flags
-        unknown = sorted(set(config) - (set(vars(ns)) - {"command", "func", "config"}))
-        if unknown:
-            raise ConfigError(f"unknown config key(s) for {ns.command}: {', '.join(unknown)}")
-        no_ts = config.get("no_timestamp", False)
-        if not isinstance(no_ts, bool):
-            raise ConfigError(f"no_timestamp must be true or false, got {no_ts!r}")
-        self.config = config
-        self.out = Path(_resolve(ns, config, "out", "fekete_results"))
-        self.seed = _number(ns, config, "seed", 2024)
-        self.timestamp = (None if ns.no_timestamp or no_ts
-                          else datetime.now(timezone.utc).isoformat())
+def _timestamp(ns: argparse.Namespace) -> str | None:
+    return None if ns.no_timestamp else datetime.now(timezone.utc).isoformat()
 
 
 # ---------------------------------------------------------------------------
@@ -135,46 +125,39 @@ def _cmd_check(ns: argparse.Namespace) -> int:
                          check_monoid_sign, check_set_union, check_shifted_subadditivity)
     from .registry import load_set_family
     from .sampling import SampleBudget
-    run = _Run(ns)
-    mode = _resolve(ns, run.config, "mode", "all")
-    if mode not in _CHECK_MODES:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(_CHECK_MODES)}")
-    count = _number(ns, run.config, "count", 10_000)
+    if ns.mode not in _CHECK_MODES:
+        raise ConfigError(f"unknown mode {ns.mode!r}; choose from {', '.join(_CHECK_MODES)}")
 
     reports = []
-    if mode == "set_union":
-        sets_path = _resolve(ns, run.config, "sets", None)
-        if sets_path is None:
+    if ns.mode == "set_union":
+        if ns.sets is None:
             raise ConfigError("set_union mode needs --sets FILE")
-        g, family = load_set_family(sets_path)
+        g, family = load_set_family(ns.sets)
         reports.append(check_set_union(g, family))
     else:
-        oracle = _get_oracle(_resolve(ns, run.config, "fn", None),
-                             _resolve(ns, run.config, "table", None))
-        budget = SampleBudget(count=count, seed=run.seed)
-        if mode in ("joint", "all"):
+        oracle = _get_oracle(ns)
+        budget = SampleBudget(count=ns.count, seed=ns.seed)
+        if ns.mode in ("joint", "all"):
             reports.append(check_joint(oracle, budget))
-        if mode in ("componentwise", "all"):
+        if ns.mode in ("componentwise", "all"):
             reports.append(check_componentwise(oracle, budget))
-        if mode in ("four_term", "all"):
+        if ns.mode in ("four_term", "all"):
             reports.append(check_four_term(oracle, budget))
-        if mode == "monoid" or (mode == "all" and oracle.domain.orthant is None
-                                and oracle.domain.grid_axes is None):
+        if ns.mode == "monoid" or (ns.mode == "all" and oracle.domain.orthant is None
+                                   and oracle.domain.grid_axes is None):
             reports.append(check_monoid_sign(oracle, budget))
-        if mode == "shift":
-            shift = _number(ns, run.config, "shift", 1)
-            reports.append(check_shifted_subadditivity(oracle, shift, budget))
+        if ns.mode == "shift":
+            reports.append(check_shifted_subadditivity(oracle, ns.shift, budget))
 
     total = 0
     for report in reports:
         stem = f"check_{report.kind}"
-        payload = {"meta": _meta("check", run.seed), **report.to_json_dict()}
-        write_json_atomic(run.out / f"{stem}.json", payload)
-        write_csv_atomic(run.out / f"{stem}.csv", report.to_csv_rows())
+        write_json_atomic(ns.out / f"{stem}.json", {"meta": _meta(ns), **report.to_json_dict()})
+        write_csv_atomic(ns.out / f"{stem}.csv", report.to_csv_rows())
         total += report.violation_count
         print(f"{report.kind}: {report.hit_count} hit(s), {report.violation_count} distinct, "
               f"{len(report.violations)} listed, over {report.samples_checked} samples "
-              f"-> {run.out / (stem + '.json')}")
+              f"-> {ns.out / (stem + '.json')}")
     return EXIT_VIOLATIONS if total else EXIT_OK
 
 
@@ -182,10 +165,9 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 # limit
 # ---------------------------------------------------------------------------
 
-def _bracket_outputs(run: _Run, stem: str, bracket) -> None:
-    payload = {"meta": _meta("limit", run.seed), **bracket.to_json_dict()}
-    write_json_atomic(run.out / f"{stem}.json", payload)
-    write_csv_atomic(run.out / f"{stem}.csv", bracket.samples_csv_rows())
+def _bracket_outputs(ns: argparse.Namespace, stem: str, bracket) -> None:
+    write_json_atomic(ns.out / f"{stem}.json", {"meta": _meta(ns), **bracket.to_json_dict()})
+    write_csv_atomic(ns.out / f"{stem}.csv", bracket.samples_csv_rows())
     series = [
         PlotSeries(name="shell extreme",
                    points=tuple((float(k), v) for k, v in bracket.shell_extremes())),
@@ -193,70 +175,58 @@ def _bracket_outputs(run: _Run, stem: str, bracket) -> None:
                    points=tuple((float(k), v) for k, v in bracket.running_bound_by_shell())),
     ]
     svg = line_plot_svg(series, title=stem, xlabel="shell",
-                        ylabel="ratio", timestamp=run.timestamp)
-    write_text_atomic(run.out / f"{stem}.svg", svg)
+                        ylabel="ratio", timestamp=_timestamp(ns))
+    write_text_atomic(ns.out / f"{stem}.svg", svg)
 
 
 def _cmd_limit(ns: argparse.Namespace) -> int:
     from .limits import diagonal_limit, iterated_limit, ray_limit, simultaneous_limit
-    run = _Run(ns)
-    oracle = _get_oracle(_resolve(ns, run.config, "fn", None),
-                         _resolve(ns, run.config, "table", None))
-    delta = _number(ns, run.config, "delta", 0.01, float)
-    growth = _number(ns, run.config, "growth", 2.0, float)
-    levels = _number(ns, run.config, "levels", 40)
-    base_text = _resolve(ns, run.config, "base", None)
-    iterated = _resolve(ns, run.config, "iterated", None)
-    direction = _resolve(ns, run.config, "direction", None)
-    diagonal = _resolve(ns, run.config, "diagonal", None)
-    modes = [flag for flag, value in (("--iterated", iterated), ("--direction", direction),
-                                      ("--diagonal", diagonal)) if value is not None]
+    oracle = _get_oracle(ns)
+    modes = [flag for flag, value in (("--iterated", ns.iterated), ("--direction", ns.direction),
+                                      ("--diagonal", ns.diagonal)) if value is not None]
     if len(modes) > 1:
         raise ConfigError("give at most one of --iterated, --direction and --diagonal, "
                           f"got {', '.join(modes)}")
     d = oracle.domain.dim
-    on_path = direction is not None or diagonal is not None
-    if on_path:  # ray and diagonal limits run a one-dimensional parameter t from 1
-        if base_text is not None:
+    if ns.direction is not None or ns.diagonal is not None:
+        # ray and diagonal limits run a one-dimensional parameter t from 1
+        if ns.base is not None:
             raise ConfigError(f"--base does not apply to {modes[0]}: the path starts at t = 1")
         base = Point((1.0,))
     else:
-        base = _parse_point(base_text) if base_text else Point((1.0,) * d)
+        base = _parse_point(ns.base) if ns.base else Point((1.0,) * d)
     # the estimators check delta and the schedule before they evaluate
-    schedule = GridSchedule(base=base, growth=growth, levels=levels)
+    schedule = GridSchedule(base=base, growth=ns.growth, levels=ns.levels)
 
-    if iterated is not None:
-        order = _parse_order(iterated, d)
-        result = iterated_limit(oracle, order, schedule, delta)
-        payload = {"meta": _meta("limit", run.seed), **result.to_json_dict()}
-        write_json_atomic(run.out / "iterated.json", payload)
+    if ns.iterated is not None:
+        result = iterated_limit(oracle, _parse_order(ns.iterated, d), schedule, ns.delta)
+        write_json_atomic(ns.out / "iterated.json", {"meta": _meta(ns), **result.to_json_dict()})
         value = "+inf" if result.value == math.inf else (
             "-inf" if result.value == -math.inf else repr(result.value))
-        print(f"iterated order {iterated}: value {value}, status {result.status} "
-              f"-> {run.out / 'iterated.json'}")
+        print(f"iterated order {ns.iterated}: value {value}, status {result.status} "
+              f"-> {ns.out / 'iterated.json'}")
         return EXIT_OK
 
-    if direction is not None:
-        dirp = _parse_point(direction)
-        bracket = ray_limit(oracle, dirp, schedule, delta)
-        _bracket_outputs(run, "ray", bracket)
-        print(f"ray {direction}: status {bracket.status}, best_upper {bracket.best_upper!r}")
+    if ns.direction is not None:
+        bracket = ray_limit(oracle, _parse_point(ns.direction), schedule, ns.delta)
+        _bracket_outputs(ns, "ray", bracket)
+        print(f"ray {ns.direction}: status {bracket.status}, best_upper {bracket.best_upper!r}")
         return EXIT_OK
 
-    if diagonal is not None:
+    if ns.diagonal is not None:
         try:
-            powers = [float(p) for p in str(diagonal).split(",")]
+            powers = [float(p) for p in ns.diagonal.split(",")]
         except ValueError as exc:
-            raise ConfigError(f"cannot parse diagonal powers {diagonal!r}: {exc}") from exc
+            raise ConfigError(f"cannot parse diagonal powers {ns.diagonal!r}: {exc}") from exc
         paths = [(lambda t, p=p: t ** p) for p in powers]
-        bracket = diagonal_limit(oracle, paths, schedule, delta)
-        _bracket_outputs(run, "diagonal", bracket)
+        bracket = diagonal_limit(oracle, paths, schedule, ns.delta)
+        _bracket_outputs(ns, "diagonal", bracket)
         print(f"diagonal t^{powers}: status {bracket.status}, "
               f"best_upper {bracket.best_upper!r}")
         return EXIT_OK
 
-    bracket = simultaneous_limit(oracle, schedule, delta)
-    _bracket_outputs(run, "bracket", bracket)
+    bracket = simultaneous_limit(oracle, schedule, ns.delta)
+    _bracket_outputs(ns, "bracket", bracket)
     print(f"simultaneous: status {bracket.status}, best_upper {bracket.best_upper!r}, "
           f"evaluations {bracket.evaluations}")
     return EXIT_OK
@@ -268,31 +238,29 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
 
 def _cmd_entropy(ns: argparse.Namespace) -> int:
     from .subshift import builtin_sft, builtin_sft_names, entropy_bounds, load_sft_spec
-    run = _Run(ns)
-    name = _resolve(ns, run.config, "sft", None)
-    if name is None:
+    if ns.sft is None:
         raise ConfigError("give a subshift with --sft NAME or --sft FILE")
-    if name in builtin_sft_names():
-        sft = builtin_sft(name)
-    elif Path(name).exists():
-        sft = load_sft_spec(name)
+    if ns.sft in builtin_sft_names():
+        sft = builtin_sft(ns.sft)
+    elif Path(ns.sft).exists():
+        sft = load_sft_spec(ns.sft)
     else:
-        raise ConfigError(f"unknown subshift {name!r}: not a fixture "
+        raise ConfigError(f"unknown subshift {ns.sft!r}: not a fixture "
                           f"({', '.join(builtin_sft_names())}) and not a file")
-    bracket = entropy_bounds(sft, _number(ns, run.config, "max_side", 12))
-    payload = {"meta": _meta("entropy", run.seed), "sft": name, **bracket.to_json_dict()}
-    write_json_atomic(run.out / "entropy.json", payload)
-    write_csv_atomic(run.out / "entropy.csv", bracket.to_csv_rows())
+    bracket = entropy_bounds(sft, ns.max_side)
+    write_json_atomic(ns.out / "entropy.json",
+                      {"meta": _meta(ns), "sft": ns.sft, **bracket.to_json_dict()})
+    write_csv_atomic(ns.out / "entropy.csv", bracket.to_csv_rows())
     pts_ratio = tuple((float(e.sides[0]), e.ratio) for e in bracket.entries)
     pts_min = tuple((float(e.sides[0]), e.running_min) for e in bracket.entries)
     series = [PlotSeries(name="ratio", points=pts_ratio),
               PlotSeries(name="running min", points=pts_min, dashed=True)]
-    svg = line_plot_svg(series, title=f"entropy bounds: {name}", xlabel="side",
-                        ylabel="log_a(count)/volume", timestamp=run.timestamp)
-    write_text_atomic(run.out / "entropy.svg", svg)
+    svg = line_plot_svg(series, title=f"entropy bounds: {ns.sft}", xlabel="side",
+                        ylabel="log_a(count)/volume", timestamp=_timestamp(ns))
+    write_text_atomic(ns.out / "entropy.svg", svg)
     note = " (truncated at cap)" if bracket.truncated else ""
-    print(f"entropy '{name}': best_upper {bracket.best_upper!r}{note} "
-          f"-> {run.out / 'entropy.json'}")
+    print(f"entropy '{ns.sft}': best_upper {bracket.best_upper!r}{note} "
+          f"-> {ns.out / 'entropy.json'}")
     return EXIT_OK
 
 
@@ -302,33 +270,23 @@ def _cmd_entropy(ns: argparse.Namespace) -> int:
 
 def _cmd_levelset(ns: argparse.Namespace) -> int:
     from .levelset import check_levelset_lemma
-    run = _Run(ns)
-    oracle = _get_oracle(_resolve(ns, run.config, "fn", None),
-                         _resolve(ns, run.config, "table", None))
-    anchors_text = _resolve(ns, run.config, "anchors", None)
-    if anchors_text is None:
+    oracle = _get_oracle(ns)
+    if ns.anchors is None:
         raise ConfigError("give anchors with --anchors \"t1,t2[;u1,u2...]\"")
-    anchors = [_parse_point(chunk) for chunk in str(anchors_text).split(";")]
-    method = _resolve(ns, run.config, "method", "grid")
-    cells = _number(ns, run.config, "cells", 400)
-    samples = _number(ns, run.config, "samples", 20_000)
-    rows = check_levelset_lemma(oracle, anchors, method, cells=cells,
-                                samples=samples, seed=run.seed)
-    payload = {"meta": _meta("levelset", run.seed), "oracle": oracle.name,
-               "rows": [r.to_json_dict() for r in rows]}
-    write_json_atomic(run.out / "levelset.json", payload)
-    csv_rows = [["anchor", "k", "mu_estimate", "error", "bound", "margin", "holds"]]
-    for r in rows:
-        csv_rows.append([
-            " ".join(repr(c) for c in r.anchor), repr(r.k), repr(r.estimate.value),
-            repr(r.estimate.error_bound), repr(r.bound), repr(r.margin), str(r.holds),
-        ])
-    write_csv_atomic(run.out / "levelset.csv", csv_rows)
-    failures = [r for r in rows if not r.holds]
+    anchors = [_parse_point(chunk) for chunk in ns.anchors.split(";")]
+    rows = check_levelset_lemma(oracle, anchors, ns.method, cells=ns.cells,
+                                samples=ns.samples, seed=ns.seed)
+    write_json_atomic(ns.out / "levelset.json", {
+        "meta": _meta(ns), "oracle": oracle.name, "rows": [r.to_json_dict() for r in rows]})
+    write_csv_atomic(ns.out / "levelset.csv", [
+        ["anchor", "k", "mu_estimate", "error", "bound", "margin", "holds"],
+        *([" ".join(repr(c) for c in r.anchor), repr(r.k), repr(r.estimate.value),
+           repr(r.estimate.error_bound), repr(r.bound), repr(r.margin), str(r.holds)]
+          for r in rows)])
     for r in rows:
         print(f"anchor {r.anchor}: margin {r.margin!r} "
               f"({'holds' if r.holds else 'FAILS'})")
-    return EXIT_VIOLATIONS if failures else EXIT_OK
+    return EXIT_OK if all(r.holds for r in rows) else EXIT_VIOLATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +329,7 @@ def _replay_mixed_curvature() -> dict:
     from .limits import CONVERGED, DIVERGING_PLUS, INCONCLUSIVE, iterated_limit, simultaneous_limit
     from .registry import builtin
     oracle = builtin("x1sq_sqrt_x2")
-    schedule = GridSchedule(base=Point((1.0, 1.0)), levels=40)
+    schedule = GridSchedule(base=Point((1.0, 1.0)))
     lo = iterated_limit(oracle, (0, 1), schedule, 0.01)
     hi = iterated_limit(oracle, (1, 0), schedule, 0.01)
     sim = simultaneous_limit(oracle, schedule, 0.01)
@@ -414,30 +372,26 @@ def _replay_parity_set_lift(seed: int) -> dict:
 
 
 def _cmd_counterexamples(ns: argparse.Namespace) -> int:
-    run = _Run(ns)
     results = [
-        _replay_sqrt_product(run.seed),
+        _replay_sqrt_product(ns.seed),
         _replay_min_denominator(),
         _replay_mixed_curvature(),
-        _replay_parity_set_lift(run.seed),
+        _replay_parity_set_lift(ns.seed),
     ]
-    payload = {"meta": _meta("counterexamples", run.seed), "results": results}
-    write_json_atomic(run.out / "counterexamples.json", payload)
-    all_ok = True
+    write_json_atomic(ns.out / "counterexamples.json", {"meta": _meta(ns), "results": results})
     for r in results:
-        status = "PASS" if r["reproduced"] else "FAIL"
-        all_ok &= bool(r["reproduced"])
-        print(f"{status} {r['name']}: {r['detail']}")
+        print(f"{'PASS' if r['reproduced'] else 'FAIL'} {r['name']}: {r['detail']}")
     print(f"{sum(r['reproduced'] for r in results)}/{len(results)} reproduced "
-          f"-> {run.out / 'counterexamples.json'}")
-    return EXIT_OK if all_ok else EXIT_VIOLATIONS
+          f"-> {ns.out / 'counterexamples.json'}")
+    return EXIT_OK if all(r["reproduced"] for r in results) else EXIT_VIOLATIONS
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="fekete-lab",
         description="Experiments on componentwise subadditive functions: "
@@ -447,29 +401,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="output directory (default fekete_results)")
-        p.add_argument("--seed", type=int, help="seed for all sampling (default 2024)")
+        p.add_argument("--out", type=Path, default="fekete_results",
+                       help="output directory (default %(default)s)")
+        p.add_argument("--seed", type=int, default=2024,
+                       help="seed for all sampling (default %(default)s)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generation timestamp from SVG output")
-        p.add_argument("--config", help="JSON config file mirroring the flags")
+        p.add_argument("--config", help="JSON config file mirroring the flags; "
+                                        "a flag given on the command line wins")
+
+    def oracle(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
+        p.add_argument("--table", help="tabulated-function JSON file")
 
     p = sub.add_parser("check", help="run subadditivity checks on an oracle")
-    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
-    p.add_argument("--table", help="tabulated-function JSON file")
-    p.add_argument("--mode", help=f"one of {', '.join(_CHECK_MODES)} (default all)")
-    p.add_argument("--count", type=int, help="random sample count (default 10000)")
-    p.add_argument("--shift", type=int, help="shift amount for shift mode (default 1)")
+    oracle(p)
+    p.add_argument("--mode", default="all",
+                   help=f"one of {', '.join(_CHECK_MODES)} (default %(default)s)")
+    p.add_argument("--count", type=int, default=10_000,
+                   help="random sample count (default %(default)s)")
+    p.add_argument("--shift", type=int, default=1,
+                   help="shift amount for shift mode (default %(default)s)")
     p.add_argument("--sets", help="set-family JSON file for set_union mode")
     common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("limit", help="estimate ratio-net limits")
-    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
-    p.add_argument("--table", help="tabulated-function JSON file")
-    p.add_argument("--delta", type=float, help="convergence tolerance (default 0.01)")
+    oracle(p)
+    p.add_argument("--delta", type=float, default=0.01,
+                   help="convergence tolerance (default %(default)s)")
     p.add_argument("--base", help="schedule base point, e.g. 1,1")
-    p.add_argument("--growth", type=float, help="schedule growth factor (default 2)")
-    p.add_argument("--levels", type=int, help="schedule level count (default 40)")
+    p.add_argument("--growth", type=float, default=2.0,
+                   help="schedule growth factor (default %(default)s)")
+    p.add_argument("--levels", type=int, default=40,
+                   help="schedule level count (default %(default)s)")
     p.add_argument("--iterated", help="1-based axis order for nested limits, e.g. 2,1")
     p.add_argument("--direction", help="ray direction, e.g. 1,1")
     p.add_argument("--diagonal", help="per-axis powers of t for a diagonal path, e.g. 1,2")
@@ -479,18 +444,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="pattern-count entropy bounds for a subshift")
     p.add_argument("--sft", help="fixture name or JSON spec file "
                                  "(an unknown name lists the fixtures)")
-    p.add_argument("--max-side", dest="max_side", type=int,
-                   help="largest cube side (default 12)")
+    p.add_argument("--max-side", dest="max_side", type=int, default=12,
+                   help="largest cube side (default %(default)s)")
     common(p)
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("levelset", help="level-set measure lemma margins")
-    p.add_argument("--fn", help="builtin oracle name (an unknown name lists them all)")
-    p.add_argument("--table", help="tabulated-function JSON file")
+    oracle(p)
     p.add_argument("--anchors", help="semicolon-separated anchor points, e.g. 1,1;2,3")
-    p.add_argument("--method", help="grid or mc (default grid)")
-    p.add_argument("--cells", type=int, help="quadrature cells per axis (default 400)")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples (default 20000)")
+    p.add_argument("--method", default="grid", help="grid or mc (default %(default)s)")
+    p.add_argument("--cells", type=int, default=400,
+                   help="quadrature cells per axis (default %(default)s)")
+    p.add_argument("--samples", type=int, default=20_000,
+                   help="Monte Carlo samples (default %(default)s)")
     common(p)
     p.set_defaults(func=_cmd_levelset)
 
@@ -499,17 +465,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_counterexamples)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if ns.config is not None:
+            # config values become the subcommand's defaults: a flag on the
+            # command line still wins when the same argv is parsed again
+            commands[ns.command].set_defaults(**_config_defaults(commands[ns.command], ns))
+            ns = parser.parse_args(argv)
+        _check_out(ns.out)
         return ns.func(ns)
     except ScheduleError as exc:
         print(f"error: unusable schedule: {exc}", file=sys.stderr)

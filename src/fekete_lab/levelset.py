@@ -312,7 +312,7 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
     for m in range(1, line_points + 1):
         x = 1 + Fraction(1, m)
         bound = x.denominator
-        max_value = max(min(x.denominator, y.denominator) for y in ys)
+        max_value = max(int(rubin_eval((x, y))) for y in ys)
         line_scans.append(LineScan(x=x, denominator_bound=bound,
                                    max_value=max_value, ok=max_value <= bound))
     return UnboundednessDemo(diagonal=tuple(diagonal), line_scans=tuple(line_scans))
@@ -330,7 +330,7 @@ class RationalBoxScan:
 
 
 def rubin_rational_box_scan(q_max: int) -> RationalBoxScan:
-    """Scan min(denominator, denominator) over {1 + p/q : q <= q_max}^2.
+    """Scan rubin_eval over {1 + p/q : q <= q_max}^2.
 
     The maximum grows without bound in q_max (it is at least q_max,
     attained on the diagonal), which is exactly what a float grid scan
@@ -344,7 +344,7 @@ def rubin_rational_box_scan(q_max: int) -> RationalBoxScan:
     worst = None
     for x in grid:
         for y in grid:
-            v = min(x.denominator, y.denominator)
+            v = int(rubin_eval((x, y)))
             if v > best:
                 best, best_point = v, (x, y)
             if worst is None or v < worst:

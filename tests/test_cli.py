@@ -221,6 +221,91 @@ def test_explicit_flag_overrides_config(tmp_path):
     assert not (tmp_path / "check_joint.json").exists()
 
 
+def test_explicit_numeric_flag_overrides_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fn": "sqrt_prod", "levels": 4, "delta": 0.5}))
+    assert run(["limit", "--config", config, "--levels", 6, "--out", tmp_path / "a",
+                "--no-timestamp"]) == 0
+    assert run(["limit", "--fn", "sqrt_prod", "--levels", 6, "--delta", 0.5,
+                "--out", tmp_path / "b", "--no-timestamp"]) == 0
+    assert read_json(tmp_path / "a" / "bracket.json")["evaluations"] == 49
+    for name in ("bracket.json", "bracket.csv", "bracket.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# every option of one run, keyed as in --config; out and seed are added
+CONFIG_RUNS = {
+    "check": ("check", {"fn": "nmod2", "mode": "shift", "shift": 1, "count": 300}),
+    "simultaneous": ("limit", {"fn": "sqrt_prod", "delta": 0.02, "base": "2,1",
+                               "growth": 1.5, "levels": 10}),
+    "iterated": ("limit", {"fn": "x1sq_sqrt_x2", "iterated": "1,2", "base": "1,1",
+                           "delta": 0.01, "growth": 2, "levels": 12}),
+    "ray": ("limit", {"fn": "sqrt_prod", "direction": "1,2", "delta": 0.01,
+                      "growth": "2", "levels": 10}),
+    "diagonal": ("limit", {"fn": "full_shift_count_log", "diagonal": "1,2",
+                           "delta": 0.01, "growth": 2.0, "levels": 10}),
+    "entropy": ("entropy", {"sft": "golden_mean_1d", "max_side": 10}),
+    "levelset": ("levelset", {"fn": "sqrt_prod", "anchors": "1,1;2,3", "method": "mc",
+                              "cells": 50, "samples": 2000}),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_RUNS)
+def test_config_run_matches_flag_run_byte_for_byte(tmp_path, capsys, monkeypatch, name):
+    command, options = CONFIG_RUNS[name]
+    options = {**options, "out": "out", "seed": 11, "no_timestamp": True}
+    results = []
+    for side in ("flags", "config"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        if side == "flags":
+            argv = [command, "--no-timestamp"]
+            for key, value in options.items():
+                if key != "no_timestamp":
+                    argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            Path("config.json").write_text(json.dumps(options))
+            argv = [command, "--config", "config.json"]
+        code = run(argv)
+        files = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+        results.append((code, capsys.readouterr(), files))
+    assert results[0][2]  # the run wrote its files
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("config", [{"levels": 4.7}, {"levels": True}],
+                         ids=["float", "boolean"])
+def test_config_number_is_refused_where_the_flag_would_be(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["limit", "--fn", "sqrt_prod", "--config", path, "--out", out]) == 2
+    value = config["levels"]
+    assert capsys.readouterr().err == f"error: levels must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"levels": 4}, {"levels": "4"}, {"levels": 4, "growth": 1.05}],
+                         ids=["integer", "text", "float_growth"])
+def test_config_number_typed_as_its_flag_runs(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["limit", "--fn", "sqrt_prod", "--config", path, "--out", tmp_path]) == 0
+    assert read_json(tmp_path / "bracket.json")["evaluations"] == 25  # (4 + 1)^2 grid points
+
+
+@pytest.mark.parametrize("below", [[], ["sub", "dir"]], ids=["file", "below_a_file"])
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, below):
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory\n")
+    out = blocker.joinpath(*below)
+    assert run(["limit", "--fn", "sqrt_prod", "--levels", 4, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
