@@ -277,10 +277,7 @@ def _window_1d(sft: SftSpec) -> int:
         raise DomainError("the transfer counter only handles one-dimensional subshifts")
     if not sft.forbidden:
         return 1
-    w = max(pat.extent(0) for pat in sft.forbidden)
-    if w > MAX_PATTERN_SIDE:
-        raise DomainError(f"window {w} exceeds the {MAX_PATTERN_SIDE}-cell memory cap")
-    return w
+    return max(pat.extent(0) for pat in sft.forbidden)
 
 
 def _word_patterns_1d(sft: SftSpec) -> list[tuple[int, dict[int, int]]]:
@@ -306,6 +303,17 @@ def _ends_forbidden(word: tuple[int, ...], patterns: list[tuple[int, dict[int, i
     return False
 
 
+def _successors_1d(suffix: tuple[int, ...], alphabet: int,
+                   patterns: list[tuple[int, dict[int, int]]],
+                   keep: int) -> Iterator[tuple[int, ...]]:
+    """One window-DP step: for each symbol s that may follow suffix, the
+    next state, the last keep symbols of suffix + (s,)."""
+    for s in range(alphabet):
+        word = suffix + (s,)
+        if not _ends_forbidden(word, patterns):
+            yield word[-keep:] if keep else ()
+
+
 def _window_counts_1d(sft: SftSpec) -> Iterator[dict[tuple[int, ...], int]]:
     """Per-state count vectors c_0, c_1, ... of the window dynamic program.
 
@@ -315,19 +323,14 @@ def _window_counts_1d(sft: SftSpec) -> Iterator[dict[tuple[int, ...], int]]:
     cell.  From k = w-1 on, every state has w-1 symbols and
     c_k = T^t c_{k-1} for the window transfer matrix T.
     """
-    w = _window_1d(sft)
+    keep = _window_1d(sft) - 1
     patterns = _word_patterns_1d(sft)
-    keep = w - 1
     counts: dict[tuple[int, ...], int] = {(): 1}
     while True:
         yield counts
         new: dict[tuple[int, ...], int] = {}
         for suffix, c in counts.items():
-            for s in range(sft.alphabet):
-                word = suffix + (s,)
-                if _ends_forbidden(word, patterns):
-                    continue
-                nxt = word[-keep:] if keep else ()
+            for nxt in _successors_1d(suffix, sft.alphabet, patterns, keep):
                 new[nxt] = new.get(nxt, 0) + c
         counts = new
 
@@ -346,30 +349,21 @@ def transfer_matrix_count_1d(sft: SftSpec, n: int) -> int:
 
 
 def transfer_matrix_1d(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """States (admissible windows of w-1 symbols) and 0/1 transition matrix."""
-    import numpy as np
-    w = _window_1d(sft)
-    patterns = _word_patterns_1d(sft)
-    if w == 1:
-        allowed = [s for s in range(sft.alphabet)
-                   if not _ends_forbidden((s,), patterns)]
-        return [()], np.array([[float(len(allowed))]])
+    """States and transition counts of the window transfer matrix.
 
-    states: list[tuple[int, ...]] = []
-    for word in itertools.product(range(sft.alphabet), repeat=w - 1):
-        if any(_ends_forbidden(word[: i + 1], patterns) for i in range(w - 1)):
-            continue
-        states.append(word)
+    The states are the window DP's states at length w-1 (the admissible
+    words of w-1 symbols), sorted; entry [u, v] counts the symbols that
+    step u to v, so w = 1 gives [[number of allowed symbols]].
+    """
+    import numpy as np
+    keep = _window_1d(sft) - 1
+    patterns = _word_patterns_1d(sft)
+    states = sorted(next(itertools.islice(_window_counts_1d(sft), keep, None)))
     index = {s: i for i, s in enumerate(states)}
     matrix = np.zeros((len(states), len(states)))
     for u in states:
-        for s in range(sft.alphabet):
-            word = u + (s,)
-            if _ends_forbidden(word, patterns):
-                continue
-            v = word[1:]
-            if v in index:
-                matrix[index[u], index[v]] = 1.0
+        for v in _successors_1d(u, sft.alphabet, patterns, keep):
+            matrix[index[u], index[v]] += 1.0
     return states, matrix
 
 

@@ -183,6 +183,27 @@ def test_limit_refuses_conflicting_modes(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--mode", "joint", "--count", 50],
+    ["limit", "--levels", 4],
+    ["levelset", "--anchors", "1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_fn_and_table_together_are_refused(tmp_path, capsys, command, via_config):
+    table = tmp_path / "tab.json"
+    table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]], "values": [1, 2, 3, 4]}))
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fn": "sqrt_prod", "table": str(table)}))
+        extra = ["--config", config]
+    else:
+        extra = ["--fn", "sqrt_prod", "--table", table]
+    out = tmp_path / "out"
+    assert run([*command, *extra, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: give one of --fn and --table, not both\n"
+    assert not out.exists()
+
+
 def test_levelset_command(tmp_path):
     code = run(["levelset", "--fn", "sqrt_prod", "--anchors", "1,1",
                 "--cells", 800, "--out", tmp_path])

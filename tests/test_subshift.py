@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fekete_lab import subshift
 from fekete_lab.domain import ConfigError, DomainError
 from fekete_lab.subshift import (
     CapExceededError,
@@ -62,23 +64,22 @@ def brute_force_hard_square(n: int) -> int:
     return count
 
 
+def admissible_word(sft: SftSpec, word: tuple[int, ...]) -> bool:
+    """No translate of a forbidden pattern lies fully inside word."""
+    n = len(word)
+    for p in sft.forbidden:
+        lo = min(o[0] for o in p.offsets)
+        cells = {o[0]: s for o, s in zip(p.offsets, p.symbols)}
+        span = max(cells) - lo
+        for start in range(n - span):
+            if all(word[start + off - lo] == sym for off, sym in cells.items()):
+                return False
+    return True
+
+
 def brute_force_words(sft: SftSpec, n: int) -> int:
-    forbidden = [(min(o[0] for o in p.offsets),
-                  {o[0]: s for o, s in zip(p.offsets, p.symbols)})
-                 for p in sft.forbidden]
-    count = 0
-    for word in itertools.product(range(sft.alphabet), repeat=n):
-        bad = False
-        for lo, cells in forbidden:
-            span = max(cells) - lo
-            for start in range(n - span):
-                if all(word[start + off - lo] == sym for off, sym in cells.items()):
-                    bad = True
-                    break
-            if bad:
-                break
-        count += not bad
-    return count
+    return sum(admissible_word(sft, word)
+               for word in itertools.product(range(sft.alphabet), repeat=n))
 
 
 def test_golden_mean_counts_equal_fibonacci_both_routes():
@@ -401,6 +402,68 @@ def test_transfer_value_at_a_jordan_block():
     bracket = entropy_bounds(staircase, 6)
     assert [e.count for e in bracket.entries] == [2, 3, 4, 5, 6, 7]
     assert abs(bracket.transfer_value_1d) <= 1e-12
+
+
+def brute_force_transfer_matrix(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every admissible word of w-1 symbols, and per pair of them the number
+    of symbols s with u + (s,) admissible and ending in v."""
+    w = max((max(o[0] for o in p.offsets) - min(o[0] for o in p.offsets) + 1
+             for p in sft.forbidden), default=1)
+    states = [u for u in itertools.product(range(sft.alphabet), repeat=w - 1)
+              if admissible_word(sft, u)]
+    index = {u: i for i, u in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for u in states:
+        for s in range(sft.alphabet):
+            if admissible_word(sft, u + (s,)):
+                matrix[index[u], index[(u + (s,))[1:]]] += 1
+    return states, matrix
+
+
+def test_transfer_matrix_matches_brute_force_on_random_1d_sfts():
+    rng = random.Random(20261019)
+    several_symbols_w1 = empty = 0
+    for _ in range(300):
+        a = rng.randint(2, 4)
+        patterns = []
+        for _ in range(rng.randint(0, 4)):
+            extent = rng.randint(1, 4)
+            offsets = {0, extent - 1} | set(rng.sample(range(extent), rng.randint(0, extent)))
+            patterns.append(ForbiddenPattern(tuple((o,) for o in sorted(offsets)),
+                                             tuple(rng.randrange(a) for _ in offsets)))
+        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
+        states, matrix = transfer_matrix_1d(sft)
+        ref_states, ref_matrix = brute_force_transfer_matrix(sft)
+        assert states == ref_states
+        assert matrix.shape == ref_matrix.shape and (matrix == ref_matrix).all()
+        several_symbols_w1 += states == [()] and matrix[0, 0] >= 2
+        # the subshift is empty exactly when the matrix is nilpotent
+        empty += not states or not np.linalg.matrix_power(matrix, len(states)).any()
+    assert several_symbols_w1 >= 5 and empty >= 5
+
+
+def test_transfer_matrix_enumerates_only_admissible_words(monkeypatch):
+    # four symbols that must cycle 0 -> 1 -> 2 -> 3 -> 0, and a pattern of
+    # extent 8 that never fires: w = 8, but only 4 admissible windows out of
+    # 4^7 words, so the matrix takes about a hundred pattern tests, not
+    # tens of thousands
+    sft = SftSpec(alphabet=4, dim=1, forbidden=tuple(
+        ForbiddenPattern(((0,), (1,)), (s, t))
+        for s in range(4) for t in range(4) if t != (s + 1) % 4)
+        + (ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    calls = 0
+    ends_forbidden = subshift._ends_forbidden
+
+    def counting(word, patterns):
+        nonlocal calls
+        calls += 1
+        return ends_forbidden(word, patterns)
+
+    monkeypatch.setattr(subshift, "_ends_forbidden", counting)
+    states, matrix = transfer_matrix_1d(sft)
+    assert calls <= 1000
+    assert states == [tuple((s + k) % 4 for k in range(7)) for s in range(4)]
+    assert (matrix == np.roll(np.eye(4), 1, axis=1)).all()
 
 
 def test_power_iteration_matches_closed_forms():

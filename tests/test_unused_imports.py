@@ -1,4 +1,4 @@
-"""No module under src/ or demos/ imports a name that it never uses.
+"""No module under src/, demos/ or tests/ imports a name that it never uses.
 
 Each scope is checked on its own: an import inside a function must be
 used inside that function, so a handler that stops using a name it
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
+MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
