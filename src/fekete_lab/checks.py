@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -180,8 +179,9 @@ def _probe_points(domain: Domain) -> np.ndarray:
     coordinates) before any random sampling runs.
     """
     if domain.grid_axes is not None:
-        grid = list(itertools.product(*domain.grid_axes))
-        return np.array(grid if len(grid) <= 64 else [], dtype=float).reshape(-1, domain.dim)
+        small = math.prod(map(len, domain.grid_axes)) <= 64
+        grid = list(itertools.product(*domain.grid_axes)) if small else []
+        return np.array(grid, dtype=float).reshape(-1, domain.dim)
     per_axis: list[list[float]] = []
     for i in range(domain.dim):
         if domain.orthant is None:
@@ -218,6 +218,18 @@ def _evaluator(oracle: FunctionOracle, kind: str) -> Callable[[np.ndarray], np.n
     return f
 
 
+def _sum_point(pairs: np.ndarray, axis: int | None) -> np.ndarray:
+    """The point a pair inequality evaluates on its left, for pairs (x, y) one
+    per row: x + y, or with axis given, x moved by y along that axis alone."""
+    d = pairs.shape[1] // 2
+    x, y = pairs[:, :d], pairs[:, d:]
+    if axis is None:
+        return x + y
+    z = x.copy()
+    z[:, axis] += y[:, axis]
+    return z
+
+
 def _violations(kind: str, axis: int | None, x: np.ndarray, y: np.ndarray,
                 lhs: np.ndarray, rhs: np.ndarray) -> list[Violation]:
     """One Violation per row, holding Python floats (their repr is the output format)."""
@@ -251,15 +263,17 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
                   axis: int | None = None) -> _Found:
     """Screen every candidate pair in one batch, then shrink the strongest random hits.
 
-    inequality(f, x, y) -> (lhs, rhs) states lhs <= rhs for pairs given one
-    per row.  Candidates are the probe-lattice pairs, then budget pair j
-    (x at counters 2dj.., y at the next d); each needs x + y in the domain,
-    and with axis given, also y once restricted to the axis line through x.
-    Every hit is counted.  Probe hits are kept as given; of the distinct
-    random hits only the TOP_K with the largest screen margin are kept
-    (_strongest), and only those are shrunk, in lockstep.  Each is halved
-    toward the origin, as if alone, until a fixed point, a coordinate below
-    _SHRINK_FLOOR, a step out of the domain or without violation, or
+    inequality(f, x, y, z) -> (lhs, rhs) states lhs <= rhs for pairs given one
+    per row, z being their sum point (_sum_point): the one point the
+    inequality evaluates besides x and y.  Candidates are the probe-lattice
+    pairs, then budget pair j (x at counters 2dj.., y at the next d); each
+    needs its sum point in the domain, and with axis given, also y once
+    restricted to the axis line through x.  Every hit is counted.  Probe
+    hits are kept as given; of the distinct random hits only the TOP_K with
+    the largest screen margin are kept (_strongest), and only those are
+    shrunk, in lockstep.  Each is halved toward the origin, as if alone,
+    until a fixed point, a coordinate below _SHRINK_FLOOR, a step that takes
+    x, y or the sum point out of the domain, a step without violation, or
     _MAX_SHRINK_STEPS.  Returns the kept violations, the number of pairs
     checked, of hits and of distinct hits.
     """
@@ -276,12 +290,13 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
                        np.hstack([_sample(domain, budget, counters),
                                   _sample(domain, budget, counters + np.uint64(d))])])
     probe = np.arange(len(pairs)) < m * m
-    keep = inside(pairs[:, :d] + pairs[:, d:])
+    sums = _sum_point(pairs, axis)
+    keep = inside(sums)
     if axis is not None:  # y moves to the axis line through x
         pairs[:, d:] = np.where(np.arange(d) == axis, pairs[:, d:], pairs[:, :d])
         keep &= inside(pairs[:, d:])
-    pairs, probe = pairs[keep], probe[keep]
-    lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:])
+    pairs, sums, probe = pairs[keep], sums[keep], probe[keep]
+    lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:], sums)
     hit = _exceeds(lhs, rhs)
     listed, probed, distinct = _strongest(pairs[hit], lhs[hit] - rhs[hit], probe[hit])
     pairs, lhs, rhs = pairs[hit][listed], lhs[hit][listed], rhs[hit][listed]
@@ -290,12 +305,13 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         old = pairs[rows]
         new = (np.copysign(np.maximum(1.0, np.floor(np.abs(old) / 2)), old)
                if domain.integer else old / 2.0)
+        sums = _sum_point(new, axis)
         go = ((new != old).any(axis=1) & (np.abs(new) >= _SHRINK_FLOOR).all(axis=1)
-              & inside(new[:, :d] + new[:, d:]) & inside(new[:, :d]) & inside(new[:, d:]))
-        rows, new = rows[go], new[go]
+              & inside(sums) & inside(new[:, :d]) & inside(new[:, d:]))
+        rows, new, sums = rows[go], new[go], sums[go]
         if not rows.size:
             break
-        new_lhs, new_rhs = inequality(f, new[:, :d], new[:, d:])
+        new_lhs, new_rhs = inequality(f, new[:, :d], new[:, d:], sums)
         still = _exceeds(new_lhs, new_rhs)
         rows = rows[still]
         pairs[rows], lhs[rows], rhs[rows] = new[still], new_lhs[still], new_rhs[still]
@@ -317,14 +333,15 @@ def _report(kind: str, oracle: FunctionOracle, runs: list[_Found],
 # The checks
 # ---------------------------------------------------------------------------
 
+def _joint(f, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(z) <= f(x) + f(y): z is x + y in the joint check, x + y_i e_i on axis i."""
+    return f(z), _ext_add(f(x), f(y))
+
+
 def check_joint(oracle: FunctionOracle, budget: SampleBudget | None = None) -> ViolationReport:
     """Refute f(x+y) <= f(x) + f(y) over sampled in-domain pairs."""
     budget = budget or SampleBudget()
-
-    def joint(f, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return f(x + y), _ext_add(f(x), f(y))
-
-    return _report("joint", oracle, [_refute_pairs(oracle, budget, "joint", joint)], budget)
+    return _report("joint", oracle, [_refute_pairs(oracle, budget, "joint", _joint)], budget)
 
 
 def check_componentwise(oracle: FunctionOracle,
@@ -335,15 +352,9 @@ def check_componentwise(oracle: FunctionOracle,
     replaced, so both evaluations sit on the same axis-i line.
     """
     budget = budget or SampleBudget()
-
-    def on_axis(f, x: np.ndarray, y: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        z = x.copy()
-        z[:, axis] += y[:, axis]
-        return f(z), _ext_add(f(x), f(y))
-
     return _report("componentwise", oracle,
-                   [_refute_pairs(oracle, budget, "componentwise", partial(on_axis, axis=axis),
-                                  axis) for axis in range(oracle.domain.dim)], budget)
+                   [_refute_pairs(oracle, budget, "componentwise", _joint, axis)
+                    for axis in range(oracle.domain.dim)], budget)
 
 
 def check_four_term(oracle: FunctionOracle,
@@ -358,8 +369,9 @@ def check_four_term(oracle: FunctionOracle,
     budget = budget or SampleBudget()
     d = oracle.domain.dim
 
-    def four_term(f, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lhs = f(x + y)
+    def four_term(f, x: np.ndarray, y: np.ndarray,
+                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lhs = f(z)
         rhs = np.zeros(len(lhs))  # summed left to right from 0.0, as ext_sum does
         for bits in itertools.product((False, True), repeat=d):
             rhs = _ext_add(rhs, f(np.where(bits, y, x)))

@@ -35,7 +35,7 @@ from .domain import (
     violation_tolerance,
 )
 from .ioutil import CSV_BLOCK_ROWS
-from .registry import Domain, FunctionOracle
+from .registry import FunctionOracle
 
 # checks (the inner-profile report) is imported where it is used, so a
 # limit run loads neither it nor the sample stream it imports
@@ -172,18 +172,31 @@ def _require_delta(delta: float) -> None:
         raise DomainError(f"delta must be positive, got {delta!r}")
 
 
-def _bracket(shells: np.ndarray, points: np.ndarray, ratios: np.ndarray,
-             upper_max: np.ndarray, corners: np.ndarray, delta: float) -> LimitBracket:
-    """Assemble an inf-sense bracket from the evaluated ratios.
+def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Sequence[float],
+             corners: np.ndarray, delta: float) -> LimitBracket:
+    """Evaluate the ratios f(points[k])/scales[k] and bracket them in inf sense.
 
-    upper_max[k] is the largest ratio over the upper set of shell k, the
-    samples beyond its corner corners[k] in the product order.  The
-    bracket converges at the first shell whose upper set stays within
-    delta of the minimum ratio.
+    The points, one per row, run in C order over the parameter grid
+    (len(corners),) * corners.shape[1]: grid axis i is the level of the
+    sample on axis i, and corners[k] is the sample at level k on every
+    axis.  A path is the one-axis case.  Shell k is the layer of samples
+    whose largest level is k, and its upper set is the samples at level
+    k or more on every axis.  The bracket converges at the first shell
+    whose upper set stays within delta of the minimum ratio.
     """
+    _require_finite(points, scales)
+    grid = (len(corners),) * corners.shape[1]
+    ratios = (oracle.evaluate_points(list(points.T)) / scales).reshape(grid)
+    shells = np.indices(grid).max(axis=0).ravel()
+    upper_max = ratios  # becomes the largest ratio over each sample's upper set
+    for a in range(len(grid)):
+        upper_max = np.flip(np.maximum.accumulate(np.flip(upper_max, axis=a), axis=a), axis=a)
+    upper_max = upper_max[(np.arange(len(corners)),) * len(grid)]
+    ratios = ratios.ravel()
     best_upper = float(ratios.min())
     tail_estimate = float(ratios[shells == shells.max()].min())
-    within = np.flatnonzero(upper_max - best_upper <= delta)
+    with np.errstate(invalid="ignore"):  # inf - inf: that upper set is not within delta
+        within = np.flatnonzero(upper_max - best_upper <= delta)
     shell = int(within[0]) if within.size else None
     if best_upper == -math.inf or tail_estimate < DIVERGENCE_FLOOR:
         status = DIVERGING_MINUS
@@ -234,35 +247,22 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     """
     _require_delta(delta)
     _require_main_orthant(oracle)
-    d = oracle.domain.dim
-    schedule = _schedule(schedule, d)
+    return _bracket(oracle, *_grid(_schedule(schedule, oracle.domain.dim),
+                                   oracle.domain.integer), delta)
 
-    integer = oracle.domain.integer
+
+def _grid(schedule: GridSchedule, integer: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The schedule's grid for _bracket: points, coordinate products, corners.
+
+    The points run in C order over the levels, one per row; each axis is a
+    contiguous column.  Products multiply the coordinates left to right.
+    """
     axes = [np.asarray(schedule.axis_values(i, integer=integer), dtype=float)
-            for i in range(d)]
-    levels = len(axes[0])
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    denom = np.ones(mesh[0].shape)
-    with np.errstate(over="ignore"):  # an overflow is caught just below
-        for i, ax in enumerate(axes):
-            shape = [1] * d
-            shape[i] = levels
-            denom = denom * ax.reshape(shape)
-    _require_finite(np.concatenate(axes), denom)
-    values = oracle.evaluate_points([m.ravel() for m in mesh]).reshape(mesh[0].shape)
-    ratios = values / denom
-
-    shell_of = np.indices(ratios.shape).max(axis=0)
-
-    # suffix max over the product-order upper sets [k..L]^d
-    suffix_max = ratios.copy()
-    for a in range(d):
-        suffix_max = np.flip(np.maximum.accumulate(np.flip(suffix_max, axis=a), axis=a), axis=a)
-
-    return _bracket(shell_of.ravel(), np.stack([m.ravel() for m in mesh], axis=1),
-                    ratios.ravel(), suffix_max[(np.arange(levels),) * d],
-                    np.stack(axes, axis=1), delta)
+            for i in range(schedule.dim)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1).T
+    with np.errstate(over="ignore"):  # _bracket refuses an overflow
+        scales = math.prod(points.T)
+    return points, scales, np.stack(axes, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _path_schedule(schedule: GridSchedule | None, kind: str) -> GridSchedule:
-    schedule = schedule or GridSchedule(base=Point((1.0,)), growth=2.0, levels=40)
+    schedule = schedule or default_schedule(1)
     if schedule.dim != 1:
         raise DomainError(f"{kind} limits use a one-dimensional parameter schedule")
     return schedule
@@ -456,16 +456,6 @@ def _path_points(ts: Sequence[float],
         return np.array([path(t) for t in ts], dtype=float)
     except OverflowError as exc:
         raise ScheduleError(f"a path point overflows: {exc}") from exc
-
-
-def _path_bracket(oracle: FunctionOracle, ts: Sequence[float], points: np.ndarray,
-                  scales: Sequence[float], delta: float) -> LimitBracket:
-    """Bracket the ratios f(points[k])/scales[k]; sample k is shell k, at parameter ts[k]."""
-    _require_finite(points, scales)
-    ratio_arr = oracle.evaluate_points(list(points.T)) / np.asarray(scales, dtype=float)
-    return _bracket(np.arange(len(ratio_arr)), points, ratio_arr,
-                    np.maximum.accumulate(ratio_arr[::-1])[::-1],
-                    np.array(ts, dtype=float).reshape(-1, 1), delta)
 
 
 def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], float]],
@@ -497,7 +487,9 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
 
     if oracle.domain.integer:
         coords = np.round(coords)  # half to even, as round(); inf stays inf
-    return _path_bracket(oracle, ts, coords, [math.prod(c) for c in coords.tolist()], delta)
+    with np.errstate(over="ignore"):  # _bracket refuses an overflow
+        scales = math.prod(coords.T)
+    return _bracket(oracle, coords, scales, np.array(ts).reshape(-1, 1), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +586,14 @@ def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
     if w.dim != d:
         raise DimensionMismatchError(f"orthant word of length {w.dim} vs oracle {d}")
 
-    signs = tuple(w.sign(i) for i in range(d))
-    mirror = FunctionOracle(
-        name=f"{oracle.name}_on_{w}",
-        domain=Domain(dim=d, orthant=Orthant.main(d), integer=oracle.domain.integer),
-        array_fn=lambda *cols: oracle.evaluate_points([c * s for c, s in zip(cols, signs)]),
-        claims_componentwise_subadditive=oracle.claims_componentwise_subadditive,
-    )
-    base = simultaneous_limit(mirror, schedule, delta)
-    threshold = (tuple(c * s for c, s in zip(base.threshold_point, signs))
-                 if base.threshold_point else None)
-    reflected_base = replace(base, threshold_point=threshold, points=base.points * signs)
+    _require_delta(delta)
+    signs = np.array([w.sign(i) for i in range(d)])
+    points, scales, corners = _grid(_schedule(schedule, d), oracle.domain.integer)
+    base = _bracket(oracle, points * signs, scales, corners * signs, delta)
     if w.parity == 0:
-        return reflected_base
+        return base
     assert base.best_upper is not None
-    return replace(reflected_base, sense="sup", best_upper=None, best_lower=-base.best_upper,
+    return replace(base, sense="sup", best_upper=None, best_lower=-base.best_upper,
                    tail_estimate=-base.tail_estimate,
                    status={DIVERGING_MINUS: DIVERGING_PLUS}.get(base.status, base.status),
                    ratios=-base.ratios)
@@ -630,8 +615,8 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     if all(c == 0 for c in dirp):
         raise DomainError("direction must be nonzero")
     ts = _path_schedule(schedule, "ray").axis_values(0)
-    return _path_bracket(oracle, ts, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
-                         delta)
+    return _bracket(oracle, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
+                    np.array(ts).reshape(-1, 1), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fekete_lab.checks import (
     TOP_K,
+    _probe_points,
     Violation,
     ViolationReport,
     check_componentwise,
@@ -217,6 +219,36 @@ def test_large_tabulated_domains_are_sampled_on_grid():
                for v in report.violations)
 
 
+def test_componentwise_checks_on_tables_screen_the_sum_point():
+    # x1^2 x2 on an 8 x 7 grid: x1^2 breaks subadditivity along axis 0, and
+    # x + y_0 e_0 is often on the grid when x + y is not (axis 1 is odd)
+    axes = (tuple(float(k) for k in range(1, 9)), tuple(float(k) for k in range(1, 14, 2)))
+    oracle = TabulatedFunction(axes=axes, values=tuple(
+        a * a * b for a in axes[0] for b in axes[1])).to_oracle("sq")
+    report = check_componentwise(oracle, SampleBudget(seed=1))
+    assert report.samples_checked > 1000 and report.violation_count > 100
+    assert {v.axis for v in report.violations} == {0}
+    for v in report.violations:
+        (x1, x2), (y1, y2) = v.witness
+        assert y2 == x2 and (x1 + y1) in axes[0]
+        assert v.lhs == oracle.evaluate((x1 + y1, x2)) > v.rhs
+
+
+def test_probe_points_of_a_large_table_allocate_little():
+    # deterministic memory guard: listing the million grid points first
+    # peaked at 64 MB, only to probe none of them
+    axis = tuple(float(k) for k in range(1, 1001))
+    domain = Domain(dim=2, grid_axes=(axis, axis))
+    tracemalloc.start()
+    try:
+        probes = _probe_points(domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probes.shape == (0, 2)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_report_serialization_shapes():
     report = check_joint(builtin("sqrt_prod"), SampleBudget(count=100, seed=1))
     payload = report.to_json_dict()
@@ -255,8 +287,9 @@ def _reference_pair_check(oracle, budget, axis=None):
     too large to probe, at the default ranges.  Every hit is counted;
     probe hits are listed as given, and of the distinct random hits the
     TOP_K with the largest screen margin (the earlier one on ties) are
-    each halved while x, y and x + y stay in the domain, above the 0.1
-    floor, and violating, for at most 80 steps.  Also returns how many of
+    each halved while x, y and the sum point stay in the domain, above the
+    0.1 floor, and violating, for at most 80 steps.  The sum point is
+    x + y, or on axis i, x with y_i added on that axis alone.  Also returns how many of
     those moved at least one step.
     """
     domain, d = oracle.domain, oracle.domain.dim
@@ -272,9 +305,12 @@ def _reference_pair_check(oracle, budget, axis=None):
     def inside(p):
         return domain.contains(Point(p))
 
+    def sum_point(x, y):
+        return tuple(a + b if axis in (None, i) else a for i, (a, b) in enumerate(zip(x, y)))
+
     def violated(x, y):
-        s = tuple(a + b if axis in (None, i) else a for i, (a, b) in enumerate(zip(x, y)))
-        lhs, rhs = oracle.evaluate(s), ext_add(oracle.evaluate(x), oracle.evaluate(y))
+        lhs = oracle.evaluate(sum_point(x, y))
+        rhs = ext_add(oracle.evaluate(x), oracle.evaluate(y))
         return (lhs, rhs) if lhs > rhs + violation_tolerance(lhs, rhs) else None
 
     def halve(c):
@@ -288,7 +324,7 @@ def _reference_pair_check(oracle, budget, axis=None):
                            tuple(draw(2 * d * j + d + i, i) for i in range(d)), False))
     hits, checked = [], 0
     for x, y, probe in candidates:
-        if not inside(tuple(a + b for a, b in zip(x, y))):
+        if not inside(sum_point(x, y)):
             continue
         if axis is not None:
             y = tuple(b if i == axis else a for i, (a, b) in enumerate(zip(x, y)))
@@ -309,8 +345,7 @@ def _reference_pair_check(oracle, budget, axis=None):
         for step in range(80):
             nx, ny = tuple(map(halve, x)), tuple(map(halve, y))
             if ((nx, ny) == (x, y) or min(map(abs, nx + ny)) < 0.1
-                    or not (inside(nx) and inside(ny)
-                            and inside(tuple(a + b for a, b in zip(nx, ny))))):
+                    or not (inside(nx) and inside(ny) and inside(sum_point(nx, ny)))):
                 break
             new_hit = violated(nx, ny)
             if new_hit is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -13,6 +14,7 @@ from fekete_lab.domain import DimensionMismatchError, DomainError, GridSchedule,
 from fekete_lab.ioutil import write_csv_atomic
 from fekete_lab.limits import (
     CONVERGED,
+    DIVERGENCE_FLOOR,
     DIVERGING_MINUS,
     DIVERGING_PLUS,
     INCONCLUSIVE,
@@ -479,7 +481,7 @@ def test_orthant_mirror_evaluates_the_oracle_once_per_batch(monkeypatch):
         array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(-x1 * x2),
         claims_componentwise_subadditive=True)
     bracket = orthant_limit(oracle, schedule=schedule2(levels=8))
-    assert batches == [("sqrt_on_10_on_10", 81), ("sqrt_on_10", 81)] and calls == [81]
+    assert batches == [("sqrt_on_10", 81)] and calls == [81]
     # pinned from the per-point mirror this replaced
     assert bracket.to_json_dict() == {
         "sense": "sup", "best_upper": None, "best_lower": -0.00390625,
@@ -489,6 +491,107 @@ def test_orthant_mirror_evaluates_the_oracle_once_per_batch(monkeypatch):
 
 
 def test_estimators_raise_no_overflow_warning():
+    # -e^x overflows to -inf, so an upper set and best_upper are both -inf
+    neg_exp = FunctionOracle(name="neg_exp", domain=Domain(dim=1, orthant=Orthant.main(1)),
+                             array_fn=lambda x: -np.exp(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         iterated_limit(MIXED, (1, 0))
+        assert ray_limit(neg_exp, (1.0,)).status == DIVERGING_MINUS
+        assert simultaneous_limit(neg_exp).status == DIVERGING_MINUS
+
+
+# Oracles defined on every orthant, for the reference comparisons below
+def _everywhere(name, integer, array_fn, d=2):
+    return FunctionOracle(name=name, domain=Domain(dim=d, orthant=None, integer=integer),
+                          array_fn=array_fn)
+
+
+def _reference_oracles(integer):
+    return [
+        _everywhere("sqrt_abs_prod", integer, lambda x1, x2: np.sqrt(np.abs(x1 * x2))),
+        _everywhere("prod_plus_x1", integer, lambda x1, x2: x1 * x2 + x1),
+        _everywhere("neg_exp_x1", integer, lambda x1, x2: -np.exp(np.abs(x1)) + x2),
+        _everywhere("curved", integer, lambda x1, x2: x1 * x1 * np.sqrt(np.abs(x2))),
+    ]
+
+
+def _reference_orthant_limit(oracle, w, schedule, delta):
+    """orthant_limit by a mirror oracle on the main orthant, reflected and flipped."""
+    d = oracle.domain.dim
+    signs = tuple(w.sign(i) for i in range(d))
+    mirror = FunctionOracle(
+        name=f"{oracle.name}_on_{w}",
+        domain=Domain(dim=d, orthant=Orthant.main(d), integer=oracle.domain.integer),
+        array_fn=lambda *cols: oracle.evaluate_points([c * s for c, s in zip(cols, signs)]))
+    base = simultaneous_limit(mirror, schedule, delta)
+    threshold = (tuple(c * s for c, s in zip(base.threshold_point, signs))
+                 if base.threshold_point else None)
+    base = dataclasses.replace(base, threshold_point=threshold, points=base.points * signs)
+    if w.parity == 0:
+        return base
+    return dataclasses.replace(
+        base, sense="sup", best_upper=None, best_lower=-base.best_upper,
+        tail_estimate=-base.tail_estimate,
+        status={DIVERGING_MINUS: DIVERGING_PLUS}.get(base.status, base.status),
+        ratios=-base.ratios)
+
+
+def _reference_path_bracket(oracle, ts, points, scales, delta):
+    """A path bracket with shell k = sample k and a reversed running max for upper sets."""
+    ratios = oracle.evaluate_points(list(points.T)) / np.asarray(scales, dtype=float)
+    upper = np.maximum.accumulate(ratios[::-1])[::-1].tolist()
+    best, tail = float(ratios.min()), float(ratios[-1])
+    shell = next((k for k, u in enumerate(upper) if u - best <= delta), None)
+    if best == -math.inf or tail < DIVERGENCE_FLOOR:
+        status = DIVERGING_MINUS
+    else:
+        status = INCONCLUSIVE if shell is None else CONVERGED
+    return LimitBracket(sense="inf", best_upper=best, best_lower=None, tail_estimate=tail,
+                        status=status, delta=delta, shell=shell,
+                        threshold_point=None if shell is None else (float(ts[shell]),),
+                        evaluations=len(ratios), shells=np.arange(len(ratios)),
+                        points=points, ratios=ratios)
+
+
+def _assert_same_bracket(got, expected):
+    assert got.to_json_dict() == expected.to_json_dict()
+    for name in ("shells", "points", "ratios"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_orthant_ray_and_diagonal_brackets_match_the_reference_paths(integer):
+    schedule = GridSchedule(base=Point((1.0, 1.0)), growth=1.7, levels=12)
+    ts = GridSchedule(base=Point((1.0,)), growth=2.0, levels=40).axis_values(0)
+    statuses = set()
+    for oracle in _reference_oracles(integer):
+        for bits in itertools.product("01", repeat=2):
+            w = Orthant.from_string("".join(bits))
+            got = orthant_limit(oracle, w, schedule, 0.05)
+            _assert_same_bracket(got, _reference_orthant_limit(oracle, w, schedule, 0.05))
+            statuses.add(got.status)
+
+        direction = (1.0, -2.0)
+        points = np.array([[t * c for c in direction] for t in ts])
+        _assert_same_bracket(ray_limit(oracle, direction, delta=0.05),
+                             _reference_path_bracket(oracle, ts, points, ts, 0.05))
+
+        paths = [lambda t: t, lambda t: 1.5 * t]
+        coords = np.array([[p(t) for p in paths] for t in ts])
+        if integer:
+            coords = np.round(coords)
+        _assert_same_bracket(
+            diagonal_limit(oracle, paths, delta=0.05),
+            _reference_path_bracket(oracle, ts, coords,
+                                    [math.prod(c) for c in coords.tolist()], 0.05))
+    assert {CONVERGED, DIVERGING_MINUS, DIVERGING_PLUS, INCONCLUSIVE} <= statuses
+
+    # one odd word in three dimensions
+    cube = _everywhere("sqrt_abs_prod_3d", integer,
+                       lambda x1, x2, x3: np.sqrt(np.abs(x1 * x2 * x3)) - x2, d=3)
+    w = Orthant.from_string("111")
+    schedule3 = GridSchedule(base=Point((1.0, 2.0, 1.0)), growth=1.7, levels=8)
+    _assert_same_bracket(orthant_limit(cube, w, schedule3, 0.05),
+                         _reference_orthant_limit(cube, w, schedule3, 0.05))
