@@ -155,15 +155,20 @@ def _reprs(values: np.ndarray) -> np.ndarray:
 
 def _require_finite(points: np.ndarray | Sequence[float],
                     denominators: np.ndarray | Sequence[float] | float) -> None:
-    """The overflow rule of every estimator, applied before it evaluates.
+    """The overflow and scale rule of every estimator, applied before it evaluates.
 
     Each point it will evaluate and each ratio denominator it will divide
     by must be finite; an overflowing one would turn the ratio into NaN
-    or a silent 0, so the schedule is unusable.
+    or a silent 0, so the schedule is unusable.  Each denominator must
+    also be positive: a zero one turns the ratio into NaN or an infinity,
+    and a negative one flips the inequality an upper bound rests on.
     """
     if not (np.isfinite(points).all() and np.isfinite(denominators).all()):
         raise ScheduleError("a sample point or ratio denominator is not finite; "
                             "lower the growth or the levels")
+    if not (np.asarray(denominators) > 0).all():
+        raise ScheduleError("a ratio denominator is zero or negative; "
+                            "sample only points with positive coordinate products")
 
 
 def _require_delta(delta: float) -> None:
@@ -393,7 +398,7 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
                 return estimate(here, depth + 1).value
             point = tuple(here[i] for i in range(d))
             denominator = math.prod(here[j] for j in denom_axes)
-            if not math.isfinite(denominator):  # a cheap test first: this runs per point
+            if not 0 < denominator < math.inf:  # a cheap test first: this runs per point
                 _require_finite(point, denominator)
             return oracle.evaluate(point) / denominator
 

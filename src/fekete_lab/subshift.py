@@ -17,11 +17,13 @@ the number of admissible prefixes ending in it, and each cell advances
 the layer through the forbidden translates it completes.  A window is
 coded as one integer, b = max(1, (a-1).bit_length()) bits per symbol
 with the newest symbol in the low bits, and every forbidden translate
-is compiled into a (mask, value) test on that code, so a cell costs one
-AND and one compare per test and one shift-or-mask per new window.
-Only the current layer is held, so memory grows with the number of
-windows, far below the raw a^cells search space, and not with the cell
-count.
+is compiled into a (mask, value) test on that code.  Cells where the
+same translates fit share one kind (an n x n nearest-neighbour box has
+4), compiled once.  Each kind memoizes its admissible symbols by the
+digits its tests read, so a window costs one AND and one lookup, plus
+one shift-or-mask per new window.  Only the current layer is held, so
+memory grows with the number of windows, far below the raw a^cells
+search space, and not with the cell count.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
 CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
 STATE_CAP_BITS = 48.0  # (frontier window + 1) * log2(a) <= this: the pairs of a
                        # window and a new symbol one cell's step may visit
+
+
+# One kind of sweep cell: per symbol, the (mask, value) tests that symbol
+# must fail there, and read, the OR of all their masks
+_Kind = tuple[tuple[tuple[tuple[int, int], ...], ...], int]
 
 
 class CapExceededError(ConfigError):
@@ -148,21 +155,29 @@ def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
 
 
 def _placements(sft: SftSpec, sides: tuple[int, ...],
-                ) -> tuple[list[list[list[tuple[int, int]]]], int, int]:
-    """Per-cell incremental checks for the row-major sweep, as mask tests.
+                ) -> tuple[list[_Kind], list[int], int, int]:
+    """The incremental checks of the row-major sweep, compiled once per kind of cell.
 
     A frontier window is coded as one integer of b-bit digits, b =
     max(1, (a-1).bit_length()), the newest symbol in the low digit.  A
     forbidden translate whose row-major-last cell is k and which fits
     fully inside the box reads the cells k - j for a few j >= 0; in the
-    shifted code (window << b) | s cell k - j is digit j.  For each cell k
-    and each symbol s the translate is compiled into one (mask, value)
-    pair over digits j >= 1, filed under the symbol it needs at digit 0:
-    s at cell k completes that translate exactly when
-    (window << b) & mask == value.  Returns the per-cell, per-symbol test
-    lists, the frontier span (how far back any check can reach) and b.
-    Both caps are checked before any per-cell or per-symbol list is
-    built, so a box or alphabet past them fails at once.
+    shifted code (window << b) | s cell k - j is digit j.  Each translate
+    is compiled into one (mask, value) pair over digits j >= 1, filed
+    under the symbol it needs at digit 0: s at cell k completes that
+    translate exactly when (window << b) & mask == value.
+
+    The pair does not depend on where the translate sits, only whether
+    it fits there, and it fits at a cell exactly when it fits along
+    every axis.  So on each axis a coordinate's class is the tuple of
+    compiled translates that fit there along that axis, and a cell's kind
+    is the tuple of its axis classes: an n x n nearest-neighbour box has
+    only 4 kinds.  Each kind is compiled once into its per-symbol test
+    tuples and read, the OR of their masks.  Returns the kinds, the kind
+    index of each cell in row-major order, the frontier span (how far
+    back any check can reach) and b.  Both caps are checked before any
+    kind or per-symbol list is built, so a box or alphabet past them
+    fails at once.
     """
     d = sft.dim
     strides = [0] * d
@@ -172,9 +187,6 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
     cells = strides[0] * sides[0]
     bits = max(1, (sft.alphabet - 1).bit_length())
     digit = (1 << bits) - 1
-
-    def rm(coord: tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coord, strides))
 
     compiled = []  # (mask, value, symbol at the last cell, placement ranges)
     span = 0
@@ -189,7 +201,7 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
         rel = [tuple(o - a for o, a in zip(off, anchor)) for off in pat.offsets]
         mask = value = 0
         for off, sym in zip(rel, pat.symbols):
-            back = -rm(off)
+            back = -sum(c * s for c, s in zip(off, strides))
             if back == 0:
                 last = sym
             else:
@@ -210,12 +222,24 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
         raise CapExceededError(
             f"frontier window of {span} cells and a new cell over {sft.alphabet} symbols "
             f"exceed the {STATE_CAP_BITS}-bit state cap")
-    checks: list[list[list[tuple[int, int]]]] = [
-        [[] for _ in range(sft.alphabet)] for _ in range(cells)]
-    for mask, value, last, fits in compiled:
-        for cell_coord in itertools.product(*fits):
-            checks[rm(cell_coord)][last].append((mask, value))
-    return checks, span, bits
+    classes = [[tuple(t for t, (*_, fits) in enumerate(compiled) if c in fits[i])
+                for c in range(sides[i])] for i in range(d)]
+    kinds: list[_Kind] = []
+    index: dict[tuple[tuple[int, ...], ...], int] = {}
+    cell_kinds = []
+    for kind in itertools.product(*classes):  # row-major: the last axis varies fastest
+        if kind not in index:
+            index[kind] = len(kinds)
+            tests: list[list[tuple[int, int]]] = [[] for _ in range(sft.alphabet)]
+            read = 0
+            for t in kind[0]:
+                if all(t in cls for cls in kind[1:]):
+                    mask, value, last, _ = compiled[t]
+                    tests[last].append((mask, value))
+                    read |= mask
+            kinds.append((tuple(map(tuple, tests)), read))
+        cell_kinds.append(index[kind])
+    return kinds, cell_kinds, span, bits
 
 
 def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
@@ -227,27 +251,35 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
     prefixes ending in it; that suffices because no later check reads
     anything older than the window.  Within a layer every window has the
     same length, so the codes map one-to-one onto symbol tuples.  A
-    symbol s at cell k is admissible unless one of its mask tests
+    symbol s at cell k is admissible unless one of its kind's mask tests
     matches the shifted window; the next window is
-    ((window << b) | s) & keep, the last span digits.  The count is the
-    sum of the last layer.
+    ((window << b) | s) & keep, the last span digits.  The verdicts read
+    only the digits in the kind's read mask, so each kind memoizes the
+    tuple of admissible symbols by (window << b) & read, and a window
+    costs one AND and one lookup, the tests running once per key.  The
+    count is the sum of the last layer.
     """
     sides = _validate_sides(sft, sides)
-    checks, span, bits = _placements(sft, sides)
+    kinds, cell_kinds, span, bits = _placements(sft, sides)
 
     keep = (1 << (bits * span)) - 1
+    memos: list[dict[int, tuple[int, ...]]] = [{} for _ in kinds]
     layer: dict[int, int] = {0: 1}
-    for cell_checks in checks:
+    for k in cell_kinds:
+        tests, read = kinds[k]
+        memo = memos[k]
         advanced: dict[int, int] = {}
         for window, prefixes in layer.items():
             shifted = window << bits
-            for s, tests in enumerate(cell_checks):
-                for mask, value in tests:
-                    if shifted & mask == value:
-                        break
-                else:
-                    nxt = (shifted | s) & keep
-                    advanced[nxt] = advanced.get(nxt, 0) + prefixes
+            key = shifted & read
+            allowed = memo.get(key)
+            if allowed is None:
+                allowed = memo[key] = tuple(
+                    s for s, sym_tests in enumerate(tests)
+                    if all(key & mask != value for mask, value in sym_tests))
+            for s in allowed:
+                nxt = (shifted | s) & keep
+                advanced[nxt] = advanced.get(nxt, 0) + prefixes
         layer = advanced
     return PatternCount(sides=sides, count=sum(layer.values()))
 

@@ -10,7 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from fekete_lab.domain import DimensionMismatchError, DomainError, GridSchedule, Orthant, Point
+from fekete_lab.domain import (
+    DimensionMismatchError,
+    DomainError,
+    GridSchedule,
+    Orthant,
+    Point,
+    ScheduleError,
+)
 from fekete_lab.ioutil import write_csv_atomic
 from fekete_lab.limits import (
     CONVERGED,
@@ -505,6 +512,14 @@ def test_estimators_raise_no_overflow_warning():
 def _everywhere(name, integer, array_fn, d=2):
     return FunctionOracle(name=name, domain=Domain(dim=d, orthant=None, integer=integer),
                           array_fn=array_fn)
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0])
+def test_diagonal_refuses_a_zero_or_negative_scale(shift):
+    # (t - shift, t) samples (1 - shift, 1) first: f/0 is NaN and f/-1 flips the bound
+    oracle = _everywhere("sqrt_abs_prod", False, lambda x1, x2: np.sqrt(np.abs(x1 * x2)))
+    with pytest.raises(ScheduleError, match="zero or negative"):
+        diagonal_limit(oracle, [lambda t: t - shift, lambda t: t])
 
 
 def _reference_oracles(integer):

@@ -259,8 +259,10 @@ def test_hard_cube_counts():
 
 
 def test_proper_three_colourings_of_the_grid():
-    # values from an independent row-transfer count over proper row colourings
-    assert [count_patterns(COLOUR3, (n, n)).count for n in range(1, 5)] == [3, 18, 246, 7812]
+    # values from an independent row-transfer count over proper row colourings,
+    # and past n = 4 from OEIS A078099
+    assert [count_patterns(COLOUR3, (n, n)).count for n in range(1, 7)] == [
+        3, 18, 246, 7812, 580986, 101596896]
 
 
 def test_full_shift_counts():
@@ -277,6 +279,37 @@ def test_full_shift_counts():
 def test_hard_square_matches_brute_force():
     for n in range(1, 5):
         assert count_patterns(HARD, (n, n)).count == brute_force_hard_square(n)
+
+
+def test_hard_square_counts_past_the_brute_force_range():
+    # OEIS A006506
+    assert [count_patterns(HARD, (n, n)).count for n in range(5, 9)] == [
+        55447, 5598861, 1280128950, 660647962955]
+
+
+def test_nearest_neighbour_boxes_have_at_most_four_cell_kinds():
+    # corner, top edge, left edge and interior, whatever the side
+    for n in range(2, 13):
+        kinds, cell_kinds, _, _ = subshift._placements(HARD, (n, n))
+        assert len(cell_kinds) == n * n
+        assert len(set(cell_kinds)) == len(kinds) <= 4
+
+
+def test_sweep_matches_the_window_dp_on_long_random_rows():
+    # rows well past the brute-force range, so most cells share an interior kind
+    rng = random.Random(16)
+    for _ in range(25):
+        a = rng.randint(2, 4)
+        patterns = []
+        for _ in range(rng.randint(1, 3)):
+            length = rng.randint(2, 5)
+            offsets = sorted(rng.sample(range(length), rng.randint(1, length)))
+            patterns.append(ForbiddenPattern(tuple((o,) for o in offsets),
+                                             tuple(rng.randrange(a) for _ in offsets)))
+        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
+        vectors = itertools.islice(subshift._window_counts_1d(sft), 1, 41)
+        for n, counts in enumerate(vectors, start=1):
+            assert count_patterns(sft, (n,)).count == sum(counts.values()), (sft, n)
 
 
 def test_pattern_counts_respect_alphabet_bound():
