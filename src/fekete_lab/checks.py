@@ -14,8 +14,10 @@ rather than every failing input, and counts the rest.  Sampling can only
 refute, never prove: an empty report means "no violation found at this
 budget", nothing stronger.
 
-Every reported violation satisfies lhs > rhs + tau with the relative
-tolerance tau below, so float rounding noise is never reported.
+Every verdict is domain.exceeds(lhs, rhs), the one violation test of the
+package: lhs > rhs + tau with a relative tolerance tau, so float
+rounding noise is never reported.  Every sum of values is domain.ext_add,
+which raises on inf + (-inf) instead of making NaN.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import REL_TOL, DomainError, EvaluationError, ext_add, violation_tolerance
+from .domain import DomainError, EvaluationError, exceeds, ext_add
 from .registry import Domain, FiniteSetFunction, FunctionOracle
 from .sampling import SampleBudget, integer_in, uniform_in
 
 __all__ = [
-    "REL_TOL",
     "TOP_K",
-    "violation_tolerance",
     "Violation",
     "ViolationReport",
     "check_joint",
@@ -192,22 +192,6 @@ def _probe_points(domain: Domain) -> np.ndarray:
     return np.array(list(itertools.product(*per_axis)), dtype=float)
 
 
-def _ext_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ext_add: inf + (-inf) raises instead of making NaN."""
-    clash = np.isinf(a) & (a == -b)
-    if clash.any():
-        j = int(np.argmax(clash))
-        ext_add(float(a[j]), float(b[j]))  # raises IndeterminateFormError
-    return a + b
-
-
-def _exceeds(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Elementwise lhs > rhs + violation_tolerance(lhs, rhs)."""
-    tol = np.where(np.isinf(lhs) | np.isinf(rhs), 0.0,
-                   REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
-    return lhs > rhs + tol
-
-
 def _evaluator(oracle: FunctionOracle, kind: str) -> Callable[[np.ndarray], np.ndarray]:
     """f on points given one per row, through the oracle's batch entry point."""
     def f(points: np.ndarray) -> np.ndarray:
@@ -235,6 +219,20 @@ def _violations(kind: str, axis: int | None, x: np.ndarray, y: np.ndarray,
     """One Violation per row, holding Python floats (their repr is the output format)."""
     return [Violation(kind=kind, axis=axis, witness=(tuple(a), tuple(b)), lhs=l, rhs=r)
             for a, b, l, r in zip(x.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())]
+
+
+def _table_violations(kind: str, witnesses: Sequence[tuple[tuple, tuple]],
+                      values: Sequence[tuple[float, float, float]]) -> list[Violation]:
+    """The violations of lhs <= left + right among pairs whose values are known.
+
+    values[k] is (lhs, left, right) for the pair witnesses[k]; the whole
+    table is tested in one pass.
+    """
+    lhs, left, right = np.array(values, dtype=float).reshape(-1, 3).T
+    rhs = ext_add(left, right)
+    hit = exceeds(lhs, rhs)
+    return [Violation(kind=kind, axis=None, witness=w, lhs=l, rhs=r) for w, l, r
+            in zip(itertools.compress(witnesses, hit), lhs[hit].tolist(), rhs[hit].tolist())]
 
 
 # One screened inequality: the violations it keeps, then the counts of
@@ -297,7 +295,7 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         keep &= inside(pairs[:, d:])
     pairs, sums, probe = pairs[keep], sums[keep], probe[keep]
     lhs, rhs = inequality(f, pairs[:, :d], pairs[:, d:], sums)
-    hit = _exceeds(lhs, rhs)
+    hit = exceeds(lhs, rhs)
     listed, probed, distinct = _strongest(pairs[hit], lhs[hit] - rhs[hit], probe[hit])
     pairs, lhs, rhs = pairs[hit][listed], lhs[hit][listed], rhs[hit][listed]
     rows = np.arange(probed, len(listed))
@@ -312,7 +310,7 @@ def _refute_pairs(oracle: FunctionOracle, budget: SampleBudget, kind: str,
         if not rows.size:
             break
         new_lhs, new_rhs = inequality(f, new[:, :d], new[:, d:], sums)
-        still = _exceeds(new_lhs, new_rhs)
+        still = exceeds(new_lhs, new_rhs)
         rows = rows[still]
         pairs[rows], lhs[rows], rhs[rows] = new[still], new_lhs[still], new_rhs[still]
     return (_violations(kind, axis, pairs[:, :d], pairs[:, d:], lhs, rhs),
@@ -335,7 +333,7 @@ def _report(kind: str, oracle: FunctionOracle, runs: list[_Found],
 
 def _joint(f, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(z) <= f(x) + f(y): z is x + y in the joint check, x + y_i e_i on axis i."""
-    return f(z), _ext_add(f(x), f(y))
+    return f(z), ext_add(f(x), f(y))
 
 
 def check_joint(oracle: FunctionOracle, budget: SampleBudget | None = None) -> ViolationReport:
@@ -372,9 +370,9 @@ def check_four_term(oracle: FunctionOracle,
     def four_term(f, x: np.ndarray, y: np.ndarray,
                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lhs = f(z)
-        rhs = np.zeros(len(lhs))  # summed left to right from 0.0, as ext_sum does
+        rhs = np.zeros(len(lhs))  # summed left to right from 0.0
         for bits in itertools.product((False, True), repeat=d):
-            rhs = _ext_add(rhs, f(np.where(bits, y, x)))
+            rhs = ext_add(rhs, f(np.where(bits, y, x)))
         return lhs, rhs
 
     return _report("four_term", oracle,
@@ -400,14 +398,14 @@ def check_monoid_sign(oracle: FunctionOracle,
     zero = (0.0,) * domain.dim
     f0 = oracle.evaluate(zero)
     at_zero = ([Violation(kind="monoid", axis=None, witness=(zero,), lhs=0.0, rhs=f0)]
-               if 0.0 > f0 + violation_tolerance(0.0, f0) else [])
+               if exceeds(0.0, f0) else [])
 
     probes = _probe_points(domain)
     counters = np.arange(budget.count, dtype=np.uint64) * np.uint64(domain.dim)
     x = np.vstack([probes, _sample(domain, budget, counters)])
     f = _evaluator(oracle, "monoid")
-    rhs = _ext_add(f(x), f(-x))
-    hit = _exceeds(np.zeros_like(rhs), rhs)
+    rhs = ext_add(f(x), f(-x))
+    hit = exceeds(0.0, rhs)
     listed, _, distinct = _strongest(x[hit], -rhs[hit], (np.arange(len(x)) < len(probes))[hit])
     kept, kept_rhs = x[hit][listed], rhs[hit][listed]
     found = _violations("monoid", None, kept, -kept, np.zeros(len(kept)), kept_rhs)
@@ -421,19 +419,12 @@ def check_set_union(g: FiniteSetFunction,
     sets = [frozenset(int(n) for n in s) for s in family]
     if not sets:
         raise DomainError("set family must be nonempty")
-    violations: list[Violation] = []
-    checked = 0
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            checked += 1
-            lhs = g.evaluate(a | b)
-            rhs = ext_add(g.evaluate(a), g.evaluate(b))
-            if lhs > rhs + violation_tolerance(lhs, rhs):
-                witness = (tuple(sorted(a)), tuple(sorted(b)))
-                violations.append(Violation(kind="set_union", axis=None,
-                                            witness=witness, lhs=lhs, rhs=rhs))
+    pairs = [(a, b) for i, a in enumerate(sets) for b in sets[i:]]
+    violations = _table_violations(
+        "set_union", [(tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs],
+        [(g.evaluate(a | b), g.evaluate(a), g.evaluate(b)) for a, b in pairs])
     return ViolationReport(kind="set_union", oracle=g.name,
-                           violations=tuple(violations), samples_checked=checked)
+                           violations=tuple(violations), samples_checked=len(pairs))
 
 
 def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "IndeterminateFormError",
     "as_extended",
     "ext_add",
-    "ext_sum",
+    "exceeds",
     "Point",
     "as_point",
     "Orthant",
@@ -83,18 +83,21 @@ def as_extended(value: float) -> float:
     return x
 
 
-def ext_add(a: float, b: float) -> float:
-    """Add two extended reals, raising on inf + (-inf)."""
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        raise IndeterminateFormError(f"indeterminate sum {a} + {b}")
-    return a + b
+def ext_add(a, b):
+    """Add extended reals elementwise, raising on inf + (-inf).
 
-
-def ext_sum(values: Iterable[float]) -> float:
-    total = 0.0
-    for v in values:
-        total = ext_add(total, v)
-    return total
+    a and b are floats or arrays that broadcast together; floats give a
+    float.  The error names the first clashing pair of elements.  A sum
+    past the largest float is inf, as for floats, without a warning.
+    """
+    import numpy as np
+    clash = np.isinf(a) & (np.negative(a) == b)
+    if clash.any():
+        a, b = np.broadcast_arrays(a, b)
+        j = int(np.argmax(clash))
+        raise IndeterminateFormError(f"indeterminate sum {float(a.flat[j])} + {float(b.flat[j])}")
+    with np.errstate(over="ignore"):
+        return a + b
 
 
 # Relative tolerance for inequality checks; the guarded inequalities are
@@ -102,10 +105,18 @@ def ext_sum(values: Iterable[float]) -> float:
 REL_TOL = 2.0 ** -26
 
 
-def violation_tolerance(lhs: float, rhs: float) -> float:
-    if math.isinf(lhs) or math.isinf(rhs):
-        return 0.0
-    return REL_TOL * max(1.0, abs(lhs), abs(rhs))
+def exceeds(lhs, rhs):
+    """Elementwise lhs > rhs + tau: the violation test of every check and bound.
+
+    tau is REL_TOL times max(1, |lhs|, |rhs|), and 0 where either side is
+    infinite.  lhs and rhs are floats or arrays that broadcast together.
+    """
+    import numpy as np
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    tol = np.where(np.isinf(lhs) | np.isinf(rhs), 0.0,
+                   REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
+    with np.errstate(over="ignore"):  # rhs + tau past the largest float is inf
+        return lhs > rhs + tol
 
 
 # ---------------------------------------------------------------------------

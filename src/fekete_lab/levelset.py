@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, Point, as_point, violation_tolerance
+from .domain import DomainError, Point, as_point, exceeds
 from .registry import FunctionOracle, rubin_eval
 
 __all__ = [
@@ -215,7 +215,7 @@ def check_levelset_lemma(oracle: FunctionOracle, anchors: Iterable[Point | Seque
                                samples=samples, seed=seed)
         bound = spec.box_volume / 2 ** d
         margin = est.value - bound
-        holds = est.value + est.error_bound >= bound - violation_tolerance(est.value, bound)
+        holds = not exceeds(bound, est.value + est.error_bound)
         rows.append(LemmaCheckRow(anchor=tuple(t), k=k, estimate=est,
                                   bound=bound, margin=margin, holds=holds))
     return rows

@@ -3,9 +3,14 @@
 For a componentwise subadditive f on the main orthant the ratio net
 converges to its infimum, so the minimum of the evaluated ratios is a
 true upper bound for the limit -- that is the one certified quantity
-here.  "Converged" statuses are always empirical: they say the sampled
-tail of a cofinal subset stabilized within delta, not that every point
-beyond the threshold does.
+here.  "Converged" has one rule, for grid and path brackets and for the
+adaptive one-variable tails of iterated limits alike: the samples beyond
+a threshold all lie within the tolerance of the minimum ratio that is
+reported.  A bracket takes the first shell whose upper set (the samples
+at that shell's level or more on every axis) passes; a tail stops once
+it holds at least 8 samples and its last 4 pass.  The status is
+empirical: it says the sampled tail of a cofinal subset stayed within
+the tolerance, not that every point beyond the threshold does.
 
 Statuses: converged | diverging_to_minus_infinity |
 diverging_to_plus_infinity | inconclusive.
@@ -13,6 +18,7 @@ diverging_to_plus_infinity | inconclusive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -30,9 +36,9 @@ from .domain import (
     as_extended,
     as_point,
     default_schedule,
-    ext_sum,
+    exceeds,
+    ext_add,
     qr_decompose,
-    violation_tolerance,
 )
 from .ioutil import CSV_BLOCK_ROWS
 from .registry import FunctionOracle
@@ -246,9 +252,7 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     Evaluates the full schedule grid.  Shell k is the layer of grid
     points whose largest level index is k, so extending the schedule
     only adds shells and the running minimum is nonincreasing.  The
-    bracket converges at the smallest shell k such that every evaluated
-    ratio at points beyond the shell corner (product order) lies within
-    delta of the minimum.
+    bracket converges by the module's rule, within delta.
     """
     _require_delta(delta)
     _require_main_orthant(oracle)
@@ -286,16 +290,17 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
                    tol: float) -> _TailEstimate:
     """Estimate the limit of g along a geometric ladder, extending adaptively.
 
-    Stops when the tail stabilizes (at least 8 samples, the last 3
-    consecutive differences within tol), when sustained geometric growth
-    marks divergence to +inf (8 increasing positive samples rising at
-    least 4-fold), when the tail crosses the divergence floor, or at the
-    end of the ladder (inconclusive).  The returned value is the running
-    minimum, the certified-style upper estimate when g is a ratio of a
-    subadditive function.
+    The value is the running minimum of the samples, the upper estimate
+    that the tail certifies when g is a ratio of a subadditive function.
+    Stops converged by the module's rule: at least 8 samples, and the
+    last 4 within tol of that minimum.  Also stops at a sample of +-inf,
+    when sustained geometric growth marks divergence to +inf (8
+    increasing positive samples rising at least 4-fold), when the tail
+    crosses the divergence floor, or at the end of the ladder
+    (inconclusive).
     """
     samples: list[float] = []
-    stable_run = 0
+    low = math.inf
     evals = 0
     for x in ladder:
         v = as_extended(g(x))
@@ -304,13 +309,10 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
             return _TailEstimate(-math.inf, DIVERGING_MINUS, evals, None)
         if v == math.inf:
             return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
-        if samples and abs(v - samples[-1]) <= tol:
-            stable_run += 1
-        elif samples:
-            stable_run = 0
         samples.append(v)
-        if len(samples) >= 8 and stable_run >= 3:
-            return _TailEstimate(min(samples), CONVERGED, evals, x)
+        low = min(low, v)
+        if len(samples) >= 8 and max(samples[-4:]) - low <= tol:
+            return _TailEstimate(low, CONVERGED, evals, x)
         if v < DIVERGENCE_FLOOR:
             return _TailEstimate(-math.inf, DIVERGING_MINUS, evals, None)
         if v > -DIVERGENCE_FLOOR and len(samples) >= 2 and v > samples[-2]:
@@ -320,7 +322,7 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
             increasing = all(a < b for a, b in zip(window, window[1:]))
             if increasing and window[0] > 0 and window[-1] >= 4.0 * window[0]:
                 return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
-    return _TailEstimate(min(samples), INCONCLUSIVE, evals, None)
+    return _TailEstimate(low, INCONCLUSIVE, evals, None)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,7 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
 
     order[0] is the outermost limit variable and order[-1] the
     innermost.  Each level runs the adaptive 1-D estimator; inner sweeps
-    extend their ladder until the tail stabilizes, because a fixed inner
+    extend their ladder until the tail converges, because a fixed inner
     depth leaks outer-coordinate scale into the inner estimate.  Inner
     divergence propagates as +-inf values, not as an error.  Level
     tolerances halve with depth so the compounded error stays near
@@ -564,8 +566,8 @@ def verify_decomposition_bound(oracle: FunctionOracle,
     terms = [DecompositionTerm(bits=w, point=point, value=value,
                                coefficient=math.prod(decomp[i].q for i in range(d) if w[i]))
              for w, point, value in zip(words, points, values)]
-    rhs = ext_sum(term.contribution for term in terms)
-    holds = lhs <= rhs + violation_tolerance(lhs, rhs)
+    rhs = functools.reduce(ext_add, (term.contribution for term in terms), 0.0)
+    holds = not exceeds(lhs, rhs)
     return DecompositionBound(x=tuple(px), t=tuple(pt), lhs=lhs, rhs=rhs,
                               holds=holds, terms=tuple(terms))
 
@@ -644,23 +646,13 @@ class InnerLimitProfile:
     entries: tuple[tuple[float, float, str], ...]  # (probe value, h, status)
 
     def check_subadditivity(self) -> ViolationReport:
-        from .checks import Violation, ViolationReport
+        from .checks import ViolationReport, _table_violations
         table = {v: h for v, h, status in self.entries if status == CONVERGED}
-        violations: list[Violation] = []
-        checked = 0
-        values = sorted(table)
-        for a in values:
-            for b in values:
-                s = a + b
-                if s not in table:
-                    continue
-                checked += 1
-                lhs, rhs = table[s], table[a] + table[b]
-                if lhs > rhs + violation_tolerance(lhs, rhs):
-                    violations.append(Violation(kind="joint", axis=None,
-                                                witness=((a,), (b,)), lhs=lhs, rhs=rhs))
+        pairs = [(a, b) for a in sorted(table) for b in sorted(table) if a + b in table]
+        violations = _table_violations("joint", [((a,), (b,)) for a, b in pairs],
+                                       [(table[a + b], table[a], table[b]) for a, b in pairs])
         return ViolationReport(kind="joint", oracle=f"{self.oracle}_inner_profile",
-                               violations=tuple(violations), samples_checked=checked,
+                               violations=tuple(violations), samples_checked=len(pairs),
                                metadata={"probe_axis": self.probe_axis,
                                          "limit_axes": list(self.limit_axes)})
 

@@ -21,7 +21,6 @@ from fekete_lab.checks import (
     check_monoid_sign,
     check_set_union,
     check_shifted_subadditivity,
-    violation_tolerance,
 )
 from fekete_lab.domain import (
     DomainError,
@@ -33,6 +32,7 @@ from fekete_lab.domain import (
 )
 from fekete_lab.registry import (
     Domain,
+    FiniteSetFunction,
     FunctionOracle,
     TabulatedFunction,
     builtin,
@@ -42,6 +42,14 @@ from fekete_lab.registry import (
 from fekete_lab.sampling import SampleBudget, integer_in, uniform_in
 
 BUDGET = SampleBudget(count=2000, seed=20240117)
+
+
+def _tau(lhs, rhs):
+    """The violation tolerance restated for the reference loops: 2^-26 of the
+    larger magnitude (at least 1), and 0 when either side is infinite."""
+    if math.isinf(lhs) or math.isinf(rhs):
+        return 0.0
+    return 2.0 ** -26 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_sqrt_prod_joint_violation_exact_witness():
@@ -150,6 +158,40 @@ def test_set_union_disjoint_singletons_clean():
     assert check_set_union(g, [[1], [3]]).clean
 
 
+def _infinite_parity(s):
+    """inf on sets holding 1 and 3, -inf on sets of 5 or more, else |A| mod 2."""
+    if {1, 3} <= s:
+        return math.inf
+    return -math.inf if len(s) >= 5 else float(len(s) % 2)
+
+
+INFINITE_PARITY = FiniteSetFunction(name="infinite_parity", fn=_infinite_parity)
+
+
+def test_set_union_matches_a_scalar_loop_with_infinite_values():
+    family = [frozenset(s) for s in ([1, 2], [2, 3], [1], [3], [5, 6, 7], [4, 5, 6, 7, 8], [2],
+                                     [3, 4])]
+    found, checked = [], 0
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            checked += 1
+            lhs = _infinite_parity(a | b)
+            rhs = _infinite_parity(a) + _infinite_parity(b)
+            if lhs > rhs + _tau(lhs, rhs):
+                found.append(((tuple(sorted(a)), tuple(sorted(b))), lhs, rhs))
+    report = check_set_union(INFINITE_PARITY, family)
+    assert sorted((v.witness, v.lhs, v.rhs) for v in report.violations) == sorted(found)
+    assert report.samples_checked == checked == 36
+    assert report.find(((1,), (3,))).lhs == math.inf
+    assert report.find(((2, 3), (3, 4))).lhs == 1.0
+    assert report.find(((1,), (4, 5, 6, 7, 8))) is None  # -inf on both sides
+
+
+def test_set_union_refuses_an_indeterminate_sum():
+    with pytest.raises(IndeterminateFormError, match=r"^indeterminate sum inf \+ -inf$"):
+        check_set_union(INFINITE_PARITY, [[2], [1, 3], [4, 5, 6, 7, 8]])
+
+
 def test_shifted_subadditivity():
     nm = builtin("nmod2")
     shifted = check_shifted_subadditivity(nm, 1, BUDGET)
@@ -183,7 +225,7 @@ def test_every_violation_reverifies_by_direct_evaluation():
         lhs = oracle.evaluate(s)
         rhs = oracle.evaluate(x) + oracle.evaluate(y)
         assert lhs == v.lhs and rhs == v.rhs
-        assert v.margin > violation_tolerance(lhs, rhs)
+        assert v.margin > _tau(lhs, rhs)
 
 
 def test_shrinking_moves_random_witnesses_toward_the_floor():
@@ -260,6 +302,38 @@ def test_report_serialization_shapes():
     assert len(rows) == len(report.violations) + 1
 
 
+def test_no_numpy_scalar_reaches_a_report():
+    # under numpy 2, repr(np.float64(1.5)) is 'np.float64(1.5)', and the CSV
+    # writers format every value with repr
+    from fekete_lab.levelset import check_levelset_lemma
+    from fekete_lab.limits import CONVERGED, InnerLimitProfile, verify_decomposition_bound
+    const = FunctionOracle(name="const_minus_one", domain=Domain(dim=1, orthant=None),
+                           fn=lambda p: -1.0)
+    square = FunctionOracle(name="square", domain=Domain(dim=1, orthant=Orthant.main(1)),
+                            fn=lambda p: p[0] ** 2)
+    profile = InnerLimitProfile(oracle="planted", probe_axis=0, limit_axes=(1,), fixed=(),
+                                entries=((1.0, 1.0, CONVERGED), (2.0, 3.0, CONVERGED),
+                                         (3.0, math.inf, CONVERGED)))
+    monoid = check_monoid_sign(const, SampleBudget(count=50, seed=1))
+    assert monoid.find(((0.0,),)) is not None  # the f(0) witness
+    for report in (check_set_union(INFINITE_PARITY, [[1, 2], [2, 3], [3, 4]]), monoid,
+                   profile.check_subadditivity()):
+        assert report.violations, report.kind
+        for v in report.violations:
+            assert type(v.lhs) is float and type(v.rhs) is float, (report.kind, v)
+        assert "np." not in repr(report.to_json_dict()) + repr(report.to_csv_rows())
+    verdicts = [verify_decomposition_bound(oracle, x, t)
+                for oracle, x, t in ((builtin("sqrt_prod"), (5, 7), (2, 3)), (square, (5,), (2,)))]
+    assert [v.holds for v in verdicts] == [True, False]
+    assert all(type(v.lhs) is float and type(v.rhs) is float for v in verdicts)
+    rows = [*check_levelset_lemma(builtin("sqrt_prod"), [(1, 1)], cells=20),
+            *check_levelset_lemma(square, [(3,)], cells=20)]
+    assert [row.holds for row in rows] == [True, False]
+    for item in (*verdicts, *rows):
+        assert type(item.holds) is bool
+        assert "np." not in repr(item.to_json_dict())
+
+
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_nan_at_sampled_points_raises_evaluation_error(vectorized):
     # finite on the probe lattice (coordinates up to 6), NaN far out
@@ -311,7 +385,7 @@ def _reference_pair_check(oracle, budget, axis=None):
     def violated(x, y):
         lhs = oracle.evaluate(sum_point(x, y))
         rhs = ext_add(oracle.evaluate(x), oracle.evaluate(y))
-        return (lhs, rhs) if lhs > rhs + violation_tolerance(lhs, rhs) else None
+        return (lhs, rhs) if lhs > rhs + _tau(lhs, rhs) else None
 
     def halve(c):
         return math.copysign(max(1, abs(int(c)) // 2), c) if integer else c / 2.0

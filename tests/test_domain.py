@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from fekete_lab.domain import (
     Point,
     as_extended,
     directed_upper_bound,
+    exceeds,
     ext_add,
     orthant_reflect,
     product_leq,
@@ -186,6 +188,54 @@ def test_extended_reals():
     assert ext_add(math.inf, 5.0) == math.inf
     with pytest.raises(IndeterminateFormError):
         ext_add(math.inf, -math.inf)
+
+
+# the corners of the extended reals: infinities, signed zeros, the smallest
+# subnormal and normal, and the largest finite floats
+EXTREMES = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                            2.0 ** -1022, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308,
+                            -1.7976931348623157e308])
+EXTENDED = st.one_of(EXTREMES, st.floats(allow_nan=False))
+
+
+def _reference_exceeds(lhs: float, rhs: float) -> bool:
+    tau = 0.0 if math.isinf(lhs) or math.isinf(rhs) else 2.0 ** -26 * max(1.0, abs(lhs),
+                                                                          abs(rhs))
+    return lhs > rhs + tau
+
+
+@given(data=st.data(), shape=st.sampled_from(["scalar", "vector", "broadcast"]))
+def test_exceeds_and_ext_add_agree_with_scalar_formulas_elementwise(data, shape):
+    if shape == "scalar":
+        a, b = data.draw(EXTENDED), data.draw(EXTENDED)
+    elif shape == "vector":
+        n = data.draw(st.integers(0, 6))
+        a, b = (np.array(data.draw(st.lists(EXTENDED, min_size=n, max_size=n)), dtype=float)
+                for _ in range(2))
+    else:  # a column against a row
+        a = np.array(data.draw(st.lists(EXTENDED, min_size=1, max_size=4)))[:, None]
+        b = np.array(data.draw(st.lists(EXTENDED, min_size=1, max_size=4)))
+    pairs = [(float(x), float(y)) for x, y in zip(*(np.ravel(v) for v in
+                                                     np.broadcast_arrays(a, b)))]
+    verdict = exceeds(a, b)
+    assert np.shape(verdict) == np.broadcast_shapes(np.shape(a), np.shape(b))
+    assert np.ravel(verdict).tolist() == [_reference_exceeds(x, y) for x, y in pairs]
+    clashes = [(x, y) for x, y in pairs if math.isinf(x) and math.isinf(y) and x != y]
+    if clashes:
+        with pytest.raises(IndeterminateFormError) as raised:
+            ext_add(a, b)
+        x, y = clashes[0]
+        assert str(raised.value) == f"indeterminate sum {x!r} + {y!r}"
+        return
+    total = ext_add(a, b)
+    assert list(map(repr, np.ravel(total).tolist())) == [repr(x + y) for x, y in pairs]
+    if shape == "scalar":
+        assert type(total) is float
+
+
+def test_ext_add_names_the_first_clash_as_python_floats():
+    with pytest.raises(IndeterminateFormError, match=r"^indeterminate sum -inf \+ inf$"):
+        ext_add(np.array([1.0, -math.inf, math.inf]), np.array([math.inf, math.inf, -math.inf]))
 
 
 def test_point_validation():

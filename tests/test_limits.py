@@ -14,9 +14,11 @@ from fekete_lab.domain import (
     DimensionMismatchError,
     DomainError,
     GridSchedule,
+    IndeterminateFormError,
     Orthant,
     Point,
     ScheduleError,
+    default_schedule,
 )
 from fekete_lab.ioutil import write_csv_atomic
 from fekete_lab.limits import (
@@ -25,7 +27,9 @@ from fekete_lab.limits import (
     DIVERGING_MINUS,
     DIVERGING_PLUS,
     INCONCLUSIVE,
+    InnerLimitProfile,
     LimitBracket,
+    _adaptive_tail,
     diagonal_limit,
     inner_limit_profile,
     iterated_limit,
@@ -143,7 +147,39 @@ def test_iterated_rejects_repeated_integer_rungs():
         inner_limit_profile(scaled, {}, limit_axes=(1,), probe_axis=0, probe_values=[1.0],
                             schedule=GridSchedule(base=Point((1.0, 1.0)), growth=1.1))
     result = iterated_limit(half, (0,), GridSchedule(base=Point((1.0,)), growth=2.0))
-    assert result.status == CONVERGED and result.value == 0.5009765625
+    # 0.5 + 0.5/x: the last four rungs 128..1024 lie within tol 0.005 of the minimum
+    assert result.status == CONVERGED and result.value == 0.50048828125
+    assert result.evaluations == 11 and result.levels[0].last_stabilized_at == 1024.0
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_no_iterated_order_of_neg_x1_sqrt_x2_converges(order):
+    # the ratio is -1/sqrt(x2): it rises toward its limit 0, away from the
+    # running minimum -1 that a tail reports, so no sweep over x2 converges
+    result = iterated_limit(builtin("neg_x1_sqrt_x2"), order)
+    assert result.status == INCONCLUSIVE and result.value == -1.0
+    assert result.evaluations == 1608
+
+
+TAIL_LADDER = default_schedule(1).tail_values(0)
+
+
+def test_adaptive_tail_on_an_increasing_tail_is_inconclusive():
+    est = _adaptive_tail(lambda x: -1.0 / math.sqrt(x), TAIL_LADDER, tol=0.005)
+    assert est.status == INCONCLUSIVE and est.value == -1.0
+    assert est.evaluations == len(TAIL_LADDER) and est.stabilized_at is None
+
+
+def test_adaptive_tail_on_a_decreasing_tail_converges_within_tol_of_its_value():
+    def g(x):
+        return 1.0 + 1.0 / math.sqrt(x)
+
+    est = _adaptive_tail(g, TAIL_LADDER, tol=0.005)
+    assert est.status == CONVERGED and est.evaluations >= 8
+    last_four = TAIL_LADDER[est.evaluations - 4:est.evaluations]
+    assert est.stabilized_at == last_four[-1] and est.value == g(last_four[-1])
+    assert all(abs(g(x) - est.value) <= 0.005 for x in last_four)
+    assert abs(g(TAIL_LADDER[est.evaluations - 5]) - est.value) > 0.005
 
 
 def test_iterated_validates_order():
@@ -355,6 +391,49 @@ def test_inner_limit_profile_single_point_has_no_pairs():
                                   probe_values=[1.0])
     report = profile.check_subadditivity()
     assert report.samples_checked == 0 and report.clean
+
+
+def _profile(entries):
+    return InnerLimitProfile(oracle="planted", probe_axis=0, limit_axes=(1,), fixed=(),
+                             entries=tuple(entries))
+
+
+def _reference_profile_check(entries):
+    """The profile's joint check as a scalar loop over converged entries."""
+    h = {v: value for v, value, status in entries if status == CONVERGED}
+    found, checked = [], 0
+    for a in h:
+        for b in h:
+            if a + b not in h:
+                continue
+            checked += 1
+            lhs, rhs = h[a + b], h[a] + h[b]
+            tau = 0.0 if math.isinf(lhs) or math.isinf(rhs) else 2.0 ** -26 * max(
+                1.0, abs(lhs), abs(rhs))
+            if lhs > rhs + tau:
+                found.append((((a,), (b,)), lhs, rhs))
+    return sorted(found), checked
+
+
+def test_inner_profile_check_matches_a_scalar_loop():
+    entries = [(1.0, 1.0, CONVERGED), (2.0, 2.0, CONVERGED),
+               (3.0, 5.0, CONVERGED),         # planted: h(3) > h(1) + h(2)
+               (4.0, 3.9, CONVERGED),
+               (5.0, 100.0, INCONCLUSIVE),    # would violate at 1 + 4, but is skipped
+               (6.0, math.inf, CONVERGED), (7.0, -math.inf, CONVERGED)]
+    report = _profile(entries).check_subadditivity()
+    found, checked = _reference_profile_check(entries)
+    assert sorted((v.witness, v.lhs, v.rhs) for v in report.violations) == found
+    assert report.samples_checked == checked == 13
+    assert {v.witness for v in report.violations} == {
+        ((1.0,), (2.0,)), ((2.0,), (1.0,)), ((2.0,), (4.0,)), ((4.0,), (2.0,)),
+        ((3.0,), (3.0,))}
+
+
+def test_inner_profile_check_refuses_an_indeterminate_sum():
+    entries = [(1.0, math.inf, CONVERGED), (2.0, -math.inf, CONVERGED), (3.0, 0.0, CONVERGED)]
+    with pytest.raises(IndeterminateFormError, match=r"^indeterminate sum inf \+ -inf$"):
+        _profile(entries).check_subadditivity()
 
 
 def test_inner_limit_profile_validates_partition():

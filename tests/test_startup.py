@@ -130,7 +130,9 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         missing = set(names) - set(importlib.import_module(f"fekete_lab.{module}").__all__)
         assert missing == set(), module
     assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
-    removed = {"limits": ["multiple_inf"],
+    removed = {"domain": ["ext_sum", "violation_tolerance"],
+               "checks": ["violation_tolerance", "_exceeds", "_ext_add"],
+               "limits": ["multiple_inf"],
                "registry": ["write_tabulated"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio"]}
