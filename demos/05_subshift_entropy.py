@@ -5,9 +5,10 @@ subadditive in the box sides (restriction splits any pattern into two),
 so the normalized count along growing cubes decreases to the entropy
 and every evaluated ratio is a certified upper bound.  For
 one-dimensional subshifts the exact per-state word counts also bound
-the window transfer matrix's Perron root (Collatz-Wielandt), a second
-certified upper bound that converges geometrically; the eigenvalues of
-the same matrix give an independent float cross-check.
+the window transfer matrix's Perron root from both sides
+(Collatz-Wielandt), a certified two-sided bracket that closes
+geometrically; the eigenvalues of the same matrix give an independent
+float cross-check.
 """
 
 import math
@@ -35,13 +36,15 @@ bracket = entropy_bounds(golden, 16)
 states, matrix = transfer_matrix_1d(golden)
 lam = dominant_eigenvalue(matrix)
 cube_bound = min(e.ratio for e in bracket.entries)
-print(f"bound at side 16: {bracket.best_upper:.9f}")
+print(f"upper bound at side 16: {bracket.best_upper:.9f}")
 print(f"dominant eigenvalue {lam:.9f} -> entropy {math.log2(lam):.9f} "
       f"(= log2 of the golden ratio)")
 print(f"the cube-ratio bound converges like 0.23/n: gap at 16 is "
       f"{cube_bound - math.log2(lam):.4f}")
-print(f"the transfer bound converges geometrically: gap at 16 is "
-      f"{bracket.entries[-1].transfer_upper - math.log2(lam):.1e}")
+print(f"certified two-sided bracket at side 16: [{bracket.best_lower!r}, "
+      f"{bracket.best_upper!r}], width {bracket.best_upper - bracket.best_lower:.1e}")
+assert bracket.best_lower <= math.log2(lam) <= bracket.best_upper
+print("the float eigenvalue log lies inside it")
 
 print()
 print("== hard squares: no two adjacent ones in the plane ==")

@@ -247,10 +247,16 @@ def _strongest(hits: np.ndarray, margin: np.ndarray,
     Keeps the first of each distinct row: every probe row, then of the
     others the TOP_K with the largest margin, ties going to the earlier
     row.  Returns the kept row indices, probe rows first, how many of
-    them are probe rows, and the number of distinct rows.
+    them are probe rows, and the number of distinct rows.  Equal rows
+    (0.0 equal to -0.0) are adjacent after a lexicographic sort, and the
+    sort is stable, so the first row of each run is the first in stream
+    order, as np.unique(axis=0, return_index=True) gives.
     """
-    _, first = np.unique(hits, axis=0, return_index=True)
-    first.sort()
+    order = np.lexsort(hits.T)
+    rows = hits[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first = np.sort(order[new])
     probed, drawn = first[probe[first]], first[~probe[first]]
     drawn = drawn[np.lexsort((drawn, -margin[drawn]))[:TOP_K]]
     return np.concatenate([probed, drawn]), len(probed), len(first)

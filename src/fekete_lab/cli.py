@@ -34,7 +34,7 @@ from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
 from .svgplot import PlotSeries, line_plot_svg
 
 # Each subcommand imports the modules it needs inside its handler, so a run
-# loads only those: entropy on a 2-D or 3-D subshift never loads numpy.
+# loads only those: entropy never loads numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 2

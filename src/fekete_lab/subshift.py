@@ -7,8 +7,12 @@ locally admissible convention is used throughout and recorded in every
 result; these counts are submultiplicative under splitting any side, so
 the limit machinery applies and every ratio log_a(count)/volume is a
 true upper bound for the entropy.  In one dimension the exact per-state
-word counts also give a Collatz-Wielandt upper bound on the transfer
-matrix's Perron root, which converges geometrically instead of as 1/n.
+word counts of the window dynamic program also bound the window
+transfer matrix's Perron root on both sides (Collatz-Wielandt; premise:
+the matrix is nonnegative and the counts are exact), so entropy_bounds
+brackets the entropy from below and above, and both bounds converge
+geometrically instead of as 1/n.  entropy_bounds counts 1-D words in
+that same pass; the sweep below counts every other box.
 
 All counts are exact arbitrary-precision integers.  The counter is a
 forward transfer sweep in row-major cell order: one layer maps each
@@ -39,7 +43,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .domain import ConfigError, DomainError
 
 # numpy (the 1-D eigenvalue cross-check) and checks (the submultiplicativity
-# report) are imported where they are used, so 2-D and 3-D counts load neither
+# report) are imported where they are used, so entropy_bounds loads neither
 if TYPE_CHECKING:
     import numpy as np
 
@@ -154,6 +158,19 @@ def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
     return sides
 
 
+def _check_caps(sft: SftSpec, cells: int, span: int) -> None:
+    """Refuse a box of cells past the cell cap, or a frontier span past the state cap."""
+    log2a = math.log2(sft.alphabet)
+    if cells * log2a > CELL_CAP_BITS:
+        raise CapExceededError(
+            f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
+            f"{CELL_CAP_BITS}-bit cell cap")
+    if (span + 1) * log2a > STATE_CAP_BITS:
+        raise CapExceededError(
+            f"frontier window of {span} cells and a new cell over {sft.alphabet} symbols "
+            f"exceed the {STATE_CAP_BITS}-bit state cap")
+
+
 def _placements(sft: SftSpec, sides: tuple[int, ...],
                 ) -> tuple[list[_Kind], list[int], int, int]:
     """The incremental checks of the row-major sweep, compiled once per kind of cell.
@@ -213,15 +230,7 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
                 for i in range(d)]
         compiled.append((mask, value, last, fits))
 
-    log2a = math.log2(sft.alphabet)
-    if cells * log2a > CELL_CAP_BITS:
-        raise CapExceededError(
-            f"box of {cells} cells over {sft.alphabet} symbols exceeds the "
-            f"{CELL_CAP_BITS}-bit cell cap")
-    if (span + 1) * log2a > STATE_CAP_BITS:
-        raise CapExceededError(
-            f"frontier window of {span} cells and a new cell over {sft.alphabet} symbols "
-            f"exceed the {STATE_CAP_BITS}-bit state cap")
+    _check_caps(sft, cells, span)
     classes = [[tuple(t for t, (*_, fits) in enumerate(compiled) if c in fits[i])
                 for c in range(sides[i])] for i in range(d)]
     kinds: list[_Kind] = []
@@ -416,13 +425,14 @@ def dominant_eigenvalue(matrix: np.ndarray) -> float:
 # Entropy brackets
 # ---------------------------------------------------------------------------
 
-def _log_upper(value: Fraction, alphabet: int) -> float:
-    """log_alphabet(value) rounded up; exact for powers of the alphabet, -inf for 0.
+def _log_rounded(value: Fraction, alphabet: int, toward: float) -> float:
+    """log_alphabet(value) rounded in the direction toward, +inf or -inf.
 
-    log1p of the correctly rounded distance from 1 keeps the relative
-    error of the float quotient within 6 units of 2^-53 for every
-    positive value, also next to 1; eight steps of math.nextafter towards
-    +inf cover that.
+    Exact for powers of the alphabet, -inf for 0.  log1p of the
+    correctly rounded distance from 1 keeps the relative error of the
+    float quotient within 6 units of 2^-53 for every positive value, also
+    next to 1; eight steps of math.nextafter toward either side cover
+    that.
     """
     if value == 0:
         return -math.inf
@@ -435,49 +445,64 @@ def _log_upper(value: Fraction, alphabet: int) -> float:
         y = -math.log1p(float(1 / value - 1))
     y /= math.log(alphabet)
     for _ in range(8):
-        y = math.nextafter(y, math.inf)
+        y = math.nextafter(y, toward)
     return y
 
 
-def _transfer_uppers_1d(sft: SftSpec) -> Iterator[float | None]:
-    """Collatz-Wielandt upper bounds on the entropy for sides n = 1, 2, ...
+def _transfer_sides_1d(sft: SftSpec) -> Iterator[tuple[int, float | None, float | None]]:
+    """Count, upper and lower entropy bound for sides n = 1, 2, ... in one pass.
 
-    For n >= w the exact count vectors of _window_counts_1d satisfy
-    c_n = T^t c_{n-1}.  On the states j with c_{n-1}[j] > 0 that is the
-    principal submatrix of T^t applied to a positive vector, so the
-    Collatz-Wielandt inequality bounds its Perron root by
-    max_j c_n[j] / c_{n-1}[j], computed as an exact Fraction.  A state
-    with c_{n-1}[j] = 0 lies on no cycle of T (going round a cycle through
-    j spells admissible words of every length ending in j), so leaving it
-    out does not change the spectral radius, whose log_a is the entropy.
-    An all-zero c_{n-1} means the subshift is empty: the bound is -inf.
-    Sides n < w, where the states are still shorter than w-1, give None.
+    All three come from the count vector c_n of _window_counts_1d: the
+    count is sum(c_n).  For n >= w, c_n = T^t c_{n-1}; on the support S
+    of c_{n-1} that is the principal submatrix B of T^t on S applied to
+    a positive vector.  With the exact Fractions r_j = c_n[j]/c_{n-1}[j],
+    j in S, Collatz-Wielandt bounds the Perron root of B on both sides:
+    - max_j r_j >= rho(B) = rho(T), since a state outside S lies on no
+      cycle of T (going round a cycle through j spells admissible words
+      of every length ending in j), so leaving it out keeps the spectral
+      radius;
+    - min_j r_j <= rho(B) <= rho(T), since B x >= lambda x with x >= 0,
+      x != 0 gives rho(B) >= lambda, and a principal submatrix of a
+      nonnegative matrix has no larger spectral radius.
+    log_a rho(T) is the entropy, and both logs are rounded outward.  An
+    empty S means the subshift is empty: both bounds are -inf.  Sides
+    n < w, whose states are still shorter than w-1, give None for both.
+
+    Each side first passes count_patterns's caps for its box: n cells,
+    and a frontier span of the longest pattern that fits, less one.  So
+    a cap stops this pass at the side where it stops count_patterns,
+    with the same CapExceededError.
     """
     w = _window_1d(sft)
     vectors = _window_counts_1d(sft)
     prev = next(vectors)
-    for n, cur in enumerate(vectors, start=1):
-        if n < w:
-            yield None
-        else:
-            lam = max((Fraction(cur.get(j, 0), c) for j, c in prev.items()),
-                      default=Fraction(0))
-            yield _log_upper(lam, sft.alphabet)
+    for n in itertools.count(1):
+        _check_caps(sft, n, max((pat.extent(0) - 1 for pat in sft.forbidden
+                                 if pat.extent(0) <= n), default=0))
+        cur = next(vectors)
+        upper = lower = None
+        if n >= w:
+            ratios = [Fraction(cur.get(j, 0), c) for j, c in prev.items()]
+            upper = _log_rounded(max(ratios, default=Fraction(0)), sft.alphabet, math.inf)
+            lower = _log_rounded(min(ratios, default=Fraction(0)), sft.alphabet, -math.inf)
+        yield sum(cur.values()), upper, lower
         prev = cur
 
 
 @dataclass(frozen=True)
 class EntropyEntry:
-    """The bounds one cube side n contributes to an entropy bracket.
+    """The upper bounds one cube side n contributes to an entropy bracket.
 
     ratio is the cube ratio log_a(count)/n^d, rounded up (exact for
     powers of the alphabet), an upper bound because the log-count is
     componentwise subadditive.  transfer_upper, set only for
     one-dimensional subshifts at sides n >= w (the forbidden-word
-    window), is the Collatz-Wielandt bound on the window transfer
+    window), is the Collatz-Wielandt upper bound on the window transfer
     matrix's Perron root from the exact count vectors at lengths n-1 and
-    n, rounded up.  running_min is the least of both bounds over sides
-    1..n, so it does not depend on how far the bracket runs.
+    n, rounded up.  The same two vectors also give a lower bound at each
+    such side (see _transfer_sides_1d); the bracket keeps only the
+    largest, best_lower.  running_min is the least of both upper bounds
+    over sides 1..n, so it does not depend on how far the bracket runs.
     """
 
     sides: tuple[int, ...]
@@ -490,32 +515,35 @@ class EntropyEntry:
 
 @dataclass(frozen=True)
 class EntropyBracket:
-    """Certified upper bounds for the entropy along growing cubes.
+    """Certified bounds for the entropy along growing cubes.
 
     best_upper is the last running_min: the least cube ratio
     log_a(count)/volume (premise: the locally admissible log-count is
     componentwise subadditive, which check_count_submultiplicativity
-    verifies exactly) and, in one dimension, the least transfer_upper
-    (premise: Collatz-Wielandt for the nonnegative window transfer
-    matrix, applied to exact integer counts).  The cube ratio converges
-    as O(1/n); the transfer bound converges geometrically.
-    transfer_value_1d, present for one-dimensional subshifts, is the log
-    of the transfer matrix's spectral radius from float eigenvalues; it
-    is a cross-check, not part of the bound.
+    verifies exactly) and, in one dimension, the least transfer_upper.
+    best_lower, in one dimension, is the largest Collatz-Wielandt lower
+    bound min_j c_n[j]/c_(n-1)[j] on the same Perron root, rounded down.
+    Premise of both transfer bounds: the window transfer matrix is
+    nonnegative and the counts are exact integers, so in one dimension
+    best_lower <= entropy <= best_upper, and both converge geometrically
+    where the cube ratio converges as O(1/n).  best_lower is -inf for an
+    empty subshift, and None when no side reached the window length or
+    the subshift has two or more dimensions, where counting gives no
+    lower bound.
     """
 
     entries: tuple[EntropyEntry, ...]
     best_upper: float
     admissibility: str
     truncated: bool
-    transfer_value_1d: float | None = None
+    best_lower: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "best_upper": self.best_upper,
+            "best_lower": self.best_lower,
             "admissibility": self.admissibility,
             "truncated": self.truncated,
-            "transfer_value_1d": self.transfer_value_1d,
             "entries": [
                 {"sides": list(e.sides), "count": str(e.count),
                  "log_value": e.log_value, "ratio": e.ratio,
@@ -537,25 +565,35 @@ class EntropyBracket:
 
 
 def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
-    """Certified upper bounds for the entropy along cubes n = 1..max_side.
+    """Certified bounds for the entropy along cubes n = 1..max_side.
 
     Every side gives the cube ratio log_a(count)/n^d, rounded up, valid
-    because the log-count is componentwise subadditive.  One-dimensional
-    subshifts also get the Collatz-Wielandt transfer bound at each side
-    n >= w, valid because it is computed from exact counts and rounded
-    up.  A cap hit truncates the bracket instead of failing it: the
-    bounds already collected stay valid upper bounds.
+    because the log-count is componentwise subadditive; for d >= 2 the
+    count comes from count_patterns.  A one-dimensional subshift whose
+    window passes the state cap is counted by one pass of the window
+    dynamic program (_transfer_sides_1d), which also gives the
+    Collatz-Wielandt upper and lower transfer bounds at each side
+    n >= w; count_patterns stays its cross-check.  A cap hit truncates
+    the bracket instead of failing it: the bounds already collected stay
+    valid.
     """
     if max_side < 1:
         raise DomainError(f"max_side must be >= 1, got {max_side!r}")
     entries: list[EntropyEntry] = []
     running = math.inf
+    best_lower = None
     truncated = False
-    transfer_uppers = _transfer_uppers_1d(sft) if sft.dim == 1 else None
+    # The window DP holds up to a^(w-1) states from side w-1 on.  When a
+    # window and a new symbol pass the state cap, the sweep's cap stops the
+    # bracket at side w, before any transfer bound, so the sweep counts.
+    if sft.dim == 1 and _window_1d(sft) * math.log2(sft.alphabet) <= STATE_CAP_BITS:
+        sides_bounds = _transfer_sides_1d(sft)
+    else:
+        sides_bounds = ((count_patterns(sft, (n,) * sft.dim).count, None, None)
+                        for n in itertools.count(1))
     for n in range(1, max_side + 1):
-        sides = (n,) * sft.dim
         try:
-            count = count_patterns(sft, sides).count
+            count, upper, lower = next(sides_bounds)
         except CapExceededError:
             if not entries:
                 raise  # even the unit box is past a cap
@@ -564,24 +602,19 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
         log_value = _log_count(count, sft.alphabet)
         # the upward-rounded log over the volume, itself rounded up unless exact
         volume = n ** sft.dim
-        log_up = _log_upper(Fraction(count), sft.alphabet)
+        log_up = _log_rounded(Fraction(count), sft.alphabet, math.inf)
         ratio = log_up / volume
         if math.isfinite(ratio) and Fraction(ratio) * volume != Fraction(log_up):
             ratio = math.nextafter(ratio, math.inf)
-        upper = next(transfer_uppers) if transfer_uppers is not None else None
         running = min(running, ratio) if upper is None else min(running, ratio, upper)
-        entries.append(EntropyEntry(sides=sides, count=count, log_value=log_value,
+        if lower is not None:
+            best_lower = lower if best_lower is None else max(best_lower, lower)
+        entries.append(EntropyEntry(sides=(n,) * sft.dim, count=count, log_value=log_value,
                                     ratio=ratio, running_min=running,
                                     transfer_upper=upper))
-    transfer_value = None
-    if sft.dim == 1:
-        _, matrix = transfer_matrix_1d(sft)
-        # no admissible window at all: the subshift is empty
-        lam = dominant_eigenvalue(matrix) if matrix.size else 0.0
-        transfer_value = (math.log(lam) / math.log(sft.alphabet)) if lam > 0 else -math.inf
     return EntropyBracket(entries=tuple(entries), best_upper=running,
                           admissibility="locally_admissible", truncated=truncated,
-                          transfer_value_1d=transfer_value)
+                          best_lower=best_lower)
 
 
 def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationReport:

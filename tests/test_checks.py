@@ -13,6 +13,7 @@ import pytest
 from fekete_lab.checks import (
     TOP_K,
     _probe_points,
+    _strongest,
     Violation,
     ViolationReport,
     check_componentwise,
@@ -520,6 +521,30 @@ def test_reports_list_the_strongest_few_and_count_every_hit(check, oracle, probe
     rerun = check(oracle, budget)
     assert json.dumps(rerun.to_json_dict()) == json.dumps(payload)
     assert rerun.to_csv_rows() == report.to_csv_rows()
+
+
+def test_strongest_keeps_the_first_of_each_distinct_row_as_np_unique_does():
+    rng = np.random.default_rng(18)
+    signed_zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0], [0.0, 0.0], [1.0, 0.0],
+                             [-0.0, -0.0]])
+    heavy = rng.integers(0, 3, size=(600, 4)).astype(float)
+    heavy[rng.random(heavy.shape) < 0.3] *= -1.0  # zeros of both signs
+    tied = np.repeat(rng.normal(size=(40, 3)), 5, axis=0)[rng.permutation(200)]
+    for hits in (signed_zeros, heavy, tied, np.zeros((0, 4))):
+        _, first = np.unique(hits, axis=0, return_index=True)
+        first.sort()
+        every_row_probed = np.ones(len(hits), dtype=bool)
+        kept, probed, distinct = _strongest(hits, np.zeros(len(hits)), every_row_probed)
+        assert kept.tolist() == first.tolist() and probed == distinct == len(first)
+        # random rows: the TOP_K largest margins among the first of each row,
+        # ties (few margin values) going to the earlier row
+        margin = rng.integers(0, 3, size=len(hits)).astype(float)
+        probe = rng.random(len(hits)) < 0.2
+        probed_first, drawn = first[probe[first]], first[~probe[first]]
+        drawn = drawn[np.lexsort((drawn, -margin[drawn]))[:TOP_K]]
+        kept, probed, distinct = _strongest(hits, margin, probe)
+        assert kept.tolist() == probed_first.tolist() + drawn.tolist()
+        assert (probed, distinct) == (len(probed_first), len(first))
 
 
 def test_exhaustive_reports_count_what_they_list():

@@ -94,7 +94,9 @@ def test_entropy_command(tmp_path):
                 "--out", tmp_path, "--no-timestamp"])
     assert code == 0
     payload = read_json(tmp_path / "entropy.json")
-    assert abs(payload["transfer_value_1d"] - math.log2((1 + math.sqrt(5)) / 2)) <= 1e-6
+    assert "transfer_value_1d" not in payload
+    assert payload["best_lower"] <= math.log2((1 + math.sqrt(5)) / 2) <= payload["best_upper"]
+    assert payload["best_upper"] - payload["best_lower"] <= 1.5e-6
     csv = (tmp_path / "entropy.csv").read_text().splitlines()
     assert csv[0] == "n1,count,log_complexity,ratio,running_min"
     assert len(csv) == 17

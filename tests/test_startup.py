@@ -74,8 +74,8 @@ def test_help_loads_no_subcommand_module(tmp_path, argv):
     assert modules_after(code, tmp_path) & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
 
 
-@pytest.mark.parametrize("sft", ["hard_square_2d", "hard_cube.json"])
-def test_entropy_in_two_and_three_dimensions_loads_no_numpy(tmp_path, sft):
+@pytest.mark.parametrize("sft", ["golden_mean_1d", "hard_square_2d", "hard_cube.json"])
+def test_entropy_loads_no_numpy(tmp_path, sft):
     (tmp_path / "hard_cube.json").write_text(json.dumps(HARD_CUBE))
     loaded = modules_after(cli_run(["entropy", "--sft", sft, "--max-side", "3",
                                     "--out", "out", "--no-timestamp"]), tmp_path)
@@ -135,7 +135,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "limits": ["multiple_inf"],
                "registry": ["write_tabulated"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
-                            "folner_box_ratio"]}
+                            "folner_box_ratio", "_transfer_uppers_1d", "_log_upper"]}
     for module, names in removed.items():
         mod = importlib.import_module(f"fekete_lab.{module}")
         for name in names:

@@ -349,8 +349,13 @@ def test_entropy_bounds_golden_mean():
     assert all(a >= b for a, b in zip(mins, mins[1:]))
     assert all(e.ratio >= bracket.best_upper for e in bracket.entries)
     golden_ratio_log = math.log2((1 + math.sqrt(5)) / 2)
-    assert bracket.transfer_value_1d is not None
-    assert abs(bracket.transfer_value_1d - golden_ratio_log) <= 1e-9
+    # the certified two-sided transfer bracket holds the limit and closes
+    # geometrically: at most 1.5e-6 wide at side 16 and 1e-9 at side 24
+    assert bracket.best_lower <= golden_ratio_log <= bracket.best_upper
+    assert bracket.best_upper - bracket.best_lower <= 1e-9
+    side16 = entropy_bounds(GOLDEN, 16)
+    assert side16.best_lower <= golden_ratio_log <= side16.best_upper
+    assert side16.best_upper - side16.best_lower <= 1.5e-6
     # convergence of the cube-ratio bound alone is O(1/n): at side 16 the
     # gap is 0.0142, first dipping under 0.01 at side 23
     cube_min = dict(zip(by_n, itertools.accumulate(
@@ -393,25 +398,27 @@ def test_transfer_upper_degenerate_subshifts():
         ForbiddenPattern(((0,),), (0,)), ForbiddenPattern(((0,),), (1,))))
     bracket = entropy_bounds(dead, 3)
     assert [e.transfer_upper for e in bracket.entries] == [-math.inf] * 3
-    assert bracket.best_upper == -math.inf
+    assert bracket.best_upper == bracket.best_lower == -math.inf
     # with a two-cell window no state is admissible: no matrix to iterate on
     dead_window = SftSpec(alphabet=2, dim=1, forbidden=dead.forbidden + (
         ForbiddenPattern(((0,), (1,)), (1, 1)),))
-    assert entropy_bounds(dead_window, 3).transfer_value_1d == -math.inf
+    bracket = entropy_bounds(dead_window, 3)
+    assert bracket.entries[0].transfer_upper is None  # side 1 is below the window
+    assert bracket.best_upper == bracket.best_lower == -math.inf
     # after a 1 nothing may follow: state (1,) is a dead end, two words per length
     dead_end = SftSpec(alphabet=2, dim=1, forbidden=(
         ForbiddenPattern(((0,), (1,)), (1, 0)), ForbiddenPattern(((0,), (1,)), (1, 1))))
     bracket = entropy_bounds(dead_end, 8)
     assert [e.count for e in bracket.entries] == [2] * 8
     assert [e.transfer_upper for e in bracket.entries[1:]] == [0.0] * 7
-    assert bracket.best_upper == 0.0
+    assert bracket.best_upper == bracket.best_lower == 0.0
     # float log(3**5)/log(3)/5 is 0.9999999999999998; powers of the alphabet
     # stay exact in both bounds, so rounding up never lifts the limit 1
     tern = builtin_sft("full_shift", alphabet=3, dim=1)
     bracket = entropy_bounds(tern, 8)
     assert [e.ratio for e in bracket.entries] == [1.0] * 8
     assert [e.transfer_upper for e in bracket.entries] == [1.0] * 8
-    assert bracket.best_upper == 1.0
+    assert bracket.best_upper == bracket.best_lower == 1.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -425,6 +432,94 @@ def test_transfer_upper_dominates_spectral_radius(sft):
     for e in bracket.entries:
         assert e.transfer_upper is None or e.transfer_upper >= entropy - 1e-9
         assert e.ratio >= entropy - 1e-9
+    # and the certified bracket holds it: every window is at most 4 < 10 cells
+    assert bracket.best_lower is not None
+    assert bracket.best_lower <= entropy + 1e-9 and entropy - 1e-9 <= bracket.best_upper
+
+
+def test_transfer_lower_bounds_round_down():
+    # per side, the least ratio c_n[j]/c_(n-1)[j] of the count vectors; its log
+    # is exact at powers of the alphabet and otherwise rounded down
+    staircase = SftSpec(alphabet=2, dim=1, forbidden=(
+        ForbiddenPattern(((0,), (1,)), (1, 0)),))
+    tern = builtin_sft("full_shift", alphabet=3, dim=1)
+    gapped = SftSpec(alphabet=3, dim=1, forbidden=(
+        ForbiddenPattern(((0,), (2,)), (1, 1)), ForbiddenPattern(((0,), (1,)), (2, 0))))
+    exact_logs = rounded = 0
+    for sft in (GOLDEN, staircase, tern, gapped):
+        w = subshift._window_1d(sft)
+        vectors = itertools.islice(subshift._window_counts_1d(sft), 41)
+        prev = next(vectors)
+        lowers = []
+        with localcontext() as ctx:
+            ctx.prec = 50
+            loga = Decimal(sft.alphabet).ln()
+            for n, cur in enumerate(vectors, start=1):
+                if n >= w:
+                    lam = min(Fraction(cur.get(j, 0), c) for j, c in prev.items())
+                    low = subshift._log_rounded(lam, sft.alphabet, -math.inf)
+                    lowers.append(low)
+                    exact = Fraction((Decimal(lam.numerator).ln()
+                                      - Decimal(lam.denominator).ln()) / loga)
+                    k = round(exact)
+                    if Fraction(sft.alphabet) ** k == lam:
+                        assert low == k, (sft, n)
+                        exact_logs += 1
+                    else:
+                        # the slack covers the reference's own 50-digit rounding
+                        assert Fraction(low) <= exact + abs(exact) * Fraction(1, 10 ** 40)
+                        assert exact - Fraction(low) <= abs(exact) * Fraction(1, 10 ** 14)
+                        rounded += 1
+                prev = cur
+        assert entropy_bounds(sft, 40).best_lower == max(lowers)
+    assert exact_logs >= 40 and rounded >= 40
+
+
+def test_one_pass_counts_equal_the_sweep():
+    # entropy counts 1-D words with the window DP; count_patterns stays its check
+    bracket = entropy_bounds(GOLDEN, 145)
+    assert bracket.truncated and len(bracket.entries) == 144
+    assert [e.count for e in bracket.entries] == [
+        count_patterns(GOLDEN, (n,)).count for n in range(1, 145)]
+    with pytest.raises(CapExceededError, match="cell cap"):
+        count_patterns(GOLDEN, (145,))
+    rng = random.Random(18)
+    for _ in range(20):
+        a = rng.randint(2, 4)
+        patterns = []
+        for _ in range(rng.randint(1, 3)):
+            length = rng.randint(1, 5)
+            offsets = sorted(rng.sample(range(length), rng.randint(1, length)))
+            patterns.append(ForbiddenPattern(tuple((o,) for o in offsets),
+                                             tuple(rng.randrange(a) for _ in offsets)))
+        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
+        assert [e.count for e in entropy_bounds(sft, 30).entries] == [
+            count_patterns(sft, (n,)).count for n in range(1, 31)], sft
+
+
+@pytest.mark.parametrize("alphabet, cap", [(2 ** 50, "state cap"), (2 ** 150, "cell cap")])
+def test_one_pass_refuses_a_unit_box_past_a_cap_as_the_sweep_does(alphabet, cap):
+    sft = SftSpec(alphabet=alphabet, dim=1)
+    with pytest.raises(CapExceededError, match=cap) as swept:
+        count_patterns(sft, (1,))
+    with pytest.raises(CapExceededError) as passed:
+        entropy_bounds(sft, 3)
+    assert str(passed.value) == str(swept.value)
+
+
+def test_a_window_past_the_state_cap_is_counted_by_the_sweep(monkeypatch):
+    # 8 bits a symbol: a frontier of 7 cells and a new one pass 48 bits, so
+    # the state cap stops the sweep at side 8.  Below it the sweep holds one
+    # window, but the window DP would hold all 256^n words of length n
+    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    with pytest.raises(CapExceededError, match="state cap"):
+        count_patterns(sft, (8,))
+    monkeypatch.setattr(subshift, "_window_counts_1d",
+                        lambda sft: pytest.fail("the window DP ran past the state cap"))
+    bracket = entropy_bounds(sft, 10)
+    assert bracket.truncated
+    assert [e.count for e in bracket.entries] == [256 ** n for n in range(1, 8)]
+    assert bracket.best_lower is None  # no side reached the window
 
 
 def test_transfer_value_at_a_jordan_block():
@@ -434,7 +529,11 @@ def test_transfer_value_at_a_jordan_block():
         ForbiddenPattern(((0,), (1,)), (1, 0)),))
     bracket = entropy_bounds(staircase, 6)
     assert [e.count for e in bracket.entries] == [2, 3, 4, 5, 6, 7]
-    assert abs(bracket.transfer_value_1d) <= 1e-12
+    # state (0,) ends one word of each length, 0^n, so the least ratio is 1
+    # and its log 0 is exact: the certified lower bound is the entropy itself.
+    # State (1,) ends n words, so at side 6 the upper bound is log2(6/5)
+    assert bracket.best_lower == 0.0
+    assert math.log2(6 / 5) < bracket.best_upper <= math.log2(6 / 5) + 1e-15
 
 
 def brute_force_transfer_matrix(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
