@@ -127,10 +127,10 @@ class LimitBracket:
             "evaluations": self.evaluations,
         }
 
-    def samples_csv_rows(self) -> Iterator[list[str]]:
+    def samples_csv_rows(self) -> Iterator[Sequence[str]]:
         """The header, then one row per sample by shell, then point.
 
-        Rows are built from the per-column reprs one block of
+        Rows are zipped from the per-column reprs one block of
         CSV_BLOCK_ROWS at a time, so the grid is never one list of rows.
         """
         yield ["shell"] + [f"x{i + 1}" for i in range(self.points.shape[1])] + ["ratio"]
@@ -140,8 +140,7 @@ class LimitBracket:
                    *(_reprs(points[:, i]) for i in range(points.shape[1])),
                    _reprs(self.ratios[order])]
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            yield from np.stack([c[start:start + CSV_BLOCK_ROWS] for c in columns],
-                                axis=1).tolist()
+            yield from zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns))
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:

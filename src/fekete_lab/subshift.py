@@ -28,6 +28,16 @@ digits its tests read, so a window costs one AND and one lookup, plus
 one shift-or-mask per new window.  Only the current layer is held, so
 memory grows with the number of windows, far below the raw a^cells
 search space, and not with the cell count.
+
+The sweep yields its layer after each full row, and the mirror meet
+uses that to sweep only a = ceil((n+1)/2) of the n rows along axis 0
+(the structure of Calkin and Wilf 1998).  Its four premises are checked
+exactly on each box: n >= 3; every pattern that fits the box has
+extent(0) <= 2; the fitting patterns, normalised by translation, form a
+set closed under x0 -> -x0; and the frontier span is at least one row.
+Then the count is sum over last rows r of L_a[r] * L_(n+1-a)[r], where
+L_k[r] counts the admissible k-row boxes whose last row is r.  When a
+premise fails, the sweep runs to the last row.
 """
 
 from __future__ import annotations
@@ -251,46 +261,104 @@ def _placements(sft: SftSpec, sides: tuple[int, ...],
     return kinds, cell_kinds, span, bits
 
 
-def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
-    """Exactly count locally admissible symbol boxes of the given sides.
+def _mirror_meet_rows(sft: SftSpec, sides: tuple[int, ...], span: int) -> int | None:
+    """The a = ceil((n+1)/2) rows the mirror meet sweeps, or None when one of
+    its premises (see count_patterns) fails on this box."""
+    n, width = sides[0], math.prod(sides[1:])
+    fitting = [pat for pat in sft.forbidden
+               if all(pat.extent(axis) <= sides[axis] for axis in range(sft.dim))]
+    if n < 3 or span < width or any(pat.extent(0) > 2 for pat in fitting):
+        return None
 
-    A forward sweep over cells in row-major order.  The layer after k
-    cells maps each frontier window, the trailing span symbols coded as
-    one integer (see _placements), to the number of admissible k-cell
-    prefixes ending in it; that suffices because no later check reads
-    anything older than the window.  Within a layer every window has the
-    same length, so the codes map one-to-one onto symbol tuples.  A
-    symbol s at cell k is admissible unless one of its kind's mask tests
-    matches the shifted window; the next window is
+    def normalised(offsets: Sequence[tuple[int, ...]], symbols: tuple[int, ...]) -> frozenset:
+        lows = [min(axis) for axis in zip(*offsets)]
+        return frozenset((tuple(c - lo for c, lo in zip(off, lows)), sym)
+                         for off, sym in zip(offsets, symbols))
+
+    patterns = {normalised(pat.offsets, pat.symbols) for pat in fitting}
+    mirrored = {normalised([(-off[0], *off[1:]) for off in pat.offsets], pat.symbols)
+                for pat in fitting}
+    return (n + 2) // 2 if mirrored == patterns else None
+
+
+def _row_layers(kinds: list[_Kind], cell_kinds: list[int], span: int, bits: int,
+                width: int) -> Iterator[dict[int, int]]:
+    """The sweep's window layer after each full row of width cells, row 1 first.
+
+    The layer after k cells maps each frontier window, the trailing span
+    symbols coded as one integer (see _placements), to the number of
+    admissible k-cell prefixes ending in it; that suffices because no
+    later check reads anything older than the window.  Within a layer
+    every window has the same length, so the codes map one-to-one onto
+    symbol tuples.  A symbol s at cell k is admissible unless one of its
+    kind's mask tests matches the shifted window; the next window is
     ((window << b) | s) & keep, the last span digits.  The verdicts read
     only the digits in the kind's read mask, so each kind memoizes the
     tuple of admissible symbols by (window << b) & read, and a window
-    costs one AND and one lookup, the tests running once per key.  The
-    count is the sum of the last layer.
+    costs one AND and one lookup, the tests running once per key.
     """
-    sides = _validate_sides(sft, sides)
-    kinds, cell_kinds, span, bits = _placements(sft, sides)
-
     keep = (1 << (bits * span)) - 1
     memos: list[dict[int, tuple[int, ...]]] = [{} for _ in kinds]
     layer: dict[int, int] = {0: 1}
-    for k in cell_kinds:
-        tests, read = kinds[k]
-        memo = memos[k]
-        advanced: dict[int, int] = {}
-        for window, prefixes in layer.items():
-            shifted = window << bits
-            key = shifted & read
-            allowed = memo.get(key)
-            if allowed is None:
-                allowed = memo[key] = tuple(
-                    s for s, sym_tests in enumerate(tests)
-                    if all(key & mask != value for mask, value in sym_tests))
-            for s in allowed:
-                nxt = (shifted | s) & keep
-                advanced[nxt] = advanced.get(nxt, 0) + prefixes
-        layer = advanced
-    return PatternCount(sides=sides, count=sum(layer.values()))
+    for start in range(0, len(cell_kinds), width):
+        for k in cell_kinds[start:start + width]:
+            tests, read = kinds[k]
+            memo = memos[k]
+            advanced: dict[int, int] = {}
+            for window, prefixes in layer.items():
+                shifted = window << bits
+                key = shifted & read
+                allowed = memo.get(key)
+                if allowed is None:
+                    allowed = memo[key] = tuple(
+                        s for s, sym_tests in enumerate(tests)
+                        if all(key & mask != value for mask, value in sym_tests))
+                for s in allowed:
+                    nxt = (shifted | s) & keep
+                    advanced[nxt] = advanced.get(nxt, 0) + prefixes
+            layer = advanced
+        yield layer
+
+
+def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
+    """Exactly count locally admissible symbol boxes of the given sides.
+
+    A forward sweep over cells in row-major order, read one full row at
+    a time (_row_layers): the layer L_r after r of the n = sides[0] rows
+    maps each frontier window to the number of admissible r-row prefixes
+    ending in it.  By default the count is the sum of the last layer.
+
+    The mirror meet stops the sweep after a = ceil((n+1)/2) rows when
+    its four premises hold: n >= 3; every pattern that fits the box has
+    extent(0) <= 2; those patterns, normalised by translation, form a
+    set closed under x0 -> -x0; and the frontier span is at least the
+    row width, so each window holds its whole last row.  Each layer is
+    projected onto its last row (the low b*width digits of the window),
+    and with b = n+1-a the count is sum over rows r of L_a[r] * L_b[r]:
+    every forbidden translate lies in rows a-1..a or in rows a..n, and
+    flipping rows a..n maps the admissible completions from row r onto
+    the admissible b-row boxes ending in r (Calkin and Wilf 1998).  The
+    caps are checked on the full box either way.
+    """
+    sides = _validate_sides(sft, sides)
+    kinds, cell_kinds, span, bits = _placements(sft, sides)
+    width = math.prod(sides[1:])
+    layers = _row_layers(kinds, cell_kinds, span, bits, width)
+    a = _mirror_meet_rows(sft, sides, span)
+    if a is None:
+        *_, last = layers
+        return PatternCount(sides=sides, count=sum(last.values()))
+    b = sides[0] + 1 - a
+    low = (1 << (bits * width)) - 1
+    last_rows: dict[int, dict[int, int]] = {}
+    for r, layer in zip(range(1, a + 1), layers):
+        if r in (a, b):
+            projected = last_rows[r] = {}
+            for window, prefixes in layer.items():
+                projected[window & low] = projected.get(window & low, 0) + prefixes
+    bottom = last_rows[b]
+    return PatternCount(sides=sides, count=sum(c * bottom.get(row, 0)
+                                               for row, c in last_rows[a].items()))
 
 
 def _exact_log(value: Fraction, alphabet: int) -> int | None:
@@ -381,10 +449,12 @@ def transfer_matrix_count_1d(sft: SftSpec, n: int) -> int:
 
     Independent of the sweep in count_patterns: states are the trailing
     w-1 symbols (see _window_counts_1d).  Must agree with count_patterns
-    exactly.
+    exactly.  Below length w the states are whole words, so the caps are
+    checked first, on n cells with a frontier span of w-1.
     """
     if n < 1:
         raise DomainError(f"length must be >= 1, got {n!r}")
+    _check_caps(sft, n, _window_1d(sft) - 1)
     counts = next(itertools.islice(_window_counts_1d(sft), n, None))
     return sum(counts.values())
 
@@ -394,10 +464,12 @@ def transfer_matrix_1d(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]
 
     The states are the window DP's states at length w-1 (the admissible
     words of w-1 symbols), sorted; entry [u, v] counts the symbols that
-    step u to v, so w = 1 gives [[number of allowed symbols]].
+    step u to v, so w = 1 gives [[number of allowed symbols]].  The caps
+    are checked first, on the window: w cells with a span of w-1.
     """
     import numpy as np
     keep = _window_1d(sft) - 1
+    _check_caps(sft, keep + 1, keep)
     patterns = _word_patterns_1d(sft)
     states = sorted(next(itertools.islice(_window_counts_1d(sft), keep, None)))
     index = {s: i for i, s in enumerate(states)}

@@ -282,9 +282,10 @@ def test_hard_square_matches_brute_force():
 
 
 def test_hard_square_counts_past_the_brute_force_range():
-    # OEIS A006506
-    assert [count_patterns(HARD, (n, n)).count for n in range(5, 9)] == [
-        55447, 5598861, 1280128950, 660647962955]
+    # OEIS A006506; from n = 3 on the mirror meet sweeps only ceil((n+1)/2) rows
+    assert [count_patterns(HARD, (n, n)).count for n in range(5, 13)] == [
+        55447, 5598861, 1280128950, 660647962955, 770548397261707,
+        2030049051145980050, 12083401651433651945979, 162481813349792588536582997]
 
 
 def test_nearest_neighbour_boxes_have_at_most_four_cell_kinds():
@@ -310,6 +311,171 @@ def test_sweep_matches_the_window_dp_on_long_random_rows():
         vectors = itertools.islice(subshift._window_counts_1d(sft), 1, 41)
         for n, counts in enumerate(vectors, start=1):
             assert count_patterns(sft, (n,)).count == sum(counts.values()), (sft, n)
+
+
+def swept_to_the_last_row(sft: SftSpec, sides: tuple[int, ...]) -> int:
+    """The sum of the sweep's last row layer: the count without the mirror meet."""
+    kinds, cell_kinds, span, bits = subshift._placements(sft, sides)
+    *_, last = subshift._row_layers(kinds, cell_kinds, span, bits, math.prod(sides[1:]))
+    return sum(last.values())
+
+
+def count_and_rows_swept(monkeypatch, sft: SftSpec, sides: tuple[int, ...]) -> tuple[int, int]:
+    """count_patterns's count, and how many row layers it drew from the sweep."""
+    rows = 0
+    row_layers = subshift._row_layers
+
+    def counting(*args):
+        nonlocal rows
+        for layer in row_layers(*args):
+            rows += 1
+            yield layer
+
+    with monkeypatch.context() as m:
+        m.setattr(subshift, "_row_layers", counting)
+        count = count_patterns(sft, sides).count
+    return count, rows
+
+
+def random_mirror_closed(rng: random.Random, dim: int, alphabet: int) -> SftSpec:
+    """Random patterns within two rows, each with its mirror image along axis 0.
+
+    The first pattern reads cell (0, x, ..) and cell (1, y, ..) with
+    y >= x coordinatewise, so its row-major span is at least one row;
+    later patterns may be diagonal or one row high.
+    """
+    patterns = []
+    for i in range(rng.randint(1, 3)):
+        first = tuple(rng.randrange(2) for _ in range(dim - 1))
+        cells = {(0, *first)} if i else {(0, *first), (1, *(c + rng.randrange(2) for c in first))}
+        size = rng.randint(1, 3)
+        while len(cells) < size:
+            cells.add((rng.randrange(2), *(rng.randrange(3) for _ in range(dim - 1))))
+        cells = sorted(cells)
+        symbols = tuple(rng.randrange(alphabet) for _ in cells)
+        patterns.append(ForbiddenPattern(tuple(cells), symbols))
+        patterns.append(ForbiddenPattern(tuple((-c[0], *c[1:]) for c in cells), symbols))
+    return SftSpec(alphabet=alphabet, dim=dim, forbidden=tuple(patterns))
+
+
+@pytest.mark.parametrize("dim, sides_list", [
+    (2, [(3, 1), (3, 2), (3, 3), (4, 2), (5, 3), (6, 2), (7, 3)]),
+    (3, [(3, 1, 2), (3, 2, 2), (4, 2, 2), (5, 2, 3)]),
+])
+def test_mirror_meet_equals_the_full_sweep_and_brute_force(monkeypatch, dim, sides_list):
+    rng = random.Random(19 + dim)
+    engaged = wide = brute = 0
+    for _ in range(12):
+        sft = random_mirror_closed(rng, dim, rng.randint(2, 3))
+        for sides in sides_list:
+            span = subshift._placements(sft, sides)[2]
+            count, rows = count_and_rows_swept(monkeypatch, sft, sides)
+            assert count == swept_to_the_last_row(sft, sides), (sft, sides)
+            if sft.alphabet ** math.prod(sides) <= 1024:
+                assert count == brute_force_box(sft, sides), (sft, sides)
+                brute += 1
+            a = subshift._mirror_meet_rows(sft, sides, span)
+            assert rows == (sides[0] if a is None else (sides[0] + 2) // 2)
+            engaged += a is not None
+            wide += a is not None and span > math.prod(sides[1:])
+    cases = 12 * len(sides_list)
+    assert engaged >= cases // 2 and wide >= cases // 4 and brute >= 10
+
+
+def test_mirror_meet_falls_back_when_a_premise_fails(monkeypatch):
+    diagonal = ForbiddenPattern(((0, 0), (1, 1)), (1, 1))
+    cases = {
+        # mirror-open: the diagonal without its mirror image, the anti-diagonal
+        "mirror-open": (SftSpec(alphabet=2, dim=2, forbidden=(diagonal,)), (4, 3)),
+        "extent(0) = 3": (SftSpec(alphabet=2, dim=2, forbidden=(
+            ForbiddenPattern(((0, 0), (2, 0)), (1, 1)),)), (4, 2)),
+        # only horizontal patterns: a span of one cell, short of the row
+        "span < width": (SftSpec(alphabet=2, dim=2, forbidden=(
+            ForbiddenPattern(((0, 0), (0, 1)), (1, 1)),)), (4, 3)),
+        "n = 2": (HARD, (2, 4)),
+        "n = 1": (HARD, (1, 4)),
+    }
+    for name, (sft, sides) in cases.items():
+        count, rows = count_and_rows_swept(monkeypatch, sft, sides)
+        assert rows == sides[0], name
+        assert count == swept_to_the_last_row(sft, sides) == brute_force_box(sft, sides), name
+    # a mirror-open pattern too wide for the box leaves the meet engaged
+    wide = ForbiddenPattern(((0, 0), (1, 0), (1, 1)), (1, 1, 0))
+    sft = SftSpec(alphabet=2, dim=2, forbidden=HARD.forbidden + (wide,))
+    assert count_and_rows_swept(monkeypatch, sft, (4, 1)) == (
+        count_patterns(HARD, (4, 1)).count, 3)
+
+
+def bench_like(sft: SftSpec, rng: random.Random) -> SftSpec:
+    """The same subshift with each pattern translated, its cells shuffled, and the list shuffled."""
+    patterns = []
+    for pat in sft.forbidden:
+        shift = [rng.randrange(4) for _ in range(sft.dim)]
+        cells = [(tuple(c + s for c, s in zip(off, shift)), sym)
+                 for off, sym in zip(pat.offsets, pat.symbols)]
+        rng.shuffle(cells)
+        patterns.append(ForbiddenPattern(*zip(*cells)))
+    rng.shuffle(patterns)
+    return SftSpec(alphabet=sft.alphabet, dim=sft.dim, forbidden=tuple(patterns))
+
+
+def test_mirror_meet_engages_on_the_nearest_neighbour_subshifts(monkeypatch):
+    rng = random.Random(1)
+    hard_zero_cube = SftSpec(alphabet=2, dim=3, forbidden=tuple(
+        ForbiddenPattern(pat.offsets, (0, 0)) for pat in HARD_CUBE.forbidden))
+    for sft, side in ((HARD, 12), (bench_like(COLOUR3, rng), 9),
+                      (bench_like(HARD_CUBE, rng), 4), (bench_like(hard_zero_cube, rng), 4)):
+        for n in range(3, side + 1):
+            sides = (n,) * sft.dim
+            count, rows = count_and_rows_swept(monkeypatch, sft, sides)
+            assert rows == (n + 2) // 2
+            assert count == swept_to_the_last_row(sft, sides)
+    # the diagonal of test_mirror_meet_falls_back_when_a_premise_fails, shifted
+    mirror_open = bench_like(SftSpec(alphabet=2, dim=2, forbidden=(
+        ForbiddenPattern(((0, 0), (1, 1)), (1, 1)),)), rng)
+    assert count_and_rows_swept(monkeypatch, mirror_open, (6, 6))[1] == 6
+
+
+def row_transfer_count(rows: list[int], height: int) -> int:
+    """Stack height rows, coded as bitmasks, each disjoint from the one below it."""
+    below = [[j for j, r in enumerate(rows) if r & s == 0] for s in rows]
+    vec = [1] * len(rows)
+    for _ in range(height - 1):
+        vec = [sum(vec[j] for j in js) for js in below]
+    return sum(vec)
+
+
+def test_large_colour3_and_hard_cube_counts_match_a_row_transfer():
+    # a proper 3-colouring of a path of n cells as n one-hot 3-bit digits:
+    # two rows stack exactly when no column repeats a colour
+    for n in range(7, 10):
+        paths = [[c] for c in range(3)]
+        for _ in range(n - 1):
+            paths = [p + [c] for p in paths for c in range(3) if c != p[-1]]
+        rows = [sum(1 << (3 * i + c) for i, c in enumerate(p)) for p in paths]
+        assert count_patterns(COLOUR3, (n, n)).count == row_transfer_count(rows, n)
+    # independent sets of the 4 x 4 grid as 16-bit masks, stacked into layers
+    line = [m for m in range(16) if m & (m >> 1) == 0]
+    layers = [0]
+    for i in range(4):
+        layers = [layer | (r << (4 * i)) for layer in layers for r in line
+                  if i == 0 or (layer >> (4 * (i - 1))) & r == 0]
+    assert row_transfer_count(layers, 4) == 121039421240
+    assert count_patterns(HARD_CUBE, (4, 4, 4)).count == 121039421240
+
+
+def test_one_dimensional_cross_check_counters_check_the_caps(monkeypatch):
+    # 8 bits a symbol and a window of 8 cells: below length 8 the window DP
+    # would hold all 256^n words, and the matrix 256^7 states
+    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    monkeypatch.setattr(subshift, "_window_counts_1d",
+                        lambda sft: pytest.fail("the window DP ran past the state cap"))
+    with pytest.raises(CapExceededError, match="state cap"):
+        transfer_matrix_count_1d(sft, 2)
+    with pytest.raises(CapExceededError, match="state cap"):
+        transfer_matrix_1d(sft)
+    with pytest.raises(CapExceededError, match="cell cap"):
+        transfer_matrix_count_1d(GOLDEN, 145)
 
 
 def test_pattern_counts_respect_alphabet_bound():
