@@ -65,6 +65,6 @@ print("transposed boxes agree because the rule set is symmetric")
 
 print()
 print("== full shift sanity ==")
-full = builtin_sft("full_shift", alphabet=2, dim=2)
+full = builtin_sft("full_shift")
 print("every pattern is admissible, so the ratio is identically 1:",
       [e.ratio for e in entropy_bounds(full, 4).entries])

@@ -49,11 +49,11 @@ __all__ = [
 # for the componentwise check); every hit is still counted
 TOP_K = 20
 
-_DEFAULT_POSITIVE_RANGE = (0.1, 100.0)
-_DEFAULT_INTEGER_RANGE = (1.0, 100.0)
-# stop halving shrunken witnesses at the default range floor: smaller
+_POSITIVE_RANGE = (0.1, 100.0)
+_INTEGER_RANGE = (1.0, 100.0)
+# stop halving shrunken witnesses at the sampled range floor: smaller
 # coordinates stop being representative of the sampled domain
-_SHRINK_FLOOR = _DEFAULT_POSITIVE_RANGE[0]
+_SHRINK_FLOOR = _POSITIVE_RANGE[0]
 _MAX_SHRINK_STEPS = 80
 
 
@@ -140,12 +140,9 @@ class ViolationReport:
 # The candidate stream and the screen-then-shrink engine
 # ---------------------------------------------------------------------------
 
-def _axis_range(domain: Domain, axis: int, budget: SampleBudget) -> tuple[float, float]:
-    if budget.ranges is not None:
-        if len(budget.ranges) != domain.dim:
-            raise DomainError("budget must give one range per axis")
-        return budget.ranges[axis]
-    lo, hi = _DEFAULT_INTEGER_RANGE if domain.integer else _DEFAULT_POSITIVE_RANGE
+def _axis_range(domain: Domain, axis: int) -> tuple[float, float]:
+    """Where a non-grid axis draws its candidates, decided by the domain alone."""
+    lo, hi = _INTEGER_RANGE if domain.integer else _POSITIVE_RANGE
     if domain.orthant is None:
         return (-hi, hi)
     if domain.orthant.bits[axis] == 1:
@@ -164,7 +161,7 @@ def _sample(domain: Domain, budget: SampleBudget, counters: np.ndarray) -> np.nd
             grid = np.asarray(domain.grid_axes[i])
             points[:, i] = grid[integer_in(budget.seed, at, 0, len(grid) - 1)]
             continue
-        lo, hi = _axis_range(domain, i, budget)
+        lo, hi = _axis_range(domain, i)
         if domain.integer:
             points[:, i] = integer_in(budget.seed, at, math.ceil(lo), math.floor(hi))
         else:

@@ -88,7 +88,7 @@ class BoxScan:
     maximum: float
     argmin: tuple[float, ...]
     argmax: tuple[float, ...]
-    note: str = "grid scan: evidence of boundedness, not proof"
+    note = "grid scan: evidence of boundedness, not proof"
 
 
 def _require_real_domain(oracle: FunctionOracle) -> None:

@@ -292,11 +292,11 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
     The value is the running minimum of the samples, the upper estimate
     that the tail certifies when g is a ratio of a subadditive function.
     Stops converged by the module's rule: at least 8 samples, and the
-    last 4 within tol of that minimum.  Also stops at a sample of +-inf,
+    last 4 within tol of that minimum.  Also stops at a sample of +inf,
     when sustained geometric growth marks divergence to +inf (8
-    increasing positive samples rising at least 4-fold), when the tail
-    crosses the divergence floor, or at the end of the ladder
-    (inconclusive).
+    increasing positive samples rising at least 4-fold), when a sample
+    (-inf included) crosses the divergence floor, or at the end of the
+    ladder (inconclusive).
     """
     samples: list[float] = []
     low = math.inf
@@ -304,8 +304,6 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
     for x in ladder:
         v = as_extended(g(x))
         evals += 1
-        if v == -math.inf:
-            return _TailEstimate(-math.inf, DIVERGING_MINUS, evals, None)
         if v == math.inf:
             return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)
         samples.append(v)

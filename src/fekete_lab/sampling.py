@@ -52,22 +52,15 @@ def integer_in(seed: int, counter: int | np.ndarray, lo: int, hi: int) -> int | 
 
 @dataclass(frozen=True)
 class SampleBudget:
-    """Reproducible sampling budget: (seed, count, ranges) fixes the stream.
+    """Reproducible sampling budget: (seed, count) fixes the stream.
 
-    ranges gives one (lo, hi) pair per axis; None lets the consumer pick
-    the default for the domain at hand (0.1..100 per positive axis).
+    The range each axis draws from is not part of the budget: the
+    consumer takes it from the domain alone (0.1..100 per positive axis).
     """
 
     count: int = 10_000
     seed: int = 2024
-    ranges: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise DomainError(f"sample count must be positive, got {self.count!r}")
-        if self.ranges is not None:
-            ranges = tuple((float(lo), float(hi)) for lo, hi in self.ranges)
-            for lo, hi in ranges:
-                if not lo < hi:
-                    raise DomainError(f"bad sampling range [{lo!r}, {hi!r})")
-            object.__setattr__(self, "ranges", ranges)

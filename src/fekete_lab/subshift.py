@@ -81,6 +81,7 @@ MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
 CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
 STATE_CAP_BITS = 48.0  # (frontier window + 1) * log2(a) <= this: the pairs of a
                        # window and a new symbol one cell's step may visit
+MATRIX_STATE_CAP = 4096  # states of a dense transfer matrix: 128 MiB of float64
 
 
 # One kind of sweep cell: per symbol, the (mask, value) tests that symbol
@@ -156,7 +157,7 @@ class SftSpec:
 class PatternCount:
     sides: tuple[int, ...]
     count: int
-    admissibility: str = "locally_admissible"
+    admissibility = "locally_admissible"  # the one convention (module docstring)
 
 
 def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
@@ -465,13 +466,19 @@ def transfer_matrix_1d(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]
     The states are the window DP's states at length w-1 (the admissible
     words of w-1 symbols), sorted; entry [u, v] counts the symbols that
     step u to v, so w = 1 gives [[number of allowed symbols]].  The caps
-    are checked first, on the window: w cells with a span of w-1.
+    are checked first, on the window: w cells with a span of w-1, and then
+    each DP level, refused past MATRIX_STATE_CAP states before allocation.
     """
     import numpy as np
     keep = _window_1d(sft) - 1
     _check_caps(sft, keep + 1, keep)
     patterns = _word_patterns_1d(sft)
-    states = sorted(next(itertools.islice(_window_counts_1d(sft), keep, None)))
+    for level, counts in zip(range(keep + 1), _window_counts_1d(sft)):
+        if len(counts) > MATRIX_STATE_CAP:
+            raise CapExceededError(
+                f"window level {level} holds {len(counts)} states, more than the "
+                f"{MATRIX_STATE_CAP} of a dense transfer matrix")
+    states = sorted(counts)
     index = {s: i for i, s in enumerate(states)}
     matrix = np.zeros((len(states), len(states)))
     for u in states:
@@ -606,9 +613,9 @@ class EntropyBracket:
 
     entries: tuple[EntropyEntry, ...]
     best_upper: float
-    admissibility: str
     truncated: bool
     best_lower: float | None = None
+    admissibility = PatternCount.admissibility
 
     def to_json_dict(self) -> dict:
         return {
@@ -684,8 +691,7 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
         entries.append(EntropyEntry(sides=(n,) * sft.dim, count=count, log_value=log_value,
                                     ratio=ratio, running_min=running,
                                     transfer_upper=upper))
-    return EntropyBracket(entries=tuple(entries), best_upper=running,
-                          admissibility="locally_admissible", truncated=truncated,
+    return EntropyBracket(entries=tuple(entries), best_upper=running, truncated=truncated,
                           best_lower=best_lower)
 
 
@@ -736,26 +742,28 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
 # Fixtures and serialization
 # ---------------------------------------------------------------------------
 
-def builtin_sft(name: str, *, alphabet: int = 2, dim: int = 2) -> SftSpec:
-    """Built-in subshift fixtures: full_shift, golden_mean_1d, hard_square_2d."""
-    if name == "full_shift":
-        return SftSpec(alphabet=alphabet, dim=dim, forbidden=())
-    if name == "golden_mean_1d":
-        return SftSpec(alphabet=2, dim=1, forbidden=(
-            ForbiddenPattern(offsets=((0,), (1,)), symbols=(1, 1)),
-        ))
-    if name == "hard_square_2d":
-        return SftSpec(alphabet=2, dim=2, forbidden=(
-            ForbiddenPattern(offsets=((0, 0), (0, 1)), symbols=(1, 1)),
-            ForbiddenPattern(offsets=((0, 0), (1, 0)), symbols=(1, 1)),
-        ))
-    raise ConfigError(
-        f"unknown subshift fixture {name!r}; available: full_shift, golden_mean_1d, "
-        "hard_square_2d")
+_BUILTIN_SFTS: dict[str, SftSpec] = {
+    "full_shift": SftSpec(alphabet=2, dim=2),
+    "golden_mean_1d": SftSpec(alphabet=2, dim=1, forbidden=(
+        ForbiddenPattern(offsets=((0,), (1,)), symbols=(1, 1)),)),
+    "hard_square_2d": SftSpec(alphabet=2, dim=2, forbidden=(
+        ForbiddenPattern(offsets=((0, 0), (0, 1)), symbols=(1, 1)),
+        ForbiddenPattern(offsets=((0, 0), (1, 0)), symbols=(1, 1)))),
+}
+
+
+def builtin_sft(name: str) -> SftSpec:
+    """The fixture called name, one of builtin_sft_names(); full_shift is the
+    binary full shift of the plane, and SftSpec(alphabet=a, dim=d) any other."""
+    try:
+        return _BUILTIN_SFTS[name]
+    except KeyError:
+        raise ConfigError(f"unknown subshift fixture {name!r}; available: "
+                          f"{', '.join(builtin_sft_names())}") from None
 
 
 def builtin_sft_names() -> tuple[str, ...]:
-    return ("full_shift", "golden_mean_1d", "hard_square_2d")
+    return tuple(sorted(_BUILTIN_SFTS))
 
 
 def load_sft_spec(path: str | Path) -> SftSpec:

@@ -189,7 +189,7 @@ def test_criterion_07_pattern_counts_exact():
         for n in range(1, 21)
     )
 
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = builtin_sft("full_shift")
     full_ok = all(
         count_patterns(full, sides).count == 2 ** (sides[0] * sides[1])
         for sides in ((1, 1), (2, 3), (3, 4), (4, 6), (2, 12), (24, 1), (4, 4))

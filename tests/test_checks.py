@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,10 +120,25 @@ def test_joint_no_violation_implies_four_term_for_nonnegative():
         oracle = builtin(name)
         joint = check_joint(oracle, BUDGET)
         if joint.clean:
-            # nonnegative on the sampled ranges? abs yes; ceiling is not
-            # nonnegative on negatives, so restrict to the positive side
-            pos = SampleBudget(count=2000, seed=20240117, ranges=((0.1, 100.0),))
-            assert check_four_term(oracle, pos).clean
+            # ceiling is negative on negatives, so check a copy restricted to
+            # the positive half-line, where both are nonnegative
+            pos = replace(oracle, domain=Domain(dim=1, orthant=Orthant.main(1)))
+            assert check_four_term(pos, SampleBudget(count=2000, seed=20240117)).clean
+
+
+def test_a_reversed_orthant_draws_from_the_reversed_range():
+    # sqrt(x1 x2) on the negative quadrant: the probes and the stream both lie
+    # in [-100, -0.1] on each axis, mirrored from the main orthant's range
+    oracle = FunctionOracle(name="sqrt_prod_on_11",
+                            domain=Domain(dim=2, orthant=Orthant.from_string("11")),
+                            array_fn=lambda x1, x2: np.sqrt(x1 * x2))
+    joint = check_joint(oracle, BUDGET)
+    assert joint.samples_checked == 3 ** 4 + BUDGET.count  # every drawn pair is inside
+    hit = joint.find(((-1.0, -2.0), (-2.0, -1.0)))
+    assert hit is not None and hit.margin == 3.0 - 2.0 * math.sqrt(2.0)
+    coords = [c for v in joint.violations for w in v.witness for c in w]
+    assert len(joint.violations) > 1 and all(-100.0 <= c <= -0.1 for c in coords)
+    assert check_componentwise(oracle, BUDGET).clean
 
 
 def test_monoid_sign_examples():
@@ -359,7 +375,7 @@ def _reference_pair_check(oracle, budget, axis=None):
     """The joint (axis None) or axis-i check as one scalar loop, pair by pair.
 
     Covers oracles on the main orthant of R^d, on all of Z^d and on grids
-    too large to probe, at the default ranges.  Every hit is counted;
+    too large to probe, at the sampled ranges.  Every hit is counted;
     probe hits are listed as given, and of the distinct random hits the
     TOP_K with the largest screen margin (the earlier one on ties) are
     each halved while x, y and the sum point stay in the domain, above the

@@ -182,6 +182,20 @@ def test_adaptive_tail_on_a_decreasing_tail_converges_within_tol_of_its_value():
     assert abs(g(TAIL_LADDER[est.evaluations - 5]) - est.value) > 0.005
 
 
+@pytest.mark.parametrize("samples, expected", [
+    # -inf is below the floor, so it stops the tail at once too
+    ([5.0, 4.0, -math.inf, 3.0], (-math.inf, DIVERGING_MINUS, 3, None)),
+    ([1.0, 2.0 * DIVERGENCE_FLOOR, 0.5], (-math.inf, DIVERGING_MINUS, 2, None)),
+    # a first sample above 1e12 does not stop the tail; a rise above it does
+    ([3e12, 2e12, 2.5e12, 1.0], (math.inf, DIVERGING_PLUS, 3, None)),
+], ids=["minus inf", "below the floor", "rising above 1e12"])
+def test_adaptive_tail_stops_at_divergence(samples, expected):
+    ladder = [2.0 ** k for k in range(len(samples))]
+    value = dict(zip(ladder, samples))
+    est = _adaptive_tail(value.__getitem__, ladder, tol=0.005)
+    assert (est.value, est.status, est.evaluations, est.stabilized_at) == expected
+
+
 def test_iterated_validates_order():
     with pytest.raises(DomainError):
         iterated_limit(SQRT, (0, 0))
@@ -281,6 +295,19 @@ def test_decomposition_bound_random_pairs_hold_for_csa_builtins():
                 x = tuple(2 * t[i] + uniform_in(3, (j * d + i) * 2 + 1, 0.0, 20.0)
                           for i in range(d))
             assert verify_decomposition_bound(oracle, x, t).holds, (name, x, t)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda oracle: simultaneous_limit(oracle, schedule2(4)),
+    lambda oracle: iterated_limit(oracle, (0, 1), schedule2(4)),
+    lambda oracle: diagonal_limit(oracle, [lambda t: t, lambda t: t]),
+], ids=["simultaneous", "iterated", "diagonal"])
+def test_main_orthant_estimators_refuse_a_reflected_orthant(estimate):
+    oracle = FunctionOracle(name="sqrt_abs_prod_on_10",
+                            domain=Domain(dim=2, orthant=Orthant.from_string("10")),
+                            array_fn=lambda x1, x2: np.sqrt(np.abs(x1 * x2)))
+    with pytest.raises(DomainError, match="use orthant_limit"):
+        estimate(oracle)
 
 
 def test_orthant_limit_senses():

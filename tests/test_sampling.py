@@ -55,7 +55,3 @@ def test_array_draws_equal_scalar_draws(seed):
 def test_budget_validation():
     with pytest.raises(DomainError):
         SampleBudget(count=0)
-    with pytest.raises(DomainError):
-        SampleBudget(ranges=((2.0, 1.0),))
-    b = SampleBudget(count=10, seed=5, ranges=((0.5, 2.0), (1.0, 3.0)))
-    assert b.ranges == ((0.5, 2.0), (1.0, 3.0))

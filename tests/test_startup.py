@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -146,6 +147,14 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     for cls in (TabulatedFunction, BoxScan, RationalBoxScan):
         assert not hasattr(cls, "to_json_dict"), cls.__name__
     assert "translation_invariant" not in {f.name for f in dataclasses.fields(FiniteSetFunction)}
+    from fekete_lab.sampling import SampleBudget
+    from fekete_lab.subshift import EntropyBracket, PatternCount, builtin_sft
+    assert [f.name for f in dataclasses.fields(SampleBudget)] == ["count", "seed"]
+    assert list(inspect.signature(builtin_sft).parameters) == ["name"]
+    for cls, name in ((PatternCount, "admissibility"), (EntropyBracket, "admissibility"),
+                      (BoxScan, "note")):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        assert isinstance(getattr(cls, name), str), cls.__name__
 
 
 def test_star_import_and_submodule_attributes():

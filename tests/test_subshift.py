@@ -208,20 +208,31 @@ def test_enumerator_matches_brute_force_2d_wide_patterns(sft, sides):
 
 
 def brute_force_box(sft: SftSpec, sides: tuple[int, ...]) -> int:
-    """Count symbol boxes of any dimension by checking every translate of every pattern.
+    """Count symbol boxes of any dimension by testing every assignment against
+    every translate of every pattern that fits inside the box.
 
-    The translates tried cover patterns whose offsets lie in 0..1 on every axis.
+    The translates are listed once per box, each as (cell index, symbol) pairs.
     """
     box = list(itertools.product(*[range(n) for n in sides]))
-    total = 0
-    for assignment in itertools.product(range(sft.alphabet), repeat=len(box)):
-        grid = dict(zip(box, assignment))
-        total += not any(
-            all(grid.get(tuple(v + o for v, o in zip(shift, off))) == sym
-                for off, sym in zip(pat.offsets, pat.symbols))
-            for pat in sft.forbidden
-            for shift in itertools.product(*[range(-n, n) for n in sides]))
-    return total
+    index = {cell: k for k, cell in enumerate(box)}
+    translates = []
+    for pat in sft.forbidden:
+        fits = [range(-min(c), n - max(c)) for c, n in zip(zip(*pat.offsets), sides)]
+        translates += [tuple((index[tuple(v + o for v, o in zip(shift, off))], sym)
+                             for off, sym in zip(pat.offsets, pat.symbols))
+                       for shift in itertools.product(*fits)]
+    return sum(not any(all(assignment[k] == sym for k, sym in t) for t in translates)
+               for assignment in itertools.product(range(sft.alphabet), repeat=len(box)))
+
+
+def test_brute_force_box_tries_every_fitting_translate():
+    # a pattern's translates fit wherever its cells land inside the box, also
+    # when its offsets lie in row -1 or in column 2 of a one-column box
+    for offsets, sides, count in [(((-1, 0),), (3, 1), 1), (((0, 2),), (2, 1), 1),
+                                  (((-1, 0), (0, 1)), (2, 2), 12)]:
+        sft = SftSpec(alphabet=2, dim=2,
+                      forbidden=(ForbiddenPattern(offsets, (1,) * len(offsets)),))
+        assert brute_force_box(sft, sides) == count_patterns(sft, sides).count == count
 
 
 @st.composite
@@ -266,12 +277,12 @@ def test_proper_three_colourings_of_the_grid():
 
 
 def test_full_shift_counts():
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = SftSpec(alphabet=2, dim=2)
     assert count_patterns(full, (2, 3)).count == 64
     for sides in ((1, 1), (2, 12), (4, 6), (3, 8), (24, 1), (4, 4)):
         cells = sides[0] * sides[1]
         assert count_patterns(full, sides).count == 2 ** cells
-    tern = builtin_sft("full_shift", alphabet=3, dim=1)
+    tern = SftSpec(alphabet=3, dim=1)
     assert transfer_matrix_count_1d(tern, 4) == 81
     assert count_patterns(tern, (4,)).count == 81
 
@@ -371,7 +382,7 @@ def test_mirror_meet_equals_the_full_sweep_and_brute_force(monkeypatch, dim, sid
             span = subshift._placements(sft, sides)[2]
             count, rows = count_and_rows_swept(monkeypatch, sft, sides)
             assert count == swept_to_the_last_row(sft, sides), (sft, sides)
-            if sft.alphabet ** math.prod(sides) <= 1024:
+            if sft.alphabet ** math.prod(sides) <= 4096:
                 assert count == brute_force_box(sft, sides), (sft, sides)
                 brute += 1
             a = subshift._mirror_meet_rows(sft, sides, span)
@@ -379,7 +390,7 @@ def test_mirror_meet_equals_the_full_sweep_and_brute_force(monkeypatch, dim, sid
             engaged += a is not None
             wide += a is not None and span > math.prod(sides[1:])
     cases = 12 * len(sides_list)
-    assert engaged >= cases // 2 and wide >= cases // 4 and brute >= 10
+    assert engaged >= cases // 2 and wide >= cases // 4 and brute >= 15
 
 
 def test_mirror_meet_falls_back_when_a_premise_fails(monkeypatch):
@@ -478,6 +489,22 @@ def test_one_dimensional_cross_check_counters_check_the_caps(monkeypatch):
         transfer_matrix_count_1d(GOLDEN, 145)
 
 
+def test_transfer_matrix_refuses_a_window_level_past_the_dense_state_cap(monkeypatch):
+    # 4 symbols and a window of 8 cells pass both caps, but the window DP's
+    # levels hold 1, 4, ..., 4096, 16384 states: a dense matrix at level 7
+    # would take 2 GiB
+    sft = SftSpec(alphabet=4, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("the matrix was allocated"))
+        with pytest.raises(CapExceededError, match="window level 7 holds 16384 states"):
+            transfer_matrix_1d(sft)
+    monkeypatch.setattr(subshift, "MATRIX_STATE_CAP", 2)
+    assert transfer_matrix_1d(GOLDEN)[0] == [(0,), (1,)]
+    monkeypatch.setattr(subshift, "MATRIX_STATE_CAP", 1)
+    with pytest.raises(CapExceededError, match="window level 1 holds 2 states"):
+        transfer_matrix_1d(GOLDEN)
+
+
 def test_pattern_counts_respect_alphabet_bound():
     for sides in ((3,), (5,)):
         c = count_patterns(GOLDEN, sides).count
@@ -501,7 +528,7 @@ def test_empty_subshift_logs_minus_infinity():
 
 
 def test_entropy_bounds_full_shift_flat():
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = SftSpec(alphabet=2, dim=2)
     bracket = entropy_bounds(full, 4)
     assert all(e.ratio == 1.0 for e in bracket.entries)
     assert bracket.best_upper == 1.0
@@ -580,7 +607,7 @@ def test_transfer_upper_degenerate_subshifts():
     assert bracket.best_upper == bracket.best_lower == 0.0
     # float log(3**5)/log(3)/5 is 0.9999999999999998; powers of the alphabet
     # stay exact in both bounds, so rounding up never lifts the limit 1
-    tern = builtin_sft("full_shift", alphabet=3, dim=1)
+    tern = SftSpec(alphabet=3, dim=1)
     bracket = entropy_bounds(tern, 8)
     assert [e.ratio for e in bracket.entries] == [1.0] * 8
     assert [e.transfer_upper for e in bracket.entries] == [1.0] * 8
@@ -608,7 +635,7 @@ def test_transfer_lower_bounds_round_down():
     # is exact at powers of the alphabet and otherwise rounded down
     staircase = SftSpec(alphabet=2, dim=1, forbidden=(
         ForbiddenPattern(((0,), (1,)), (1, 0)),))
-    tern = builtin_sft("full_shift", alphabet=3, dim=1)
+    tern = SftSpec(alphabet=3, dim=1)
     gapped = SftSpec(alphabet=3, dim=1, forbidden=(
         ForbiddenPattern(((0,), (2,)), (1, 1)), ForbiddenPattern(((0,), (1,)), (2, 0))))
     exact_logs = rounded = 0
@@ -639,6 +666,34 @@ def test_transfer_lower_bounds_round_down():
                 prev = cur
         assert entropy_bounds(sft, 40).best_lower == max(lowers)
     assert exact_logs >= 40 and rounded >= 40
+
+
+def test_logs_below_one_round_toward_either_side():
+    # values below 1 take the branch -log1p(1/value - 1): exact at negative
+    # powers of the alphabet, otherwise on the toward side of the exact log
+    exact_logs = rounded = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for alphabet in (2, 3, 5):
+            loga = Decimal(alphabet).ln()
+            values = {Fraction(p, q) for q in range(2, 40) for p in range(1, q)}
+            values |= {Fraction(1, alphabet ** k) for k in range(1, 40)}
+            values |= {Fraction(10 ** 12, 10 ** 12 + 1), Fraction(1, 3 ** 40 + 1)}
+            for value in values:
+                exact = Fraction((Decimal(value.numerator).ln()
+                                  - Decimal(value.denominator).ln()) / loga)
+                down = subshift._log_rounded(value, alphabet, -math.inf)
+                up = subshift._log_rounded(value, alphabet, math.inf)
+                if Fraction(alphabet) ** round(exact) == value:
+                    assert down == up == round(exact), (value, alphabet)
+                    exact_logs += 1
+                else:
+                    # the slack covers the reference's own 50-digit rounding
+                    slack = abs(exact) * Fraction(1, 10 ** 40)
+                    assert Fraction(down) <= exact + slack and Fraction(up) >= exact - slack
+                    assert Fraction(up) - Fraction(down) <= abs(exact) * Fraction(1, 10 ** 14)
+                    rounded += 1
+    assert exact_logs >= 3 * 39 and rounded >= 3 * 400
 
 
 def test_one_pass_counts_equal_the_sweep():
@@ -769,7 +824,7 @@ def test_power_iteration_matches_closed_forms():
     assert sorted(states) == [(0,), (1,)]
     lam = dominant_eigenvalue(matrix)
     assert abs(lam - (1 + math.sqrt(5)) / 2) <= 1e-9
-    full = builtin_sft("full_shift", alphabet=3, dim=1)
+    full = SftSpec(alphabet=3, dim=1)
     _, m = transfer_matrix_1d(full)
     assert dominant_eigenvalue(m) == 3.0
 
@@ -792,7 +847,7 @@ def test_submultiplicativity_exact():
             assert fibonacci(n + 2) <= fibonacci(p + 2) * fibonacci(n - p + 2)
     hard = check_count_submultiplicativity(HARD, 6)
     assert hard.clean
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = SftSpec(alphabet=2, dim=2)
     report = check_count_submultiplicativity(full, 4)
     assert report.clean  # equality everywhere
 
@@ -809,7 +864,7 @@ def test_folner_box_ratios():
     def box_ratio(sft, sides):  # binary alphabets only: log2 is exact on powers of two
         return math.log2(count_patterns(sft, sides).count) / math.prod(sides)
 
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = SftSpec(alphabet=2, dim=2)
     assert [box_ratio(full, (n, n)) for n in (1, 2, 3)] == [1.0, 1.0, 1.0]
 
     mins = []
@@ -833,7 +888,7 @@ def test_relabeling_invariance():
 
 
 def test_caps():
-    full = builtin_sft("full_shift", alphabet=2, dim=2)
+    full = SftSpec(alphabet=2, dim=2)
     with pytest.raises(CapExceededError):
         count_patterns(full, (20, 20))
     wide = SftSpec(alphabet=2, dim=2, forbidden=(
@@ -849,7 +904,7 @@ def test_cap_errors_are_config_errors():
     # the CLI reports a ConfigError as a usage error (exit 2), caps included
     assert issubclass(CapExceededError, ConfigError)
     with pytest.raises(ConfigError, match="cell cap"):
-        count_patterns(builtin_sft("full_shift", dim=2), (13, 12))
+        count_patterns(SftSpec(alphabet=2, dim=2), (13, 12))
 
 
 def test_pattern_validation():
@@ -877,5 +932,7 @@ def test_spec_file_round_trip(tmp_path):
 
 
 def test_unknown_fixture():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="available: full_shift, golden_mean_1d, hard_square_2d"):
         builtin_sft("nosuch")
+    with pytest.raises(TypeError):
+        builtin_sft("hard_square_2d", dim=3)  # a fixture takes no alphabet or dimension
