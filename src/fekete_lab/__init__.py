@@ -5,9 +5,9 @@ computations:
 
 * subadditivity (joint, per-axis, mixed-term, set-union) is refuted by
   deterministic sampling with shrunken witnesses;
-* directed limits of f(x)/prod(x) are bracketed from above, certified
-  when per-axis subadditivity is trusted, with simultaneous, iterated,
-  diagonal, orthant-reflected, and ray variants;
+* directed limits of f(x)/prod(x) on the main orthant are bracketed
+  from above, certified when per-axis subadditivity is trusted, with
+  simultaneous, iterated, diagonal, and ray variants;
 * level-set measures, boundedness scans, and subshift pattern counts
   supply the supporting inequalities with exact or error-bounded
   arithmetic.
@@ -41,8 +41,7 @@ _EXPORTS = {
     ),
     "limits": (
         "DecompositionBound", "IteratedLimit", "LimitBracket", "diagonal_limit",
-        "inner_limit_profile", "iterated_limit", "orthant_limit", "ray_limit",
-        "simultaneous_limit", "verify_decomposition_bound",
+        "iterated_limit", "ray_limit", "simultaneous_limit", "verify_decomposition_bound",
     ),
     "levelset": (
         "BoxScan", "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma",

@@ -218,20 +218,6 @@ def _violations(kind: str, axis: int | None, x: np.ndarray, y: np.ndarray,
             for a, b, l, r in zip(x.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())]
 
 
-def _table_violations(kind: str, witnesses: Sequence[tuple[tuple, tuple]],
-                      values: Sequence[tuple[float, float, float]]) -> list[Violation]:
-    """The violations of lhs <= left + right among pairs whose values are known.
-
-    values[k] is (lhs, left, right) for the pair witnesses[k]; the whole
-    table is tested in one pass.
-    """
-    lhs, left, right = np.array(values, dtype=float).reshape(-1, 3).T
-    rhs = ext_add(left, right)
-    hit = exceeds(lhs, rhs)
-    return [Violation(kind=kind, axis=None, witness=w, lhs=l, rhs=r) for w, l, r
-            in zip(itertools.compress(witnesses, hit), lhs[hit].tolist(), rhs[hit].tolist())]
-
-
 # One screened inequality: the violations it keeps, then the counts of
 # candidates checked, of hits and of distinct hits.
 _Found = tuple[list[Violation], int, int, int]
@@ -423,11 +409,17 @@ def check_set_union(g: FiniteSetFunction,
     if not sets:
         raise DomainError("set family must be nonempty")
     pairs = [(a, b) for i, a in enumerate(sets) for b in sets[i:]]
-    violations = _table_violations(
-        "set_union", [(tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs],
-        [(g.evaluate(a | b), g.evaluate(a), g.evaluate(b)) for a, b in pairs])
+    lhs, left, right = np.array([(g.evaluate(a | b), g.evaluate(a), g.evaluate(b))
+                                 for a, b in pairs], dtype=float).T
+    rhs = ext_add(left, right)
+    hit = exceeds(lhs, rhs)
+    violations = tuple(
+        Violation(kind="set_union", axis=None, witness=(tuple(sorted(a)), tuple(sorted(b))),
+                  lhs=l, rhs=r)
+        for (a, b), l, r in zip(itertools.compress(pairs, hit), lhs[hit].tolist(),
+                                rhs[hit].tolist()))
     return ViolationReport(kind="set_union", oracle=g.name,
-                           violations=tuple(violations), samples_checked=len(pairs))
+                           violations=violations, samples_checked=len(pairs))
 
 
 def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,

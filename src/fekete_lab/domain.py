@@ -199,11 +199,6 @@ class Orthant:
         return len(self.bits)
 
     @property
-    def parity(self) -> int:
-        """Number of reversed axes mod 2."""
-        return sum(self.bits) % 2
-
-    @property
     def is_main(self) -> bool:
         return not any(self.bits)
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .domain import (
     DimensionMismatchError,
     DomainError,
     GridSchedule,
-    Orthant,
     Point,
     ScheduleError,
     as_extended,
@@ -43,11 +42,6 @@ from .domain import (
 from .ioutil import CSV_BLOCK_ROWS
 from .registry import FunctionOracle
 
-# checks (the inner-profile report) is imported where it is used, so a
-# limit run loads neither it nor the sample stream it imports
-if TYPE_CHECKING:
-    from .checks import ViolationReport
-
 __all__ = [
     "LimitBracket",
     "simultaneous_limit",
@@ -58,10 +52,7 @@ __all__ = [
     "DecompositionTerm",
     "DecompositionBound",
     "verify_decomposition_bound",
-    "orthant_limit",
     "ray_limit",
-    "InnerLimitProfile",
-    "inner_limit_profile",
 ]
 
 CONVERGED = "converged"
@@ -77,20 +68,17 @@ _STATUS_RANK = {CONVERGED: 0, DIVERGING_PLUS: 1, DIVERGING_MINUS: 1, INCONCLUSIV
 
 @dataclass(frozen=True)
 class LimitBracket:
-    """One-sided bracket for a ratio-net limit.
+    """One-sided bracket for a ratio-net limit on the main orthant.
 
-    In inf sense, best_upper is the minimum evaluated ratio and bounds
-    the limit from above (certified when the oracle really is
-    componentwise subadditive).  In sup sense (odd orthants) the
-    bracket flips: best_lower is the maximum ratio and bounds the limit
-    from below.  tail_estimate is the extreme ratio over the outermost
-    schedule shell.  The evaluated samples are the arrays shells (n,),
-    points (n, d) and ratios (n,), row i being one evaluated point.
+    best_upper is the minimum evaluated ratio and bounds the limit, an
+    infimum, from above (certified when the oracle really is
+    componentwise subadditive); no lower bound is certified.
+    tail_estimate is the minimum ratio over the outermost schedule
+    shell.  The evaluated samples are the arrays shells (n,), points
+    (n, d) and ratios (n,), row i being one evaluated point.
     """
 
-    sense: str
-    best_upper: float | None
-    best_lower: float | None
+    best_upper: float
     tail_estimate: float
     status: str
     delta: float
@@ -100,19 +88,21 @@ class LimitBracket:
     shells: np.ndarray = field(repr=False, compare=False)
     points: np.ndarray = field(repr=False, compare=False)
     ratios: np.ndarray = field(repr=False, compare=False)
+    # the limit is an infimum, bounded from above only; bracket.json keeps both keys
+    sense = "inf"
+    best_lower = None
 
     def shell_extremes(self) -> list[tuple[int, float]]:
-        """Extreme ratio of each shell (minimum in inf sense, maximum in sup sense)."""
+        """Minimum ratio of each shell."""
         order = np.argsort(self.shells, kind="stable")
         shells, starts = np.unique(self.shells[order], return_index=True)
-        fold = np.minimum if self.sense == "inf" else np.maximum
-        return list(zip(shells.tolist(), fold.reduceat(self.ratios[order], starts).tolist()))
+        return list(zip(shells.tolist(),
+                        np.minimum.reduceat(self.ratios[order], starts).tolist()))
 
     def running_bound_by_shell(self) -> list[tuple[int, float]]:
-        """Running best bound after each shell, nonincreasing in inf sense."""
+        """Running upper bound after each shell, nonincreasing."""
         shells, extremes = zip(*self.shell_extremes())
-        fold = min if self.sense == "inf" else max
-        return list(zip(shells, itertools.accumulate(extremes, fold)))
+        return list(zip(shells, itertools.accumulate(extremes, min)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,9 +204,8 @@ def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Se
         status = CONVERGED
     else:
         status = INCONCLUSIVE
-    return LimitBracket(sense="inf", best_upper=best_upper, best_lower=None,
-                        tail_estimate=tail_estimate, status=status, delta=delta,
-                        shell=shell,
+    return LimitBracket(best_upper=best_upper, tail_estimate=tail_estimate, status=status,
+                        delta=delta, shell=shell,
                         threshold_point=None if shell is None else tuple(corners[shell].tolist()),
                         evaluations=int(ratios.size), shells=shells, points=points,
                         ratios=ratios)
@@ -226,14 +215,18 @@ def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Se
 # Simultaneous (product-order) limit
 # ---------------------------------------------------------------------------
 
+def _require_unbounded(oracle: FunctionOracle) -> None:
+    if oracle.domain.grid_axes is not None:
+        raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
+
+
 def _require_main_orthant(oracle: FunctionOracle) -> None:
     w = oracle.domain.orthant
     if w is not None and not w.is_main:
         raise DomainError(
-            f"{oracle.name!r} lives on orthant {w}; use orthant_limit for reflected brackets"
+            f"{oracle.name!r} lives on orthant {w}; limits are estimated on the main orthant"
         )
-    if oracle.domain.grid_axes is not None:
-        raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
+    _require_unbounded(oracle)
 
 
 def _schedule(schedule: GridSchedule | None, d: int) -> GridSchedule:
@@ -369,16 +362,15 @@ def _level_tol(delta: float, depth: int) -> float:
     return delta * 2.0 ** -(depth + 1)
 
 
-def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Sequence[int],
-                  schedule: GridSchedule, delta: float,
-                  ) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
-                             list[list[_TailEstimate]]]:
+def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], schedule: GridSchedule,
+                  delta: float) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
+                                         list[list[_TailEstimate]]]:
     """One adaptive tail per axis, nested: axes[0] outermost, axes[-1] innermost.
 
     Returns estimate(assigned), which runs the nested limits with the
     coordinates in assigned held fixed, and sweeps, where sweeps[k] logs
     every tail estimate run at depth k.  The innermost level evaluates
-    f(x)/prod(x_j for j in denom_axes), multiplying in denom_axes order.
+    f(x)/prod(x), multiplying the coordinates left to right.
     Every ladder is built before the first evaluation, so an unusable
     schedule raises DomainError up front.
     """
@@ -396,7 +388,7 @@ def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], denom_axes: Seque
             if depth + 1 < len(axes):
                 return estimate(here, depth + 1).value
             point = tuple(here[i] for i in range(d))
-            denominator = math.prod(here[j] for j in denom_axes)
+            denominator = math.prod(point)
             if not 0 < denominator < math.inf:  # a cheap test first: this runs per point
                 _require_finite(point, denominator)
             return oracle.evaluate(point) / denominator
@@ -425,8 +417,7 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
     d = oracle.domain.dim
     if sorted(order) != list(range(d)):
         raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
-    estimate, sweeps = _nested_tails(oracle, tuple(order), range(d),
-                                     _schedule(schedule, d), delta)
+    estimate, sweeps = _nested_tails(oracle, tuple(order), _schedule(schedule, d), delta)
     top = estimate({})
     levels = tuple(
         LevelSummary(axis=order[depth], status=_worst_status([e.status for e in runs]),
@@ -570,38 +561,8 @@ def verify_decomposition_bound(oracle: FunctionOracle,
 
 
 # ---------------------------------------------------------------------------
-# Limits on general orthants
+# Ray limits
 # ---------------------------------------------------------------------------
-
-def orthant_limit(oracle: FunctionOracle, orthant: Orthant | None = None,
-                  schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
-    """Bracket the ratio-net limit on an arbitrary orthant via reflection.
-
-    Reflecting the orthant onto the main one preserves componentwise
-    subadditivity.  With evenly many reversed axes the coordinate
-    product is unchanged and the limit is the infimum (inf-sense upper
-    bracket); with oddly many the product flips sign, the limit is the
-    supremum, and the bracket flips to a sup-sense lower bound.
-    """
-    w = orthant or oracle.domain.orthant
-    if w is None:
-        raise DomainError("specify the orthant to estimate on (oracle is defined everywhere)")
-    d = oracle.domain.dim
-    if w.dim != d:
-        raise DimensionMismatchError(f"orthant word of length {w.dim} vs oracle {d}")
-
-    _require_delta(delta)
-    signs = np.array([w.sign(i) for i in range(d)])
-    points, scales, corners = _grid(_schedule(schedule, d), oracle.domain.integer)
-    base = _bracket(oracle, points * signs, scales, corners * signs, delta)
-    if w.parity == 0:
-        return base
-    assert base.best_upper is not None
-    return replace(base, sense="sup", best_upper=None, best_lower=-base.best_upper,
-                   tail_estimate=-base.tail_estimate,
-                   status={DIVERGING_MINUS: DIVERGING_PLUS}.get(base.status, base.status),
-                   ratios=-base.ratios)
-
 
 def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
               schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
@@ -612,6 +573,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     usual bracket semantics apply along the ray.
     """
     _require_delta(delta)
+    _require_unbounded(oracle)
     dirp = as_point(direction)
     if dirp.dim != oracle.domain.dim:
         raise DimensionMismatchError(
@@ -622,65 +584,3 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     return _bracket(oracle, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
                     np.array(ts).reshape(-1, 1), delta)
 
-
-# ---------------------------------------------------------------------------
-# Inner-limit profiles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InnerLimitProfile:
-    """Sampled values of h(x_i) = nested limit over the chosen axes of f/prod(limit coords).
-
-    When the oracle is componentwise subadditive, h inherits
-    subadditivity in the probe variable, which check_subadditivity
-    probes directly on the sampled grid.
-    """
-
-    oracle: str
-    probe_axis: int
-    limit_axes: tuple[int, ...]
-    fixed: tuple[tuple[int, float], ...]
-    entries: tuple[tuple[float, float, str], ...]  # (probe value, h, status)
-
-    def check_subadditivity(self) -> ViolationReport:
-        from .checks import ViolationReport, _table_violations
-        table = {v: h for v, h, status in self.entries if status == CONVERGED}
-        pairs = [(a, b) for a in sorted(table) for b in sorted(table) if a + b in table]
-        violations = _table_violations("joint", [((a,), (b,)) for a, b in pairs],
-                                       [(table[a + b], table[a], table[b]) for a, b in pairs])
-        return ViolationReport(kind="joint", oracle=f"{self.oracle}_inner_profile",
-                               violations=tuple(violations), samples_checked=len(pairs),
-                               metadata={"probe_axis": self.probe_axis,
-                                         "limit_axes": list(self.limit_axes)})
-
-
-def inner_limit_profile(oracle: FunctionOracle, fixed: Mapping[int, float],
-                        limit_axes: Sequence[int], probe_axis: int,
-                        probe_values: Sequence[float], delta: float = 0.01, *,
-                        schedule: GridSchedule | None = None) -> InnerLimitProfile:
-    """Estimate h at each probe value by nested limits over the chosen axes.
-
-    The denominator carries only the limit-axis coordinates, so the probe
-    variable keeps the scale of f itself.  Axes must partition: fixed
-    keys + limit axes + the probe axis cover every axis exactly once.
-    Divergence at a probe point is flagged per entry, not raised.
-    """
-    _require_delta(delta)
-    d = oracle.domain.dim
-    claimed = sorted([probe_axis, *limit_axes, *fixed])
-    if claimed != list(range(d)):
-        raise DomainError(
-            f"axes do not partition 0..{d - 1}: probe={probe_axis}, "
-            f"limits={list(limit_axes)}, fixed={sorted(fixed)}")
-    if not limit_axes:
-        raise DomainError("need at least one limit axis")
-    estimate, _ = _nested_tails(oracle, tuple(limit_axes), tuple(limit_axes),
-                                _schedule(schedule, d), delta)
-    entries: list[tuple[float, float, str]] = []
-    for v in probe_values:
-        est = estimate({**fixed, probe_axis: float(v)})
-        entries.append((float(v), est.value, est.status))
-    return InnerLimitProfile(oracle=oracle.name, probe_axis=probe_axis,
-                             limit_axes=tuple(limit_axes),
-                             fixed=tuple(sorted(fixed.items())),
-                             entries=tuple(entries))

@@ -323,18 +323,14 @@ def test_no_numpy_scalar_reaches_a_report():
     # under numpy 2, repr(np.float64(1.5)) is 'np.float64(1.5)', and the CSV
     # writers format every value with repr
     from fekete_lab.levelset import check_levelset_lemma
-    from fekete_lab.limits import CONVERGED, InnerLimitProfile, verify_decomposition_bound
+    from fekete_lab.limits import verify_decomposition_bound
     const = FunctionOracle(name="const_minus_one", domain=Domain(dim=1, orthant=None),
                            fn=lambda p: -1.0)
     square = FunctionOracle(name="square", domain=Domain(dim=1, orthant=Orthant.main(1)),
                             fn=lambda p: p[0] ** 2)
-    profile = InnerLimitProfile(oracle="planted", probe_axis=0, limit_axes=(1,), fixed=(),
-                                entries=((1.0, 1.0, CONVERGED), (2.0, 3.0, CONVERGED),
-                                         (3.0, math.inf, CONVERGED)))
     monoid = check_monoid_sign(const, SampleBudget(count=50, seed=1))
     assert monoid.find(((0.0,),)) is not None  # the f(0) witness
-    for report in (check_set_union(INFINITE_PARITY, [[1, 2], [2, 3], [3, 4]]), monoid,
-                   profile.check_subadditivity()):
+    for report in (check_set_union(INFINITE_PARITY, [[1, 2], [2, 3], [3, 4]]), monoid):
         assert report.violations, report.kind
         for v in report.violations:
             assert type(v.lhs) is float and type(v.rhs) is float, (report.kind, v)

@@ -206,10 +206,13 @@ def test_fn_and_table_together_are_refused(tmp_path, capsys, command, via_config
     assert not out.exists()
 
 
-def test_limit_on_a_table_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("mode", [[], ["--iterated", "1"], ["--direction", "1"],
+                                  ["--diagonal", "1"]],
+                         ids=["simultaneous", "iterated", "ray", "diagonal"])
+def test_limit_on_a_table_exits_two(tmp_path, capsys, mode):
     table = tmp_path / "tab.json"
     table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]], "values": [1, 2, 3, 4]}))
-    assert run(["limit", "--table", table, "--out", tmp_path / "out"]) == 2
+    assert run(["limit", "--table", table, *mode, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
         "error: limit estimation needs an unbounded domain, not a finite grid\n")
     assert not (tmp_path / "out").exists()

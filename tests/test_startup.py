@@ -36,8 +36,7 @@ EXPORTS = {
     "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
               "check_monoid_sign check_set_union check_shifted_subadditivity",
     "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
-              "inner_limit_profile iterated_limit orthant_limit ray_limit "
-              "simultaneous_limit verify_decomposition_bound",
+              "iterated_limit ray_limit simultaneous_limit verify_decomposition_bound",
     "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
                 "compact_bound_scan levelset_measure rubin_rational_box_scan "
                 "rubin_unboundedness_demo",
@@ -132,8 +131,9 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         assert missing == set(), module
     assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
     removed = {"domain": ["ext_sum", "violation_tolerance"],
-               "checks": ["violation_tolerance", "_exceeds", "_ext_add"],
-               "limits": ["multiple_inf"],
+               "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
+               "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
+                          "InnerLimitProfile"],
                "registry": ["write_tabulated"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper"]}
@@ -142,7 +142,9 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         for name in names:
             assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
             assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
+    from fekete_lab.domain import Orthant
     from fekete_lab.levelset import BoxScan, RationalBoxScan
+    from fekete_lab.limits import LimitBracket
     from fekete_lab.registry import FiniteSetFunction, TabulatedFunction
     for cls in (TabulatedFunction, BoxScan, RationalBoxScan):
         assert not hasattr(cls, "to_json_dict"), cls.__name__
@@ -152,9 +154,12 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     assert [f.name for f in dataclasses.fields(SampleBudget)] == ["count", "seed"]
     assert list(inspect.signature(builtin_sft).parameters) == ["name"]
     for cls, name in ((PatternCount, "admissibility"), (EntropyBracket, "admissibility"),
-                      (BoxScan, "note")):
+                      (BoxScan, "note"), (LimitBracket, "sense")):
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
         assert isinstance(getattr(cls, name), str), cls.__name__
+    assert "best_lower" not in {f.name for f in dataclasses.fields(LimitBracket)}
+    assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
+    assert not hasattr(Orthant, "parity")
 
 
 def test_star_import_and_submodule_attributes():
