@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
-                     GridSchedule, Point, ScheduleError)
+                     GridSchedule, Point, ScheduleError, _TAIL_STEPS)
 from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
 from .svgplot import PlotSeries, line_plot_svg
 
@@ -435,7 +435,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--growth", type=float, default=2.0,
                    help="schedule growth factor (default %(default)s)")
     p.add_argument("--levels", type=int, default=40,
-                   help="schedule level count (default %(default)s)")
+                   help="schedule level count (default %(default)s); --iterated only "
+                        f"validates it, as its tails walk up to {_TAIL_STEPS} rungs per axis")
     p.add_argument("--iterated", help="1-based axis order for nested limits, e.g. 2,1")
     p.add_argument("--direction", help="ray direction, e.g. 1,1")
     p.add_argument("--diagonal", help="per-axis powers of t for a diagonal path, e.g. 1,2")

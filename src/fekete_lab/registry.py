@@ -8,8 +8,8 @@ refute them and the estimators only certify their brackets when the
 componentwise claim is trusted.
 
 Every evaluation takes one path, FunctionOracle.evaluate_points: it checks
-domain membership, calls array_fn on the coordinate arrays (or fn per
-point), and refuses NaN.  Each built-in is defined once, over arrays.
+domain membership, calls array_fn on the coordinate arrays, and refuses
+NaN.  Each built-in is defined once, over arrays.
 
 Oracles are immutable and evaluation is pure, so they are safe to share
 across threads.
@@ -116,22 +116,17 @@ class KnownLimit:
 class FunctionOracle:
     """A named function on a declared domain, with the claims made about it.
 
-    Give fn (one Point to its value) or array_fn (coordinate arrays, one per
-    axis, to the values).  Every evaluation checks domain membership, then
-    calls array_fn if given, else fn per point, then refuses NaN.
+    array_fn maps coordinate arrays, one per axis, to the values; it must
+    accept every point of the domain.  Every evaluation checks domain
+    membership, then calls array_fn, then refuses NaN.
     """
 
     name: str
     domain: Domain
-    fn: Callable[[Point], float] | None = None
+    array_fn: Callable[..., np.ndarray] = field(repr=False)
     claims_componentwise_subadditive: bool = False
     claims_joint_subadditive: bool = False
     known_limit: KnownLimit | None = None
-    array_fn: Callable[..., np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.fn is None and self.array_fn is None:
-            raise ConfigError(f"oracle {self.name!r} needs fn or array_fn")
 
     def evaluate(self, point: Point | Sequence[float] | float) -> float:
         """f at one point: evaluate_points on a single row."""
@@ -148,11 +143,7 @@ class FunctionOracle:
             raise DomainError(f"{tuple(float(c[j]) for c in cols)} is outside the domain "
                               f"of {self.name!r}")
         with np.errstate(over="ignore"):
-            if self.array_fn is not None:
-                values = np.asarray(self.array_fn(*cols), dtype=float)
-            else:
-                values = np.array([self.fn(Point(p)) for p in zip(*(c.tolist() for c in cols))],
-                                  dtype=float)
+            values = np.asarray(self.array_fn(*cols), dtype=float)
         nan = np.isnan(values)
         if nan.any():
             j = int(np.argmax(nan))
@@ -212,15 +203,6 @@ def rubin_eval(coords: Sequence[Fraction | int | object]) -> float:
     return float(min(values))
 
 
-def _rubin_points(*columns: np.ndarray) -> np.ndarray:
-    # Float coordinates are only accepted when integral (denominator 1);
-    # anything else must go through rubin_eval with exact Fraction inputs.
-    if any((c != np.floor(c)).any() for c in columns):
-        raise EvaluationError("rubin_min_denominator needs exact rational inputs; "
-                              "use rubin_eval with Fraction coordinates")
-    return np.ones(len(columns[0]))
-
-
 # ---------------------------------------------------------------------------
 # Built-in oracles
 # ---------------------------------------------------------------------------
@@ -252,13 +234,6 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_componentwise_subadditive=False,
         claims_joint_subadditive=True,
         known_limit=KnownLimit(0.0, "analytic: ratio -1/sqrt(x2) tends to 0"),
-    ),
-    "rubin_min_denominator": lambda: FunctionOracle(
-        name="rubin_min_denominator",
-        domain=_main_real(2),
-        array_fn=_rubin_points,
-        claims_componentwise_subadditive=False,
-        claims_joint_subadditive=False,
     ),
     "x1sq_sqrt_x2": lambda: FunctionOracle(
         name="x1sq_sqrt_x2",

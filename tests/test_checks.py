@@ -146,7 +146,7 @@ def test_monoid_sign_examples():
     assert check_monoid_sign(builtin("abs"), BUDGET).clean
     const = FunctionOracle(name="const_minus_one",
                            domain=Domain(dim=1, orthant=None),
-                           fn=lambda p: -1.0)
+                           array_fn=lambda x: np.full_like(x, -1.0))
     report = check_monoid_sign(const, BUDGET)
     hit = report.find(((0.0,),))
     assert hit is not None and hit.margin == 1.0
@@ -325,9 +325,9 @@ def test_no_numpy_scalar_reaches_a_report():
     from fekete_lab.levelset import check_levelset_lemma
     from fekete_lab.limits import verify_decomposition_bound
     const = FunctionOracle(name="const_minus_one", domain=Domain(dim=1, orthant=None),
-                           fn=lambda p: -1.0)
+                           array_fn=lambda x: np.full_like(x, -1.0))
     square = FunctionOracle(name="square", domain=Domain(dim=1, orthant=Orthant.main(1)),
-                            fn=lambda p: p[0] ** 2)
+                            array_fn=lambda x: x ** 2)
     monoid = check_monoid_sign(const, SampleBudget(count=50, seed=1))
     assert monoid.find(((0.0,),)) is not None  # the f(0) witness
     for report in (check_set_union(INFINITE_PARITY, [[1, 2], [2, 3], [3, 4]]), monoid):
@@ -347,13 +347,11 @@ def test_no_numpy_scalar_reaches_a_report():
         assert "np." not in repr(item.to_json_dict())
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_nan_at_sampled_points_raises_evaluation_error(vectorized):
+def test_nan_at_sampled_points_raises_evaluation_error():
     # finite on the probe lattice (coordinates up to 6), NaN far out
     oracle = FunctionOracle(
         name="nan_far_out", domain=Domain(dim=2, orthant=Orthant.main(2)),
-        fn=lambda p: math.nan if p[0] > 10 else p[0],
-        array_fn=(lambda x1, x2: np.where(x1 > 10, np.nan, x1)) if vectorized else None)
+        array_fn=lambda x1, x2: np.where(x1 > 10, np.nan, x1))
     with pytest.raises(EvaluationError, match="NaN"):
         check_joint(oracle, SampleBudget(count=200, seed=3))
 
@@ -362,7 +360,7 @@ def test_nan_at_sampled_points_raises_evaluation_error(vectorized):
 def test_mixed_infinities_raise_indeterminate_form(check):
     # f(x) + f(y) is inf + (-inf) whenever x and y have opposite signs
     oracle = FunctionOracle(name="signed_infinity", domain=Domain(dim=1, orthant=None),
-                            fn=lambda p: math.inf if p[0] > 0 else -math.inf)
+                            array_fn=lambda x: np.where(x > 0, math.inf, -math.inf))
     with pytest.raises(IndeterminateFormError):
         check(oracle, SampleBudget(count=200, seed=3))
 
@@ -447,7 +445,7 @@ def _reference_pair_check(oracle, budget, axis=None):
 
 def test_batch_engine_matches_the_scalar_reference_loop():
     zint = FunctionOracle(name="zint", domain=Domain(dim=2, orthant=None, integer=True),
-                          fn=lambda p: float(abs(p[0]) * abs(p[1]) % 7) - 2.0)
+                          array_fn=lambda x1, x2: np.abs(x1) * np.abs(x2) % 7 - 2.0)
     # a 12 x 12 grid (too large to probe) on which x1 + x2 breaks at the far corner
     axis = tuple(float(k) for k in range(1, 13))
     table = TabulatedFunction(axes=(axis, axis), values=tuple(
@@ -496,14 +494,12 @@ def test_shrunk_real_coordinates_stay_at_the_sampling_floor():
 def _square_product():
     # (x1 x2)^2 breaks the 2^d-term bound: (x+y)^2 terms exceed the mixed sums
     return FunctionOracle(name="square_product", domain=Domain(dim=2, orthant=Orthant.main(2)),
-                          fn=lambda p: (p[0] * p[1]) ** 2,
                           array_fn=lambda x1, x2: (x1 * x2) ** 2)
 
 
 def _negative_square_norm():
     # f(x) + f(-x) = -2|x|^2 < 0 away from the origin
     return FunctionOracle(name="negative_square_norm", domain=Domain(dim=2, orthant=None),
-                          fn=lambda p: -(p[0] ** 2 + p[1] ** 2),
                           array_fn=lambda x1, x2: -(x1 ** 2 + x2 ** 2))
 
 
@@ -571,7 +567,6 @@ def test_shifted_translate_evaluates_the_oracle_once_per_batch(monkeypatch):
     monkeypatch.setattr(FunctionOracle, "evaluate_points", lambda self, columns: (
         batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
     nmod3 = FunctionOracle(name="nmod3", domain=Domain(dim=1, integer=True),
-                           fn=lambda p: float(int(p[0]) % 3),
                            array_fn=lambda n: calls.append(len(n)) or np.remainder(n, 3.0))
     report = check_shifted_subadditivity(nmod3, 1, SampleBudget(count=2000, seed=5))
     shifted = [n for name, n in batches if name == "nmod3_shifted_by_1"]

@@ -49,6 +49,15 @@ def test_unknown_oracle_exits_two(tmp_path, capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["check"], ["limit"], ["levelset", "--anchors", "1,1"]])
+def test_the_float_minimum_denominator_is_no_builtin(tmp_path, capsys, argv):
+    # the counterexample needs exact rationals: rubin_eval, not a float oracle
+    assert run([*argv, "--fn", "rubin_min_denominator", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown builtin 'rubin_min_denominator'; available: abs, ceiling,")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_mode_exits_two(tmp_path):
     assert run(["check", "--fn", "abs", "--mode", "wat", "--out", tmp_path]) == 2
 
@@ -405,10 +414,15 @@ def test_shift_mode(tmp_path):
 
 
 def test_evaluation_fault_exits_four(tmp_path, capsys):
-    # random float samples are not exact rationals: an evaluation fault
-    assert run(["check", "--fn", "rubin_min_denominator", "--mode", "joint",
-                "--count", 50, "--out", tmp_path]) == 4
-    assert capsys.readouterr().err.startswith("internal error:")
+    # an oracle fault at a grid point: f(1) + f(2) is inf + -inf, or f(1) is NaN
+    table = tmp_path / "nan.json"
+    for values, message in [
+            ([math.inf, -math.inf, 1, 2], "indeterminate sum inf + -inf"),
+            ([math.nan, 1, 2, 3], "joint check of 'nan': 'nan' produced NaN at (1.0,)")]:
+        table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]], "values": values}))
+        assert run(["check", "--table", table, "--mode", "joint",
+                    "--count", 50, "--out", tmp_path / "out"]) == 4
+        assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("growth, extra", [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fekete_lab.domain import DomainError, Orthant, Point
@@ -36,7 +37,7 @@ def test_grid_quadrature_matches_analytic_integral():
 
 def test_constant_oracle_edge_cases():
     const = FunctionOracle(name="one", domain=Domain(dim=2, orthant=None),
-                           fn=lambda p: 1.0)
+                           array_fn=lambda x1, x2: np.ones_like(x1))
     full = levelset_measure(const, LevelSetSpec(t=Point((1.0, 1.0)), k=0.5),
                             "grid", cells=50)
     assert full.value == 1.0 and full.error_bound == 0.0
@@ -150,7 +151,7 @@ def test_rational_box_scan_grows_without_bound():
 def test_levelset_checks_membership_of_every_evaluated_point():
     # the grid lies in the main quadrant, off this oracle's orthant
     off = FunctionOracle(name="one_on_10", domain=Domain(dim=2, orthant=Orthant((1, 0))),
-                         fn=lambda p: 1.0)
+                         array_fn=lambda x1, x2: np.ones_like(x1))
     with pytest.raises(DomainError):
         levelset_measure(off, LevelSetSpec(t=Point((1.0, 1.0)), k=0.5), "grid", cells=4)
 

@@ -108,7 +108,7 @@ def test_crafted_divergence_flag():
     # ratio at x is -x: crosses the divergence floor once the ladder is deep enough
     oracle = FunctionOracle(name="neg_square",
                             domain=Domain(dim=1, orthant=Orthant.main(1)),
-                            fn=lambda p: -p[0] * p[0])
+                            array_fn=lambda x: -x * x)
     deep = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,)), levels=45))
     assert deep.status == DIVERGING_MINUS  # default floor -1e12 crossed at 2^45
 
@@ -140,13 +140,13 @@ def test_iterated_agrees_with_simultaneous_for_subadditive_oracles():
 def test_iterated_rejects_repeated_integer_rungs():
     half = FunctionOracle(name="half_successor",
                           domain=Domain(dim=1, orthant=Orthant.main(1), integer=True),
-                          fn=lambda p: (p[0] + 1) / 2)
+                          array_fn=lambda n: (n + 1) / 2)
     # growth 1.1 rounds the first rungs to 1, 1, 1, 1, 1, 2, ...: not a ladder
     with pytest.raises(DomainError):
         iterated_limit(half, (0,), GridSchedule(base=Point((1.0,)), growth=1.1))
     scaled = FunctionOracle(name="scaled_half_successor",
                             domain=Domain(dim=2, orthant=Orthant.main(2), integer=True),
-                            fn=lambda p: p[0] * (p[1] + 1) / 2)
+                            array_fn=lambda n1, n2: n1 * (n2 + 1) / 2)
     for order in ((0, 1), (1, 0)):
         with pytest.raises(DomainError):
             iterated_limit(scaled, order, GridSchedule(base=Point((1.0, 1.0)), growth=1.1))
@@ -209,7 +209,7 @@ def test_iterated_three_levels():
     volume = FunctionOracle(
         name="coordinate_product",
         domain=Domain(dim=3, orthant=Orthant.main(3)),
-        fn=lambda p: p[0] * p[1] * p[2],
+        array_fn=lambda x1, x2, x3: x1 * x2 * x3,
         claims_componentwise_subadditive=True)
     result = iterated_limit(volume, (2, 0, 1), delta=0.01)
     assert result.status == CONVERGED and result.value == 1.0
@@ -248,7 +248,7 @@ def test_three_dimensional_simultaneous():
     volume = FunctionOracle(
         name="coordinate_product",
         domain=Domain(dim=3, orthant=Orthant.main(3)),
-        fn=lambda p: p[0] * p[1] * p[2],
+        array_fn=lambda x1, x2, x3: x1 * x2 * x3,
         claims_componentwise_subadditive=True)
     bracket = simultaneous_limit(volume, GridSchedule(base=Point((1.0,) * 3), levels=6))
     assert bracket.status == CONVERGED and bracket.best_upper == 1.0
@@ -330,7 +330,7 @@ def test_shell_extremes_and_running_bound_match_a_min_fold():
 def test_ray_limits():
     coord_sum = FunctionOracle(name="coordinate_sum",
                                domain=Domain(dim=2, orthant=None),
-                               fn=lambda p: p[0] + p[1],
+                               array_fn=lambda x1, x2: x1 + x2,
                                claims_joint_subadditive=True)
     bracket = ray_limit(coord_sum, (1.0, 1.0), delta=0.01)
     assert bracket.status == CONVERGED and bracket.best_upper == 2.0
@@ -403,7 +403,7 @@ def _shifted_product(d):
     # is componentwise subadditive, and its ratio prod(1 + 1/x_i) falls to 1
     return FunctionOracle(name=f"shifted_product_{d}",
                           domain=Domain(dim=d, orthant=Orthant.main(d)),
-                          fn=lambda p: math.prod(c + 1.0 for c in p),
+                          array_fn=lambda *cols: math.prod(c + 1.0 for c in cols),
                           claims_componentwise_subadditive=True)
 
 
@@ -464,7 +464,6 @@ def test_simultaneous_limit_evaluates_the_oracle_once_per_batch(monkeypatch):
         batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
     oracle = FunctionOracle(
         name="sqrt_x1_x2", domain=Domain(dim=2, orthant=Orthant.main(2)),
-        fn=lambda p: math.sqrt(p[0] * p[1]),
         array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(x1 * x2),
         claims_componentwise_subadditive=True)
     bracket = simultaneous_limit(oracle, schedule2(levels=8))

@@ -10,11 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError, EvaluationError
+from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError
 from fekete_lab.registry import (
     IRRATIONAL,
-    Domain,
-    FunctionOracle,
     TabulatedFunction,
     builtin,
     builtin_names,
@@ -52,6 +50,7 @@ def test_unknown_builtin():
     with pytest.raises(ConfigError):
         builtin("nosuch")
     assert "sqrt_prod" in builtin_names()
+    assert len(builtin_names()) == 7 and "rubin_min_denominator" not in builtin_names()
 
 
 def test_domain_enforcement():
@@ -64,13 +63,6 @@ def test_domain_enforcement():
     assert nm.evaluate((-3,)) == 1.0
 
 
-def _rubin_reference(p) -> float:
-    if any(c != int(c) for c in p):
-        raise EvaluationError("rubin_min_denominator needs exact rational inputs; "
-                              "use rubin_eval with Fraction coordinates")
-    return rubin_eval([int(c) for c in p])
-
-
 # Scalar reference formulas for the built-ins, which are defined once over
 # coordinate arrays: evaluation must reproduce these bit for bit.
 SCALAR_REFERENCE = {
@@ -81,7 +73,6 @@ SCALAR_REFERENCE = {
     "ceiling": lambda p: float(math.ceil(p[0])),
     "abs": lambda p: abs(p[0]),
     "nmod2": lambda p: float(int(p[0]) % 2),
-    "rubin_min_denominator": _rubin_reference,
 }
 
 
@@ -100,12 +91,11 @@ def test_array_fn_matches_fn_bit_for_bit():
         oracle = builtin(name)
         domain = oracle.domain
         whole = domain.orthant is None
-        integral = domain.integer or name == "rubin_min_denominator"
         lo = -3.0 if whole else 0.01
         columns = []
         for i in range(domain.dim):
             c = uniform_in(77, counters * np.uint64(domain.dim) + np.uint64(i), lo, 100.0)
-            if integral:
+            if domain.integer:
                 c = np.ceil(c)
             c = np.concatenate([c, [1e300, 1.0] + ([-1e300, -0.0] if whole else [])])
             columns.append(c if whole else c * domain.orthant.sign(i))
@@ -114,12 +104,6 @@ def test_array_fn_matches_fn_bit_for_bit():
         batch = oracle.evaluate_points(columns)
         scalar = [SCALAR_REFERENCE[name](p) for p in zip(*(c.tolist() for c in columns))]
         assert _same_bits(batch, scalar), name
-    for p in [(1.5, 2.0), (2.0, 0.25)]:  # rubin's non-integral inputs, same error
-        with pytest.raises(EvaluationError) as batch:
-            builtin("rubin_min_denominator").evaluate(p)
-        with pytest.raises(EvaluationError) as scalar:
-            _rubin_reference(p)
-        assert str(batch.value) == str(scalar.value)
 
 
 def test_tabulated_lookup_matches_axis_index_bit_for_bit():
@@ -149,13 +133,6 @@ def test_rubin_eval_examples():
 def test_rubin_zero_denominator_is_an_error():
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 0)
-
-
-def test_rubin_rejects_nonintegral_floats():
-    oracle = builtin("rubin_min_denominator")
-    assert oracle.evaluate((2.0, 3.0)) == 1.0
-    with pytest.raises(EvaluationError):
-        oracle.evaluate((1.5, 2.0))
 
 
 def test_rubin_agrees_with_brute_force_denominator_search():
@@ -255,11 +232,6 @@ def test_evaluate_points_checks_dimension_and_membership():
         sp.evaluate_points([np.array([1.0, -1.0, -2.0]), np.array([1.0, 2.0, 3.0])])
     assert str(batch.value) == str(scalar.value)
     assert str(scalar.value) == "(-1.0, 2.0) is outside the domain of 'sqrt_prod'"
-
-
-def test_oracle_needs_fn_or_array_fn():
-    with pytest.raises(ConfigError):
-        FunctionOracle(name="nothing", domain=Domain(dim=1))
 
 
 def test_overflow_to_inf_raises_no_warning():

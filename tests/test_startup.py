@@ -134,7 +134,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
-               "registry": ["write_tabulated"],
+               "registry": ["write_tabulated", "_rubin_points"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper"]}
     for module, names in removed.items():
@@ -160,6 +160,12 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     assert "best_lower" not in {f.name for f in dataclasses.fields(LimitBracket)}
     assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
     assert not hasattr(Orthant, "parity")
+    from fekete_lab.registry import Domain, FunctionOracle
+    assert [f.name for f in dataclasses.fields(FunctionOracle)] == [
+        "name", "domain", "array_fn", "claims_componentwise_subadditive",
+        "claims_joint_subadditive", "known_limit"]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):
+        FunctionOracle(name="f", domain=Domain(dim=1), fn=abs)
 
 
 def test_star_import_and_submodule_attributes():

@@ -1,8 +1,12 @@
-"""No module under src/, demos/ or tests/ imports a name that it never uses.
+"""No module under src/, demos/ or tests/ imports a name that it never uses,
+and no private module-level name under src/ goes unreferenced.
 
 Each scope is checked on its own: an import inside a function must be
 used inside that function, so a handler that stops using a name it
 imports locally is caught even when another handler uses the same name.
+A private function, class or constant (one leading underscore) is
+referenced when some module under src/ loads it by name or as an
+attribute, so a helper left behind by a deletion is caught.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -68,3 +72,42 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The private names that the module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """module: name for each private top-level name that no source loads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return sorted(f"{module}: {name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in loaded)
+
+
+def test_the_scan_finds_an_unreferenced_private_name():
+    sources = {"a": "_LIMIT = 3\n_unused = 4\ndef _helper():\n    return _LIMIT\n"
+                    "class _Dead:\n    pass\n__doc__ = ''\n",
+               "b": "from a import _helper\nimport a\na._helper()\n"}
+    assert unreferenced_private_names(sources) == ["a: _Dead", "a: _unused"]
+
+
+def test_no_unreferenced_private_name():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unreferenced_private_names(sources) == []
