@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import DomainError, EvaluationError, exceeds, ext_add
+from .domain import DomainError, EvaluationError, _Record, exceeds, ext_add
 from .registry import Domain, FiniteSetFunction, FunctionOracle
 from .sampling import SampleBudget, integer_in, uniform_in
 
@@ -57,8 +56,7 @@ _SHRINK_FLOOR = _POSITIVE_RANGE[0]
 _MAX_SHRINK_STEPS = 80
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str            # joint | componentwise | four_term | monoid | set_union
     axis: int | None
     witness: tuple[tuple, ...]
@@ -80,8 +78,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(_Record):
     """The violations a check lists, strongest first, and how many it found.
 
     hit_count counts every violating candidate, repeats included, and
@@ -90,21 +87,18 @@ class ViolationReport:
     the number listed, which is everything an exhaustive check found.
     """
 
-    kind: str
-    oracle: str
-    violations: tuple[Violation, ...]
-    samples_checked: int
-    metadata: dict = field(default_factory=dict)
-    violation_count: int | None = None
-    hit_count: int | None = None
+    __slots__ = ("kind", "oracle", "violations", "samples_checked", "metadata",
+                 "violation_count", "hit_count")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.violations), key=lambda v: (
+    def __init__(self, kind: str, oracle: str, violations: tuple[Violation, ...],
+                 samples_checked: int, metadata: dict | None = None,
+                 violation_count: int | None = None, hit_count: int | None = None) -> None:
+        ordered = tuple(sorted(set(violations), key=lambda v: (
             -v.margin, v.witness, -1 if v.axis is None else v.axis)))
-        object.__setattr__(self, "violations", ordered)
-        for name in ("violation_count", "hit_count"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, len(ordered))
+        super().__init__(kind, oracle, ordered, samples_checked,
+                         {} if metadata is None else metadata,
+                         len(ordered) if violation_count is None else violation_count,
+                         len(ordered) if hit_count is None else hit_count)
 
     @property
     def clean(self) -> bool:
@@ -437,4 +431,4 @@ def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,
         array_fn=lambda n: oracle.evaluate_points([n + shift]),
     )
     report = check_joint(shifted, budget)
-    return replace(report, metadata={**report.metadata, "shift": shift})
+    return report._replace(metadata={**report.metadata, "shift": shift})

@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -112,7 +111,10 @@ def _meta(ns: argparse.Namespace) -> dict:
 
 
 def _timestamp(ns: argparse.Namespace) -> str | None:
-    return None if ns.no_timestamp else datetime.now(timezone.utc).isoformat()
+    if ns.no_timestamp:
+        return None
+    from datetime import datetime, timezone  # only a timestamped SVG loads it
+    return datetime.now(timezone.utc).isoformat()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ indeterminate form raises instead of silently propagating NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 __all__ = [
@@ -120,23 +119,66 @@ def exceeds(lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class _Record:
+    """Base of the records that check their fields when built.
+
+    The fields are the __slots__, in constructor order.  __init__ sets
+    them once; after that the record is frozen, and its fields give ==,
+    hash, repr and _replace, as for the NamedTuple records.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes: object) -> _Record:
+        """A copy with some fields changed, built and checked by __init__."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """A point of R^d with finite coordinates, d >= 1."""
 
-    coords: tuple[float, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
+    def __init__(self, coords: tuple[float, ...]) -> None:
+        coords = tuple(float(c) for c in coords)
         if len(coords) < 1:
             raise DomainError("a point needs at least one coordinate")
         for c in coords:
             if not math.isfinite(c):
                 raise DomainError(f"non-finite coordinate {c!r}")
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
 
     @property
     def dim(self) -> int:
@@ -167,8 +209,7 @@ def as_point(value: Point | Sequence[float] | float) -> Point:
 # Orthants and the product order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Orthant:
+class Orthant(_Record):
     """Sign word w in {0,1}^d selecting an open orthant.
 
     Axis i carries the ordinary order when w_i = 0 (positive half-line)
@@ -176,15 +217,15 @@ class Orthant:
     word both names the region and fixes its product order direction.
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        bits = tuple(int(b) for b in bits)
         if len(bits) < 1:
             raise DomainError("an orthant word needs length >= 1")
         if any(b not in (0, 1) for b in bits):
             raise DomainError(f"orthant word must be binary, got {bits!r}")
-        object.__setattr__(self, "bits", bits)
+        super().__init__(bits)
 
     @classmethod
     def from_string(cls, word: str) -> "Orthant":
@@ -269,8 +310,7 @@ def orthant_reflect(x: Point | Sequence[float], orthant: Orthant) -> Point:
 # The q*t + r step decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QRDecomposition:
+class QRDecomposition(NamedTuple):
     """Writing x = q*t + r with q a positive integer and r in [t, 2t)."""
 
     q: int
@@ -345,8 +385,7 @@ def _ladder(base: float, growth: float, rungs: int, *,
     return values
 
 
-@dataclass(frozen=True)
-class GridSchedule:
+class GridSchedule(_Record):
     """Geometric per-axis sampling schedule: coordinate i takes base_i * growth^k.
 
     Levels run k = 0..levels inclusive, and every level must stay at or
@@ -355,12 +394,10 @@ class GridSchedule:
     converges quickly, which is what the limit estimators need.
     """
 
-    base: Point
-    growth: float = 2.0
-    levels: int = 40
+    __slots__ = ("base", "growth", "levels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_point(self.base))
+    def __init__(self, base: Point, growth: float = 2.0, levels: int = 40) -> None:
+        super().__init__(as_point(base), growth, levels)
         if not all(c > 0 for c in self.base):
             raise ScheduleError("schedule base must have positive coordinates")
         if not self.growth > 1.0:

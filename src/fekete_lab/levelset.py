@@ -22,14 +22,16 @@ proof, and says so in its output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import DomainError, Point, as_point, exceeds
+from .domain import DomainError, Point, _Record, as_point, exceeds
 from .registry import FunctionOracle, rubin_eval
+
+# fractions is imported where it is used: only the exact rubin functions need it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LevelSetSpec",
@@ -49,15 +51,13 @@ __all__ = [
 _MC_CONFIDENCE_ALPHA = 0.01  # 99% Hoeffding bound
 
 
-@dataclass(frozen=True)
-class LevelSetSpec:
+class LevelSetSpec(_Record):
     """The set V = {x : 0 < x_i < t_i for all i, f(x) >= k}."""
 
-    t: Point
-    k: float
+    __slots__ = ("t", "k")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", as_point(self.t))
+    def __init__(self, t: Point, k: float) -> None:
+        super().__init__(as_point(t), k)
         if not all(c > 0 for c in self.t):
             raise DomainError("anchor must have positive coordinates")
 
@@ -66,16 +66,14 @@ class LevelSetSpec:
         return self.t.product()
 
 
-@dataclass(frozen=True)
-class MeasureEstimate:
+class MeasureEstimate(NamedTuple):
     value: float
     method: str          # "grid_quadrature" or "monte_carlo"
     detail: dict
     error_bound: float
 
 
-@dataclass(frozen=True)
-class BoxScan:
+class BoxScan(NamedTuple):
     """Observed extrema of f over a finite evaluation grid on a box.
 
     A scan is evidence of boundedness on the box, never proof: values
@@ -173,8 +171,7 @@ def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
     raise DomainError(f"unknown method {method!r}; use 'grid' or 'mc'")
 
 
-@dataclass(frozen=True)
-class LemmaCheckRow:
+class LemmaCheckRow(NamedTuple):
     anchor: tuple[float, ...]
     k: float
     estimate: MeasureEstimate
@@ -255,16 +252,14 @@ def compact_bound_scan(oracle: FunctionOracle,
 # The minimum-denominator function: bounded on every line, unbounded on the box
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LineScan:
+class LineScan(NamedTuple):
     x: Fraction
     denominator_bound: int
     max_value: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class UnboundednessDemo:
+class UnboundednessDemo(NamedTuple):
     """Exact-rational witnesses that per-line boundedness does not bound the box.
 
     diagonal holds ((1 + 1/n, 1 + 1/n), n) pairs: the function value
@@ -284,6 +279,7 @@ class UnboundednessDemo:
 
 def _rational_grid(q_max: int) -> list[Fraction]:
     """All rationals 1 + p/q with 1 <= q <= q_max, 0 <= p <= q, deduplicated."""
+    from fractions import Fraction
     grid = {Fraction(1)}
     for q in range(1, q_max + 1):
         for p in range(0, q + 1):
@@ -299,6 +295,7 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
     are coprime.  Floating point grids almost never hit high-denominator
     rationals, so the demo works in exact integer arithmetic throughout.
     """
+    from fractions import Fraction
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     diagonal = []
@@ -318,8 +315,7 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
     return UnboundednessDemo(diagonal=tuple(diagonal), line_scans=tuple(line_scans))
 
 
-@dataclass(frozen=True)
-class RationalBoxScan:
+class RationalBoxScan(NamedTuple):
     """Extrema of the minimum-denominator function over the exact grid on [1, 2]^2."""
 
     q_max: int

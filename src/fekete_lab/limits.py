@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +65,7 @@ DIVERGENCE_FLOOR = -1e12
 _STATUS_RANK = {CONVERGED: 0, DIVERGING_PLUS: 1, DIVERGING_MINUS: 1, INCONCLUSIVE: 2}
 
 
-@dataclass(frozen=True)
-class LimitBracket:
+class LimitBracket(NamedTuple):
     """One-sided bracket for a ratio-net limit on the main orthant.
 
     best_upper is the minimum evaluated ratio and bounds the limit, an
@@ -75,7 +73,8 @@ class LimitBracket:
     componentwise subadditive); no lower bound is certified.
     tail_estimate is the minimum ratio over the outermost schedule
     shell.  The evaluated samples are the arrays shells (n,), points
-    (n, d) and ratios (n,), row i being one evaluated point.
+    (n, d) and ratios (n,), row i being one evaluated point; they take
+    no part in ==, != and hash.
     """
 
     best_upper: float
@@ -85,12 +84,23 @@ class LimitBracket:
     shell: int | None
     threshold_point: tuple[float, ...] | None
     evaluations: int
-    shells: np.ndarray = field(repr=False, compare=False)
-    points: np.ndarray = field(repr=False, compare=False)
-    ratios: np.ndarray = field(repr=False, compare=False)
+    shells: np.ndarray
+    points: np.ndarray
+    ratios: np.ndarray
     # the limit is an infimum, bounded from above only; bracket.json keeps both keys
     sense = "inf"
     best_lower = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LimitBracket):
+            return NotImplemented
+        return self[:-3] == other[:-3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-3])
 
     def shell_extremes(self) -> list[tuple[int, float]]:
         """Minimum ratio of each shell."""
@@ -270,8 +280,7 @@ def _grid(schedule: GridSchedule, integer: bool) -> tuple[np.ndarray, np.ndarray
 # Adaptive one-dimensional tail estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _TailEstimate:
+class _TailEstimate(NamedTuple):
     value: float
     status: str
     evaluations: int
@@ -319,8 +328,7 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
 # Iterated (nested one-variable) limits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelSummary:
+class LevelSummary(NamedTuple):
     axis: int
     status: str
     tol: float
@@ -331,8 +339,7 @@ class LevelSummary:
     last_stabilized_at: float | None = None
 
 
-@dataclass(frozen=True)
-class IteratedLimit:
+class IteratedLimit(NamedTuple):
     value: float
     status: str
     order: tuple[int, ...]
@@ -491,8 +498,7 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
 # The step-decomposition upper bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(NamedTuple):
     bits: tuple[int, ...]
     coefficient: int
     point: tuple[float, ...]
@@ -503,8 +509,7 @@ class DecompositionTerm:
         return self.coefficient * self.value
 
 
-@dataclass(frozen=True)
-class DecompositionBound:
+class DecompositionBound(NamedTuple):
     x: tuple[float, ...]
     t: tuple[float, ...]
     lhs: float

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +31,14 @@ from .domain import (
     EvaluationError,
     Orthant,
     Point,
+    _Record,
     as_extended,
     as_point,
 )
+
+# fractions is imported where it is used: only the exact rubin functions need it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Domain",
@@ -58,8 +61,7 @@ __all__ = [
 # Domains and oracles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Record):
     """Where an oracle is defined.
 
     orthant None means the whole space (R^d or Z^d, an additive group);
@@ -67,12 +69,11 @@ class Domain:
     function defined only on the cartesian grid of those coordinates.
     """
 
-    dim: int
-    orthant: Orthant | None = None
-    integer: bool = False
-    grid_axes: tuple[tuple[float, ...], ...] | None = None
+    __slots__ = ("dim", "orthant", "integer", "grid_axes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, orthant: Orthant | None = None, integer: bool = False,
+                 grid_axes: tuple[tuple[float, ...], ...] | None = None) -> None:
+        super().__init__(dim, orthant, integer, grid_axes)
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim!r}")
         if self.orthant is not None and self.orthant.dim != self.dim:
@@ -81,9 +82,6 @@ class Domain:
             )
         if self.grid_axes is not None and len(self.grid_axes) != self.dim:
             raise DimensionMismatchError("one grid axis per dimension required")
-
-    def contains(self, point: Point) -> bool:
-        return bool(self._member_mask(np.array([point.coords]).T)[0])
 
     def _member_mask(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Membership of each point whose axis-i coordinates form columns[i], the
@@ -104,16 +102,14 @@ class Domain:
         return inside
 
 
-@dataclass(frozen=True)
-class KnownLimit:
+class KnownLimit(NamedTuple):
     """An externally known value for the limit of f(x)/prod(x), with its source."""
 
     value: float
     note: str
 
 
-@dataclass(frozen=True)
-class FunctionOracle:
+class FunctionOracle(NamedTuple):
     """A named function on a declared domain, with the claims made about it.
 
     array_fn maps coordinate arrays, one per axis, to the values; it must
@@ -123,7 +119,7 @@ class FunctionOracle:
 
     name: str
     domain: Domain
-    array_fn: Callable[..., np.ndarray] = field(repr=False)
+    array_fn: Callable[..., np.ndarray]
     claims_componentwise_subadditive: bool = False
     claims_joint_subadditive: bool = False
     known_limit: KnownLimit | None = None
@@ -174,6 +170,7 @@ IRRATIONAL = _Irrational()
 
 
 def _denominator(value: Fraction | int | object) -> int:
+    from fractions import Fraction
     if value is IRRATIONAL:
         return 0
     if isinstance(value, Fraction):
@@ -296,22 +293,21 @@ def builtin_names() -> tuple[str, ...]:
 # Tabulated functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TabulatedFunction:
+class TabulatedFunction(_Record):
     """A function given by exact values on a cartesian grid.
 
     Evaluation is lookup only: querying off the grid is an error rather
     than an interpolation, because interpolation can manufacture or
     destroy subadditivity and the checkers must not report artifacts of
-    resampling.
+    resampling.  values runs row-major over the axes.
     """
 
-    axes: tuple[tuple[float, ...], ...]
-    values: tuple[float, ...]  # row-major over the axes
+    __slots__ = ("axes", "values")
 
-    def __post_init__(self) -> None:
-        axes = tuple(tuple(float(c) for c in axis) for axis in self.axes)
-        values = tuple(float(v) for v in self.values)
+    def __init__(self, axes: tuple[tuple[float, ...], ...],
+                 values: tuple[float, ...]) -> None:
+        axes = tuple(tuple(float(c) for c in axis) for axis in axes)
+        values = tuple(float(v) for v in values)
         if not axes:
             raise DomainError("at least one axis required")
         for axis in axes:
@@ -322,8 +318,7 @@ class TabulatedFunction:
             raise DomainError(
                 f"value array of length {len(values)} does not fill a grid of size {expected}"
             )
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "values", values)
+        super().__init__(axes, values)
 
     @property
     def dim(self) -> int:
@@ -365,8 +360,7 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
 # Functions of finite integer sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteSetFunction:
+class FiniteSetFunction(NamedTuple):
     """A real-valued function of finite subsets of the integers."""
 
     name: str

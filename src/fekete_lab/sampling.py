@@ -11,11 +11,9 @@ scalar draws element for element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import DomainError
+from .domain import DomainError, _Record
 
 __all__ = ["raw64", "unit_uniform", "uniform_in", "integer_in", "SampleBudget"]
 
@@ -50,17 +48,16 @@ def integer_in(seed: int, counter: int | np.ndarray, lo: int, hi: int) -> int | 
     return lo + (offset.astype(np.int64) if isinstance(offset, np.ndarray) else offset)
 
 
-@dataclass(frozen=True)
-class SampleBudget:
+class SampleBudget(_Record):
     """Reproducible sampling budget: (seed, count) fixes the stream.
 
     The range each axis draws from is not part of the budget: the
     consumer takes it from the domain alone (0.1..100 per positive axis).
     """
 
-    count: int = 10_000
-    seed: int = 2024
+    __slots__ = ("count", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, count: int = 10_000, seed: int = 2024) -> None:
+        super().__init__(count, seed)
         if self.count < 1:
             raise DomainError(f"sample count must be positive, got {self.count!r}")

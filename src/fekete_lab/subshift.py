@@ -45,12 +45,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .domain import ConfigError, DomainError
+from .domain import ConfigError, DomainError, _Record
 
 # numpy (the 1-D eigenvalue cross-check) and checks (the submultiplicativity
 # report) are imported where they are used, so entropy_bounds loads neither
@@ -93,16 +92,14 @@ class CapExceededError(ConfigError):
     """The requested box exceeds the configured enumeration work caps."""
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
+class ForbiddenPattern(_Record):
     """A finite partial symbol assignment whose translates are forbidden."""
 
-    offsets: tuple[tuple[int, ...], ...]
-    symbols: tuple[int, ...]
+    __slots__ = ("offsets", "symbols")
 
-    def __post_init__(self) -> None:
-        offsets = tuple(tuple(int(c) for c in off) for off in self.offsets)
-        symbols = tuple(int(s) for s in self.symbols)
+    def __init__(self, offsets: tuple[tuple[int, ...], ...], symbols: tuple[int, ...]) -> None:
+        offsets = tuple(tuple(int(c) for c in off) for off in offsets)
+        symbols = tuple(int(s) for s in symbols)
         if not offsets:
             raise DomainError("a forbidden pattern needs at least one cell")
         if len(offsets) != len(symbols):
@@ -118,8 +115,7 @@ class ForbiddenPattern:
             if hi - lo + 1 > MAX_PATTERN_SIDE:
                 raise DomainError(
                     f"pattern bounding box exceeds {MAX_PATTERN_SIDE} on axis {axis}")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "symbols", symbols)
+        super().__init__(offsets, symbols)
 
     @property
     def dim(self) -> int:
@@ -131,30 +127,27 @@ class ForbiddenPattern:
         return hi - lo + 1
 
 
-@dataclass(frozen=True)
-class SftSpec:
+class SftSpec(_Record):
     """Alphabet size, dimension, and finite forbidden-pattern list."""
 
-    alphabet: int
-    dim: int
-    forbidden: tuple[ForbiddenPattern, ...] = ()
+    __slots__ = ("alphabet", "dim", "forbidden")
 
-    def __post_init__(self) -> None:
-        if self.alphabet < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {self.alphabet!r}")
-        if self.dim < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dim!r}")
-        forbidden = tuple(self.forbidden)
+    def __init__(self, alphabet: int, dim: int,
+                 forbidden: tuple[ForbiddenPattern, ...] = ()) -> None:
+        if alphabet < 2:
+            raise DomainError(f"alphabet size must be >= 2, got {alphabet!r}")
+        if dim < 1:
+            raise DomainError(f"dimension must be >= 1, got {dim!r}")
+        forbidden = tuple(forbidden)
         for pat in forbidden:
-            if pat.dim != self.dim:
-                raise DomainError(f"pattern of dimension {pat.dim} in a {self.dim}-d subshift")
-            if any(not 0 <= s < self.alphabet for s in pat.symbols):
+            if pat.dim != dim:
+                raise DomainError(f"pattern of dimension {pat.dim} in a {dim}-d subshift")
+            if any(not 0 <= s < alphabet for s in pat.symbols):
                 raise DomainError("pattern symbol outside the alphabet")
-        object.__setattr__(self, "forbidden", forbidden)
+        super().__init__(alphabet, dim, forbidden)
 
 
-@dataclass(frozen=True)
-class PatternCount:
+class PatternCount(NamedTuple):
     sides: tuple[int, ...]
     count: int
     admissibility = "locally_admissible"  # the one convention (module docstring)
@@ -568,8 +561,7 @@ def _transfer_sides_1d(sft: SftSpec) -> Iterator[tuple[int, float | None, float 
         prev = cur
 
 
-@dataclass(frozen=True)
-class EntropyEntry:
+class EntropyEntry(NamedTuple):
     """The upper bounds one cube side n contributes to an entropy bracket.
 
     ratio is the cube ratio log_a(count)/n^d, rounded up (exact for
@@ -592,8 +584,7 @@ class EntropyEntry:
     transfer_upper: float | None = None
 
 
-@dataclass(frozen=True)
-class EntropyBracket:
+class EntropyBracket(NamedTuple):
     """Certified bounds for the entropy along growing cubes.
 
     best_upper is the last running_min: the least cube ratio

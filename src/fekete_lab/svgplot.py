@@ -10,16 +10,14 @@ nondeterministic element and is omitted when timestamp is None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["PlotSeries", "line_plot_svg"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(NamedTuple):
     name: str
     points: tuple[tuple[float, float], ...]
     dashed: bool = False

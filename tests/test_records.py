@@ -1,0 +1,124 @@
+"""Records: every exported record class builds a frozen value.
+
+Assigning to a field raises AttributeError, two equal constructions
+compare equal (and hash equal unless a field is a dict), and the repr
+names the class.  LimitBracket's sample arrays take no part in ==.
+"""
+
+from __future__ import annotations
+
+import importlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fekete_lab.checks import Violation, ViolationReport
+from fekete_lab.domain import GridSchedule, Orthant, Point, QRDecomposition
+from fekete_lab.levelset import (BoxScan, LemmaCheckRow, LevelSetSpec, LineScan,
+                                 MeasureEstimate, RationalBoxScan, UnboundednessDemo)
+from fekete_lab.limits import (DecompositionBound, DecompositionTerm, IteratedLimit,
+                               LevelSummary, LimitBracket)
+from fekete_lab.registry import (Domain, FiniteSetFunction, FunctionOracle, KnownLimit,
+                                 TabulatedFunction)
+from fekete_lab.sampling import SampleBudget
+from fekete_lab.subshift import (EntropyBracket, EntropyEntry, ForbiddenPattern, PatternCount,
+                                 SftSpec)
+from fekete_lab.svgplot import PlotSeries
+
+MODULES = ("domain", "registry", "sampling", "checks", "limits", "levelset", "subshift",
+           "svgplot")
+
+
+def _violation() -> dict:
+    return {"kind": "joint", "axis": None, "witness": ((1.0,), (2.0,)), "lhs": 3.0, "rhs": 2.0}
+
+
+def _estimate() -> dict:
+    return {"value": 0.5, "method": "grid_quadrature", "detail": {"cells_per_axis": 4},
+            "error_bound": 0.125}
+
+
+def _level() -> dict:
+    return {"axis": 0, "status": "converged", "tol": 0.005, "sweeps": 1, "evaluations": 8,
+            "last_stabilized_at": 128.0}
+
+
+# keyword arguments of one construction of each record class, built afresh
+# on each call, so that equal constructions share no mutable value
+RECORDS = {
+    Point: lambda: {"coords": (1.0, 2.0)},
+    Orthant: lambda: {"bits": (0, 1)},
+    QRDecomposition: lambda: {"q": 2, "r": 1.5, "t": 1.0},
+    GridSchedule: lambda: {"base": Point((1.0, 2.0)), "growth": 3.0, "levels": 5},
+    Domain: lambda: {"dim": 2, "orthant": Orthant((0, 0)), "integer": True},
+    KnownLimit: lambda: {"value": 1.0, "note": "analytic"},
+    FunctionOracle: lambda: {"name": "abs", "domain": Domain(dim=1), "array_fn": np.abs,
+                             "known_limit": KnownLimit(1.0, "analytic")},
+    TabulatedFunction: lambda: {"axes": ((1.0, 2.0),), "values": (3.0, 4.0)},
+    FiniteSetFunction: lambda: {"name": "cardinality", "fn": len},
+    SampleBudget: lambda: {"count": 50, "seed": 7},
+    Violation: _violation,
+    ViolationReport: lambda: {"kind": "joint", "oracle": "abs",
+                              "violations": (Violation(**_violation()),),
+                              "samples_checked": 10, "metadata": {"seed": 7}},
+    LimitBracket: lambda: {"best_upper": 1.0, "tail_estimate": 1.0, "status": "converged",
+                           "delta": 0.01, "shell": 0, "threshold_point": (1.0,),
+                           "evaluations": 2, "shells": np.array([0, 1]),
+                           "points": np.array([[1.0], [2.0]]), "ratios": np.array([1.0, 1.0])},
+    LevelSummary: _level,
+    IteratedLimit: lambda: {"value": 0.0, "status": "converged", "order": (0,),
+                            "levels": (LevelSummary(**_level()),), "evaluations": 8},
+    DecompositionTerm: lambda: {"bits": (0,), "coefficient": 1, "point": (1.5,), "value": 1.5},
+    DecompositionBound: lambda: {"x": (3.5,), "t": (1.0,), "lhs": 3.5, "rhs": 3.5,
+                                 "holds": True,
+                                 "terms": (DecompositionTerm((0,), 1, (1.5,), 1.5),)},
+    LevelSetSpec: lambda: {"t": Point((1.0, 1.0)), "k": 0.5},
+    MeasureEstimate: _estimate,
+    BoxScan: lambda: {"box": ((0.0, 1.0),), "resolution": 2, "minimum": 0.0, "maximum": 1.0,
+                      "argmin": (0.0,), "argmax": (1.0,)},
+    LemmaCheckRow: lambda: {"anchor": (1.0,), "k": 0.5,
+                            "estimate": MeasureEstimate(**_estimate()), "bound": 0.5,
+                            "margin": 0.0, "holds": True},
+    LineScan: lambda: {"x": Fraction(3, 2), "denominator_bound": 2, "max_value": 2, "ok": True},
+    UnboundednessDemo: lambda: {"diagonal": (((Fraction(2), Fraction(2)), 1),),
+                                "line_scans": (LineScan(Fraction(3, 2), 2, 2, True),)},
+    RationalBoxScan: lambda: {"q_max": 1, "grid_size": 4, "minimum": 1, "maximum": 1,
+                              "argmax": (Fraction(1), Fraction(1))},
+    ForbiddenPattern: lambda: {"offsets": ((0,), (1,)), "symbols": (1, 1)},
+    SftSpec: lambda: {"alphabet": 2, "dim": 1,
+                      "forbidden": (ForbiddenPattern(((0,), (1,)), (1, 1)),)},
+    PatternCount: lambda: {"sides": (3,), "count": 5},
+    EntropyEntry: lambda: {"sides": (3,), "count": 5, "log_value": 2.3, "ratio": 0.78,
+                           "running_min": 0.78, "transfer_upper": 0.7},
+    EntropyBracket: lambda: {"entries": (EntropyEntry((3,), 5, 2.3, 0.78, 0.78),),
+                             "best_upper": 0.78, "truncated": False, "best_lower": 0.69},
+    PlotSeries: lambda: {"name": "ratio", "points": ((1.0, 2.0),), "dashed": True},
+}
+# a dict field makes the record unhashable
+UNHASHABLE = {ViolationReport, MeasureEstimate, LemmaCheckRow}
+
+
+def test_every_exported_record_class_is_covered():
+    exported = set()
+    for name in MODULES:
+        module = importlib.import_module(f"fekete_lab.{name}")
+        exported |= {obj for obj in map(vars(module).get, module.__all__)
+                     if isinstance(obj, type) and not issubclass(obj, Exception)}
+    assert {cls.__name__ for cls in exported} == {cls.__name__ for cls in RECORDS}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_is_a_frozen_value(cls):
+    kwargs = RECORDS[cls]()
+    record, twin = cls(**kwargs), cls(**RECORDS[cls]())
+    name = next(iter(kwargs))
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    assert record == twin and not record != twin
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    assert repr(record).startswith(f"{cls.__name__}(")

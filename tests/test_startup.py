@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -58,6 +57,12 @@ def modules_after(code: str, cwd: Path) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def fields(cls: type) -> tuple[str, ...]:
+    """A record class's field names in constructor order: a NamedTuple's
+    _fields, or the __slots__ of a record that checks its fields."""
+    return getattr(cls, "_fields", None) or cls.__slots__
+
+
 def cli_run(argv: list[str]) -> str:
     return ("from fekete_lab.cli import main\n"
             f"assert main({argv!r}) in (0, 3)")
@@ -66,6 +71,20 @@ def cli_run(argv: list[str]) -> str:
 def test_importing_the_cli_loads_no_numpy(tmp_path):
     loaded = modules_after("import fekete_lab.cli", tmp_path)
     assert loaded & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
+    # records are NamedTuples or slotted classes, and only a timestamped SVG
+    # needs the clock
+    assert loaded & {"dataclasses", "inspect", "datetime"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--fn", "sqrt_prod", "--levels", "4"],
+    ["check", "--fn", "abs", "--mode", "joint", "--count", "50"],
+    ["levelset", "--fn", "sqrt_prod", "--anchors", "1,1", "--cells", "20"],
+])
+def test_numpy_runs_load_neither_dataclasses_nor_fractions(tmp_path, argv):
+    loaded = modules_after(cli_run([*argv, "--out", "out", "--no-timestamp"]), tmp_path)
+    assert "numpy" in loaded
+    assert loaded & {"dataclasses", "fractions"} == set()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["entropy", "--help"]])
@@ -148,22 +167,22 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     from fekete_lab.registry import FiniteSetFunction, TabulatedFunction
     for cls in (TabulatedFunction, BoxScan, RationalBoxScan):
         assert not hasattr(cls, "to_json_dict"), cls.__name__
-    assert "translation_invariant" not in {f.name for f in dataclasses.fields(FiniteSetFunction)}
+    assert "translation_invariant" not in fields(FiniteSetFunction)
     from fekete_lab.sampling import SampleBudget
     from fekete_lab.subshift import EntropyBracket, PatternCount, builtin_sft
-    assert [f.name for f in dataclasses.fields(SampleBudget)] == ["count", "seed"]
+    assert fields(SampleBudget) == ("count", "seed")
     assert list(inspect.signature(builtin_sft).parameters) == ["name"]
     for cls, name in ((PatternCount, "admissibility"), (EntropyBracket, "admissibility"),
                       (BoxScan, "note"), (LimitBracket, "sense")):
-        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        assert name not in fields(cls), cls.__name__
         assert isinstance(getattr(cls, name), str), cls.__name__
-    assert "best_lower" not in {f.name for f in dataclasses.fields(LimitBracket)}
+    assert "best_lower" not in fields(LimitBracket)
     assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
     assert not hasattr(Orthant, "parity")
     from fekete_lab.registry import Domain, FunctionOracle
-    assert [f.name for f in dataclasses.fields(FunctionOracle)] == [
+    assert fields(FunctionOracle) == (
         "name", "domain", "array_fn", "claims_componentwise_subadditive",
-        "claims_joint_subadditive", "known_limit"]
+        "claims_joint_subadditive", "known_limit")
     with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):
         FunctionOracle(name="f", domain=Domain(dim=1), fn=abs)
 

@@ -1,12 +1,16 @@
 """No module under src/, demos/ or tests/ imports a name that it never uses,
-and no private module-level name under src/ goes unreferenced.
+no private module-level name under src/ goes unreferenced, and no module
+under src/ imports dataclasses.
 
 Each scope is checked on its own: an import inside a function must be
 used inside that function, so a handler that stops using a name it
 imports locally is caught even when another handler uses the same name.
 A private function, class or constant (one leading underscore) is
 referenced when some module under src/ loads it by name or as an
-attribute, so a helper left behind by a deletion is caught.
+attribute, so a helper left behind by a deletion is caught.  The
+package's records are NamedTuples or slotted classes: a dataclass
+generates and compiles its methods each time its module loads, which
+every CLI run would pay at start-up.
 """
 
 from __future__ import annotations
@@ -111,3 +115,21 @@ def test_the_scan_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_name():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+def dataclasses_imports(source: str) -> list[str]:
+    """The line of each import of the dataclasses module, at any depth."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+
+
+def test_the_scan_finds_a_dataclasses_import():
+    source = ("import dataclasses as dc\nimport dataclasses_json\n"
+              "def f():\n    from dataclasses import dataclass\n    return dataclass\n")
+    assert dataclasses_imports(source) == ["line 1", "line 4"]
+
+
+def test_no_module_under_src_imports_dataclasses():
+    found = {str(p.relative_to(ROOT)): dataclasses_imports(p.read_text()) for p in SOURCES}
+    assert {module: lines for module, lines in found.items() if lines} == {}
