@@ -29,7 +29,7 @@ _EXPORTS = {
         "directed_upper_bound", "orthant_reflect", "product_leq", "qr_decompose",
     ),
     "registry": (
-        "Domain", "FiniteSetFunction", "FunctionOracle", "IRRATIONAL", "KnownLimit",
+        "Domain", "FiniteSetFunction", "FunctionOracle", "KnownLimit",
         "TabulatedFunction", "builtin", "builtin_names", "cardinality_set_function",
         "load_set_family", "load_tabulated", "rubin_eval", "set_function_from_integer",
     ),

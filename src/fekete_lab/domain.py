@@ -70,6 +70,16 @@ class IndeterminateFormError(FeketeLabError):
     """Arithmetic would produce an indeterminate form such as inf - inf."""
 
 
+def _json_int(value: object, field: str) -> int:
+    """value, an integer field of a JSON input file, if it is a JSON integer.
+
+    int() would read 2.9 as 2 and true as 1, another input than the one
+    written, so a float, bool or string is refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Extended reals
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .domain import (
     Orthant,
     Point,
     _Record,
+    _json_int,
     as_extended,
     as_point,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "FunctionOracle",
     "builtin",
     "builtin_names",
-    "IRRATIONAL",
     "rubin_eval",
     "TabulatedFunction",
     "load_tabulated",
@@ -152,27 +152,8 @@ class FunctionOracle(NamedTuple):
 # Exact-rational minimum-denominator function
 # ---------------------------------------------------------------------------
 
-class _Irrational:
-    """Marker for an input declared irrational (denominator function gives 0)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "IRRATIONAL"
-
-
-IRRATIONAL = _Irrational()
-
-
-def _denominator(value: Fraction | int | object) -> int:
+def _denominator(value: Fraction | int) -> int:
     from fractions import Fraction
-    if value is IRRATIONAL:
-        return 0
     if isinstance(value, Fraction):
         if value <= 0:
             raise DomainError(f"coordinate must be positive, got {value!r}")
@@ -182,17 +163,17 @@ def _denominator(value: Fraction | int | object) -> int:
             raise DomainError(f"coordinate must be positive, got {value!r}")
         return 1
     raise DomainError(
-        f"expected Fraction, int, or IRRATIONAL, got {value!r}; rationality of a "
+        f"expected Fraction or int, got {value!r}; rationality of a "
         "float is not decidable, so inputs must be exact"
     )
 
 
-def rubin_eval(coords: Sequence[Fraction | int | object]) -> float:
+def rubin_eval(coords: Sequence[Fraction | int]) -> float:
     """min over coordinates of the reduced-denominator function h.
 
     h(p/q) = q for a positive fraction in lowest terms (Fraction reduces
-    automatically and rejects zero denominators at construction), h = 1
-    on positive integers, and h = 0 on inputs declared IRRATIONAL.
+    automatically and rejects zero denominators at construction), and
+    h = 1 on positive integers.
     """
     values = [_denominator(c) for c in coords]
     if not values:
@@ -335,7 +316,7 @@ class TabulatedFunction(_Record):
 
 def _parse_tabulated(obj: dict) -> TabulatedFunction:
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         axes = tuple(tuple(float(c) for c in axis) for axis in obj["axes"])
         values = tuple(float(v) for v in obj["values"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -403,7 +384,8 @@ def load_set_family(path: str | Path) -> tuple[FiniteSetFunction, list[frozenset
         obj = json.loads(path.read_text())
         base = str(obj["base"])
         raw_sets = obj["sets"]
-        family = [frozenset(int(n) for n in s) for s in raw_sets]
+        family = [frozenset(_json_int(n, f"sets[{i}]") for n in s)
+                  for i, s in enumerate(raw_sets)]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read set family from {path}: {exc}") from exc
     if base == "cardinality":

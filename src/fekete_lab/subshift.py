@@ -6,13 +6,12 @@ to a full configuration is undecidable in general for d >= 2, so the
 locally admissible convention is used throughout and recorded in every
 result; these counts are submultiplicative under splitting any side, so
 the limit machinery applies and every ratio log_a(count)/volume is a
-true upper bound for the entropy.  In one dimension the exact per-state
-word counts of the window dynamic program also bound the window
-transfer matrix's Perron root on both sides (Collatz-Wielandt; premise:
-the matrix is nonnegative and the counts are exact), so entropy_bounds
-brackets the entropy from below and above, and both bounds converge
-geometrically instead of as 1/n.  entropy_bounds counts 1-D words in
-that same pass; the sweep below counts every other box.
+true upper bound for the entropy.  entropy_bounds counts with the sweep
+below in every dimension; in one dimension its layers, the exact word
+counts per window, also bound the window transfer matrix's Perron root
+on both sides (Collatz-Wielandt; premise: the matrix is nonnegative and
+the counts are exact), so both bounds converge geometrically instead of
+as 1/n.  The window dynamic program is the independent 1-D cross-check.
 
 All counts are exact arbitrary-precision integers.  The counter is a
 forward transfer sweep in row-major cell order: one layer maps each
@@ -49,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .domain import ConfigError, DomainError, _Record
+from .domain import ConfigError, DomainError, _Record, _json_int
 
 # numpy (the 1-D eigenvalue cross-check) and checks (the submultiplicativity
 # report) are imported where they are used, so entropy_bounds loads neither
@@ -378,9 +377,7 @@ def _log_count(count: int, alphabet: int) -> float:
 def _window_1d(sft: SftSpec) -> int:
     if sft.dim != 1:
         raise DomainError("the transfer counter only handles one-dimensional subshifts")
-    if not sft.forbidden:
-        return 1
-    return max(pat.extent(0) for pat in sft.forbidden)
+    return max((pat.extent(0) for pat in sft.forbidden), default=1)
 
 
 def _word_patterns_1d(sft: SftSpec) -> list[tuple[int, dict[int, int]]]:
@@ -441,10 +438,10 @@ def _window_counts_1d(sft: SftSpec) -> Iterator[dict[tuple[int, ...], int]]:
 def transfer_matrix_count_1d(sft: SftSpec, n: int) -> int:
     """Count admissible length-n words by window dynamic programming.
 
-    Independent of the sweep in count_patterns: states are the trailing
-    w-1 symbols (see _window_counts_1d).  Must agree with count_patterns
-    exactly.  Below length w the states are whole words, so the caps are
-    checked first, on n cells with a frontier span of w-1.
+    The 1-D cross-check of the sweep that count_patterns and entropy_bounds
+    count with; no command runs it.  States are the trailing w-1 symbols
+    (see _window_counts_1d).  Below length w they are whole words, so the
+    caps are checked first, on n cells with a frontier span of w-1.
     """
     if n < 1:
         raise DomainError(f"length must be >= 1, got {n!r}")
@@ -521,14 +518,20 @@ def _log_rounded(value: Fraction, alphabet: int, toward: float) -> float:
     return y
 
 
-def _transfer_sides_1d(sft: SftSpec) -> Iterator[tuple[int, float | None, float | None]]:
-    """Count, upper and lower entropy bound for sides n = 1, 2, ... in one pass.
+def _transfer_sides_1d(sft: SftSpec, max_side: int,
+                       ) -> Iterator[tuple[int, float | None, float | None]]:
+    """Count, upper and lower entropy bound for sides n = 1, 2, ... in one sweep.
 
-    All three come from the count vector c_n of _window_counts_1d: the
-    count is sum(c_n).  For n >= w, c_n = T^t c_{n-1}; on the support S
-    of c_{n-1} that is the principal submatrix B of T^t on S applied to
-    a positive vector.  With the exact Fractions r_j = c_n[j]/c_{n-1}[j],
-    j in S, Collatz-Wielandt bounds the Perron root of B on both sides:
+    The pass ends at top, the last side up to max_side whose box passes
+    count_patterns's caps, and one sweep of the box (top,) counts every
+    side: a row is one cell, so the count at n is the sum of the layer L_n.
+
+    For n >= w, the longest pattern's extent, each window of L_n is the
+    last w-1 symbols, the window DP's state, and L_n = T^t L_{n-1} for
+    the window transfer matrix T.  On the support S of L_{n-1} that is
+    the principal submatrix B of T^t on S applied to a positive vector.
+    With the exact Fractions r_j = L_n[j]/L_{n-1}[j], j in S,
+    Collatz-Wielandt bounds the Perron root of B on both sides:
     - max_j r_j >= rho(B) = rho(T), since a state outside S lies on no
       cycle of T (going round a cycle through j spells admissible words
       of every length ending in j), so leaving it out keeps the spectral
@@ -538,20 +541,20 @@ def _transfer_sides_1d(sft: SftSpec) -> Iterator[tuple[int, float | None, float 
       nonnegative matrix has no larger spectral radius.
     log_a rho(T) is the entropy, and both logs are rounded outward.  An
     empty S means the subshift is empty: both bounds are -inf.  Sides
-    n < w, whose states are still shorter than w-1, give None for both.
-
-    Each side first passes count_patterns's caps for its box: n cells,
-    and a frontier span of the longest pattern that fits, less one.  So
-    a cap stops this pass at the side where it stops count_patterns,
-    with the same CapExceededError.
+    n < w give None for both.
     """
+    top = 0
+    try:
+        while top < max_side:
+            _check_caps(sft, top + 1, max((pat.extent(0) - 1 for pat in sft.forbidden
+                                           if pat.extent(0) <= top + 1), default=0))
+            top += 1
+    except CapExceededError:
+        if not top:
+            raise  # even the unit box is past a cap
     w = _window_1d(sft)
-    vectors = _window_counts_1d(sft)
-    prev = next(vectors)
-    for n in itertools.count(1):
-        _check_caps(sft, n, max((pat.extent(0) - 1 for pat in sft.forbidden
-                                 if pat.extent(0) <= n), default=0))
-        cur = next(vectors)
+    prev = {0: 1}
+    for n, cur in enumerate(_row_layers(*_placements(sft, (top,)), 1), start=1):
         upper = lower = None
         if n >= w:
             ratios = [Fraction(cur.get(j, 0), c) for j, c in prev.items()]
@@ -569,8 +572,8 @@ class EntropyEntry(NamedTuple):
     componentwise subadditive.  transfer_upper, set only for
     one-dimensional subshifts at sides n >= w (the forbidden-word
     window), is the Collatz-Wielandt upper bound on the window transfer
-    matrix's Perron root from the exact count vectors at lengths n-1 and
-    n, rounded up.  The same two vectors also give a lower bound at each
+    matrix's Perron root from the sweep's exact layers at lengths n-1 and
+    n, rounded up.  The same two layers also give a lower bound at each
     such side (see _transfer_sides_1d); the bracket keeps only the
     largest, best_lower.  running_min is the least of both upper bounds
     over sides 1..n, so it does not depend on how far the bracket runs.
@@ -592,7 +595,7 @@ class EntropyBracket(NamedTuple):
     componentwise subadditive, which check_count_submultiplicativity
     verifies exactly) and, in one dimension, the least transfer_upper.
     best_lower, in one dimension, is the largest Collatz-Wielandt lower
-    bound min_j c_n[j]/c_(n-1)[j] on the same Perron root, rounded down.
+    bound min_j L_n[j]/L_(n-1)[j] on the same Perron root, rounded down.
     Premise of both transfer bounds: the window transfer matrix is
     nonnegative and the counts are exact integers, so in one dimension
     best_lower <= entropy <= best_upper, and both converge geometrically
@@ -638,14 +641,12 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
     """Certified bounds for the entropy along cubes n = 1..max_side.
 
     Every side gives the cube ratio log_a(count)/n^d, rounded up, valid
-    because the log-count is componentwise subadditive; for d >= 2 the
-    count comes from count_patterns.  A one-dimensional subshift whose
-    window passes the state cap is counted by one pass of the window
-    dynamic program (_transfer_sides_1d), which also gives the
-    Collatz-Wielandt upper and lower transfer bounds at each side
-    n >= w; count_patterns stays its cross-check.  A cap hit truncates
-    the bracket instead of failing it: the bounds already collected stay
-    valid.
+    because the log-count is componentwise subadditive.  Every count comes
+    from the sweep: count_patterns per cube for d >= 2, and one sweep in
+    one dimension (_transfer_sides_1d), whose layers also give the
+    Collatz-Wielandt transfer bounds at each side n >= w.  A cap hit
+    truncates the bracket instead of failing it: the bounds already
+    collected stay valid.
     """
     if max_side < 1:
         raise DomainError(f"max_side must be >= 1, got {max_side!r}")
@@ -653,18 +654,15 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
     running = math.inf
     best_lower = None
     truncated = False
-    # The window DP holds up to a^(w-1) states from side w-1 on.  When a
-    # window and a new symbol pass the state cap, the sweep's cap stops the
-    # bracket at side w, before any transfer bound, so the sweep counts.
-    if sft.dim == 1 and _window_1d(sft) * math.log2(sft.alphabet) <= STATE_CAP_BITS:
-        sides_bounds = _transfer_sides_1d(sft)
+    if sft.dim == 1:
+        sides_bounds = _transfer_sides_1d(sft, max_side)
     else:
         sides_bounds = ((count_patterns(sft, (n,) * sft.dim).count, None, None)
                         for n in itertools.count(1))
     for n in range(1, max_side + 1):
         try:
             count, upper, lower = next(sides_bounds)
-        except CapExceededError:
+        except (CapExceededError, StopIteration):  # the 1-D pass stops at its cap
             if not entries:
                 raise  # even the unit box is past a cap
             truncated = True
@@ -761,18 +759,19 @@ def load_sft_spec(path: str | Path) -> SftSpec:
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
-        alphabet = int(obj["alphabet"])
-        dim = int(obj["dim"])
+        alphabet = _json_int(obj["alphabet"], "alphabet")
+        dim = _json_int(obj["dim"], "dim")
         forbidden = tuple(
             ForbiddenPattern(
-                offsets=tuple(tuple(int(c) for c in off) for off in entry["offsets"]),
-                symbols=tuple(int(s) for s in entry["symbols"]),
+                offsets=tuple(tuple(_json_int(c, f"forbidden[{i}].offsets") for c in off)
+                              for off in entry["offsets"]),
+                symbols=tuple(_json_int(s, f"forbidden[{i}].symbols") for s in entry["symbols"]),
             )
-            for entry in obj.get("forbidden", [])
+            for i, entry in enumerate(obj.get("forbidden", []))
         )
         return SftSpec(alphabet=alphabet, dim=dim, forbidden=forbidden)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read subshift spec from {path}: {exc}") from exc
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"invalid subshift spec {path}: {exc}") from exc
 

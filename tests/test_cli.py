@@ -133,6 +133,26 @@ def test_bad_subshift_input_exits_two(tmp_path, capsys, spec, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"alphabet": 2.9, "dim": 1}, "alphabet"),
+    ({"alphabet": 3, "dim": True}, "dim"),
+    ({"alphabet": 3, "dim": 1, "forbidden": [{"offsets": [[0], [1.7]], "symbols": [1, 1]}]},
+     "forbidden[0].offsets"),
+    ({"alphabet": 3, "dim": 1, "forbidden": [{"offsets": [[0]], "symbols": [0]},
+                                             {"offsets": [[0], [1]], "symbols": [1, True]}]},
+     "forbidden[1].symbols"),
+    ({"alphabet": "3", "dim": 1}, "alphabet"),
+])
+def test_subshift_spec_numbers_must_be_json_integers(tmp_path, capsys, spec, field):
+    # int() would read 2.9 as 2, 1.7 as 1 and true as 1: a different subshift
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["entropy", "--sft", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid subshift spec {path}: {field} must be an integer, got ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("entropy", {"sft": "golden_mean_1d", "max_side": "abc"}),
     ("check", {"fn": "abs", "mode": "joint", "count": "x"}),

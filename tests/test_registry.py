@@ -12,7 +12,6 @@ import pytest
 
 from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError
 from fekete_lab.registry import (
-    IRRATIONAL,
     TabulatedFunction,
     builtin,
     builtin_names,
@@ -127,7 +126,6 @@ def test_rubin_eval_examples():
     assert rubin_eval((Fraction(6, 5), Fraction(6, 5))) == 5.0
     assert rubin_eval((2, 3)) == 1.0
     assert rubin_eval((Fraction(2, 1), Fraction(3, 1))) == 1.0
-    assert rubin_eval((IRRATIONAL, Fraction(3, 2))) == 0.0
 
 
 def test_rubin_zero_denominator_is_an_error():
@@ -193,6 +191,11 @@ def test_tabulated_parse_failure(tmp_path):
     bad.write_text(json.dumps({"dim": 2, "axes": [[1, 2]], "values": [1, 2]}))
     with pytest.raises(ConfigError):
         load_tabulated(bad)
+    # int() would read 1.5 and true as 1
+    for dim in (1.5, True, "1"):
+        bad.write_text(json.dumps({"dim": dim, "axes": [[1, 2]], "values": [1, 2]}))
+        with pytest.raises(ConfigError, match=f"^dim must be an integer, got {dim!r}$"):
+            load_tabulated(bad)
 
 
 def test_set_function_lift():
@@ -219,6 +222,11 @@ def test_load_set_family(tmp_path):
     path.write_text(json.dumps({"base": "nmod2", "sets": []}))
     with pytest.raises(ConfigError):
         load_set_family(path)
+    # members must be JSON integers: 1.5 and true would both read as 1
+    for sets, at in (([[1.5], [3]], 0), ([[2], [3, True]], 1), ([[2], ["3"]], 1)):
+        path.write_text(json.dumps({"base": "nmod2", "sets": sets}))
+        with pytest.raises(ConfigError, match=rf"^sets\[{at}\] must be an integer"):
+            load_set_family(path)
 
 
 def test_evaluate_points_checks_dimension_and_membership():

@@ -28,7 +28,7 @@ EXPORTS = {
               "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
               "ScheduleError as_point default_schedule directed_upper_bound "
               "orthant_reflect product_leq qr_decompose",
-    "registry": "Domain FiniteSetFunction FunctionOracle IRRATIONAL KnownLimit "
+    "registry": "Domain FiniteSetFunction FunctionOracle KnownLimit "
                 "TabulatedFunction builtin builtin_names cardinality_set_function "
                 "load_set_family load_tabulated rubin_eval set_function_from_integer",
     "sampling": "SampleBudget",
@@ -153,7 +153,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
-               "registry": ["write_tabulated", "_rubin_points"],
+               "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper"]}
     for module, names in removed.items():

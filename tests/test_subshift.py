@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fekete_lab import subshift
+from fekete_lab.cli import main as cli_main
 from fekete_lab.domain import ConfigError, DomainError
 from fekete_lab.subshift import (
     CapExceededError,
@@ -696,16 +697,32 @@ def test_logs_below_one_round_toward_either_side():
     assert exact_logs >= 3 * 39 and rounded >= 3 * 400
 
 
-def test_one_pass_counts_equal_the_sweep():
-    # entropy counts 1-D words with the window DP; count_patterns stays its check
-    bracket = entropy_bounds(GOLDEN, 145)
-    assert bracket.truncated and len(bracket.entries) == 144
-    assert [e.count for e in bracket.entries] == [
-        count_patterns(GOLDEN, (n,)).count for n in range(1, 145)]
-    with pytest.raises(CapExceededError, match="cell cap"):
-        count_patterns(GOLDEN, (145,))
+def window_dp_bracket(sft: SftSpec, sides: int) -> tuple[list[int], list, float | None]:
+    """Counts, transfer uppers and best_lower of a 1-D bracket over sides
+    1..sides, recomputed from the window DP's count vectors."""
+    w = subshift._window_1d(sft)
+    vectors = subshift._window_counts_1d(sft)
+    prev = next(vectors)
+    counts, uppers, lowers = [], [], []
+    for n, cur in zip(range(1, sides + 1), vectors):
+        counts.append(sum(cur.values()))
+        uppers.append(None)
+        if n >= w:
+            ratios = [Fraction(cur.get(j, 0), c) for j, c in prev.items()]
+            uppers[-1] = subshift._log_rounded(max(ratios, default=Fraction(0)),
+                                               sft.alphabet, math.inf)
+            lowers.append(subshift._log_rounded(min(ratios, default=Fraction(0)),
+                                                sft.alphabet, -math.inf))
+        prev = cur
+    return counts, uppers, max(lowers, default=None)
+
+
+def test_one_pass_counts_equal_the_sweep(monkeypatch, tmp_path):
+    # entropy counts 1-D words with the sweep; the window DP stays its check
+    # and must not run
     rng = random.Random(18)
-    for _ in range(20):
+    specs = []
+    for _ in range(24):
         a = rng.randint(2, 4)
         patterns = []
         for _ in range(rng.randint(1, 3)):
@@ -713,9 +730,44 @@ def test_one_pass_counts_equal_the_sweep():
             offsets = sorted(rng.sample(range(length), rng.randint(1, length)))
             patterns.append(ForbiddenPattern(tuple((o,) for o in offsets),
                                              tuple(rng.randrange(a) for _ in offsets)))
-        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
-        assert [e.count for e in entropy_bounds(sft, 30).entries] == [
-            count_patterns(sft, (n,)).count for n in range(1, 31)], sft
+        specs.append(SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns)))
+    with monkeypatch.context() as m:
+        m.setattr(subshift, "_window_counts_1d",
+                  lambda sft: pytest.fail("entropy ran the window DP"))
+        golden = entropy_bounds(GOLDEN, 145)
+        # three and four symbols reach the cell cap at sides 90 and 72
+        brackets = [entropy_bounds(sft, 100) for sft in specs]
+        assert cli_main(["entropy", "--sft", "golden_mean_1d", "--max-side", "144",
+                         "--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert golden.truncated and len(golden.entries) == 144
+    assert [e.count for e in golden.entries] == [
+        transfer_matrix_count_1d(GOLDEN, n) for n in range(1, 145)]
+    with pytest.raises(CapExceededError, match="cell cap"):
+        transfer_matrix_count_1d(GOLDEN, 145)
+    for sft, bracket in zip(specs, brackets):
+        counts, uppers, best_lower = window_dp_bracket(sft, len(bracket.entries))
+        assert [e.count for e in bracket.entries] == counts, sft
+        assert [e.transfer_upper for e in bracket.entries] == uppers, sft
+        assert bracket.best_lower == best_lower, sft
+        assert bracket.truncated == (len(counts) < 100)
+    assert sum(b.truncated for b in brackets) >= 8
+    assert sum(not b.truncated for b in brackets) >= 4
+
+
+def test_one_pass_compiles_one_box_however_far_it_is_asked(monkeypatch):
+    # the sides are scanned up from 1, and only the last box passing the
+    # caps is compiled: 90 cells at log2(3) bits each
+    boxes = []
+    placements = subshift._placements
+
+    def counting(sft, sides):
+        boxes.append(sides)
+        return placements(sft, sides)
+
+    monkeypatch.setattr(subshift, "_placements", counting)
+    bracket = entropy_bounds(SftSpec(alphabet=3, dim=1), 10 ** 6)
+    assert bracket.truncated and len(bracket.entries) == 90
+    assert boxes == [(90,)]
 
 
 @pytest.mark.parametrize("alphabet, cap", [(2 ** 50, "state cap"), (2 ** 150, "cell cap")])
@@ -730,17 +782,25 @@ def test_one_pass_refuses_a_unit_box_past_a_cap_as_the_sweep_does(alphabet, cap)
 
 def test_a_window_past_the_state_cap_is_counted_by_the_sweep(monkeypatch):
     # 8 bits a symbol: a frontier of 7 cells and a new one pass 48 bits, so
-    # the state cap stops the sweep at side 8.  Below it the sweep holds one
-    # window, but the window DP would hold all 256^n words of length n
-    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    # the state cap stops the sweep at side 8.  Below it the sweep holds 256
+    # windows of one cell, but the window DP would hold all words of length n
+    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (1,)), (0, 0)),
+                                                  ForbiddenPattern(((0,), (7,)), (0, 0))))
     with pytest.raises(CapExceededError, match="state cap"):
-        count_patterns(sft, (8,))
+        transfer_matrix_count_1d(sft, 8)
     monkeypatch.setattr(subshift, "_window_counts_1d",
                         lambda sft: pytest.fail("the window DP ran past the state cap"))
     bracket = entropy_bounds(sft, 10)
-    assert bracket.truncated
-    assert [e.count for e in bracket.entries] == [256 ** n for n in range(1, 8)]
-    assert bracket.best_lower is None  # no side reached the window
+    assert bracket.truncated and bracket.entries[-1].sides == (7,)
+    # the words without 00: a_n = 255 (a_(n-1) + a_(n-2)), a_0 = 1, a_1 = 256
+    counts = [1, 256]
+    while len(counts) < 8:
+        counts.append(255 * (counts[-1] + counts[-2]))
+    assert [e.count for e in bracket.entries] == counts[1:]
+    # the window is the 8-cell pattern's, not the 2-cell span of the box
+    # swept: no side reached it, so there is no transfer bound
+    assert all(e.transfer_upper is None for e in bracket.entries)
+    assert bracket.best_lower is None
 
 
 def test_transfer_value_at_a_jordan_block():
