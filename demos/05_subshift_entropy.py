@@ -26,10 +26,10 @@ from fekete_lab import (
 print("== golden mean shift: binary strings with no adjacent ones ==")
 golden = builtin_sft("golden_mean_1d")
 print("n :", *[f"{n:>6}" for n in range(1, 11)])
-print("count:", *[f"{count_patterns(golden, (n,)).count:>6}" for n in range(1, 11)])
+print("count:", *[f"{count_patterns(golden, (n,)):>6}" for n in range(1, 11)])
 print("(the Fibonacci numbers, via the frontier-window sweep)")
 print("transfer-matrix route agrees:",
-      all(transfer_matrix_count_1d(golden, n) == count_patterns(golden, (n,)).count
+      all(transfer_matrix_count_1d(golden, n) == count_patterns(golden, (n,))
           for n in range(1, 21)))
 
 bracket = entropy_bounds(golden, 16)
@@ -59,7 +59,7 @@ print("exact submultiplicativity of the counts:",
 print()
 print("== box sequences beyond cubes ==")
 for box in [(2, 4), (4, 2), (3, 6), (6, 3)]:
-    ratio = math.log2(count_patterns(hard, box).count) / math.prod(box)
+    ratio = math.log2(count_patterns(hard, box)) / math.prod(box)
     print(f"  box {box}: ratio {ratio:.6f}")
 print("transposed boxes agree because the rule set is symmetric")
 

@@ -29,9 +29,9 @@ _EXPORTS = {
         "directed_upper_bound", "orthant_reflect", "product_leq", "qr_decompose",
     ),
     "registry": (
-        "Domain", "FiniteSetFunction", "FunctionOracle", "KnownLimit",
-        "TabulatedFunction", "builtin", "builtin_names", "cardinality_set_function",
-        "load_set_family", "load_tabulated", "rubin_eval", "set_function_from_integer",
+        "Domain", "FiniteSetFunction", "FunctionOracle", "KnownLimit", "builtin",
+        "builtin_names", "cardinality_set_function", "load_set_family", "load_tabulated",
+        "rubin_eval", "set_function_from_integer", "tabulated_oracle",
     ),
     "sampling": ("SampleBudget",),
     "checks": (
@@ -49,8 +49,8 @@ _EXPORTS = {
         "rubin_unboundedness_demo",
     ),
     "subshift": (
-        "CapExceededError", "EntropyBracket", "ForbiddenPattern", "PatternCount",
-        "SftSpec", "builtin_sft", "builtin_sft_names", "check_count_submultiplicativity",
+        "CapExceededError", "EntropyBracket", "ForbiddenPattern", "SftSpec",
+        "builtin_sft", "builtin_sft_names", "check_count_submultiplicativity",
         "count_patterns", "dominant_eigenvalue", "entropy_bounds", "load_sft_spec",
         "transfer_matrix_1d", "transfer_matrix_count_1d",
     ),

@@ -80,6 +80,16 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
+def _json_float(value: object, field: str) -> float:
+    """value, a float field of a JSON input file, as a float if it is a JSON number.
+
+    float() would read "1e0" as 1 and false as 0, so a bool, string or
+    null is refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Extended reals
 # ---------------------------------------------------------------------------

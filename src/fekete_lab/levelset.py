@@ -69,7 +69,6 @@ class LevelSetSpec(_Record):
 class MeasureEstimate(NamedTuple):
     value: float
     method: str          # "grid_quadrature" or "monte_carlo"
-    detail: dict
     error_bound: float
 
 
@@ -80,8 +79,6 @@ class BoxScan(NamedTuple):
     between grid points are not constrained by it.
     """
 
-    box: tuple[tuple[float, float], ...]
-    resolution: int
     minimum: float
     maximum: float
     argmin: tuple[float, ...]
@@ -123,8 +120,7 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
         agree &= inside_corners[sl] == ref
     error = float((~agree).sum()) * cell_vol
 
-    return MeasureEstimate(value=value, method="grid_quadrature",
-                           detail={"cells_per_axis": cells}, error_bound=error)
+    return MeasureEstimate(value=value, method="grid_quadrature", error_bound=error)
 
 
 def _monte_carlo(oracle: FunctionOracle, spec: LevelSetSpec,
@@ -139,10 +135,7 @@ def _monte_carlo(oracle: FunctionOracle, spec: LevelSetSpec,
     vol = spec.box_volume
     value = vol * hits / samples
     error = vol * math.sqrt(math.log(2.0 / _MC_CONFIDENCE_ALPHA) / (2.0 * samples))
-    return MeasureEstimate(value=value, method="monte_carlo",
-                           detail={"samples": samples, "seed": seed,
-                                   "confidence": 1.0 - _MC_CONFIDENCE_ALPHA},
-                           error_bound=error)
+    return MeasureEstimate(value=value, method="monte_carlo", error_bound=error)
 
 
 def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
@@ -239,8 +232,6 @@ def compact_bound_scan(oracle: FunctionOracle,
     idx_min = np.unravel_index(flat_min, values.shape)
     idx_max = np.unravel_index(flat_max, values.shape)
     return BoxScan(
-        box=box,
-        resolution=resolution,
         minimum=float(values[idx_min]),
         maximum=float(values[idx_max]),
         argmin=tuple(float(axes[i][idx_min[i]]) for i in range(len(box))),
@@ -318,8 +309,6 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
 class RationalBoxScan(NamedTuple):
     """Extrema of the minimum-denominator function over the exact grid on [1, 2]^2."""
 
-    q_max: int
-    grid_size: int
     minimum: int
     maximum: int
     argmax: tuple[Fraction, Fraction]
@@ -346,5 +335,4 @@ def rubin_rational_box_scan(q_max: int) -> RationalBoxScan:
             if worst is None or v < worst:
                 worst = v
     assert best_point is not None and worst is not None
-    return RationalBoxScan(q_max=q_max, grid_size=len(grid) ** 2,
-                           minimum=worst, maximum=best, argmax=best_point)
+    return RationalBoxScan(minimum=worst, maximum=best, argmax=best_point)

@@ -32,6 +32,7 @@ from .domain import (
     Orthant,
     Point,
     _Record,
+    _json_float,
     _json_int,
     as_extended,
     as_point,
@@ -48,7 +49,7 @@ __all__ = [
     "builtin",
     "builtin_names",
     "rubin_eval",
-    "TabulatedFunction",
+    "tabulated_oracle",
     "load_tabulated",
     "FiniteSetFunction",
     "set_function_from_integer",
@@ -193,8 +194,8 @@ def _main_int(d: int) -> Domain:
     return Domain(dim=d, orthant=Orthant.main(d), integer=True)
 
 
-_BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
-    "sqrt_prod": lambda: FunctionOracle(
+_BUILTINS: dict[str, FunctionOracle] = {oracle.name: oracle for oracle in (
+    FunctionOracle(
         name="sqrt_prod",
         domain=_main_real(2),
         array_fn=lambda x1, x2: np.sqrt(x1 * x2),
@@ -205,7 +206,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
     # jointly subadditive (sqrt(x2+y2) dominates both sqrt(x2) and
     # sqrt(y2)) yet not subadditive in x2 alone: the mirror image of
     # sqrt_prod, which is componentwise subadditive but not joint
-    "neg_x1_sqrt_x2": lambda: FunctionOracle(
+    FunctionOracle(
         name="neg_x1_sqrt_x2",
         domain=_main_real(2),
         array_fn=lambda x1, x2: -x1 * np.sqrt(x2),
@@ -213,14 +214,14 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_joint_subadditive=True,
         known_limit=KnownLimit(0.0, "analytic: ratio -1/sqrt(x2) tends to 0"),
     ),
-    "x1sq_sqrt_x2": lambda: FunctionOracle(
+    FunctionOracle(
         name="x1sq_sqrt_x2",
         domain=_main_real(2),
         array_fn=lambda x1, x2: x1 * x1 * np.sqrt(x2),
         claims_componentwise_subadditive=False,
         claims_joint_subadditive=False,
     ),
-    "nmod2": lambda: FunctionOracle(
+    FunctionOracle(
         name="nmod2",
         domain=Domain(dim=1, orthant=None, integer=True),
         array_fn=lambda n: np.remainder(n, 2.0),
@@ -228,7 +229,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_joint_subadditive=True,
         known_limit=KnownLimit(0.0, "analytic: (n mod 2)/n vanishes along even n"),
     ),
-    "full_shift_count_log": lambda: FunctionOracle(
+    FunctionOracle(
         name="full_shift_count_log",
         domain=_main_int(2),
         array_fn=lambda x1, x2: x1 * x2,
@@ -236,7 +237,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_joint_subadditive=False,
         known_limit=KnownLimit(1.0, "analytic: ratio n1*n2/(n1*n2) is identically 1"),
     ),
-    "ceiling": lambda: FunctionOracle(
+    FunctionOracle(
         name="ceiling",
         domain=Domain(dim=1, orthant=None, integer=False),
         # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into 0.0
@@ -245,7 +246,7 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_joint_subadditive=True,
         known_limit=KnownLimit(1.0, "analytic: ceil(x)/x attains its infimum 1 at integers"),
     ),
-    "abs": lambda: FunctionOracle(
+    FunctionOracle(
         name="abs",
         domain=Domain(dim=1, orthant=None, integer=False),
         array_fn=np.abs,
@@ -253,17 +254,16 @@ _BUILTINS: dict[str, Callable[[], FunctionOracle]] = {
         claims_joint_subadditive=True,
         known_limit=KnownLimit(1.0, "analytic: |x|/x = 1 for x > 0"),
     ),
-}
+)}
 
 
 def builtin(name: str) -> FunctionOracle:
     """Look up a built-in oracle by registry name."""
     try:
-        factory = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         known = ", ".join(sorted(_BUILTINS))
         raise ConfigError(f"unknown builtin {name!r}; available: {known}") from None
-    return factory()
 
 
 def builtin_names() -> tuple[str, ...]:
@@ -274,67 +274,58 @@ def builtin_names() -> tuple[str, ...]:
 # Tabulated functions
 # ---------------------------------------------------------------------------
 
-class TabulatedFunction(_Record):
-    """A function given by exact values on a cartesian grid.
+def tabulated_oracle(axes: Sequence[Sequence[float]], values: Sequence[float],
+                     name: str = "tabulated") -> FunctionOracle:
+    """The oracle of a function given by exact values on a cartesian grid.
 
     Evaluation is lookup only: querying off the grid is an error rather
     than an interpolation, because interpolation can manufacture or
     destroy subadditivity and the checkers must not report artifacts of
-    resampling.  values runs row-major over the axes.
+    resampling.  Each axis is nonempty, finite and strictly increasing;
+    values runs row-major over the axes and holds extended reals, so +-inf
+    is a value and NaN is not.
     """
-
-    __slots__ = ("axes", "values")
-
-    def __init__(self, axes: tuple[tuple[float, ...], ...],
-                 values: tuple[float, ...]) -> None:
-        axes = tuple(tuple(float(c) for c in axis) for axis in axes)
-        values = tuple(float(v) for v in values)
-        if not axes:
-            raise DomainError("at least one axis required")
-        for axis in axes:
-            if len(axis) < 1 or any(a >= b for a, b in zip(axis, axis[1:])):
-                raise DomainError("axes must be nonempty and strictly increasing")
-        expected = math.prod(len(axis) for axis in axes)
-        if len(values) != expected:
-            raise DomainError(
-                f"value array of length {len(values)} does not fill a grid of size {expected}"
-            )
-        super().__init__(axes, values)
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    def to_oracle(self, name: str = "tabulated") -> FunctionOracle:
-        # the domain admits only grid points, so searchsorted finds each coordinate
-        axes = [np.array(axis) for axis in self.axes]
-        values = np.array(self.values).reshape([len(axis) for axis in axes])
-        return FunctionOracle(
-            name=name, domain=Domain(dim=self.dim, grid_axes=self.axes),
-            array_fn=lambda *cols: values[tuple(map(np.searchsorted, axes, cols))])
-
-
-def _parse_tabulated(obj: dict) -> TabulatedFunction:
-    try:
-        dim = _json_int(obj["dim"], "dim")
-        axes = tuple(tuple(float(c) for c in axis) for axis in obj["axes"])
-        values = tuple(float(v) for v in obj["values"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed tabulated-function object: {exc}") from exc
-    if len(axes) != dim:
-        raise ConfigError(f"declared dim {dim} but {len(axes)} axes given")
-    return TabulatedFunction(axes=axes, values=values)
+    axes = tuple(tuple(float(c) for c in axis) for axis in axes)
+    table = np.array([float(v) for v in values])
+    if not axes:
+        raise DomainError("at least one axis required")
+    for i, axis in enumerate(axes):
+        if (not axis or not all(map(math.isfinite, axis))
+                or any(a >= b for a, b in zip(axis, axis[1:]))):
+            raise DomainError(f"axes[{i}] must be nonempty, finite and strictly increasing, "
+                              f"got {list(axis)!r}")
+    shape = [len(axis) for axis in axes]
+    if len(table) != math.prod(shape):
+        raise DomainError(
+            f"value array of length {len(table)} does not fill a grid of size {math.prod(shape)}")
+    if np.isnan(table).any():
+        raise DomainError(f"values[{int(np.argmax(np.isnan(table)))}] is NaN, "
+                          "which is not an extended real")
+    # the domain admits only grid points, so searchsorted finds each coordinate
+    grid = [np.array(axis) for axis in axes]
+    table = table.reshape(shape)
+    return FunctionOracle(
+        name=name, domain=Domain(dim=len(axes), grid_axes=axes),
+        array_fn=lambda *cols: table[tuple(map(np.searchsorted, grid, cols))])
 
 
 def load_tabulated(path: str | Path) -> FunctionOracle:
-    """Load a tabulated oracle from JSON {"dim", "axes", "values"} (row-major)."""
+    """Load a tabulated oracle, named after the file, from JSON {"dim", "axes",
+    "values"} (values row-major), with the checks of tabulated_oracle."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read tabulated function from {path}: {exc}") from exc
-    table = _parse_tabulated(obj)
-    return table.to_oracle(path.stem)
+    try:
+        dim = _json_int(obj["dim"], "dim")
+        axes = [[_json_float(c, f"axes[{i}]") for c in axis] for i, axis in enumerate(obj["axes"])]
+        values = [_json_float(v, "values") for v in obj["values"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed tabulated-function object: {exc}") from exc
+    if len(axes) != dim:
+        raise ConfigError(f"declared dim {dim} but {len(axes)} axes given")
+    return tabulated_oracle(axes, values, path.stem)
 
 
 # ---------------------------------------------------------------------------

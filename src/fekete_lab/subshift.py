@@ -4,9 +4,9 @@ Counts are of locally admissible patterns: symbol boxes containing no
 translate of a forbidden pattern fully inside the box.  Extendability
 to a full configuration is undecidable in general for d >= 2, so the
 locally admissible convention is used throughout and recorded in every
-result; these counts are submultiplicative under splitting any side, so
-the limit machinery applies and every ratio log_a(count)/volume is a
-true upper bound for the entropy.  entropy_bounds counts with the sweep
+entropy bracket; these counts are submultiplicative under splitting any
+side, so the limit machinery applies and every ratio log_a(count)/volume
+is a true upper bound for the entropy.  entropy_bounds counts with the sweep
 below in every dimension; in one dimension its layers, the exact word
 counts per window, also bound the window transfer matrix's Perron root
 on both sides (Collatz-Wielandt; premise: the matrix is nonnegative and
@@ -61,7 +61,6 @@ __all__ = [
     "CapExceededError",
     "ForbiddenPattern",
     "SftSpec",
-    "PatternCount",
     "count_patterns",
     "transfer_matrix_count_1d",
     "transfer_matrix_1d",
@@ -144,12 +143,6 @@ class SftSpec(_Record):
             if any(not 0 <= s < alphabet for s in pat.symbols):
                 raise DomainError("pattern symbol outside the alphabet")
         super().__init__(alphabet, dim, forbidden)
-
-
-class PatternCount(NamedTuple):
-    sides: tuple[int, ...]
-    count: int
-    admissibility = "locally_admissible"  # the one convention (module docstring)
 
 
 def _validate_sides(sft: SftSpec, sides: Sequence[int]) -> tuple[int, ...]:
@@ -313,7 +306,7 @@ def _row_layers(kinds: list[_Kind], cell_kinds: list[int], span: int, bits: int,
         yield layer
 
 
-def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
+def count_patterns(sft: SftSpec, sides: Sequence[int]) -> int:
     """Exactly count locally admissible symbol boxes of the given sides.
 
     A forward sweep over cells in row-major order, read one full row at
@@ -340,7 +333,7 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
     a = _mirror_meet_rows(sft, sides, span)
     if a is None:
         *_, last = layers
-        return PatternCount(sides=sides, count=sum(last.values()))
+        return sum(last.values())
     b = sides[0] + 1 - a
     low = (1 << (bits * width)) - 1
     last_rows: dict[int, dict[int, int]] = {}
@@ -350,8 +343,7 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> PatternCount:
             for window, prefixes in layer.items():
                 projected[window & low] = projected.get(window & low, 0) + prefixes
     bottom = last_rows[b]
-    return PatternCount(sides=sides, count=sum(c * bottom.get(row, 0)
-                                               for row, c in last_rows[a].items()))
+    return sum(c * bottom.get(row, 0) for row, c in last_rows[a].items())
 
 
 def _exact_log(value: Fraction, alphabet: int) -> int | None:
@@ -609,7 +601,7 @@ class EntropyBracket(NamedTuple):
     best_upper: float
     truncated: bool
     best_lower: float | None = None
-    admissibility = PatternCount.admissibility
+    admissibility = "locally_admissible"  # the one convention (module docstring)
 
     def to_json_dict(self) -> dict:
         return {
@@ -657,7 +649,7 @@ def entropy_bounds(sft: SftSpec, max_side: int) -> EntropyBracket:
     if sft.dim == 1:
         sides_bounds = _transfer_sides_1d(sft, max_side)
     else:
-        sides_bounds = ((count_patterns(sft, (n,) * sft.dim).count, None, None)
+        sides_bounds = ((count_patterns(sft, (n,) * sft.dim), None, None)
                         for n in itertools.count(1))
     for n in range(1, max_side + 1):
         try:
@@ -701,7 +693,7 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
 
     def count(sides: tuple[int, ...]) -> int:
         if sides not in counts:
-            counts[sides] = count_patterns(sft, sides).count
+            counts[sides] = count_patterns(sft, sides)
         return counts[sides]
 
     violations: list[Violation] = []

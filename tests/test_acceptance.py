@@ -184,14 +184,14 @@ def test_criterion_07_pattern_counts_exact():
         fib.append(fib[-1] + fib[-2])
     golden = builtin_sft("golden_mean_1d")
     golden_ok = all(
-        count_patterns(golden, (n,)).count == fib[n + 2]
+        count_patterns(golden, (n,)) == fib[n + 2]
         and transfer_matrix_count_1d(golden, n) == fib[n + 2]
         for n in range(1, 21)
     )
 
     full = builtin_sft("full_shift")
     full_ok = all(
-        count_patterns(full, sides).count == 2 ** (sides[0] * sides[1])
+        count_patterns(full, sides) == 2 ** (sides[0] * sides[1])
         for sides in ((1, 1), (2, 3), (3, 4), (4, 6), (2, 12), (24, 1), (4, 4))
     )
 
@@ -209,7 +209,7 @@ def test_criterion_07_pattern_counts_exact():
             total += good
         return total
 
-    hard_ok = all(count_patterns(hard, (n, n)).count == brute(n) for n in range(1, 5))
+    hard_ok = all(count_patterns(hard, (n, n)) == brute(n) for n in range(1, 5))
     ok = golden_ok and full_ok and hard_ok
     _report(7, ok,
             f"golden==fib(n+2) n<=20: {golden_ok}; full shift 2^(n1*n2): {full_ok}; "

@@ -34,10 +34,10 @@ from fekete_lab.registry import (
     Domain,
     FiniteSetFunction,
     FunctionOracle,
-    TabulatedFunction,
     builtin,
     cardinality_set_function,
     set_function_from_integer,
+    tabulated_oracle,
 )
 from fekete_lab.sampling import SampleBudget, integer_in, uniform_in
 
@@ -105,9 +105,7 @@ def test_four_term_equality_case_not_reported():
 
 
 def test_four_term_crafted_violation():
-    table = TabulatedFunction(axes=((1.0, 2.0), (1.0, 2.0)),
-                              values=(2.0, 2.0, 2.0, 9.0))
-    oracle = table.to_oracle("crafted")
+    oracle = tabulated_oracle(((1.0, 2.0), (1.0, 2.0)), (2.0, 2.0, 2.0, 9.0), "crafted")
     report = check_four_term(oracle, BUDGET)
     hit = report.find(((1.0, 1.0), (1.0, 1.0)))
     assert hit is not None and hit.lhs == 9.0 and hit.rhs == 8.0
@@ -269,7 +267,7 @@ def test_large_tabulated_domains_are_sampled_on_grid():
     for x in axis:
         for y in axis:
             values.append(1000.0 if (x, y) == (20.0, 20.0) else x + y)
-    oracle = TabulatedFunction(axes=(axis, axis), values=tuple(values)).to_oracle("big")
+    oracle = tabulated_oracle((axis, axis), values, "big")
     report = check_joint(oracle, SampleBudget(count=4000, seed=11))
     assert report.samples_checked > 100  # random grid pairs actually ran
     assert any(tuple(a + b for a, b in zip(*v.witness)) == (20.0, 20.0)
@@ -280,8 +278,7 @@ def test_componentwise_checks_on_tables_screen_the_sum_point():
     # x1^2 x2 on an 8 x 7 grid: x1^2 breaks subadditivity along axis 0, and
     # x + y_0 e_0 is often on the grid when x + y is not (axis 1 is odd)
     axes = (tuple(float(k) for k in range(1, 9)), tuple(float(k) for k in range(1, 14, 2)))
-    oracle = TabulatedFunction(axes=axes, values=tuple(
-        a * a * b for a in axes[0] for b in axes[1])).to_oracle("sq")
+    oracle = tabulated_oracle(axes, [a * a * b for a in axes[0] for b in axes[1]], "sq")
     report = check_componentwise(oracle, SampleBudget(seed=1))
     assert report.samples_checked > 1000 and report.violation_count > 100
     assert {v.axis for v in report.violations} == {0}
@@ -450,8 +447,8 @@ def test_batch_engine_matches_the_scalar_reference_loop():
                           array_fn=lambda x1, x2: np.abs(x1) * np.abs(x2) % 7 - 2.0)
     # a 12 x 12 grid (too large to probe) on which x1 + x2 breaks at the far corner
     axis = tuple(float(k) for k in range(1, 13))
-    table = TabulatedFunction(axes=(axis, axis), values=tuple(
-        100.0 if x + y > 20 else x + y for x in axis for y in axis)).to_oracle("grid")
+    table = tabulated_oracle((axis, axis), [100.0 if x + y > 20 else x + y
+                                            for x in axis for y in axis], "grid")
     hits, moved = 0, {}
     for oracle in (builtin("sqrt_prod"), builtin("neg_x1_sqrt_x2"), zint, table):
         for seed in (-1, 2024):

@@ -153,6 +153,30 @@ def test_subshift_spec_numbers_must_be_json_integers(tmp_path, capsys, spec, fie
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 1, "axes": [[true, "2", 3]], "values": ["1e0", false, 3]}',
+     "axes[0] must be a number, got True"),
+    ('{"dim": 1, "axes": [[1, 2, 3]], "values": ["1e0", false, 3]}',
+     "values must be a number, got '1e0'"),
+    ('{"dim": 1, "axes": [[1, 2, 3]], "values": [1, NaN, 3]}',
+     "values[1] is NaN, which is not an extended real"),
+    ('{"dim": 1, "axes": [[1, 2, Infinity]], "values": [1, 2, 3]}',
+     "axes[0] must be nonempty, finite and strictly increasing, got [1.0, 2.0, inf]"),
+    ('{"dim": 1, "axes": [[1, 2, NaN]], "values": [1, 2, 3]}',
+     "axes[0] must be nonempty, finite and strictly increasing, got [1.0, 2.0, nan]"),
+], ids=["bool_axis", "string_value", "nan_value", "inf_axis", "nan_axis"])
+def test_table_numbers_must_be_json_numbers(tmp_path, capsys, text, message):
+    # float() would read true as 1 and "1e0" as 1, and an infinite or NaN
+    # axis point passes the order test but is never drawn: another table
+    # than the one written, checked clean or flooded with hits
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    assert run(["check", "--table", path, "--mode", "componentwise",
+                "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("entropy", {"sft": "golden_mean_1d", "max_side": "abc"}),
     ("check", {"fn": "abs", "mode": "joint", "count": "x"}),
@@ -434,15 +458,14 @@ def test_shift_mode(tmp_path):
 
 
 def test_evaluation_fault_exits_four(tmp_path, capsys):
-    # an oracle fault at a grid point: f(1) + f(2) is inf + -inf, or f(1) is NaN
-    table = tmp_path / "nan.json"
-    for values, message in [
-            ([math.inf, -math.inf, 1, 2], "indeterminate sum inf + -inf"),
-            ([math.nan, 1, 2, 3], "joint check of 'nan': 'nan' produced NaN at (1.0,)")]:
-        table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]], "values": values}))
-        assert run(["check", "--table", table, "--mode", "joint",
-                    "--count", 50, "--out", tmp_path / "out"]) == 4
-        assert capsys.readouterr().err == f"internal error: {message}\n"
+    # an oracle fault at a grid point: f(1) + f(2) is inf + -inf (a NaN
+    # table value is refused at load, test_table_numbers_must_be_json_numbers)
+    table = tmp_path / "inf.json"
+    table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]],
+                                 "values": [math.inf, -math.inf, 1, 2]}))
+    assert run(["check", "--table", table, "--mode", "joint",
+                "--count", 50, "--out", tmp_path / "out"]) == 4
+    assert capsys.readouterr().err == "internal error: indeterminate sum inf + -inf\n"
 
 
 @pytest.mark.parametrize("growth, extra", [

@@ -19,11 +19,9 @@ from fekete_lab.levelset import (BoxScan, LemmaCheckRow, LevelSetSpec, LineScan,
                                  MeasureEstimate, RationalBoxScan, UnboundednessDemo)
 from fekete_lab.limits import (DecompositionBound, DecompositionTerm, IteratedLimit,
                                LevelSummary, LimitBracket)
-from fekete_lab.registry import (Domain, FiniteSetFunction, FunctionOracle, KnownLimit,
-                                 TabulatedFunction)
+from fekete_lab.registry import Domain, FiniteSetFunction, FunctionOracle, KnownLimit
 from fekete_lab.sampling import SampleBudget
-from fekete_lab.subshift import (EntropyBracket, EntropyEntry, ForbiddenPattern, PatternCount,
-                                 SftSpec)
+from fekete_lab.subshift import EntropyBracket, EntropyEntry, ForbiddenPattern, SftSpec
 from fekete_lab.svgplot import PlotSeries
 
 MODULES = ("domain", "registry", "sampling", "checks", "limits", "levelset", "subshift",
@@ -35,8 +33,7 @@ def _violation() -> dict:
 
 
 def _estimate() -> dict:
-    return {"value": 0.5, "method": "grid_quadrature", "detail": {"cells_per_axis": 4},
-            "error_bound": 0.125}
+    return {"value": 0.5, "method": "grid_quadrature", "error_bound": 0.125}
 
 
 def _level() -> dict:
@@ -55,7 +52,6 @@ RECORDS = {
     KnownLimit: lambda: {"value": 1.0, "note": "analytic"},
     FunctionOracle: lambda: {"name": "abs", "domain": Domain(dim=1), "array_fn": np.abs,
                              "known_limit": KnownLimit(1.0, "analytic")},
-    TabulatedFunction: lambda: {"axes": ((1.0, 2.0),), "values": (3.0, 4.0)},
     FiniteSetFunction: lambda: {"name": "cardinality", "fn": len},
     SampleBudget: lambda: {"count": 50, "seed": 7},
     Violation: _violation,
@@ -75,20 +71,17 @@ RECORDS = {
                                  "terms": (DecompositionTerm((0,), 1, (1.5,), 1.5),)},
     LevelSetSpec: lambda: {"t": Point((1.0, 1.0)), "k": 0.5},
     MeasureEstimate: _estimate,
-    BoxScan: lambda: {"box": ((0.0, 1.0),), "resolution": 2, "minimum": 0.0, "maximum": 1.0,
-                      "argmin": (0.0,), "argmax": (1.0,)},
+    BoxScan: lambda: {"minimum": 0.0, "maximum": 1.0, "argmin": (0.0,), "argmax": (1.0,)},
     LemmaCheckRow: lambda: {"anchor": (1.0,), "k": 0.5,
                             "estimate": MeasureEstimate(**_estimate()), "bound": 0.5,
                             "margin": 0.0, "holds": True},
     LineScan: lambda: {"x": Fraction(3, 2), "denominator_bound": 2, "max_value": 2, "ok": True},
     UnboundednessDemo: lambda: {"diagonal": (((Fraction(2), Fraction(2)), 1),),
                                 "line_scans": (LineScan(Fraction(3, 2), 2, 2, True),)},
-    RationalBoxScan: lambda: {"q_max": 1, "grid_size": 4, "minimum": 1, "maximum": 1,
-                              "argmax": (Fraction(1), Fraction(1))},
+    RationalBoxScan: lambda: {"minimum": 1, "maximum": 1, "argmax": (Fraction(1), Fraction(1))},
     ForbiddenPattern: lambda: {"offsets": ((0,), (1,)), "symbols": (1, 1)},
     SftSpec: lambda: {"alphabet": 2, "dim": 1,
                       "forbidden": (ForbiddenPattern(((0,), (1,)), (1, 1)),)},
-    PatternCount: lambda: {"sides": (3,), "count": 5},
     EntropyEntry: lambda: {"sides": (3,), "count": 5, "log_value": 2.3, "ratio": 0.78,
                            "running_min": 0.78, "transfer_upper": 0.7},
     EntropyBracket: lambda: {"entries": (EntropyEntry((3,), 5, 2.3, 0.78, 0.78),),
@@ -96,7 +89,7 @@ RECORDS = {
     PlotSeries: lambda: {"name": "ratio", "points": ((1.0, 2.0),), "dashed": True},
 }
 # a dict field makes the record unhashable
-UNHASHABLE = {ViolationReport, MeasureEstimate, LemmaCheckRow}
+UNHASHABLE = {ViolationReport}
 
 
 def test_every_exported_record_class_is_covered():

@@ -12,7 +12,6 @@ import pytest
 
 from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError
 from fekete_lab.registry import (
-    TabulatedFunction,
     builtin,
     builtin_names,
     cardinality_set_function,
@@ -20,11 +19,13 @@ from fekete_lab.registry import (
     load_tabulated,
     rubin_eval,
     set_function_from_integer,
+    tabulated_oracle,
 )
 from fekete_lab.sampling import integer_in, uniform_in
 
 
 def test_builtin_values():
+    assert builtin("sqrt_prod") is builtin("sqrt_prod")  # one immutable oracle per name
     assert builtin("sqrt_prod").evaluate((3, 3)) == 3.0
     assert builtin("nmod2").evaluate((0,)) == 0.0
     assert builtin("full_shift_count_log").evaluate((2, 3)) == 6.0
@@ -106,19 +107,19 @@ def test_array_fn_matches_fn_bit_for_bit():
 
 
 def test_tabulated_lookup_matches_axis_index_bit_for_bit():
-    table = TabulatedFunction(axes=((-2.0, 0.0, 1.5), (0.25, 3.0), (-1.0, 7.0)),
-                              values=tuple(np.linspace(-5.5, 6.0, 12).tolist()[:-1]) + (-0.0,))
-    grid = [(x, y, z) for x in table.axes[0] for y in table.axes[1] for z in table.axes[2]]
+    axes = ((-2.0, 0.0, 1.5), (0.25, 3.0), (-1.0, 7.0))
+    values = tuple(np.linspace(-5.5, 6.0, 12).tolist()[:-1]) + (-0.0,)
+    grid = [(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]]
     rows = [grid[int(j)] for j in integer_in(5, np.arange(300, dtype=np.uint64), 0, 11)]
     rows.append((-0.0, 3.0, 7.0))
 
     def reference(p) -> float:
         index = 0
-        for c, axis in zip(p, table.axes):
+        for c, axis in zip(p, axes):
             index = index * len(axis) + axis.index(c)
-        return table.values[index]
+        return values[index]
 
-    batch = table.to_oracle("t").evaluate_points(list(np.array(rows).T))
+    batch = tabulated_oracle(axes, values, "t").evaluate_points(list(np.array(rows).T))
     assert _same_bits(batch, [reference(p) for p in rows])
 
 
@@ -156,9 +157,8 @@ def test_nmod2_group_sign_lemma_exhaustive():
 
 
 def test_tabulated_lookup_and_errors():
-    table = TabulatedFunction(axes=((1.0, 2.0), (1.0, 2.0)),
-                              values=(1.0, 2.0, 3.0, 4.0))
-    oracle = table.to_oracle("demo")
+    oracle = tabulated_oracle(((1.0, 2.0), (1.0, 2.0)), (1.0, 2.0, 3.0, 4.0), "demo")
+    assert oracle.name == "demo" and oracle.domain.grid_axes == ((1.0, 2.0), (1.0, 2.0))
     assert oracle.evaluate((2.0, 1.0)) == 3.0
     with pytest.raises(DomainError):
         oracle.evaluate((1.5, 1.0))
@@ -166,21 +166,29 @@ def test_tabulated_lookup_and_errors():
 
 def test_tabulated_shape_validation():
     with pytest.raises(DomainError):
-        TabulatedFunction(axes=((1.0, 2.0),), values=(1.0, 2.0, 3.0))
+        tabulated_oracle(((1.0, 2.0),), (1.0, 2.0, 3.0))
     with pytest.raises(DomainError):
-        TabulatedFunction(axes=((2.0, 1.0),), values=(1.0, 2.0))
+        tabulated_oracle(((2.0, 1.0),), (1.0, 2.0))
+    with pytest.raises(DomainError, match="at least one axis"):
+        tabulated_oracle((), ())
+    # an infinite or NaN coordinate would pass the order test and never be drawn
+    for axis in ((1.0, 2.0, math.inf), (1.0, 2.0, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(DomainError, match=r"^axes\[0\] must be nonempty, finite"):
+            tabulated_oracle((axis,), (1.0,) * len(axis))
+    with pytest.raises(DomainError, match=r"^values\[1\] is NaN"):
+        tabulated_oracle(((1.0, 2.0, 3.0),), (1.0, math.nan, 3.0))
 
 
 def test_tabulated_round_trip_bitwise(tmp_path):
-    table = TabulatedFunction(
-        axes=((0.1, 1.7, 2.0), (3.0, 4.5)),
-        values=(0.1, -2.25, math.pi, 4.0, 5.5, -0.875))
+    axes = ((0.1, 1.7, 2.0), (3.0, 4.5))
+    values = (0.1, -2.25, math.pi, 4.0, 5.5, -0.875)
     path = tmp_path / "table.json"
-    path.write_text(json.dumps({"dim": 2, "axes": table.axes, "values": table.values}))
+    path.write_text(json.dumps({"dim": 2, "axes": axes, "values": values}))
     oracle = load_tabulated(path)
-    for i, x in enumerate(table.axes[0]):
-        for j, y in enumerate(table.axes[1]):
-            assert oracle.evaluate((x, y)) == table.values[i * 2 + j]
+    assert oracle.name == "table"
+    for i, x in enumerate(axes[0]):
+        for j, y in enumerate(axes[1]):
+            assert oracle.evaluate((x, y)) == values[i * 2 + j]
 
 
 def test_tabulated_parse_failure(tmp_path):
@@ -196,6 +204,10 @@ def test_tabulated_parse_failure(tmp_path):
         bad.write_text(json.dumps({"dim": dim, "axes": [[1, 2]], "values": [1, 2]}))
         with pytest.raises(ConfigError, match=f"^dim must be an integer, got {dim!r}$"):
             load_tabulated(bad)
+    # a JSON integer past the float range is malformed, not an internal error
+    bad.write_text('{"dim": 1, "axes": [[1, 2]], "values": [1, 1' + "0" * 400 + "]}")
+    with pytest.raises(ConfigError, match="too large to convert to float"):
+        load_tabulated(bad)
 
 
 def test_set_function_lift():

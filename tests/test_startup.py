@@ -28,9 +28,9 @@ EXPORTS = {
               "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
               "ScheduleError as_point default_schedule directed_upper_bound "
               "orthant_reflect product_leq qr_decompose",
-    "registry": "Domain FiniteSetFunction FunctionOracle KnownLimit "
-                "TabulatedFunction builtin builtin_names cardinality_set_function "
-                "load_set_family load_tabulated rubin_eval set_function_from_integer",
+    "registry": "Domain FiniteSetFunction FunctionOracle KnownLimit builtin builtin_names "
+                "cardinality_set_function load_set_family load_tabulated rubin_eval "
+                "set_function_from_integer tabulated_oracle",
     "sampling": "SampleBudget",
     "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
               "check_monoid_sign check_set_union check_shifted_subadditivity",
@@ -39,7 +39,7 @@ EXPORTS = {
     "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
                 "compact_bound_scan levelset_measure rubin_rational_box_scan "
                 "rubin_unboundedness_demo",
-    "subshift": "CapExceededError EntropyBracket ForbiddenPattern PatternCount SftSpec "
+    "subshift": "CapExceededError EntropyBracket ForbiddenPattern SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
                 "count_patterns dominant_eigenvalue entropy_bounds load_sft_spec "
                 "transfer_matrix_1d transfer_matrix_count_1d",
@@ -153,9 +153,11 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
-               "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational"],
+               "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational",
+                            "TabulatedFunction", "_parse_tabulated"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
-                            "folner_box_ratio", "_transfer_uppers_1d", "_log_upper"]}
+                            "folner_box_ratio", "_transfer_uppers_1d", "_log_upper",
+                            "PatternCount"]}
     for module, names in removed.items():
         mod = importlib.import_module(f"fekete_lab.{module}")
         for name in names:
@@ -164,16 +166,16 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     from fekete_lab.domain import Orthant
     from fekete_lab.levelset import BoxScan, RationalBoxScan
     from fekete_lab.limits import LimitBracket
-    from fekete_lab.registry import FiniteSetFunction, TabulatedFunction
-    for cls in (TabulatedFunction, BoxScan, RationalBoxScan):
+    from fekete_lab.registry import FiniteSetFunction
+    for cls in (BoxScan, RationalBoxScan):
         assert not hasattr(cls, "to_json_dict"), cls.__name__
     assert "translation_invariant" not in fields(FiniteSetFunction)
     from fekete_lab.sampling import SampleBudget
-    from fekete_lab.subshift import EntropyBracket, PatternCount, builtin_sft
+    from fekete_lab.subshift import EntropyBracket, builtin_sft
     assert fields(SampleBudget) == ("count", "seed")
     assert list(inspect.signature(builtin_sft).parameters) == ["name"]
-    for cls, name in ((PatternCount, "admissibility"), (EntropyBracket, "admissibility"),
-                      (BoxScan, "note"), (LimitBracket, "sense")):
+    for cls, name in ((EntropyBracket, "admissibility"), (BoxScan, "note"),
+                      (LimitBracket, "sense")):
         assert name not in fields(cls), cls.__name__
         assert isinstance(getattr(cls, name), str), cls.__name__
     assert "best_lower" not in fields(LimitBracket)

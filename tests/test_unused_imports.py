@@ -1,13 +1,16 @@
 """No module under src/, demos/ or tests/ imports a name that it never uses,
-no private module-level name under src/ goes unreferenced, and no module
-under src/ imports dataclasses.
+no private module-level name under src/ goes unreferenced, no record field
+under src/ goes unread, and no module under src/ imports dataclasses.
 
 Each scope is checked on its own: an import inside a function must be
 used inside that function, so a handler that stops using a name it
 imports locally is caught even when another handler uses the same name.
 A private function, class or constant (one leading underscore) is
 referenced when some module under src/ loads it by name or as an
-attribute, so a helper left behind by a deletion is caught.  The
+attribute, so a helper left behind by a deletion is caught.  A record
+field (a NamedTuple's annotated name or a _Record's __slots__ entry) is
+read when some module under src/, demos/, bench/, tools/ or tests/ loads
+it as an attribute, so a field that every caller ignores is caught.  The
 package's records are NamedTuples or slotted classes: a dataclass
 generates and compiles its methods each time its module loads, which
 every CLI run would pay at start-up.
@@ -23,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = sorted([*SOURCES, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*MODULES, *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -115,6 +119,45 @@ def test_the_scan_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_name():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+def _record_fields(tree: ast.Module):
+    """(class, field) for each field of the module's record classes: the
+    annotated names of a NamedTuple and the __slots__ of a _Record."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for stmt in node.body:
+            if "NamedTuple" in bases and isinstance(stmt, ast.AnnAssign):
+                yield node.name, stmt.target.id
+            elif "_Record" in bases and isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                yield from ((node.name, c.value) for c in ast.walk(stmt.value)
+                            if isinstance(c, ast.Constant))
+
+
+def unread_record_fields(definitions: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module: Class.field for each record field of definitions that no reader
+    loads as an attribute."""
+    read = {node.attr for source in readers.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}: {cls}.{field}" for module, source in definitions.items()
+                  for cls, field in _record_fields(ast.parse(source)) if field not in read)
+
+
+def test_the_scan_finds_an_unread_record_field():
+    definitions = {"a": "class R(NamedTuple):\n    x: int\n    y: int\n    label = 'r'\n"
+                        "class S(_Record):\n    __slots__ = ('p', 'q')\n"
+                        "class T:\n    z: int\n"}
+    readers = {**definitions, "b": "r.x\nprint(s.q)\ns.p = 1\n"}
+    assert unread_record_fields(definitions, readers) == ["a: R.y", "a: S.p"]
+
+
+def test_no_record_field_is_unread():
+    definitions = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert unread_record_fields(definitions, readers) == []
 
 
 def dataclasses_imports(source: str) -> list[str]:

@@ -5,11 +5,14 @@
 PARENT_SRC and CHANGE_SRC are directories that hold the fekete_lab
 package, such as the `src` of two checkouts.  Every job of
 bench/workloads.py's WORKLOADS runs at seeds 1 and 2, on the inputs that
-make_inputs writes for that seed, and each of the 8 commands of
-acceptance criterion 10 (tests/test_acceptance.py) runs once.  Every run
-is a fresh interpreter with PYTHONPATH set to one tree and
-`--no-timestamp`, writing to `out` in a scratch directory of its own, so
-the two sides see the same relative paths.
+make_inputs writes for that seed, each of the 8 commands of acceptance
+criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
+on a table that this script writes: `check --table` in modes all and
+componentwise at seeds 1 and 2, and `limit --table`, which refuses a
+finite grid and exits 2.  Every run is a fresh interpreter with
+PYTHONPATH set to one tree and `--no-timestamp`, writing to `out` in a
+scratch directory of its own, so the two sides see the same relative
+paths.
 
 Prints one line per command that differs, naming what differs: the exit
 code, stdout, stderr, or an output file by name.  Exits 0 when nothing
@@ -20,6 +23,8 @@ from bench/ and changes nothing there.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -47,6 +52,20 @@ CRITERION_10 = (
     ("entropy", "--sft", "hard_square_2d", "--max-side", "8"),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1,1", "--cells", "500", "--seed", "7"),
 )
+TABLE = "table.json"
+TABLE_COMMANDS = (
+    *(("check", "--table", TABLE, "--mode", mode, "--seed", str(seed))
+      for mode in ("all", "componentwise") for seed in SEEDS),
+    ("limit", "--table", TABLE),
+)
+
+
+def write_table(path: Path) -> None:
+    """sqrt(x1*x2), componentwise subadditive but not jointly, on the grid
+    {1, ..., 30}^2, with a bump to 100 at (20, 20) that breaks it along each axis."""
+    axis = list(range(1, 31))
+    values = [100.0 if x == y == 20 else math.sqrt(x * y) for x in axis for y in axis]
+    path.write_text(json.dumps({"dim": 2, "axes": [axis, axis], "values": values}))
 
 
 def commands() -> list[tuple[int | None, tuple[str, ...]]]:
@@ -54,7 +73,8 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
     runs: list[tuple[int | None, tuple[str, ...]]] = [
         (seed, (*job.argv, "--seed", str(seed), "--no-timestamp"))
         for seed in SEEDS for jobs in WORKLOADS.values() for job in jobs]
-    return runs + [(None, (*argv, "--no-timestamp")) for argv in CRITERION_10]
+    return runs + [(None, (*argv, "--no-timestamp"))
+                   for argv in (*CRITERION_10, *TABLE_COMMANDS)]
 
 
 def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
@@ -82,10 +102,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         runs = commands()
+        for workdir in workdirs:
+            workdir.mkdir()
+            write_table(workdir / TABLE)
         for seed, args in runs:
             for workdir in workdirs:
                 shutil.rmtree(workdir / "inputs", ignore_errors=True)
-                workdir.mkdir(exist_ok=True)
                 if seed is not None:
                     make_inputs(workdir, seed)
             parent, change = (run(src, workdir, args) for src, workdir in zip(sides, workdirs))
@@ -93,8 +115,9 @@ def main(argv: list[str] | None = None) -> int:
                     if parent.get(key) != change.get(key)]
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
-    print(f"{len(runs)} commands ({len(runs) - len(CRITERION_10)} bench runs at seeds "
-          f"{', '.join(map(str, SEEDS))}, {len(CRITERION_10)} criterion-10 commands): "
+    bench = len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS)
+    print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
+          f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands): "
           f"{len(runs) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
         print(f"  differs: {line}")
