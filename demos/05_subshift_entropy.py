@@ -7,8 +7,7 @@ and every evaluated ratio is a certified upper bound.  For
 one-dimensional subshifts the exact per-state word counts also bound
 the window transfer matrix's Perron root from both sides
 (Collatz-Wielandt), a certified two-sided bracket that closes
-geometrically; the eigenvalues of the same matrix give an independent
-float cross-check.
+geometrically around the closed-form entropy of the golden mean shift.
 """
 
 import math
@@ -17,34 +16,30 @@ from fekete_lab import (
     builtin_sft,
     check_count_submultiplicativity,
     count_patterns,
-    dominant_eigenvalue,
     entropy_bounds,
-    transfer_matrix_1d,
-    transfer_matrix_count_1d,
 )
 
 print("== golden mean shift: binary strings with no adjacent ones ==")
 golden = builtin_sft("golden_mean_1d")
 print("n :", *[f"{n:>6}" for n in range(1, 11)])
 print("count:", *[f"{count_patterns(golden, (n,)):>6}" for n in range(1, 11)])
-print("(the Fibonacci numbers, via the frontier-window sweep)")
-print("transfer-matrix route agrees:",
-      all(transfer_matrix_count_1d(golden, n) == count_patterns(golden, (n,))
-          for n in range(1, 21)))
+fib = [0, 1]
+while len(fib) < 23:
+    fib.append(fib[-1] + fib[-2])
+print("the Fibonacci numbers fib(n+2), via the frontier-window sweep, for n <= 20:",
+      all(count_patterns(golden, (n,)) == fib[n + 2] for n in range(1, 21)))
 
 bracket = entropy_bounds(golden, 16)
-states, matrix = transfer_matrix_1d(golden)
-lam = dominant_eigenvalue(matrix)
+entropy = math.log2((1 + math.sqrt(5)) / 2)
 cube_bound = min(e.ratio for e in bracket.entries)
 print(f"upper bound at side 16: {bracket.best_upper:.9f}")
-print(f"dominant eigenvalue {lam:.9f} -> entropy {math.log2(lam):.9f} "
-      f"(= log2 of the golden ratio)")
+print(f"entropy log2 of the golden ratio, from its closed form: {entropy:.9f}")
 print(f"the cube-ratio bound converges like 0.23/n: gap at 16 is "
-      f"{cube_bound - math.log2(lam):.4f}")
+      f"{cube_bound - entropy:.4f}")
 print(f"certified two-sided bracket at side 16: [{bracket.best_lower!r}, "
       f"{bracket.best_upper!r}], width {bracket.best_upper - bracket.best_lower:.1e}")
-assert bracket.best_lower <= math.log2(lam) <= bracket.best_upper
-print("the float eigenvalue log lies inside it")
+assert bracket.best_lower <= entropy <= bracket.best_upper
+print("the closed-form entropy lies inside it")
 
 print()
 print("== hard squares: no two adjacent ones in the plane ==")

@@ -51,8 +51,7 @@ _EXPORTS = {
     "subshift": (
         "CapExceededError", "EntropyBracket", "ForbiddenPattern", "SftSpec",
         "builtin_sft", "builtin_sft_names", "check_count_submultiplicativity",
-        "count_patterns", "dominant_eigenvalue", "entropy_bounds", "load_sft_spec",
-        "transfer_matrix_1d", "transfer_matrix_count_1d",
+        "count_patterns", "entropy_bounds", "load_sft_spec",
     ),
 }
 _MODULES = ("cli", "ioutil", "svgplot", *_EXPORTS)

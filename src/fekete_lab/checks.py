@@ -14,9 +14,9 @@ rather than every failing input, and counts the rest.  Sampling can only
 refute, never prove: an empty report means "no violation found at this
 budget", nothing stronger.
 
-Every verdict is domain.exceeds(lhs, rhs), the one violation test of the
+Every verdict is registry.exceeds(lhs, rhs), the one violation test of the
 package: lhs > rhs + tau with a relative tolerance tau, so float
-rounding noise is never reported.  Every sum of values is domain.ext_add,
+rounding noise is never reported.  Every sum of values is registry.ext_add,
 which raises on inf + (-inf) instead of making NaN.
 """
 
@@ -28,8 +28,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import DomainError, EvaluationError, _Record, exceeds, ext_add
-from .registry import Domain, FiniteSetFunction, FunctionOracle
+from .domain import DomainError, EvaluationError, _Record
+from .registry import Domain, FiniteSetFunction, FunctionOracle, exceeds, ext_add
 from .sampling import SampleBudget, integer_in, uniform_in
 
 __all__ = [

@@ -26,8 +26,6 @@ __all__ = [
     "EvaluationError",
     "IndeterminateFormError",
     "as_extended",
-    "ext_add",
-    "exceeds",
     "Point",
     "as_point",
     "Orthant",
@@ -100,42 +98,6 @@ def as_extended(value: float) -> float:
     if math.isnan(x):
         raise EvaluationError("NaN is not a member of the extended reals")
     return x
-
-
-def ext_add(a, b):
-    """Add extended reals elementwise, raising on inf + (-inf).
-
-    a and b are floats or arrays that broadcast together; floats give a
-    float.  The error names the first clashing pair of elements.  A sum
-    past the largest float is inf, as for floats, without a warning.
-    """
-    import numpy as np
-    clash = np.isinf(a) & (np.negative(a) == b)
-    if clash.any():
-        a, b = np.broadcast_arrays(a, b)
-        j = int(np.argmax(clash))
-        raise IndeterminateFormError(f"indeterminate sum {float(a.flat[j])} + {float(b.flat[j])}")
-    with np.errstate(over="ignore"):
-        return a + b
-
-
-# Relative tolerance for inequality checks; the guarded inequalities are
-# exact over the reals, so anything below a few ulps is rounding noise.
-REL_TOL = 2.0 ** -26
-
-
-def exceeds(lhs, rhs):
-    """Elementwise lhs > rhs + tau: the violation test of every check and bound.
-
-    tau is REL_TOL times max(1, |lhs|, |rhs|), and 0 where either side is
-    infinite.  lhs and rhs are floats or arrays that broadcast together.
-    """
-    import numpy as np
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    tol = np.where(np.isinf(lhs) | np.isinf(rhs), 0.0,
-                   REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
-    with np.errstate(over="ignore"):  # rhs + tau past the largest float is inf
-        return lhs > rhs + tol
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import DomainError, Point, _Record, as_point, exceeds
-from .registry import FunctionOracle, rubin_eval
+from .domain import DomainError, Point, _Record, as_point
+from .registry import FunctionOracle, exceeds, rubin_eval
 
 # fractions is imported where it is used: only the exact rubin functions need it
 if TYPE_CHECKING:

@@ -34,12 +34,10 @@ from .domain import (
     as_extended,
     as_point,
     default_schedule,
-    exceeds,
-    ext_add,
     qr_decompose,
 )
 from .ioutil import CSV_BLOCK_ROWS
-from .registry import FunctionOracle
+from .registry import FunctionOracle, exceeds, ext_add
 
 __all__ = [
     "LimitBracket",

@@ -29,6 +29,7 @@ from .domain import (
     DimensionMismatchError,
     DomainError,
     EvaluationError,
+    IndeterminateFormError,
     Orthant,
     Point,
     _Record,
@@ -43,6 +44,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
+    "ext_add",
+    "exceeds",
     "Domain",
     "KnownLimit",
     "FunctionOracle",
@@ -56,6 +59,44 @@ __all__ = [
     "cardinality_set_function",
     "load_set_family",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Extended-real arithmetic over arrays
+# ---------------------------------------------------------------------------
+
+def ext_add(a, b):
+    """Add extended reals elementwise, raising on inf + (-inf).
+
+    a and b are floats or arrays that broadcast together; floats give a
+    float.  The error names the first clashing pair of elements.  A sum
+    past the largest float is inf, as for floats, without a warning.
+    """
+    clash = np.isinf(a) & (np.negative(a) == b)
+    if clash.any():
+        a, b = np.broadcast_arrays(a, b)
+        j = int(np.argmax(clash))
+        raise IndeterminateFormError(f"indeterminate sum {float(a.flat[j])} + {float(b.flat[j])}")
+    with np.errstate(over="ignore"):
+        return a + b
+
+
+# Relative tolerance for inequality checks; the guarded inequalities are
+# exact over the reals, so anything below a few ulps is rounding noise.
+REL_TOL = 2.0 ** -26
+
+
+def exceeds(lhs, rhs):
+    """Elementwise lhs > rhs + tau: the violation test of every check and bound.
+
+    tau is REL_TOL times max(1, |lhs|, |rhs|), and 0 where either side is
+    infinite.  lhs and rhs are floats or arrays that broadcast together.
+    """
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    tol = np.where(np.isinf(lhs) | np.isinf(rhs), 0.0,
+                   REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
+    with np.errstate(over="ignore"):  # rhs + tau past the largest float is inf
+        return lhs > rhs + tol
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +360,14 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
         raise ConfigError(f"cannot read tabulated function from {path}: {exc}") from exc
     try:
         dim = _json_int(obj["dim"], "dim")
-        axes = [[_json_float(c, f"axes[{i}]") for c in axis] for i, axis in enumerate(obj["axes"])]
-        values = [_json_float(v, "values") for v in obj["values"]]
+        axes = [[_json_float(c, f"axes[{i}][{j}]") for j, c in enumerate(axis)]
+                for i, axis in enumerate(obj["axes"])]
+        values = []
+        for k, v in enumerate(obj["values"]):
+            if isinstance(v, list):
+                raise ConfigError(f"values[{k}] must be a number, got {v!r}; "
+                                  "values is one flat, row-major list")
+            values.append(_json_float(v, f"values[{k}]"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed tabulated-function object: {exc}") from exc
     if len(axes) != dim:

@@ -28,7 +28,6 @@ from fekete_lab.domain import (
     EvaluationError,
     IndeterminateFormError,
     Orthant,
-    ext_add,
 )
 from fekete_lab.registry import (
     Domain,
@@ -36,6 +35,7 @@ from fekete_lab.registry import (
     FunctionOracle,
     builtin,
     cardinality_set_function,
+    ext_add,
     set_function_from_integer,
     tabulated_oracle,
 )

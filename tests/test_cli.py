@@ -155,9 +155,9 @@ def test_subshift_spec_numbers_must_be_json_integers(tmp_path, capsys, spec, fie
 
 @pytest.mark.parametrize("text, message", [
     ('{"dim": 1, "axes": [[true, "2", 3]], "values": ["1e0", false, 3]}',
-     "axes[0] must be a number, got True"),
+     "axes[0][0] must be a number, got True"),
     ('{"dim": 1, "axes": [[1, 2, 3]], "values": ["1e0", false, 3]}',
-     "values must be a number, got '1e0'"),
+     "values[0] must be a number, got '1e0'"),
     ('{"dim": 1, "axes": [[1, 2, 3]], "values": [1, NaN, 3]}',
      "values[1] is NaN, which is not an extended real"),
     ('{"dim": 1, "axes": [[1, 2, Infinity]], "values": [1, 2, 3]}',

@@ -18,12 +18,11 @@ from fekete_lab.domain import (
     Point,
     as_extended,
     directed_upper_bound,
-    exceeds,
-    ext_add,
     orthant_reflect,
     product_leq,
     qr_decompose,
 )
+from fekete_lab.registry import exceeds, ext_add
 from fekete_lab.sampling import uniform_in
 
 W00 = Orthant.from_string("00")

@@ -210,6 +210,23 @@ def test_tabulated_parse_failure(tmp_path):
         load_tabulated(bad)
 
 
+def test_tabulated_number_errors_name_the_index(tmp_path):
+    # a nested table, a list per row, is named at its first row, not as the
+    # whole of values
+    bad = tmp_path / "bad.json"
+    for table, message in (
+            ({"dim": 2, "axes": [[1, 2], [3, 4]], "values": [[1, 2], [3, 4]]},
+             "values[0] must be a number, got [1, 2]; values is one flat, row-major list"),
+            ({"dim": 2, "axes": [[1, 2], [1, "x"]], "values": [1, 2, 3, 4]},
+             "axes[1][1] must be a number, got 'x'"),
+            ({"dim": 1, "axes": [[1, 2, 3]], "values": [1, 2, None]},
+             "values[2] must be a number, got None")):
+        bad.write_text(json.dumps(table))
+        with pytest.raises(ConfigError) as raised:
+            load_tabulated(bad)
+        assert str(raised.value) == message
+
+
 def test_set_function_lift():
     g = set_function_from_integer(builtin("nmod2"))
     assert g.evaluate(()) == 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -18,6 +19,8 @@ from fekete_lab.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 NUMPY_BACKED = {"numpy", "fekete_lab.checks", "fekete_lab.limits", "fekete_lab.levelset",
                 "fekete_lab.registry", "fekete_lab.sampling"}
+# the package modules an entropy run loads; none may import numpy anywhere
+ENTROPY_PATH = ("__init__", "cli", "domain", "ioutil", "svgplot", "subshift")
 HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
     {"offsets": [[0, 0, 0], off], "symbols": [1, 1]}
     for off in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
@@ -41,8 +44,7 @@ EXPORTS = {
                 "rubin_unboundedness_demo",
     "subshift": "CapExceededError EntropyBracket ForbiddenPattern SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
-                "count_patterns dominant_eigenvalue entropy_bounds load_sft_spec "
-                "transfer_matrix_1d transfer_matrix_count_1d",
+                "count_patterns entropy_bounds load_sft_spec",
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 
@@ -55,6 +57,21 @@ def modules_after(code: str, cwd: Path) -> set[str]:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def numpy_imports(source: str) -> list[int]:
+    """The lines of source that import numpy or a numpy submodule, at any
+    depth: in function bodies and under TYPE_CHECKING too."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        lines += [node.lineno for m in modules if m.partition(".")[0] == "numpy"]
+    return lines
 
 
 def fields(cls: type) -> tuple[str, ...]:
@@ -100,7 +117,22 @@ def test_entropy_loads_no_numpy(tmp_path, sft):
                                     "--out", "out", "--no-timestamp"]), tmp_path)
     assert "fekete_lab.subshift" in loaded
     assert loaded & NUMPY_BACKED == set()
+    assert {m for m in loaded if m.partition(".")[0] == "fekete_lab"} == {
+        "fekete_lab", *(f"fekete_lab.{m}" for m in ENTROPY_PATH[1:])}
     assert json.loads((tmp_path / "out" / "entropy.json").read_text())["entries"]
+
+
+def test_the_numpy_scan_finds_imports_at_any_depth():
+    source = ("import os, numpy.linalg\nfrom typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "def f():\n    from numpy import zeros\n    from .numpy import x\n"
+              "class C:\n    def g(self):\n        import numpyro\n")
+    assert numpy_imports(source) == [1, 4, 6]
+
+
+@pytest.mark.parametrize("module", ENTROPY_PATH)
+def test_no_module_on_the_entropy_path_imports_numpy(module):
+    assert numpy_imports((SRC / "fekete_lab" / f"{module}.py").read_text()) == []
 
 
 def test_check_does_not_load_subshift(tmp_path):
@@ -149,7 +181,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         missing = set(names) - set(importlib.import_module(f"fekete_lab.{module}").__all__)
         assert missing == set(), module
     assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
-    removed = {"domain": ["ext_sum", "violation_tolerance"],
+    removed = {"domain": ["ext_sum", "violation_tolerance", "ext_add", "exceeds", "REL_TOL"],
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
@@ -157,7 +189,9 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                             "TabulatedFunction", "_parse_tabulated"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper",
-                            "PatternCount"]}
+                            "PatternCount", "transfer_matrix_count_1d", "transfer_matrix_1d",
+                            "dominant_eigenvalue", "MATRIX_STATE_CAP", "_window_counts_1d",
+                            "_successors_1d", "_ends_forbidden", "_word_patterns_1d"]}
     for module, names in removed.items():
         mod = importlib.import_module(f"fekete_lab.{module}")
         for name in names:
@@ -200,6 +234,8 @@ def test_star_import_and_submodule_attributes():
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         fekete_lab.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="transfer_matrix_1d"):
+        fekete_lab.transfer_matrix_1d  # noqa: B018
     with pytest.raises(ImportError):
         exec("from fekete_lab import no_such_name", {})
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_1d
 from fekete_lab import subshift
 from fekete_lab.cli import main as cli_main
 from fekete_lab.domain import ConfigError, DomainError
@@ -24,12 +25,10 @@ from fekete_lab.subshift import (
     builtin_sft,
     check_count_submultiplicativity,
     count_patterns,
-    dominant_eigenvalue,
     entropy_bounds,
     load_sft_spec,
-    transfer_matrix_1d,
-    transfer_matrix_count_1d,
 )
+from reference_1d import dominant_eigenvalue, transfer_matrix_1d, transfer_matrix_count_1d
 
 GOLDEN = builtin_sft("golden_mean_1d")
 HARD = builtin_sft("hard_square_2d")
@@ -320,7 +319,7 @@ def test_sweep_matches_the_window_dp_on_long_random_rows():
             patterns.append(ForbiddenPattern(tuple((o,) for o in offsets),
                                              tuple(rng.randrange(a) for _ in offsets)))
         sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
-        vectors = itertools.islice(subshift._window_counts_1d(sft), 1, 41)
+        vectors = itertools.islice(reference_1d._window_counts_1d(sft), 1, 41)
         for n, counts in enumerate(vectors, start=1):
             assert count_patterns(sft, (n,)) == sum(counts.values()), (sft, n)
 
@@ -476,36 +475,6 @@ def test_large_colour3_and_hard_cube_counts_match_a_row_transfer():
     assert count_patterns(HARD_CUBE, (4, 4, 4)) == 121039421240
 
 
-def test_one_dimensional_cross_check_counters_check_the_caps(monkeypatch):
-    # 8 bits a symbol and a window of 8 cells: below length 8 the window DP
-    # would hold all 256^n words, and the matrix 256^7 states
-    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
-    monkeypatch.setattr(subshift, "_window_counts_1d",
-                        lambda sft: pytest.fail("the window DP ran past the state cap"))
-    with pytest.raises(CapExceededError, match="state cap"):
-        transfer_matrix_count_1d(sft, 2)
-    with pytest.raises(CapExceededError, match="state cap"):
-        transfer_matrix_1d(sft)
-    with pytest.raises(CapExceededError, match="cell cap"):
-        transfer_matrix_count_1d(GOLDEN, 145)
-
-
-def test_transfer_matrix_refuses_a_window_level_past_the_dense_state_cap(monkeypatch):
-    # 4 symbols and a window of 8 cells pass both caps, but the window DP's
-    # levels hold 1, 4, ..., 4096, 16384 states: a dense matrix at level 7
-    # would take 2 GiB
-    sft = SftSpec(alphabet=4, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
-    with monkeypatch.context() as m:
-        m.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("the matrix was allocated"))
-        with pytest.raises(CapExceededError, match="window level 7 holds 16384 states"):
-            transfer_matrix_1d(sft)
-    monkeypatch.setattr(subshift, "MATRIX_STATE_CAP", 2)
-    assert transfer_matrix_1d(GOLDEN)[0] == [(0,), (1,)]
-    monkeypatch.setattr(subshift, "MATRIX_STATE_CAP", 1)
-    with pytest.raises(CapExceededError, match="window level 1 holds 2 states"):
-        transfer_matrix_1d(GOLDEN)
-
-
 def test_pattern_counts_respect_alphabet_bound():
     for sides in ((3,), (5,)):
         c = count_patterns(GOLDEN, sides)
@@ -643,7 +612,7 @@ def test_transfer_lower_bounds_round_down():
     exact_logs = rounded = 0
     for sft in (GOLDEN, staircase, tern, gapped):
         w = subshift._window_1d(sft)
-        vectors = itertools.islice(subshift._window_counts_1d(sft), 41)
+        vectors = itertools.islice(reference_1d._window_counts_1d(sft), 41)
         prev = next(vectors)
         lowers = []
         with localcontext() as ctx:
@@ -702,7 +671,7 @@ def window_dp_bracket(sft: SftSpec, sides: int) -> tuple[list[int], list, float 
     """Counts, transfer uppers and best_lower of a 1-D bracket over sides
     1..sides, recomputed from the window DP's count vectors."""
     w = subshift._window_1d(sft)
-    vectors = subshift._window_counts_1d(sft)
+    vectors = reference_1d._window_counts_1d(sft)
     prev = next(vectors)
     counts, uppers, lowers = [], [], []
     for n, cur in zip(range(1, sides + 1), vectors):
@@ -733,7 +702,7 @@ def test_one_pass_counts_equal_the_sweep(monkeypatch, tmp_path):
                                              tuple(rng.randrange(a) for _ in offsets)))
         specs.append(SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns)))
     with monkeypatch.context() as m:
-        m.setattr(subshift, "_window_counts_1d",
+        m.setattr(reference_1d, "_window_counts_1d",
                   lambda sft: pytest.fail("entropy ran the window DP"))
         golden = entropy_bounds(GOLDEN, 145)
         # three and four symbols reach the cell cap at sides 90 and 72
@@ -789,7 +758,7 @@ def test_a_window_past_the_state_cap_is_counted_by_the_sweep(monkeypatch):
                                                   ForbiddenPattern(((0,), (7,)), (0, 0))))
     with pytest.raises(CapExceededError, match="state cap"):
         transfer_matrix_count_1d(sft, 8)
-    monkeypatch.setattr(subshift, "_window_counts_1d",
+    monkeypatch.setattr(reference_1d, "_window_counts_1d",
                         lambda sft: pytest.fail("the window DP ran past the state cap"))
     bracket = entropy_bounds(sft, 10)
     assert bracket.truncated and bracket.entries[-1].sides == (7,)
@@ -816,78 +785,6 @@ def test_transfer_value_at_a_jordan_block():
     # State (1,) ends n words, so at side 6 the upper bound is log2(6/5)
     assert bracket.best_lower == 0.0
     assert math.log2(6 / 5) < bracket.best_upper <= math.log2(6 / 5) + 1e-15
-
-
-def brute_force_transfer_matrix(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Every admissible word of w-1 symbols, and per pair of them the number
-    of symbols s with u + (s,) admissible and ending in v."""
-    w = max((max(o[0] for o in p.offsets) - min(o[0] for o in p.offsets) + 1
-             for p in sft.forbidden), default=1)
-    states = [u for u in itertools.product(range(sft.alphabet), repeat=w - 1)
-              if admissible_word(sft, u)]
-    index = {u: i for i, u in enumerate(states)}
-    matrix = np.zeros((len(states), len(states)))
-    for u in states:
-        for s in range(sft.alphabet):
-            if admissible_word(sft, u + (s,)):
-                matrix[index[u], index[(u + (s,))[1:]]] += 1
-    return states, matrix
-
-
-def test_transfer_matrix_matches_brute_force_on_random_1d_sfts():
-    rng = random.Random(20261019)
-    several_symbols_w1 = empty = 0
-    for _ in range(300):
-        a = rng.randint(2, 4)
-        patterns = []
-        for _ in range(rng.randint(0, 4)):
-            extent = rng.randint(1, 4)
-            offsets = {0, extent - 1} | set(rng.sample(range(extent), rng.randint(0, extent)))
-            patterns.append(ForbiddenPattern(tuple((o,) for o in sorted(offsets)),
-                                             tuple(rng.randrange(a) for _ in offsets)))
-        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
-        states, matrix = transfer_matrix_1d(sft)
-        ref_states, ref_matrix = brute_force_transfer_matrix(sft)
-        assert states == ref_states
-        assert matrix.shape == ref_matrix.shape and (matrix == ref_matrix).all()
-        several_symbols_w1 += states == [()] and matrix[0, 0] >= 2
-        # the subshift is empty exactly when the matrix is nilpotent
-        empty += not states or not np.linalg.matrix_power(matrix, len(states)).any()
-    assert several_symbols_w1 >= 5 and empty >= 5
-
-
-def test_transfer_matrix_enumerates_only_admissible_words(monkeypatch):
-    # four symbols that must cycle 0 -> 1 -> 2 -> 3 -> 0, and a pattern of
-    # extent 8 that never fires: w = 8, but only 4 admissible windows out of
-    # 4^7 words, so the matrix takes about a hundred pattern tests, not
-    # tens of thousands
-    sft = SftSpec(alphabet=4, dim=1, forbidden=tuple(
-        ForbiddenPattern(((0,), (1,)), (s, t))
-        for s in range(4) for t in range(4) if t != (s + 1) % 4)
-        + (ForbiddenPattern(((0,), (7,)), (0, 0)),))
-    calls = 0
-    ends_forbidden = subshift._ends_forbidden
-
-    def counting(word, patterns):
-        nonlocal calls
-        calls += 1
-        return ends_forbidden(word, patterns)
-
-    monkeypatch.setattr(subshift, "_ends_forbidden", counting)
-    states, matrix = transfer_matrix_1d(sft)
-    assert calls <= 1000
-    assert states == [tuple((s + k) % 4 for k in range(7)) for s in range(4)]
-    assert (matrix == np.roll(np.eye(4), 1, axis=1)).all()
-
-
-def test_power_iteration_matches_closed_forms():
-    states, matrix = transfer_matrix_1d(GOLDEN)
-    assert sorted(states) == [(0,), (1,)]
-    lam = dominant_eigenvalue(matrix)
-    assert abs(lam - (1 + math.sqrt(5)) / 2) <= 1e-9
-    full = SftSpec(alphabet=3, dim=1)
-    _, m = transfer_matrix_1d(full)
-    assert dominant_eigenvalue(m) == 3.0
 
 
 def test_hard_square_entropy_bracket():
@@ -997,3 +894,109 @@ def test_unknown_fixture():
         builtin_sft("nosuch")
     with pytest.raises(TypeError):
         builtin_sft("hard_square_2d", dim=3)  # a fixture takes no alphabet or dimension
+
+
+# ---------------------------------------------------------------------------
+# The independent 1-D reference of tests/reference_1d.py on its own
+# ---------------------------------------------------------------------------
+
+def test_one_dimensional_cross_check_counters_check_the_caps(monkeypatch):
+    # 8 bits a symbol and a window of 8 cells: below length 8 the window DP
+    # would hold all 256^n words, and the matrix 256^7 states
+    sft = SftSpec(alphabet=256, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    monkeypatch.setattr(reference_1d, "_window_counts_1d",
+                        lambda sft: pytest.fail("the window DP ran past the state cap"))
+    with pytest.raises(CapExceededError, match="state cap"):
+        transfer_matrix_count_1d(sft, 2)
+    with pytest.raises(CapExceededError, match="state cap"):
+        transfer_matrix_1d(sft)
+    with pytest.raises(CapExceededError, match="cell cap"):
+        transfer_matrix_count_1d(GOLDEN, 145)
+
+
+def test_transfer_matrix_refuses_a_window_level_past_the_dense_state_cap(monkeypatch):
+    # 4 symbols and a window of 8 cells pass both caps, but the window DP's
+    # levels hold 1, 4, ..., 4096, 16384 states: a dense matrix at level 7
+    # would take 2 GiB
+    sft = SftSpec(alphabet=4, dim=1, forbidden=(ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("the matrix was allocated"))
+        with pytest.raises(CapExceededError, match="window level 7 holds 16384 states"):
+            transfer_matrix_1d(sft)
+    monkeypatch.setattr(reference_1d, "MATRIX_STATE_CAP", 2)
+    assert transfer_matrix_1d(GOLDEN)[0] == [(0,), (1,)]
+    monkeypatch.setattr(reference_1d, "MATRIX_STATE_CAP", 1)
+    with pytest.raises(CapExceededError, match="window level 1 holds 2 states"):
+        transfer_matrix_1d(GOLDEN)
+
+
+def brute_force_transfer_matrix(sft: SftSpec) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every admissible word of w-1 symbols, and per pair of them the number
+    of symbols s with u + (s,) admissible and ending in v."""
+    w = max((max(o[0] for o in p.offsets) - min(o[0] for o in p.offsets) + 1
+             for p in sft.forbidden), default=1)
+    states = [u for u in itertools.product(range(sft.alphabet), repeat=w - 1)
+              if admissible_word(sft, u)]
+    index = {u: i for i, u in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for u in states:
+        for s in range(sft.alphabet):
+            if admissible_word(sft, u + (s,)):
+                matrix[index[u], index[(u + (s,))[1:]]] += 1
+    return states, matrix
+
+
+def test_transfer_matrix_matches_brute_force_on_random_1d_sfts():
+    rng = random.Random(20261019)
+    several_symbols_w1 = empty = 0
+    for _ in range(300):
+        a = rng.randint(2, 4)
+        patterns = []
+        for _ in range(rng.randint(0, 4)):
+            extent = rng.randint(1, 4)
+            offsets = {0, extent - 1} | set(rng.sample(range(extent), rng.randint(0, extent)))
+            patterns.append(ForbiddenPattern(tuple((o,) for o in sorted(offsets)),
+                                             tuple(rng.randrange(a) for _ in offsets)))
+        sft = SftSpec(alphabet=a, dim=1, forbidden=tuple(patterns))
+        states, matrix = transfer_matrix_1d(sft)
+        ref_states, ref_matrix = brute_force_transfer_matrix(sft)
+        assert states == ref_states
+        assert matrix.shape == ref_matrix.shape and (matrix == ref_matrix).all()
+        several_symbols_w1 += states == [()] and matrix[0, 0] >= 2
+        # the subshift is empty exactly when the matrix is nilpotent
+        empty += not states or not np.linalg.matrix_power(matrix, len(states)).any()
+    assert several_symbols_w1 >= 5 and empty >= 5
+
+
+def test_transfer_matrix_enumerates_only_admissible_words(monkeypatch):
+    # four symbols that must cycle 0 -> 1 -> 2 -> 3 -> 0, and a pattern of
+    # extent 8 that never fires: w = 8, but only 4 admissible windows out of
+    # 4^7 words, so the matrix takes about a hundred pattern tests, not
+    # tens of thousands
+    sft = SftSpec(alphabet=4, dim=1, forbidden=tuple(
+        ForbiddenPattern(((0,), (1,)), (s, t))
+        for s in range(4) for t in range(4) if t != (s + 1) % 4)
+        + (ForbiddenPattern(((0,), (7,)), (0, 0)),))
+    calls = 0
+    ends_forbidden = reference_1d._ends_forbidden
+
+    def counting(word, patterns):
+        nonlocal calls
+        calls += 1
+        return ends_forbidden(word, patterns)
+
+    monkeypatch.setattr(reference_1d, "_ends_forbidden", counting)
+    states, matrix = transfer_matrix_1d(sft)
+    assert calls <= 1000
+    assert states == [tuple((s + k) % 4 for k in range(7)) for s in range(4)]
+    assert (matrix == np.roll(np.eye(4), 1, axis=1)).all()
+
+
+def test_power_iteration_matches_closed_forms():
+    states, matrix = transfer_matrix_1d(GOLDEN)
+    assert sorted(states) == [(0,), (1,)]
+    lam = dominant_eigenvalue(matrix)
+    assert abs(lam - (1 + math.sqrt(5)) / 2) <= 1e-9
+    full = SftSpec(alphabet=3, dim=1)
+    _, m = transfer_matrix_1d(full)
+    assert dominant_eigenvalue(m) == 3.0
