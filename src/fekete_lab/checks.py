@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ _SHRINK_FLOOR = _POSITIVE_RANGE[0]
 _MAX_SHRINK_STEPS = 80
 
 
-class Violation(NamedTuple):
+class Violation(_Record):
     kind: str            # joint | componentwise | four_term | monoid | set_union
     axis: int | None
     witness: tuple[tuple, ...]
@@ -87,8 +87,13 @@ class ViolationReport(_Record):
     the number listed, which is everything an exhaustive check found.
     """
 
-    __slots__ = ("kind", "oracle", "violations", "samples_checked", "metadata",
-                 "violation_count", "hit_count")
+    kind: str
+    oracle: str
+    violations: tuple[Violation, ...]
+    samples_checked: int
+    metadata: dict
+    violation_count: int
+    hit_count: int
 
     def __init__(self, kind: str, oracle: str, violations: tuple[Violation, ...],
                  samples_checked: int, metadata: dict | None = None,

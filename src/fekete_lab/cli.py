@@ -30,10 +30,10 @@ from . import __version__
 from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
                      GridSchedule, Point, ScheduleError, _TAIL_STEPS)
 from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
-from .svgplot import PlotSeries, line_plot_svg
 
 # Each subcommand imports the modules it needs inside its handler, so a run
-# loads only those: entropy never loads numpy.
+# loads only those: entropy never loads numpy, and only limit and entropy,
+# which plot, load svgplot.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,6 +170,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _bracket_outputs(ns: argparse.Namespace, stem: str, bracket) -> None:
+    from .svgplot import PlotSeries, line_plot_svg
     write_json_atomic(ns.out / f"{stem}.json", {"meta": _meta(ns), **bracket.to_json_dict()})
     write_csv_atomic(ns.out / f"{stem}.csv", bracket.samples_csv_rows())
     series = [
@@ -242,6 +243,7 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
 
 def _cmd_entropy(ns: argparse.Namespace) -> int:
     from .subshift import builtin_sft, builtin_sft_names, entropy_bounds, load_sft_spec
+    from .svgplot import PlotSeries, line_plot_svg
     if ns.sft is None:
         raise ConfigError("give a subshift with --sft NAME or --sft FILE")
     if ns.sft in builtin_sft_names():

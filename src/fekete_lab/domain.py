@@ -14,7 +14,7 @@ indeterminate form raises instead of silently propagating NaN.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 
 __all__ = [
@@ -88,6 +88,17 @@ def _json_float(value: object, field: str) -> float:
     return float(value)
 
 
+def _json_list(value: object, field: str) -> list:
+    """value, a list field of a JSON input file, if it is a JSON array.
+
+    Iterating would read a string character by character and an object
+    key by key, another input than the one written, so anything but an
+    array is refused, naming the field."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Extended reals
 # ---------------------------------------------------------------------------
@@ -104,18 +115,68 @@ def as_extended(value: float) -> float:
 # Records
 # ---------------------------------------------------------------------------
 
-class _Record:
-    """Base of the records that check their fields when built.
+class _RecordType(type):
+    """Builds a record class from its body's annotations.
 
-    The fields are the __slots__, in constructor order.  __init__ sets
-    them once; after that the record is frozen, and its fields give ==,
-    hash, repr and _replace, as for the NamedTuple records.
+    The annotated names become the __slots__, in order, and the values
+    given to some of them, the class's _field_defaults; as in a call, a
+    field without a default cannot follow one with a default.  The
+    annotations are read as the class body left them, strings under
+    `from __future__ import annotations`: nothing is evaluated or
+    compiled.  Without that import, Python 3.14 leaves no annotations in
+    the body, only a function that would evaluate them, so such a record
+    is refused rather than built with no fields.
     """
 
-    __slots__ = ()
+    def __new__(mcs, name: str, bases: tuple[type, ...], namespace: dict[str, object]):
+        if "__annotations__" not in namespace and (
+                "__annotate__" in namespace or "__annotate_func__" in namespace):
+            raise TypeError(f"record {name} needs `from __future__ import annotations` "
+                            "in its module")
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {field: namespace.pop(field) for field in fields if field in namespace}
+        for before, field in zip(fields, fields[1:]):
+            if before in defaults and field not in defaults:
+                raise TypeError(f"record {name}: field {field!r} without a default "
+                                f"follows field {before!r} with one")
+        namespace["_field_defaults"] = defaults
+        namespace["__slots__"] = fields
+        return super().__new__(mcs, name, bases, namespace)
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
+
+class _Record(metaclass=_RecordType):
+    """Base of every record: a frozen value whose fields are annotations.
+
+    A record class declares its fields as annotated names in its body,
+    optionally ending with fields that have defaults.  __init__ binds
+    positional, then keyword values in field order, as a function call
+    would; a record that checks its fields defines its own __init__,
+    which runs the checks around super().__init__.  Once built, the
+    record is frozen, and its fields give ==, hash, repr and _replace.
+    A record is not a tuple: it neither iterates nor indexes, and never
+    equals one.
+    """
+
+    def __init__(self, *values: object, **fields: object) -> None:
+        names = self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} fields "
+                            f"but {len(values)} were given")
+        for name in fields:
+            if name not in names:
+                raise TypeError(f"{type(self).__name__}() got an unexpected keyword "
+                                f"argument {name!r}")
+        for name, value in zip(names, values):
+            if name in fields:
+                raise TypeError(f"{type(self).__name__}() got multiple values for field {name!r}")
+            object.__setattr__(self, name, value)
+        for name in names[len(values):]:
+            if name in fields:
+                value = fields[name]
+            elif name in self._field_defaults:
+                value = self._field_defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -151,7 +212,7 @@ class _Record:
 class Point(_Record):
     """A point of R^d with finite coordinates, d >= 1."""
 
-    __slots__ = ("coords",)
+    coords: tuple[float, ...]
 
     def __init__(self, coords: tuple[float, ...]) -> None:
         coords = tuple(float(c) for c in coords)
@@ -199,7 +260,7 @@ class Orthant(_Record):
     word both names the region and fixes its product order direction.
     """
 
-    __slots__ = ("bits",)
+    bits: tuple[int, ...]
 
     def __init__(self, bits: tuple[int, ...]) -> None:
         bits = tuple(int(b) for b in bits)
@@ -292,7 +353,7 @@ def orthant_reflect(x: Point | Sequence[float], orthant: Orthant) -> Point:
 # The q*t + r step decomposition
 # ---------------------------------------------------------------------------
 
-class QRDecomposition(NamedTuple):
+class QRDecomposition(_Record):
     """Writing x = q*t + r with q a positive integer and r in [t, 2t)."""
 
     q: int
@@ -376,7 +437,9 @@ class GridSchedule(_Record):
     converges quickly, which is what the limit estimators need.
     """
 
-    __slots__ = ("base", "growth", "levels")
+    base: Point
+    growth: float
+    levels: int
 
     def __init__(self, base: Point, growth: float = 2.0, levels: int = 40) -> None:
         super().__init__(as_point(base), growth, levels)

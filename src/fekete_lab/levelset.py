@@ -22,7 +22,7 @@ proof, and says so in its output.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ _MC_CONFIDENCE_ALPHA = 0.01  # 99% Hoeffding bound
 class LevelSetSpec(_Record):
     """The set V = {x : 0 < x_i < t_i for all i, f(x) >= k}."""
 
-    __slots__ = ("t", "k")
+    t: Point
+    k: float
 
     def __init__(self, t: Point, k: float) -> None:
         super().__init__(as_point(t), k)
@@ -66,13 +67,13 @@ class LevelSetSpec(_Record):
         return self.t.product()
 
 
-class MeasureEstimate(NamedTuple):
+class MeasureEstimate(_Record):
     value: float
     method: str          # "grid_quadrature" or "monte_carlo"
     error_bound: float
 
 
-class BoxScan(NamedTuple):
+class BoxScan(_Record):
     """Observed extrema of f over a finite evaluation grid on a box.
 
     A scan is evidence of boundedness on the box, never proof: values
@@ -164,7 +165,7 @@ def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
     raise DomainError(f"unknown method {method!r}; use 'grid' or 'mc'")
 
 
-class LemmaCheckRow(NamedTuple):
+class LemmaCheckRow(_Record):
     anchor: tuple[float, ...]
     k: float
     estimate: MeasureEstimate
@@ -243,14 +244,14 @@ def compact_bound_scan(oracle: FunctionOracle,
 # The minimum-denominator function: bounded on every line, unbounded on the box
 # ---------------------------------------------------------------------------
 
-class LineScan(NamedTuple):
+class LineScan(_Record):
     x: Fraction
     denominator_bound: int
     max_value: int
     ok: bool
 
 
-class UnboundednessDemo(NamedTuple):
+class UnboundednessDemo(_Record):
     """Exact-rational witnesses that per-line boundedness does not bound the box.
 
     diagonal holds ((1 + 1/n, 1 + 1/n), n) pairs: the function value
@@ -306,7 +307,7 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
     return UnboundednessDemo(diagonal=tuple(diagonal), line_scans=tuple(line_scans))
 
 
-class RationalBoxScan(NamedTuple):
+class RationalBoxScan(_Record):
     """Extrema of the minimum-denominator function over the exact grid on [1, 2]^2."""
 
     minimum: int

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .domain import (
     GridSchedule,
     Point,
     ScheduleError,
+    _Record,
     as_extended,
     as_point,
     default_schedule,
@@ -63,7 +64,7 @@ DIVERGENCE_FLOOR = -1e12
 _STATUS_RANK = {CONVERGED: 0, DIVERGING_PLUS: 1, DIVERGING_MINUS: 1, INCONCLUSIVE: 2}
 
 
-class LimitBracket(NamedTuple):
+class LimitBracket(_Record):
     """One-sided bracket for a ratio-net limit on the main orthant.
 
     best_upper is the minimum evaluated ratio and bounds the limit, an
@@ -89,16 +90,18 @@ class LimitBracket(NamedTuple):
     sense = "inf"
     best_lower = None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LimitBracket):
-            return NotImplemented
-        return self[:-3] == other[:-3]
+    def _scalars(self) -> tuple:
+        """The fields that ==, != and hash compare: all but the sample arrays."""
+        return (self.best_upper, self.tail_estimate, self.status, self.delta, self.shell,
+                self.threshold_point, self.evaluations)
 
-    def __ne__(self, other: object) -> bool:
-        return not self == other
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._scalars() == other._scalars()
 
     def __hash__(self) -> int:
-        return hash(self[:-3])
+        return hash(self._scalars())
 
     def shell_extremes(self) -> list[tuple[int, float]]:
         """Minimum ratio of each shell."""
@@ -278,7 +281,7 @@ def _grid(schedule: GridSchedule, integer: bool) -> tuple[np.ndarray, np.ndarray
 # Adaptive one-dimensional tail estimation
 # ---------------------------------------------------------------------------
 
-class _TailEstimate(NamedTuple):
+class _TailEstimate(_Record):
     value: float
     status: str
     evaluations: int
@@ -326,7 +329,7 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
 # Iterated (nested one-variable) limits
 # ---------------------------------------------------------------------------
 
-class LevelSummary(NamedTuple):
+class LevelSummary(_Record):
     axis: int
     status: str
     tol: float
@@ -337,7 +340,7 @@ class LevelSummary(NamedTuple):
     last_stabilized_at: float | None = None
 
 
-class IteratedLimit(NamedTuple):
+class IteratedLimit(_Record):
     value: float
     status: str
     order: tuple[int, ...]
@@ -496,7 +499,7 @@ def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], flo
 # The step-decomposition upper bound
 # ---------------------------------------------------------------------------
 
-class DecompositionTerm(NamedTuple):
+class DecompositionTerm(_Record):
     bits: tuple[int, ...]
     coefficient: int
     point: tuple[float, ...]
@@ -507,7 +510,7 @@ class DecompositionTerm(NamedTuple):
         return self.coefficient * self.value
 
 
-class DecompositionBound(NamedTuple):
+class DecompositionBound(_Record):
     x: tuple[float, ...]
     t: tuple[float, ...]
     lhs: float

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .domain import (
     _Record,
     _json_float,
     _json_int,
+    _json_list,
     as_extended,
     as_point,
 )
@@ -111,7 +112,10 @@ class Domain(_Record):
     function defined only on the cartesian grid of those coordinates.
     """
 
-    __slots__ = ("dim", "orthant", "integer", "grid_axes")
+    dim: int
+    orthant: Orthant | None
+    integer: bool
+    grid_axes: tuple[tuple[float, ...], ...] | None
 
     def __init__(self, dim: int, orthant: Orthant | None = None, integer: bool = False,
                  grid_axes: tuple[tuple[float, ...], ...] | None = None) -> None:
@@ -144,14 +148,14 @@ class Domain(_Record):
         return inside
 
 
-class KnownLimit(NamedTuple):
+class KnownLimit(_Record):
     """An externally known value for the limit of f(x)/prod(x), with its source."""
 
     value: float
     note: str
 
 
-class FunctionOracle(NamedTuple):
+class FunctionOracle(_Record):
     """A named function on a declared domain, with the claims made about it.
 
     array_fn maps coordinate arrays, one per axis, to the values; it must
@@ -360,10 +364,11 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
         raise ConfigError(f"cannot read tabulated function from {path}: {exc}") from exc
     try:
         dim = _json_int(obj["dim"], "dim")
-        axes = [[_json_float(c, f"axes[{i}][{j}]") for j, c in enumerate(axis)]
-                for i, axis in enumerate(obj["axes"])]
+        axes = [[_json_float(c, f"axes[{i}][{j}]")
+                 for j, c in enumerate(_json_list(axis, f"axes[{i}]"))]
+                for i, axis in enumerate(_json_list(obj["axes"], "axes"))]
         values = []
-        for k, v in enumerate(obj["values"]):
+        for k, v in enumerate(_json_list(obj["values"], "values")):
             if isinstance(v, list):
                 raise ConfigError(f"values[{k}] must be a number, got {v!r}; "
                                   "values is one flat, row-major list")
@@ -379,7 +384,7 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
 # Functions of finite integer sets
 # ---------------------------------------------------------------------------
 
-class FiniteSetFunction(NamedTuple):
+class FiniteSetFunction(_Record):
     """A real-valued function of finite subsets of the integers."""
 
     name: str
@@ -421,9 +426,8 @@ def load_set_family(path: str | Path) -> tuple[FiniteSetFunction, list[frozenset
     try:
         obj = json.loads(path.read_text())
         base = str(obj["base"])
-        raw_sets = obj["sets"]
-        family = [frozenset(_json_int(n, f"sets[{i}]") for n in s)
-                  for i, s in enumerate(raw_sets)]
+        family = [frozenset(_json_int(n, f"sets[{i}]") for n in _json_list(s, f"sets[{i}]"))
+                  for i, s in enumerate(_json_list(obj["sets"], "sets"))]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read set family from {path}: {exc}") from exc
     if base == "cardinality":

@@ -55,7 +55,8 @@ class SampleBudget(_Record):
     consumer takes it from the domain alone (0.1..100 per positive axis).
     """
 
-    __slots__ = ("count", "seed")
+    count: int
+    seed: int
 
     def __init__(self, count: int = 10_000, seed: int = 2024) -> None:
         super().__init__(count, seed)

@@ -47,9 +47,9 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .domain import ConfigError, DomainError, _Record, _json_int
+from .domain import ConfigError, DomainError, _Record, _json_int, _json_list
 
 # checks (the submultiplicativity report) is imported where it is used, so
 # entropy_bounds does not load it
@@ -88,7 +88,8 @@ class CapExceededError(ConfigError):
 class ForbiddenPattern(_Record):
     """A finite partial symbol assignment whose translates are forbidden."""
 
-    __slots__ = ("offsets", "symbols")
+    offsets: tuple[tuple[int, ...], ...]
+    symbols: tuple[int, ...]
 
     def __init__(self, offsets: tuple[tuple[int, ...], ...], symbols: tuple[int, ...]) -> None:
         offsets = tuple(tuple(int(c) for c in off) for off in offsets)
@@ -123,7 +124,9 @@ class ForbiddenPattern(_Record):
 class SftSpec(_Record):
     """Alphabet size, dimension, and finite forbidden-pattern list."""
 
-    __slots__ = ("alphabet", "dim", "forbidden")
+    alphabet: int
+    dim: int
+    forbidden: tuple[ForbiddenPattern, ...]
 
     def __init__(self, alphabet: int, dim: int,
                  forbidden: tuple[ForbiddenPattern, ...] = ()) -> None:
@@ -437,7 +440,7 @@ def _transfer_sides_1d(sft: SftSpec, max_side: int,
         prev = cur
 
 
-class EntropyEntry(NamedTuple):
+class EntropyEntry(_Record):
     """The upper bounds one cube side n contributes to an entropy bracket.
 
     ratio is the cube ratio log_a(count)/n^d, rounded up (exact for
@@ -460,7 +463,7 @@ class EntropyEntry(NamedTuple):
     transfer_upper: float | None = None
 
 
-class EntropyBracket(NamedTuple):
+class EntropyBracket(_Record):
     """Certified bounds for the entropy along growing cubes.
 
     best_upper is the last running_min: the least cube ratio
@@ -636,11 +639,15 @@ def load_sft_spec(path: str | Path) -> SftSpec:
         dim = _json_int(obj["dim"], "dim")
         forbidden = tuple(
             ForbiddenPattern(
-                offsets=tuple(tuple(_json_int(c, f"forbidden[{i}].offsets") for c in off)
-                              for off in entry["offsets"]),
-                symbols=tuple(_json_int(s, f"forbidden[{i}].symbols") for s in entry["symbols"]),
+                offsets=tuple(
+                    tuple(_json_int(c, f"forbidden[{i}].offsets")
+                          for c in _json_list(off, f"forbidden[{i}].offsets[{j}]"))
+                    for j, off in enumerate(_json_list(entry["offsets"],
+                                                       f"forbidden[{i}].offsets"))),
+                symbols=tuple(_json_int(s, f"forbidden[{i}].symbols")
+                              for s in _json_list(entry["symbols"], f"forbidden[{i}].symbols")),
             )
-            for i, entry in enumerate(obj.get("forbidden", []))
+            for i, entry in enumerate(_json_list(obj.get("forbidden", []), "forbidden"))
         )
         return SftSpec(alphabet=alphabet, dim=dim, forbidden=forbidden)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -10,14 +10,16 @@ nondeterministic element and is omitted when timestamp is None.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+from .domain import _Record
 
 __all__ = ["PlotSeries", "line_plot_svg"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-class PlotSeries(NamedTuple):
+class PlotSeries(_Record):
     name: str
     points: tuple[tuple[float, float], ...]
     dashed: bool = False

@@ -164,11 +164,19 @@ def test_subshift_spec_numbers_must_be_json_integers(tmp_path, capsys, spec, fie
      "axes[0] must be nonempty, finite and strictly increasing, got [1.0, 2.0, inf]"),
     ('{"dim": 1, "axes": [[1, 2, NaN]], "values": [1, 2, 3]}',
      "axes[0] must be nonempty, finite and strictly increasing, got [1.0, 2.0, nan]"),
-], ids=["bool_axis", "string_value", "nan_value", "inf_axis", "nan_axis"])
+    ('{"dim": 1, "axes": [[1, 2, 3]], "values": "123"}', "values must be a list, got '123'"),
+    ('{"dim": 1, "axes": [[1, 2, 3]], "values": {"1": 1, "2": 2, "3": 3}}',
+     "values must be a list, got {'1': 1, '2': 2, '3': 3}"),
+    ('{"dim": 1, "axes": "12", "values": [1, 2]}', "axes must be a list, got '12'"),
+    ('{"dim": 1, "axes": ["12"], "values": [1, 2]}', "axes[0] must be a list, got '12'"),
+], ids=["bool_axis", "string_value", "nan_value", "inf_axis", "nan_axis", "string_values",
+        "object_values", "string_axes", "string_axis"])
 def test_table_numbers_must_be_json_numbers(tmp_path, capsys, text, message):
     # float() would read true as 1 and "1e0" as 1, and an infinite or NaN
     # axis point passes the order test but is never drawn: another table
-    # than the one written, checked clean or flooded with hits
+    # than the one written, checked clean or flooded with hits.  Iterating
+    # a string or an object where a list belongs would read it character
+    # by character or key by key.
     path = tmp_path / "table.json"
     path.write_text(text)
     assert run(["check", "--table", path, "--mode", "componentwise",

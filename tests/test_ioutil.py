@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from fekete_lab import ioutil, limits
 from fekete_lab.domain import GridSchedule, Point
 from fekete_lab.ioutil import CSV_BLOCK_ROWS, write_csv_atomic
-from fekete_lab.limits import simultaneous_limit
+from fekete_lab.limits import LimitBracket, simultaneous_limit
 from fekete_lab.registry import builtin
 
 
@@ -41,6 +44,27 @@ def test_levels_300_bracket_matches_the_plain_writer(tmp_path, levels_300_bracke
     assert len(rows) == 301 * 301 + 1
     write_csv_atomic(tmp_path / "bracket.csv", levels_300_bracket.samples_csv_rows())
     assert (tmp_path / "bracket.csv").read_text() == joined(rows)
+
+
+def test_bracket_csv_across_block_edges_matches_the_plain_writer(tmp_path, monkeypatch):
+    # 9 samples in blocks of 4 rows, with -0.0 and both infinities among the values
+    for module in (ioutil, limits):
+        monkeypatch.setattr(module, "CSV_BLOCK_ROWS", 4)
+    shells = [2, 0, 1, 1, 2, 2, 1, 0, 2]
+    points = [[2.0, -0.0], [0.0, 0.0], [1.0, 0.5], [-0.0, 1.0], [2.0, 1.0], [0.5, 2.0],
+              [1.0, -0.0], [-0.0, 0.0], [0.0, 2.0]]
+    ratios = [math.inf, 0.5, -0.0, -math.inf, 1 / 3, 0.0, 2.0, 7.0, -1.5]
+    bracket = LimitBracket(best_upper=-math.inf, tail_estimate=-1.5, status="converged",
+                           delta=0.01, shell=None, threshold_point=None, evaluations=9,
+                           shells=np.array(shells), points=np.array(points),
+                           ratios=np.array(ratios))
+    # by shell, then point, -0.0 and 0.0 tying in stream order, as np.lexsort keeps them
+    order = sorted(range(9), key=lambda k: (shells[k], *points[k]))
+    rows = [["shell", "x1", "x2", "ratio"]] + [
+        [repr(shells[k]), *map(repr, points[k]), repr(ratios[k])] for k in order]
+    assert [list(row) for row in bracket.samples_csv_rows()] == rows
+    write_csv_atomic(tmp_path / "bracket.csv", bracket.samples_csv_rows())
+    assert (tmp_path / "bracket.csv").read_text() == "\n".join(",".join(r) for r in rows) + "\n"
 
 
 def failing_rows(blocks: int):

@@ -220,7 +220,15 @@ def test_tabulated_number_errors_name_the_index(tmp_path):
             ({"dim": 2, "axes": [[1, 2], [1, "x"]], "values": [1, 2, 3, 4]},
              "axes[1][1] must be a number, got 'x'"),
             ({"dim": 1, "axes": [[1, 2, 3]], "values": [1, 2, None]},
-             "values[2] must be a number, got None")):
+             "values[2] must be a number, got None"),
+            # a string or an object is refused whole, not read item by item
+            ({"dim": 1, "axes": [[1, 2, 3]], "values": "123"},
+             "values must be a list, got '123'"),
+            ({"dim": 1, "axes": [[1, 2, 3]], "values": {"1": 1}},
+             "values must be a list, got {'1': 1}"),
+            ({"dim": 1, "axes": "12", "values": [1, 2]}, "axes must be a list, got '12'"),
+            ({"dim": 2, "axes": [[1, 2], "34"], "values": [1, 2, 3, 4]},
+             "axes[1] must be a list, got '34'")):
         bad.write_text(json.dumps(table))
         with pytest.raises(ConfigError) as raised:
             load_tabulated(bad)
@@ -255,6 +263,11 @@ def test_load_set_family(tmp_path):
     for sets, at in (([[1.5], [3]], 0), ([[2], [3, True]], 1), ([[2], ["3"]], 1)):
         path.write_text(json.dumps({"base": "nmod2", "sets": sets}))
         with pytest.raises(ConfigError, match=rf"^sets\[{at}\] must be an integer"):
+            load_set_family(path)
+    # the family and each set must be JSON lists, not read character by character
+    for sets, field in (("12", "sets"), ([[1], "23"], r"sets\[1\]"), ({"1": 2}, "sets")):
+        path.write_text(json.dumps({"base": "cardinality", "sets": sets}))
+        with pytest.raises(ConfigError, match=rf"^{field} must be a list, got "):
             load_set_family(path)
 
 

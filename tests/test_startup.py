@@ -74,12 +74,6 @@ def numpy_imports(source: str) -> list[int]:
     return lines
 
 
-def fields(cls: type) -> tuple[str, ...]:
-    """A record class's field names in constructor order: a NamedTuple's
-    _fields, or the __slots__ of a record that checks its fields."""
-    return getattr(cls, "_fields", None) or cls.__slots__
-
-
 def cli_run(argv: list[str]) -> str:
     return ("from fekete_lab.cli import main\n"
             f"assert main({argv!r}) in (0, 3)")
@@ -87,9 +81,9 @@ def cli_run(argv: list[str]) -> str:
 
 def test_importing_the_cli_loads_no_numpy(tmp_path):
     loaded = modules_after("import fekete_lab.cli", tmp_path)
-    assert loaded & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
-    # records are NamedTuples or slotted classes, and only a timestamped SVG
-    # needs the clock
+    assert loaded & (NUMPY_BACKED | {"fekete_lab.subshift", "fekete_lab.svgplot"}) == set()
+    # a record is a domain._Record, which generates no code, and only a
+    # timestamped SVG needs the clock
     assert loaded & {"dataclasses", "inspect", "datetime"} == set()
 
 
@@ -102,6 +96,8 @@ def test_numpy_runs_load_neither_dataclasses_nor_fractions(tmp_path, argv):
     loaded = modules_after(cli_run([*argv, "--out", "out", "--no-timestamp"]), tmp_path)
     assert "numpy" in loaded
     assert loaded & {"dataclasses", "fractions"} == set()
+    # only a run that plots loads the plot module
+    assert ("fekete_lab.svgplot" in loaded) == (argv[0] == "limit")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["entropy", "--help"]])
@@ -139,7 +135,8 @@ def test_check_does_not_load_subshift(tmp_path):
     loaded = modules_after(cli_run(["check", "--fn", "abs", "--mode", "joint",
                                     "--count", "50", "--out", "out"]), tmp_path)
     assert "fekete_lab.checks" in loaded
-    assert loaded & {"fekete_lab.subshift", "fekete_lab.limits", "fekete_lab.levelset"} == set()
+    assert loaded & {"fekete_lab.subshift", "fekete_lab.limits", "fekete_lab.levelset",
+                     "fekete_lab.svgplot"} == set()
 
 
 def test_limit_loads_neither_levelset_nor_subshift(tmp_path):
@@ -203,20 +200,20 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     from fekete_lab.registry import FiniteSetFunction
     for cls in (BoxScan, RationalBoxScan):
         assert not hasattr(cls, "to_json_dict"), cls.__name__
-    assert "translation_invariant" not in fields(FiniteSetFunction)
+    assert "translation_invariant" not in FiniteSetFunction.__slots__
     from fekete_lab.sampling import SampleBudget
     from fekete_lab.subshift import EntropyBracket, builtin_sft
-    assert fields(SampleBudget) == ("count", "seed")
+    assert SampleBudget.__slots__ == ("count", "seed")
     assert list(inspect.signature(builtin_sft).parameters) == ["name"]
     for cls, name in ((EntropyBracket, "admissibility"), (BoxScan, "note"),
                       (LimitBracket, "sense")):
-        assert name not in fields(cls), cls.__name__
+        assert name not in cls.__slots__, cls.__name__
         assert isinstance(getattr(cls, name), str), cls.__name__
-    assert "best_lower" not in fields(LimitBracket)
+    assert "best_lower" not in LimitBracket.__slots__
     assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
     assert not hasattr(Orthant, "parity")
     from fekete_lab.registry import Domain, FunctionOracle
-    assert fields(FunctionOracle) == (
+    assert FunctionOracle.__slots__ == (
         "name", "domain", "array_fn", "claims_componentwise_subadditive",
         "claims_joint_subadditive", "known_limit")
     with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -887,6 +888,16 @@ def test_spec_file_round_trip(tmp_path):
     path.write_text("{bad")
     with pytest.raises(ConfigError):
         load_sft_spec(path)
+    # every list field must be a JSON list: a string would be read character
+    # by character
+    for forbidden, field in (
+            ("ab", "forbidden"),
+            ([{"offsets": "01", "symbols": [1, 1]}], "forbidden[0].offsets"),
+            ([{"offsets": [[0], "1"], "symbols": [1, 1]}], "forbidden[0].offsets[1]"),
+            ([{"offsets": [[0], [1]], "symbols": "11"}], "forbidden[0].symbols")):
+        path.write_text(json.dumps({"alphabet": 2, "dim": 1, "forbidden": forbidden}))
+        with pytest.raises(ConfigError, match=re.escape(f": {field} must be a list, got ")):
+            load_sft_spec(path)
 
 
 def test_unknown_fixture():

@@ -1,6 +1,8 @@
 """No module under src/, demos/ or tests/ imports a name that it never uses,
 no private module-level name under src/ goes unreferenced, no record field
-under src/ goes unread, and no module under src/ imports dataclasses.
+under src/ goes unread, and no module under src/ builds a record that
+generates code: it imports no dataclasses and names no NamedTuple or
+namedtuple.
 
 Each scope is checked on its own: an import inside a function must be
 used inside that function, so a handler that stops using a name it
@@ -8,12 +10,14 @@ imports locally is caught even when another handler uses the same name.
 A private function, class or constant (one leading underscore) is
 referenced when some module under src/ loads it by name or as an
 attribute, so a helper left behind by a deletion is caught.  A record
-field (a NamedTuple's annotated name or a _Record's __slots__ entry) is
-read when some module under src/, demos/, bench/, tools/ or tests/ loads
-it as an attribute, so a field that every caller ignores is caught.  The
-package's records are NamedTuples or slotted classes: a dataclass
-generates and compiles its methods each time its module loads, which
-every CLI run would pay at start-up.
+field (an annotated name in the body of a _Record subclass) is read when
+some module under src/, demos/, bench/, tools/ or tests/ loads it as an
+attribute, so a field that every caller ignores is caught, and a module
+that declares one imports annotations from __future__, which keeps the
+fields strings in the class body on every Python.  Every record
+of the package is a domain._Record: a dataclass generates and compiles
+its methods, and a NamedTuple its constructor and its annotations, each
+time its module loads, which every CLI run would pay at start-up.
 """
 
 from __future__ import annotations
@@ -123,18 +127,12 @@ def test_no_unreferenced_private_name():
 
 def _record_fields(tree: ast.Module):
     """(class, field) for each field of the module's record classes: the
-    annotated names of a NamedTuple and the __slots__ of a _Record."""
+    annotated names in the body of a _Record subclass."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
-        for stmt in node.body:
-            if "NamedTuple" in bases and isinstance(stmt, ast.AnnAssign):
-                yield node.name, stmt.target.id
-            elif "_Record" in bases and isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
-                yield from ((node.name, c.value) for c in ast.walk(stmt.value)
-                            if isinstance(c, ast.Constant))
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "_Record" for base in node.bases):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign))
 
 
 def unread_record_fields(definitions: dict[str, str], readers: dict[str, str]) -> list[str]:
@@ -147,8 +145,8 @@ def unread_record_fields(definitions: dict[str, str], readers: dict[str, str]) -
 
 
 def test_the_scan_finds_an_unread_record_field():
-    definitions = {"a": "class R(NamedTuple):\n    x: int\n    y: int\n    label = 'r'\n"
-                        "class S(_Record):\n    __slots__ = ('p', 'q')\n"
+    definitions = {"a": "class R(_Record):\n    x: int\n    y: int\n    label = 'r'\n"
+                        "class S(_Record):\n    p: int\n    q: int = 0\n"
                         "class T:\n    z: int\n"}
     readers = {**definitions, "b": "r.x\nprint(s.q)\ns.p = 1\n"}
     assert unread_record_fields(definitions, readers) == ["a: R.y", "a: S.p"]
@@ -160,19 +158,56 @@ def test_no_record_field_is_unread():
     assert unread_record_fields(definitions, readers) == []
 
 
-def dataclasses_imports(source: str) -> list[str]:
-    """The line of each import of the dataclasses module, at any depth."""
-    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+def declares_records_without_future_annotations(source: str) -> bool:
+    """Whether the module defines a _Record subclass but does not import
+    annotations from __future__, so that on Python 3.14 its fields are
+    left to a function that evaluates them, not as strings in the body."""
+    tree = ast.parse(source)
+    future = any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                 and any(a.name == "annotations" for a in node.names) for node in tree.body)
+    return not future and any(True for _ in _record_fields(tree))
 
 
-def test_the_scan_finds_a_dataclasses_import():
+def test_the_scan_finds_records_without_future_annotations():
+    record = "class R(_Record):\n    x: int\n"
+    assert declares_records_without_future_annotations(record)
+    assert not declares_records_without_future_annotations(
+        "from __future__ import annotations\n" + record)
+    assert not declares_records_without_future_annotations("class T:\n    x: int\n")
+
+
+def test_every_record_module_imports_future_annotations():
+    assert [str(p.relative_to(ROOT)) for p in SOURCES
+            if declares_records_without_future_annotations(p.read_text())] == []
+
+
+GENERATED_RECORDS = ("NamedTuple", "namedtuple")
+
+
+def generated_record_uses(source: str) -> list[str]:
+    """The line of each import of the dataclasses module and of each name or
+    attribute NamedTuple or namedtuple, at any depth."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and (
+                    node.module == "dataclasses"
+                    or any(a.name in GENERATED_RECORDS for a in node.names))
+                or isinstance(node, ast.Name) and node.id in GENERATED_RECORDS
+                or isinstance(node, ast.Attribute) and node.attr in GENERATED_RECORDS):
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_the_scan_finds_a_record_that_generates_code():
     source = ("import dataclasses as dc\nimport dataclasses_json\n"
-              "def f():\n    from dataclasses import dataclass\n    return dataclass\n")
-    assert dataclasses_imports(source) == ["line 1", "line 4"]
+              "def f():\n    from dataclasses import dataclass\n    return dataclass\n"
+              "from typing import NamedTuple as NT\nimport collections\n"
+              "P = collections.namedtuple('P', 'x y')\nclass Q(typing.NamedTuple):\n    x: int\n"
+              "class R(_Record):\n    x: int\n")
+    assert generated_record_uses(source) == ["line 1", "line 4", "line 6", "line 8", "line 9"]
 
 
-def test_no_module_under_src_imports_dataclasses():
-    found = {str(p.relative_to(ROOT)): dataclasses_imports(p.read_text()) for p in SOURCES}
+def test_no_record_under_src_generates_code():
+    found = {str(p.relative_to(ROOT)): generated_record_uses(p.read_text()) for p in SOURCES}
     assert {module: lines for module, lines in found.items() if lines} == {}
