@@ -21,14 +21,13 @@ findings, not failures, and exit 0.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
-                     GridSchedule, Point, ScheduleError, _TAIL_STEPS)
+                     GridSchedule, Point, ScheduleError, _TAIL_STEPS, _json_file)
 from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
 
 # Each subcommand imports the modules it needs inside its handler, so a run
@@ -47,28 +46,27 @@ EXIT_INTERNAL = 4
 
 def _config_defaults(command: argparse.ArgumentParser, ns: argparse.Namespace) -> dict:
     """The --config file's values, each converted as if typed after its flag."""
-    try:
-        config = json.loads(Path(ns.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {ns.config}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config file must hold a JSON object")
     # a config key must name one of the subcommand's own flags
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
-    unknown = sorted(set(config) - set(actions))
-    if unknown:
-        raise ConfigError(f"unknown config key(s) for {ns.command}: {', '.join(unknown)}")
-    if not isinstance(config.get("no_timestamp", False), bool):
-        raise ConfigError(f"no_timestamp must be true or false, got {config['no_timestamp']!r}")
-    defaults = {}
-    for key, value in config.items():
-        kind = actions[key].type or str
-        try:
-            defaults[key] = value if key == "no_timestamp" else kind(str(value))
-        except ValueError as exc:
-            noun = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
-    return defaults
+    with _json_file(ns.config, "config") as config:
+        unknown = sorted(set(config) - set(actions))
+        if unknown:
+            raise ConfigError(f"unknown key(s) for {ns.command}: {', '.join(unknown)}")
+        if not isinstance(config.get("no_timestamp", False), bool):
+            raise ConfigError("no_timestamp must be true or false, "
+                              f"got {config['no_timestamp']!r}")
+        return {key: value if key == "no_timestamp" else _typed(actions[key], value)
+                for key, value in config.items()}
+
+
+def _typed(action: argparse.Action, value: object) -> object:
+    """value converted as if typed after action's flag."""
+    kind = action.type or str
+    try:
+        return kind(str(value))
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{action.dest} must be {noun}, got {value!r}") from exc
 
 
 def _check_out(out: Path) -> None:

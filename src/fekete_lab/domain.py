@@ -1,9 +1,10 @@
 """Core geometry for directed limits on orthants of R^d and Z^d.
 
 Points, orthant sign words with their product orders, the q*t + r step
-decomposition used by the limit estimators, and geometric sampling
-schedules.  Every value here is immutable after construction and every
-function is pure, so concurrent use needs no synchronization.
+decomposition used by the limit estimators, geometric sampling schedules
+and the readers of JSON input files.  Every value here is immutable after
+construction, and every function but _json_file, which reads a file, is
+pure, so concurrent use needs no synchronization.
 
 Reals are IEEE double precision throughout; exactness claims are made
 "to one ulp".  The extended reals are ordinary floats allowed to be
@@ -13,7 +14,12 @@ indeterminate form raises instead of silently propagating NaN.
 
 from __future__ import annotations
 
+import json
 import math
+import reprlib
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator, Sequence
 
 
@@ -68,35 +74,60 @@ class IndeterminateFormError(FeketeLabError):
     """Arithmetic would produce an indeterminate form such as inf - inf."""
 
 
-def _json_int(value: object, field: str) -> int:
-    """value, an integer field of a JSON input file, if it is a JSON integer.
+# The readers of JSON input files.  A field reader returns value if it has
+# the JSON type its field needs, and refuses anything else with a ConfigError
+# naming the field and the value, shortened by reprlib: a conversion would
+# read another input than the one written (int() reads 2.9 as 2 and true as
+# 1, float() reads "1e0" as 1, iterating reads a string character by
+# character), and indexing a list or a string fails with Python's message.
 
-    int() would read 2.9 as 2 and true as 1, another input than the one
-    written, so a float, bool or string is refused, naming the field."""
+def _json_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
+        raise ConfigError(f"{field} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _json_float(value: object, field: str) -> float:
-    """value, a float field of a JSON input file, as a float if it is a JSON number.
-
-    float() would read "1e0" as 1 and false as 0, so a bool, string or
-    null is refused, naming the field."""
+    """value as a float; an integer past the float range is refused too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field} must be a number, got {value!r}")
+        raise ConfigError(f"{field} must be a number, got {reprlib.repr(value)}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{field} is an integer past the float range")
     return float(value)
 
 
 def _json_list(value: object, field: str) -> list:
-    """value, a list field of a JSON input file, if it is a JSON array.
-
-    Iterating would read a string character by character and an object
-    key by key, another input than the one written, so anything but an
-    array is refused, naming the field."""
     if not isinstance(value, list):
-        raise ConfigError(f"{field} must be a list, got {value!r}")
+        raise ConfigError(f"{field} must be a list, got {reprlib.repr(value)}")
     return value
+
+
+def _json_object(value: object, field: str, *required: str) -> dict:
+    """value, if it is an object holding every key in required; field "" is the top level."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field or 'the file'} must be an object, got {reprlib.repr(value)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{field + '.' if field else ''}{key} is missing")
+    return value
+
+
+@contextmanager
+def _json_file(path: str | Path, kind: str, *required: str) -> Iterator[dict]:
+    """The JSON object in the UTF-8 file at path, holding every key in
+    required, for a with block that reads its fields.  A file that cannot
+    be opened or parsed (bad UTF-8, syntax or digit count, or nesting too
+    deep) is "cannot read KIND PATH: ...", and one whose top level is not
+    an object or whose block raises ConfigError or DomainError is "invalid
+    KIND PATH: ..."."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
+    try:
+        yield _json_object(value, "", *required)
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"invalid {kind} {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

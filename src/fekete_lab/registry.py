@@ -17,8 +17,8 @@ across threads.
 
 from __future__ import annotations
 
-import json
 import math
+import reprlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -33,6 +33,7 @@ from .domain import (
     Orthant,
     Point,
     _Record,
+    _json_file,
     _json_float,
     _json_int,
     _json_list,
@@ -357,12 +358,7 @@ def tabulated_oracle(axes: Sequence[Sequence[float]], values: Sequence[float],
 def load_tabulated(path: str | Path) -> FunctionOracle:
     """Load a tabulated oracle, named after the file, from JSON {"dim", "axes",
     "values"} (values row-major), with the checks of tabulated_oracle."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read tabulated function from {path}: {exc}") from exc
-    try:
+    with _json_file(path, "table", "dim", "axes", "values") as obj:
         dim = _json_int(obj["dim"], "dim")
         axes = [[_json_float(c, f"axes[{i}][{j}]")
                  for j, c in enumerate(_json_list(axis, f"axes[{i}]"))]
@@ -370,14 +366,12 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
         values = []
         for k, v in enumerate(_json_list(obj["values"], "values")):
             if isinstance(v, list):
-                raise ConfigError(f"values[{k}] must be a number, got {v!r}; "
+                raise ConfigError(f"values[{k}] must be a number, got {reprlib.repr(v)}; "
                                   "values is one flat, row-major list")
             values.append(_json_float(v, f"values[{k}]"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed tabulated-function object: {exc}") from exc
-    if len(axes) != dim:
-        raise ConfigError(f"declared dim {dim} but {len(axes)} axes given")
-    return tabulated_oracle(axes, values, path.stem)
+        if len(axes) != dim:
+            raise ConfigError(f"declared dim {dim} but {len(axes)} axes given")
+        return tabulated_oracle(axes, values, Path(path).stem)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +411,16 @@ def cardinality_set_function() -> FiniteSetFunction:
 
 
 def load_set_family(path: str | Path) -> tuple[FiniteSetFunction, list[frozenset[int]]]:
-    """Load {"base": name, "sets": [[...], ...]} for the set-union checker.
-
-    base is either "cardinality" or the name of a built-in integer
-    oracle to lift via set_function_from_integer.
-    """
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-        base = str(obj["base"])
+    """Load {"base": name, "sets": [[...], ...]} for the set-union checker: base
+    is "cardinality" or a built-in integer oracle, lifted by set_function_from_integer."""
+    with _json_file(path, "set family", "base", "sets") as obj:
+        base = obj["base"]
+        if not isinstance(base, str):
+            raise ConfigError(f"base must be a string, got {reprlib.repr(base)}")
         family = [frozenset(_json_int(n, f"sets[{i}]") for n in _json_list(s, f"sets[{i}]"))
                   for i, s in enumerate(_json_list(obj["sets"], "sets"))]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read set family from {path}: {exc}") from exc
-    if base == "cardinality":
-        g = cardinality_set_function()
-    else:
-        g = set_function_from_integer(builtin(base))
-    if not family:
-        raise ConfigError("set family must be nonempty")
-    return g, family
+        g = (cardinality_set_function() if base == "cardinality"
+             else set_function_from_integer(builtin(base)))
+        if not family:
+            raise ConfigError("sets must be nonempty")
+        return g, family

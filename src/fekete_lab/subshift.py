@@ -43,13 +43,13 @@ premise fails, the sweep runs to the last row.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .domain import ConfigError, DomainError, _Record, _json_int, _json_list
+from .domain import (ConfigError, DomainError, _Record, _json_file, _json_int, _json_list,
+                     _json_object)
 
 # checks (the submultiplicativity report) is imported where it is used, so
 # entropy_bounds does not load it
@@ -70,7 +70,6 @@ __all__ = [
     "load_sft_spec",
 ]
 
-MAX_PATTERN_SIDE = 8   # enumeration feasibility cap per axis
 CELL_CAP_BITS = 144.0  # cells * log2(a) <= this (12x12 at two symbols)
 STATE_CAP_BITS = 48.0  # (frontier window + 1) * log2(a) <= this: the pairs of a
                        # window and a new symbol one cell's step may visit
@@ -100,15 +99,8 @@ class ForbiddenPattern(_Record):
             raise DomainError("one symbol per offset required")
         if len(set(offsets)) != len(offsets):
             raise DomainError("duplicate offsets in forbidden pattern")
-        dims = {len(off) for off in offsets}
-        if len(dims) != 1:
+        if len({len(off) for off in offsets}) != 1:
             raise DomainError("offsets of mixed dimension")
-        for axis in range(next(iter(dims))):
-            lo = min(off[axis] for off in offsets)
-            hi = max(off[axis] for off in offsets)
-            if hi - lo + 1 > MAX_PATTERN_SIDE:
-                raise DomainError(
-                    f"pattern bounding box exceeds {MAX_PATTERN_SIDE} on axis {axis}")
         super().__init__(offsets, symbols)
 
     @property
@@ -632,26 +624,18 @@ def builtin_sft_names() -> tuple[str, ...]:
 
 
 def load_sft_spec(path: str | Path) -> SftSpec:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
+    """Load {"alphabet", "dim", "forbidden": [{"offsets", "symbols"}, ...]}; forbidden optional."""
+    with _json_file(path, "subshift spec", "alphabet", "dim") as obj:
         alphabet = _json_int(obj["alphabet"], "alphabet")
         dim = _json_int(obj["dim"], "dim")
-        forbidden = tuple(
-            ForbiddenPattern(
-                offsets=tuple(
-                    tuple(_json_int(c, f"forbidden[{i}].offsets")
-                          for c in _json_list(off, f"forbidden[{i}].offsets[{j}]"))
-                    for j, off in enumerate(_json_list(entry["offsets"],
-                                                       f"forbidden[{i}].offsets"))),
-                symbols=tuple(_json_int(s, f"forbidden[{i}].symbols")
-                              for s in _json_list(entry["symbols"], f"forbidden[{i}].symbols")),
-            )
-            for i, entry in enumerate(_json_list(obj.get("forbidden", []), "forbidden"))
-        )
-        return SftSpec(alphabet=alphabet, dim=dim, forbidden=forbidden)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read subshift spec from {path}: {exc}") from exc
-    except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"invalid subshift spec {path}: {exc}") from exc
-
+        forbidden = []
+        for i, entry in enumerate(_json_list(obj.get("forbidden", []), "forbidden")):
+            at = f"forbidden[{i}]"
+            entry = _json_object(entry, at, "offsets", "symbols")
+            offsets = [[_json_int(c, f"{at}.offsets")
+                        for c in _json_list(off, f"{at}.offsets[{j}]")]
+                       for j, off in enumerate(_json_list(entry["offsets"], f"{at}.offsets"))]
+            symbols = [_json_int(s, f"{at}.symbols")
+                       for s in _json_list(entry["symbols"], f"{at}.symbols")]
+            forbidden.append(ForbiddenPattern(offsets, symbols))
+        return SftSpec(alphabet, dim, tuple(forbidden))

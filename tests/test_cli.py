@@ -117,7 +117,7 @@ def test_entropy_unknown_sft_exits_two(tmp_path):
 
 @pytest.mark.parametrize("spec, extra", [
     ({"alphabet": 2, "dim": 1,
-      "forbidden": [{"offsets": [[0], [8]], "symbols": [1, 1]}]}, []),  # 9 cells wide
+      "forbidden": [{"offsets": [[0], [0, 1]], "symbols": [1, 1]}]}, []),  # mixed dimension
     ({"alphabet": 2, "dim": 1, "forbidden": [{"offsets": [[0]], "symbols": [2]}]}, []),
     ({"alphabet": 1, "dim": 1, "forbidden": []}, []),
     (None, ["--sft", "golden_mean_1d", "--max-side", 0]),
@@ -153,6 +153,69 @@ def test_subshift_spec_numbers_must_be_json_integers(tmp_path, capsys, spec, fie
     assert not (tmp_path / "out").exists()
 
 
+# each JSON input file flag: the command line that ends in its FILE, and
+# the file's kind as errors name it
+INPUT_FILES = {
+    "config": (["check", "--config"], "config"),
+    "table": (["check", "--mode", "componentwise", "--table"], "table"),
+    "sets": (["check", "--mode", "set_union", "--sets"], "set family"),
+    "sft": (["entropy", "--sft"], "subshift spec"),
+}
+# a file without a required key, and its error; a config has no required
+# key, so its file has an unknown one
+MISSING_KEY = {
+    "config": (b'{"cuont": 5}', "unknown key(s) for check: cuont"),
+    "table": (b'{"dim": 1, "axes": [[1, 2]]}', "values is missing"),
+    "sets": (b'{"sets": [[1]]}', "base is missing"),
+    "sft": (b'{"alphabet": 2}', "dim is missing"),
+}
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "bad_syntax", "deep", "long_integer", "list",
+                                  "long_list", "string", "missing_key"])
+@pytest.mark.parametrize("flag", list(INPUT_FILES))
+def test_a_malformed_input_file_exits_two_naming_it(tmp_path, capsys, flag, case):
+    # one reader reads every JSON input file and refuses it in one line of
+    # one of two forms: "cannot read" when the file does not open or parse,
+    # and "invalid" when its content is not the object the flag needs
+    content, message = {
+        "not_utf8": (b"\xff\xfe", None),
+        "bad_syntax": (b"{bad", None),
+        "deep": (b"[" * 100_000 + b"]" * 100_000, None),
+        "long_integer": (b'{"seed": 1' + b"0" * 5000 + b"}", None),  # past Python's digit limit
+        "list": (b"[1, 2]", "the file must be an object, got [1, 2]"),
+        # a refused value is shown shortened, so the error stays one short line
+        "long_list": (json.dumps(list(range(100_000))).encode(),
+                      "the file must be an object, got [0, 1, 2, 3, 4, 5, ...]"),
+        "string": (b'"x"', "the file must be an object, got 'x'"),
+        "missing_key": MISSING_KEY[flag],
+    }[case]
+    argv, kind = INPUT_FILES[flag]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run([*argv, path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    if message is None:
+        assert err.startswith(f"error: cannot read {kind} {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == f"error: invalid {kind} {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("forbidden, message", [
+    (["ab"], "forbidden[0] must be an object, got 'ab'"),
+    ([{"offsets": [[0]], "symbols": [1]}, {"offsets": [[0]]}], "forbidden[1].symbols is missing"),
+], ids=["string", "no_symbols"])
+def test_a_forbidden_entry_must_be_an_object_with_both_keys(tmp_path, capsys, forbidden, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"alphabet": 2, "dim": 1, "forbidden": forbidden}))
+    assert run(["entropy", "--sft", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: invalid subshift spec {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"dim": 1, "axes": [[true, "2", 3]], "values": ["1e0", false, 3]}',
      "axes[0][0] must be a number, got True"),
@@ -181,7 +244,7 @@ def test_table_numbers_must_be_json_numbers(tmp_path, capsys, text, message):
     path.write_text(text)
     assert run(["check", "--table", path, "--mode", "componentwise",
                 "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: invalid table {path}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -202,19 +265,17 @@ def test_non_numeric_config_value_exits_two(tmp_path, capsys, command, config):
 
 @pytest.mark.parametrize("command, config, message", [
     ("check", {"fn": "abs", "mode": "joint", "cuont": 5, "sed": 3},
-     "error: unknown config key(s) for check: cuont, sed\n"),
-    ("limit", {"fn": "sqrt_prod", "anchors": "1,1"},
-     "error: unknown config key(s) for limit: anchors\n"),
-    ("entropy", {"sft": "golden_mean_1d", "func": "x"},
-     "error: unknown config key(s) for entropy: func\n"),
+     "unknown key(s) for check: cuont, sed"),
+    ("limit", {"fn": "sqrt_prod", "anchors": "1,1"}, "unknown key(s) for limit: anchors"),
+    ("entropy", {"sft": "golden_mean_1d", "func": "x"}, "unknown key(s) for entropy: func"),
     ("check", {"fn": "abs", "mode": "joint", "no_timestamp": "false"},
-     "error: no_timestamp must be true or false, got 'false'\n"),
+     "no_timestamp must be true or false, got 'false'"),
 ], ids=["check_typos", "limit_anchors", "entropy_func", "no_timestamp_string"])
 def test_config_key_errors_exit_two(tmp_path, capsys, command, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: invalid config {path}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -377,7 +438,8 @@ def test_config_number_is_refused_where_the_flag_would_be(tmp_path, capsys, conf
     out = tmp_path / "out"
     assert run(["limit", "--fn", "sqrt_prod", "--config", path, "--out", out]) == 2
     value = config["levels"]
-    assert capsys.readouterr().err == f"error: levels must be an integer, got {value!r}\n"
+    assert capsys.readouterr().err == (
+        f"error: invalid config {path}: levels must be an integer, got {value!r}\n")
     assert not out.exists()
 
 

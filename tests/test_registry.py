@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -202,11 +203,12 @@ def test_tabulated_parse_failure(tmp_path):
     # int() would read 1.5 and true as 1
     for dim in (1.5, True, "1"):
         bad.write_text(json.dumps({"dim": dim, "axes": [[1, 2]], "values": [1, 2]}))
-        with pytest.raises(ConfigError, match=f"^dim must be an integer, got {dim!r}$"):
+        with pytest.raises(ConfigError, match=f"^invalid table {re.escape(str(bad))}: "
+                                              f"dim must be an integer, got {dim!r}$"):
             load_tabulated(bad)
     # a JSON integer past the float range is malformed, not an internal error
     bad.write_text('{"dim": 1, "axes": [[1, 2]], "values": [1, 1' + "0" * 400 + "]}")
-    with pytest.raises(ConfigError, match="too large to convert to float"):
+    with pytest.raises(ConfigError, match=r": values\[1\] is an integer past the float range$"):
         load_tabulated(bad)
 
 
@@ -232,7 +234,7 @@ def test_tabulated_number_errors_name_the_index(tmp_path):
         bad.write_text(json.dumps(table))
         with pytest.raises(ConfigError) as raised:
             load_tabulated(bad)
-        assert str(raised.value) == message
+        assert str(raised.value) == f"invalid table {bad}: {message}"
 
 
 def test_set_function_lift():
@@ -262,12 +264,19 @@ def test_load_set_family(tmp_path):
     # members must be JSON integers: 1.5 and true would both read as 1
     for sets, at in (([[1.5], [3]], 0), ([[2], [3, True]], 1), ([[2], ["3"]], 1)):
         path.write_text(json.dumps({"base": "nmod2", "sets": sets}))
-        with pytest.raises(ConfigError, match=rf"^sets\[{at}\] must be an integer"):
+        with pytest.raises(ConfigError, match=rf"^invalid set family {re.escape(str(path))}: "
+                                              rf"sets\[{at}\] must be an integer"):
+            load_set_family(path)
+    # base is a name: 5, null or a list would be looked up as '5', 'None' or "['nmod2']"
+    for base in (5, None, ["nmod2"]):
+        path.write_text(json.dumps({"base": base, "sets": [[1]]}))
+        with pytest.raises(ConfigError, match=re.escape(f": base must be a string, got {base!r}")):
             load_set_family(path)
     # the family and each set must be JSON lists, not read character by character
     for sets, field in (("12", "sets"), ([[1], "23"], r"sets\[1\]"), ({"1": 2}, "sets")):
         path.write_text(json.dumps({"base": "cardinality", "sets": sets}))
-        with pytest.raises(ConfigError, match=rf"^{field} must be a list, got "):
+        with pytest.raises(ConfigError, match=rf"^invalid set family {re.escape(str(path))}: "
+                                              rf"{field} must be a list, got "):
             load_set_family(path)
 
 

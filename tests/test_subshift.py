@@ -870,11 +870,23 @@ def test_pattern_validation():
     with pytest.raises(DomainError):
         ForbiddenPattern(((0,), (0,)), (1, 1))
     with pytest.raises(DomainError):
-        ForbiddenPattern(((0,), (9,)), (1, 1))
+        ForbiddenPattern(((0,), (0, 1)), (1, 1))
     with pytest.raises(DomainError):
         SftSpec(alphabet=2, dim=1, forbidden=(ForbiddenPattern(((0,),), (2,)),))
     with pytest.raises(DomainError):
         SftSpec(alphabet=1, dim=1)
+
+
+def test_a_nine_cell_word_counts_as_the_window_dp(tmp_path):
+    # no pattern width cap: the sweep's cell and state caps bound its work
+    path = tmp_path / "sft.json"
+    path.write_text(json.dumps({"alphabet": 2, "dim": 1,
+                                "forbidden": [{"offsets": [[0], [8]], "symbols": [1, 1]}]}))
+    sft = load_sft_spec(path)
+    assert sft.forbidden[0].extent(0) == 9
+    vectors = itertools.islice(reference_1d._window_counts_1d(sft), 1, 21)
+    for n, counts in enumerate(vectors, start=1):
+        assert count_patterns(sft, (n,)) == sum(counts.values()), n
 
 
 def test_spec_file_round_trip(tmp_path):
