@@ -42,7 +42,7 @@ print(f"simultaneous status: {sim.status} (no limit exists)")
 
 print()
 print("== subnets: diagonals and rays ==")
-diag = diagonal_limit(sqrt_prod, [lambda t: t, lambda t: t], delta=0.01)
+diag = diagonal_limit(sqrt_prod, (1, 1), delta=0.01)
 print(f"identity diagonal of sqrt_prod: best_upper {diag.best_upper:.3e}")
 ceil_ray = ray_limit(builtin("ceiling"), (1.0,), delta=0.01)
 print(f"ceiling along t -> t: best_upper {ceil_ray.best_upper} "

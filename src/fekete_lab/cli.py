@@ -60,8 +60,14 @@ def _config_defaults(command: argparse.ArgumentParser, ns: argparse.Namespace) -
 
 
 def _typed(action: argparse.Action, value: object) -> object:
-    """value converted as if typed after action's flag."""
+    """value converted as if typed after action's flag.
+
+    A flag without a numeric type takes a string or a number only: str()
+    would read null as the text None and true as True.
+    """
     kind = action.type or str
+    if kind not in (int, float) and type(value) not in (str, int, float):
+        raise ConfigError(f"{action.dest} must be a string or a number, got {value!r}")
     try:
         return kind(str(value))
     except ValueError as exc:
@@ -76,21 +82,12 @@ def _check_out(out: Path) -> None:
         raise ConfigError(f"cannot write to --out {out}: {path} is not a directory")
 
 
-def _parse_point(text: str) -> Point:
+def _numbers(text: str, what: str, kind: type = float) -> list:
+    """The comma-separated numbers in text, each read by kind; what names them in a refusal."""
     try:
-        return Point(tuple(float(c) for c in text.split(",")))
+        return [kind(c) for c in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse point {text!r}: {exc}") from exc
-
-
-def _parse_order(text: str, dim: int) -> tuple[int, ...]:
-    try:
-        order = tuple(int(c) - 1 for c in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse axis order {text!r}: {exc}") from exc
-    if sorted(order) != list(range(dim)):
-        raise ConfigError(f"axis order {text!r} is not a permutation of 1..{dim}")
-    return order
+        raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _get_oracle(ns: argparse.Namespace):
@@ -197,12 +194,15 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
             raise ConfigError(f"--base does not apply to {modes[0]}: the path starts at t = 1")
         base = Point((1.0,))
     else:
-        base = _parse_point(ns.base) if ns.base else Point((1.0,) * d)
+        base = Point(_numbers(ns.base, "point")) if ns.base else Point((1.0,) * d)
     # the estimators check delta and the schedule before they evaluate
     schedule = GridSchedule(base=base, growth=ns.growth, levels=ns.levels)
 
     if ns.iterated is not None:
-        result = iterated_limit(oracle, _parse_order(ns.iterated, d), schedule, ns.delta)
+        order = [axis - 1 for axis in _numbers(ns.iterated, "axis order", int)]
+        if sorted(order) != list(range(d)):
+            raise ConfigError(f"axis order {ns.iterated!r} is not a permutation of 1..{d}")
+        result = iterated_limit(oracle, order, schedule, ns.delta)
         write_json_atomic(ns.out / "iterated.json", {"meta": _meta(ns), **result.to_json_dict()})
         value = "+inf" if result.value == math.inf else (
             "-inf" if result.value == -math.inf else repr(result.value))
@@ -211,18 +211,14 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     if ns.direction is not None:
-        bracket = ray_limit(oracle, _parse_point(ns.direction), schedule, ns.delta)
+        bracket = ray_limit(oracle, Point(_numbers(ns.direction, "point")), schedule, ns.delta)
         _bracket_outputs(ns, "ray", bracket)
         print(f"ray {ns.direction}: status {bracket.status}, best_upper {bracket.best_upper!r}")
         return EXIT_OK
 
     if ns.diagonal is not None:
-        try:
-            powers = [float(p) for p in ns.diagonal.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse diagonal powers {ns.diagonal!r}: {exc}") from exc
-        paths = [(lambda t, p=p: t ** p) for p in powers]
-        bracket = diagonal_limit(oracle, paths, schedule, ns.delta)
+        powers = _numbers(ns.diagonal, "diagonal powers")
+        bracket = diagonal_limit(oracle, powers, schedule, ns.delta)
         _bracket_outputs(ns, "diagonal", bracket)
         print(f"diagonal t^{powers}: status {bracket.status}, "
               f"best_upper {bracket.best_upper!r}")
@@ -277,7 +273,7 @@ def _cmd_levelset(ns: argparse.Namespace) -> int:
     oracle = _get_oracle(ns)
     if ns.anchors is None:
         raise ConfigError("give anchors with --anchors \"t1,t2[;u1,u2...]\"")
-    anchors = [_parse_point(chunk) for chunk in ns.anchors.split(";")]
+    anchors = [Point(_numbers(chunk, "point")) for chunk in ns.anchors.split(";")]
     rows = check_levelset_lemma(oracle, anchors, ns.method, cells=ns.cells,
                                 samples=ns.samples, seed=ns.seed)
     write_json_atomic(ns.out / "levelset.json", {

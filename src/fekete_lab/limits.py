@@ -12,6 +12,11 @@ it holds at least 8 samples and its last 4 pass.  The status is
 empirical: it says the sampled tail of a cofinal subset stayed within
 the tolerance, not that every point beyond the threshold does.
 
+Samples come from one rung rule, the schedule's geometric ladder, rounded
+on an integer domain: it gives the grid axes, the iterated tails, and the
+parameter t of the ray x(t) = t * direction and of the diagonal path
+x(t) = (t^p1, ..., t^pd), which is given by its exponents.
+
 Statuses: converged | diverging_to_minus_infinity |
 diverging_to_plus_infinity | inconclusive.
 """
@@ -241,10 +246,10 @@ def _require_main_orthant(oracle: FunctionOracle) -> None:
 
 
 def _schedule(schedule: GridSchedule | None, d: int) -> GridSchedule:
-    """The schedule of an estimator over d axes: the default one if none is given."""
+    """The schedule of an estimator over d axes, 1 for a path; the default one if none is given."""
     schedule = schedule or default_schedule(d)
     if schedule.dim != d:
-        raise DimensionMismatchError(f"schedule of dimension {schedule.dim} vs oracle {d}")
+        raise DimensionMismatchError(f"schedule of dimension {schedule.dim}, expected {d}")
     return schedule
 
 
@@ -445,51 +450,41 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
 # Diagonal / path limits
 # ---------------------------------------------------------------------------
 
-def _path_schedule(schedule: GridSchedule | None, kind: str) -> GridSchedule:
-    schedule = schedule or default_schedule(1)
-    if schedule.dim != 1:
-        raise DomainError(f"{kind} limits use a one-dimensional parameter schedule")
-    return schedule
+def _path_parameters(oracle: FunctionOracle, schedule: GridSchedule | None) -> list[float]:
+    """The parameter values t of a path limit: the grid modes' rung rule, as floats."""
+    ladder = _schedule(schedule, 1).axis_values(0, integer=oracle.domain.integer)
+    return [float(t) for t in ladder]
 
 
-def _path_points(ts: Sequence[float],
-                 path: Callable[[float], Sequence[float]]) -> np.ndarray:
-    """path(t) for every t, one point per row; an overflow makes the schedule unusable."""
-    try:
-        return np.array([path(t) for t in ts], dtype=float)
-    except OverflowError as exc:
-        raise ScheduleError(f"a path point overflows: {exc}") from exc
-
-
-def diagonal_limit(oracle: FunctionOracle, paths: Sequence[Callable[[float], float]],
+def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
                    schedule: GridSchedule | None = None, delta: float = 0.01) -> LimitBracket:
-    """Bracket the limit along a parametrized path x(t) with every axis diverging.
+    """Bracket the limit along the diagonal path x(t) = (t^p1, ..., t^pd).
 
-    Any such path is a subnet of the product-order net, so for a
-    componentwise subadditive oracle the path limit equals the
-    simultaneous one and its sampled infimum already equals the global
-    infimum on identity-style integer diagonals.
+    Any path with every axis diverging is a subnet of the product-order
+    net, so for a componentwise subadditive oracle the path limit equals
+    the simultaneous one and its sampled infimum already equals the global
+    infimum on identity-style integer diagonals.  Each power must be finite
+    and above 1/2, so that each coordinate outgrows the square root of the
+    parameter's range.  On an integer domain t^p is rounded half to even.
     """
     _require_delta(delta)
     _require_main_orthant(oracle)
     d = oracle.domain.dim
-    if len(paths) != d:
-        raise DimensionMismatchError(f"{len(paths)} paths for {d} axes")
-    schedule = _path_schedule(schedule, "diagonal")
-    ts = schedule.axis_values(0)
-    coords = _path_points(ts, lambda t: [p(t) for p in paths])
-
-    first, last = coords[0].tolist(), coords[-1].tolist()
-    escape = schedule.growth ** (schedule.levels / 2)
-    for i in range(d):
-        if not last[i] > first[i] * escape:
-            raise DomainError(
-                f"path {i} does not diverge over the sampled range "
-                f"({first[i]!r} -> {last[i]!r}); need growth beyond factor {escape!r}"
-            )
-
+    if len(powers) != d:
+        raise DimensionMismatchError(f"{len(powers)} powers for {d} axes")
+    for i, p in enumerate(powers):
+        if not p > 0.5:
+            raise DomainError(f"power {p!r} on axis {i} is not above 1/2: "
+                              "each coordinate must outgrow sqrt(t)")
+        if p == math.inf:
+            raise DomainError(f"power {p!r} on axis {i} is not finite")
+    ts = _path_parameters(oracle, schedule)
+    try:
+        coords = np.array([[t ** p for p in powers] for t in ts])
+    except OverflowError as exc:
+        raise ScheduleError(f"a path point overflows: {exc}") from exc
     if oracle.domain.integer:
-        coords = np.round(coords)  # half to even, as round(); inf stays inf
+        coords = np.round(coords)  # half to even, as round()
     with np.errstate(over="ignore"):  # _bracket refuses an overflow
         scales = math.prod(coords.T)
     return _bracket(oracle, coords, scales, np.array(ts).reshape(-1, 1), delta)
@@ -586,7 +581,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
             f"direction of dimension {dirp.dim} vs oracle {oracle.domain.dim}")
     if all(c == 0 for c in dirp):
         raise DomainError("direction must be nonzero")
-    ts = _path_schedule(schedule, "ray").axis_values(0)
-    return _bracket(oracle, _path_points(ts, lambda t: [t * c for c in dirp]), ts,
+    ts = _path_parameters(oracle, schedule)
+    return _bracket(oracle, np.array([[t * c for c in dirp] for t in ts]), ts,
                     np.array(ts).reshape(-1, 1), delta)
 

@@ -337,9 +337,7 @@ def count_patterns(sft: SftSpec, sides: Sequence[int]) -> int:
 
 
 def _exact_log(value: Fraction, alphabet: int) -> int | None:
-    """The integer k with value == alphabet**k, or None if there is none."""
-    if value <= 0:
-        return None
+    """The integer k with value == alphabet**k, or None if there is none; value > 0."""
     k = round((math.log(value.numerator) - math.log(value.denominator)) / math.log(alphabet))
     return k if Fraction(alphabet) ** k == value else None
 
@@ -564,7 +562,6 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
     from .checks import Violation, ViolationReport
     if side_cap < 2:
         raise DomainError("side_cap must be >= 2 to admit a split")
-    loga = math.log(sft.alphabet)
     counts: dict[tuple[int, ...], int] = {}
 
     def count(sides: tuple[int, ...]) -> int:
@@ -584,11 +581,10 @@ def check_count_submultiplicativity(sft: SftSpec, side_cap: int) -> ViolationRep
                 checked += 1
                 whole, cl, cr = count(sides), count(left), count(right)
                 if whole > cl * cr:
-                    lhs = math.log(whole) / loga if whole else -math.inf
-                    rhs = (math.log(cl * cr) / loga) if cl * cr else -math.inf
                     violations.append(Violation(kind="componentwise", axis=axis,
                                                 witness=(left, right),
-                                                lhs=lhs, rhs=rhs))
+                                                lhs=_log_count(whole, sft.alphabet),
+                                                rhs=_log_count(cl * cr, sft.alphabet)))
     label = f"pattern_count(a={sft.alphabet},d={sft.dim})"
     return ViolationReport(kind="componentwise", oracle=label,
                            violations=tuple(violations), samples_checked=checked,

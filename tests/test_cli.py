@@ -443,6 +443,26 @@ def test_config_number_is_refused_where_the_flag_would_be(tmp_path, capsys, conf
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("check", {"fn": "abs", "mode": "joint", "count": 50, "out": None}, "out"),
+    ("check", {"fn": "abs", "mode": "joint", "count": 50, "out": True}, "out"),
+    ("limit", {"fn": None}, "fn"),
+    ("limit", {"fn": "sqrt_prod", "diagonal": [1, 2]}, "diagonal"),
+    ("entropy", {"sft": {"name": "golden_mean_1d"}}, "sft"),
+    ("levelset", {"fn": "sqrt_prod", "anchors": "1,1", "method": False}, "method"),
+], ids=["out_null", "out_true", "fn_null", "diagonal_list", "sft_object", "method_false"])
+def test_config_text_flag_takes_a_string_or_a_number(tmp_path, capsys, monkeypatch,
+                                                       command, config, key):
+    # str() would read null as the text None and true as True
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", path]) == 2
+    assert capsys.readouterr().err == (f"error: invalid config {path}: {key} must be a string "
+                                       f"or a number, got {config[key]!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("config", [{"levels": 4}, {"levels": "4"}, {"levels": 4, "growth": 1.05}],
                          ids=["integer", "text", "float_growth"])
 def test_config_number_typed_as_its_flag_runs(tmp_path, config):
@@ -607,6 +627,51 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     assert run([*argv.split(), "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("limit", "give an oracle with --fn NAME or --table FILE"),
+    ("check --mode set_union", "set_union mode needs --sets FILE"),
+    ("entropy", "give a subshift with --sft NAME or --sft FILE"),
+    ("levelset --fn sqrt_prod", 'give anchors with --anchors "t1,t2[;u1,u2...]"'),
+    ("limit --fn sqrt_prod --base 1,x",
+     "cannot parse point '1,x': could not convert string to float: 'x'"),
+    ("limit --fn sqrt_prod --direction x",
+     "cannot parse point 'x': could not convert string to float: 'x'"),
+    ("levelset --fn sqrt_prod --anchors '1,1;2,y'",
+     "cannot parse point '2,y': could not convert string to float: 'y'"),
+    ("limit --fn sqrt_prod --iterated 1,x",
+     "cannot parse axis order '1,x': invalid literal for int() with base 10: 'x'"),
+    ("limit --fn sqrt_prod --iterated 1,1", "axis order '1,1' is not a permutation of 1..2"),
+    ("limit --fn sqrt_prod --diagonal x,1",
+     "cannot parse diagonal powers 'x,1': could not convert string to float: 'x'"),
+    ("limit --fn sqrt_prod --diagonal 0.5,1",
+     "power 0.5 on axis 0 is not above 1/2: each coordinate must outgrow sqrt(t)"),
+    ("limit --fn sqrt_prod --diagonal 1,inf", "power inf on axis 1 is not finite"),
+    ("limit --fn sqrt_prod --diagonal 1", "1 powers for 2 axes"),
+    # every limit mode walks the same rounded ladder, which growth 1.5 breaks
+    *((f"limit --fn nmod2 --growth 1.5 {mode}",
+       "unusable schedule: integer schedule is not strictly increasing; use growth >= 2")
+      for mode in ("", "--iterated 1", "--direction 1", "--diagonal 1")),
+])
+def test_refusals_print_their_message(tmp_path, capsys, argv, message):
+    assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, stem", [(["--direction", "1"], "ray"),
+                                        (["--diagonal", "1"], "diagonal")])
+def test_paths_walk_the_rounded_ladder_of_the_grid(tmp_path, mode, stem):
+    # at growth 2.5 the integer ladder is 1, 2, 6, 16, 39, ...: the rungs of the grid
+    def first_coordinates(output, *extra):
+        assert run(["limit", "--fn", "nmod2", "--growth", 2.5, *extra, "--out", tmp_path]) == 0
+        rows = (tmp_path / f"{output}.csv").read_text().splitlines()[1:]
+        return [row.split(",")[1] for row in rows]
+
+    grid = first_coordinates("bracket")
+    assert grid[:5] == ["1.0", "2.0", "6.0", "16.0", "39.0"] and len(grid) == 41
+    assert first_coordinates(stem, *mode) == grid
 
 
 def _limit_address_space():

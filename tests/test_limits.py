@@ -221,25 +221,25 @@ def test_iterated_three_levels():
 
 
 def test_diagonal_identity_matches_simultaneous():
-    diag = diagonal_limit(SQRT, [lambda t: t, lambda t: t], delta=0.01)
+    diag = diagonal_limit(SQRT, (1, 1), delta=0.01)
     sim = simultaneous_limit(SQRT, schedule2(40), delta=0.01)
     assert diag.status == CONVERGED
     assert abs(diag.best_upper - sim.best_upper) <= 0.02
 
 
 def test_diagonal_constant_ratio_and_unit_start():
-    bracket = diagonal_limit(FULL, [lambda t: t, lambda t: t * t], delta=0.01)
+    bracket = diagonal_limit(FULL, (1, 2), delta=0.01)
     assert bracket.status == CONVERGED and bracket.best_upper == 1.0
     assert tuple(bracket.points[0].tolist()) == (1.0, 1.0) and bracket.ratios[0] == 1.0
 
 
 def test_diagonal_rejects_bounded_path():
     with pytest.raises(DomainError):
-        diagonal_limit(SQRT, [lambda t: t, lambda t: 5.0])
+        diagonal_limit(SQRT, (1, 0))
 
 
 def test_diagonal_first_sample_is_unit_for_sqrt_prod():
-    bracket = diagonal_limit(SQRT, [lambda t: t, lambda t: t])
+    bracket = diagonal_limit(SQRT, (1, 1))
     assert tuple(bracket.points[0].tolist()) == (1.0, 1.0)
     assert bracket.ratios[0] == 1.0  # f(1,1)/1
 
@@ -298,7 +298,7 @@ def test_decomposition_bound_random_pairs_hold_for_csa_builtins():
 @pytest.mark.parametrize("estimate", [
     lambda oracle: simultaneous_limit(oracle, schedule2(4)),
     lambda oracle: iterated_limit(oracle, (0, 1), schedule2(4)),
-    lambda oracle: diagonal_limit(oracle, [lambda t: t, lambda t: t]),
+    lambda oracle: diagonal_limit(oracle, (1, 1)),
 ], ids=["simultaneous", "iterated", "diagonal"])
 def test_main_orthant_estimators_refuse_a_reflected_orthant(estimate):
     oracle = FunctionOracle(name="sqrt_abs_prod_on_10",
@@ -389,7 +389,7 @@ def _signed_zero_bracket():
                                   lambda x1, x2: np.sqrt(np.abs(x1 * x2))),
                       (-1.0, 2.0), GridSchedule(base=Point((1.0,)), levels=20)),
     lambda: ray_limit(SQRT, Point((1.0, 3.0)), GridSchedule(base=Point((1.0,)), levels=20)),
-    lambda: diagonal_limit(FULL, [lambda t: t, lambda t: t * t], delta=0.01),
+    lambda: diagonal_limit(FULL, (1, 2), delta=0.01),
     _signed_zero_bracket,
 ])
 def test_bracket_csv_matches_the_per_row_writer(tmp_path, make):
@@ -437,8 +437,7 @@ def test_iterated_limit_in_four_dimensions():
 ESTIMATORS = {
     "simultaneous": lambda delta, schedule=None: simultaneous_limit(SQRT, schedule, delta),
     "iterated": lambda delta, schedule=None: iterated_limit(SQRT, (0, 1), schedule, delta),
-    "diagonal": lambda delta, schedule=None: diagonal_limit(
-        SQRT, [lambda t: t, lambda t: t], schedule, delta),
+    "diagonal": lambda delta, schedule=None: diagonal_limit(SQRT, (1, 1), schedule, delta),
     "ray": lambda delta, schedule=None: ray_limit(SQRT, (1.0, 1.0), schedule, delta),
 }
 
@@ -455,6 +454,12 @@ def test_every_estimator_refuses_a_nan_or_nonpositive_delta(name, delta):
 def test_grid_estimators_refuse_a_schedule_of_the_wrong_dimension(name, base):
     with pytest.raises(DimensionMismatchError, match="schedule of dimension"):
         ESTIMATORS[name](0.01, GridSchedule(base=Point(base), levels=6))
+
+
+@pytest.mark.parametrize("name", ["diagonal", "ray"])
+def test_path_estimators_refuse_a_schedule_of_more_than_one_dimension(name):
+    with pytest.raises(DimensionMismatchError, match="^schedule of dimension 2, expected 1$"):
+        ESTIMATORS[name](0.01, GridSchedule(base=Point((1.0, 1.0)), levels=6))
 
 
 def test_simultaneous_limit_evaluates_the_oracle_once_per_batch(monkeypatch):
@@ -492,12 +497,11 @@ def _everywhere(name, integer, array_fn, d=2):
                           array_fn=array_fn)
 
 
-@pytest.mark.parametrize("shift", [1.0, 2.0])
-def test_diagonal_refuses_a_zero_or_negative_scale(shift):
-    # (t - shift, t) samples (1 - shift, 1) first: f/0 is NaN and f/-1 flips the bound
+def test_diagonal_refuses_a_zero_scale():
+    # t^p > 0, but from base 1e-200 the first products t * t underflow to 0: f/0 is NaN
     oracle = _everywhere("sqrt_abs_prod", False, lambda x1, x2: np.sqrt(np.abs(x1 * x2)))
     with pytest.raises(ScheduleError, match="zero or negative"):
-        diagonal_limit(oracle, [lambda t: t - shift, lambda t: t])
+        diagonal_limit(oracle, (1, 1), GridSchedule(base=Point((1e-200,))))
 
 
 def _reference_oracles(integer):
@@ -580,12 +584,12 @@ def test_grid_ray_and_diagonal_brackets_match_the_reference_loops(integer):
         _assert_same_bracket(ray_limit(oracle, direction, delta=0.05),
                              _reference_path_bracket(oracle, ts, points, ts, 0.05))
 
-        paths = [lambda t: t, lambda t: 1.5 * t]
-        coords = np.array([[p(t) for p in paths] for t in ts])
+        powers = (1, 1.5)
+        coords = np.array([[t ** p for p in powers] for t in ts])
         if integer:
             coords = np.round(coords)
         _assert_same_bracket(
-            diagonal_limit(oracle, paths, delta=0.05),
+            diagonal_limit(oracle, powers, delta=0.05),
             _reference_path_bracket(oracle, ts, coords,
                                     [math.prod(c) for c in coords.tolist()], 0.05))
     # a bracket never diverges to +inf: its bound is a minimum

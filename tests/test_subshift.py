@@ -819,6 +819,19 @@ def test_submultiplicativity_flags_a_fake():
         2 * (n - 1) * 4 for n in range(1, 5))  # splits per axis over 4x4 boxes
 
 
+def test_submultiplicativity_reports_each_violation_in_exact_logs(monkeypatch):
+    # a count table that is not submultiplicative; 3**5 and 3**10 have exact
+    # logs, which math.log(c) / math.log(3) misses for 3**5 (4.999999999999999)
+    counts = {(1, 1): 10, (1, 2): 3 ** 5, (2, 1): 0, (2, 2): 3 ** 10}
+    monkeypatch.setattr(subshift, "count_patterns", lambda sft, sides: counts[sides])
+    report = check_count_submultiplicativity(SftSpec(alphabet=3, dim=2), 2)
+    assert report.samples_checked == 4
+    assert [(v.axis, v.witness, v.lhs, v.rhs) for v in report.violations] == [
+        (1, ((2, 1), (2, 1)), 10.0, -math.inf),
+        (1, ((1, 1), (1, 1)), 5.0, math.log(100) / math.log(3)),
+    ]
+
+
 def test_folner_box_ratios():
     def box_ratio(sft, sides):  # binary alphabets only: log2 is exact on powers of two
         return math.log2(count_patterns(sft, sides)) / math.prod(sides)

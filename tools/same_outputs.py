@@ -7,12 +7,13 @@ package, such as the `src` of two checkouts.  Every job of
 bench/workloads.py's WORKLOADS runs at seeds 1 and 2, on the inputs that
 make_inputs writes for that seed, each of the 8 commands of acceptance
 criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
-on a table that this script writes: `check --table` in modes all and
+on a table that this script writes (`check --table` in modes all and
 componentwise at seeds 1 and 2, and `limit --table`, which refuses a
-finite grid and exits 2.  Every run is a fresh interpreter with
-PYTHONPATH set to one tree and `--no-timestamp`, writing to `out` in a
-scratch directory of its own, so the two sides see the same relative
-paths.
+finite grid and exits 2) and 8 ray and diagonal `limit` runs, on real
+and integer oracles, with whole and fractional powers.  Every run is a
+fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
+writing to `out` in a scratch directory of its own, so the two sides see
+the same relative paths.
 
 Prints one line per command that differs, naming what differs: the exit
 code, stdout, stderr, or an output file by name.  Exits 0 when nothing
@@ -59,6 +60,17 @@ TABLE_COMMANDS = (
     ("limit", "--table", TABLE),
 )
 
+PATH_COMMANDS = (
+    ("limit", "--fn", "full_shift_count_log", "--diagonal", "1,2"),
+    ("limit", "--fn", "full_shift_count_log", "--diagonal", "1,1.5"),
+    ("limit", "--fn", "full_shift_count_log", "--direction", "1,1"),
+    ("limit", "--fn", "nmod2", "--direction", "1"),
+    ("limit", "--fn", "nmod2", "--diagonal", "1"),
+    ("limit", "--fn", "ceiling", "--direction", "1"),
+    ("limit", "--fn", "sqrt_prod", "--diagonal", "0.6,1"),
+    ("limit", "--fn", "sqrt_prod", "--diagonal", "1,2", "--growth", "1.05", "--levels", "60"),
+)
+
 
 def write_table(path: Path) -> None:
     """sqrt(x1*x2), componentwise subadditive but not jointly, on the grid
@@ -74,7 +86,7 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
         (seed, (*job.argv, "--seed", str(seed), "--no-timestamp"))
         for seed in SEEDS for jobs in WORKLOADS.values() for job in jobs]
     return runs + [(None, (*argv, "--no-timestamp"))
-                   for argv in (*CRITERION_10, *TABLE_COMMANDS)]
+                   for argv in (*CRITERION_10, *TABLE_COMMANDS, *PATH_COMMANDS)]
 
 
 def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
@@ -115,9 +127,10 @@ def main(argv: list[str] | None = None) -> int:
                     if parent.get(key) != change.get(key)]
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
-    bench = len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS)
+    bench = len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
     print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
-          f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands): "
+          f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands, "
+          f"{len(PATH_COMMANDS)} path commands): "
           f"{len(runs) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
         print(f"  differs: {line}")
