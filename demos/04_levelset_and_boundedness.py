@@ -18,7 +18,6 @@ from fekete_lab import (
     check_levelset_lemma,
     compact_bound_scan,
     levelset_measure,
-    rubin_rational_box_scan,
     rubin_unboundedness_demo,
 )
 
@@ -48,12 +47,12 @@ print(f"sqrt_prod on [1,2]^2: min {scan.minimum} at {scan.argmin}, "
 
 print()
 print("== per-line bounded, box unbounded ==")
-demo = rubin_unboundedness_demo(12)
+demo = rubin_unboundedness_demo(20)
 for point, value in demo.diagonal[:6]:
     print(f"  f({point[0]}, {point[1]}) = {value}")
 print("  ... the diagonal value equals n at (1 + 1/n, 1 + 1/n), without bound")
 line = demo.line_scans[1]
 print(f"while on the line x = {line.x}: every sampled value <= {line.denominator_bound}")
-for q_max in (5, 10, 20):
-    scan = rubin_rational_box_scan(q_max)
-    print(f"exact rational grid with denominators <= {q_max}: max = {scan.maximum}")
+for n in (5, 10, 20):
+    point, value = demo.diagonal[n - 1]
+    print(f"exact value at ({point[0]}, {point[1]}): {value}")

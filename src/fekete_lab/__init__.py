@@ -31,7 +31,7 @@ _EXPORTS = {
     "registry": (
         "Domain", "FiniteSetFunction", "FunctionOracle", "KnownLimit", "builtin",
         "builtin_names", "cardinality_set_function", "load_set_family", "load_tabulated",
-        "rubin_eval", "set_function_from_integer", "tabulated_oracle",
+        "set_function_from_integer", "tabulated_oracle",
     ),
     "sampling": ("SampleBudget",),
     "checks": (
@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "levelset": (
         "BoxScan", "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma",
-        "compact_bound_scan", "levelset_measure", "rubin_rational_box_scan",
+        "compact_bound_scan", "levelset_measure", "rubin_eval",
         "rubin_unboundedness_demo",
     ),
     "subshift": (

@@ -50,6 +50,7 @@ TOP_K = 20
 
 _POSITIVE_RANGE = (0.1, 100.0)
 _INTEGER_RANGE = (1.0, 100.0)
+_MAX_SHIFT = 2 ** 53 - 2 * int(_INTEGER_RANGE[1])  # past it, n + shift rounds in float64
 # stop halving shrunken witnesses at the sampled range floor: smaller
 # coordinates stop being representative of the sampled domain
 _SHRINK_FLOOR = _POSITIVE_RANGE[0]
@@ -426,10 +427,15 @@ def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,
     """Run the joint check on the translate h(n) = f(n + shift).
 
     Translation does not preserve subadditivity in general, so a clean
-    report for f says nothing about its shifts.
+    report for f says nothing about its shifts.  n + shift is taken in
+    float64 and every n the joint check evaluates has |n| <= 200, so a
+    shift past 2^53 - 200 in size is refused: n + shift would round.
     """
     if oracle.domain.dim != 1 or not oracle.domain.integer or oracle.domain.orthant is not None:
         raise DomainError("shifted check needs a one-dimensional oracle on all of Z")
+    if abs(shift) > _MAX_SHIFT:
+        raise DomainError(f"shift {shift} is beyond +-{_MAX_SHIFT} (2^53 - 200): "
+                          "n + shift would round in float64")
     shifted = FunctionOracle(
         name=f"{oracle.name}_shifted_by_{shift}",
         domain=oracle.domain,

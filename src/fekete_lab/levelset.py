@@ -17,6 +17,11 @@ and is missed with an error bound of zero.  The Monte Carlo margin is a
 99% Hoeffding bound whose premise is that the counter stream acts as
 i.i.d. uniform draws.  A box scan is evidence of boundedness, never
 proof, and says so in its output.
+
+The minimum-denominator function rubin_eval marks where boundedness
+fails without componentwise subadditivity: it is bounded on every axis
+line of [1, 2]^2 and unbounded on the box.  Only exact rationals show
+it, so it and its demo take Fractions, not an oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .domain import DomainError, Point, _Record, as_point
-from .registry import FunctionOracle, exceeds, rubin_eval
+from .registry import FunctionOracle, exceeds
 
 # fractions is imported where it is used: only the exact rubin functions need it
 if TYPE_CHECKING:
@@ -41,14 +46,15 @@ __all__ = [
     "levelset_measure",
     "check_levelset_lemma",
     "compact_bound_scan",
+    "rubin_eval",
     "LineScan",
     "UnboundednessDemo",
     "rubin_unboundedness_demo",
-    "RationalBoxScan",
-    "rubin_rational_box_scan",
 ]
 
 _MC_CONFIDENCE_ALPHA = 0.01  # 99% Hoeffding bound
+_LINE_POINTS = 20   # the demo's lines x = 1 + 1/m, m = 1..20
+_LINE_GRID_Q = 12   # each line is sampled at every 1 + p/q with q <= 12
 
 
 class LevelSetSpec(_Record):
@@ -61,6 +67,9 @@ class LevelSetSpec(_Record):
         super().__init__(as_point(t), k)
         if not all(c > 0 for c in self.t):
             raise DomainError("anchor must have positive coordinates")
+        if not math.isfinite(self.box_volume):
+            raise DomainError(f"the box below anchor {tuple(self.t)} has volume "
+                              f"{self.box_volume!r}, which is not finite")
 
     @property
     def box_volume(self) -> float:
@@ -135,6 +144,8 @@ def _monte_carlo(oracle: FunctionOracle, spec: LevelSetSpec,
     hits = int(np.count_nonzero(values >= spec.k))
     vol = spec.box_volume
     value = vol * hits / samples
+    if value == math.inf:  # vol * hits overflowed; vol * (hits / samples) cannot
+        value = vol * (hits / samples)
     error = vol * math.sqrt(math.log(2.0 / _MC_CONFIDENCE_ALPHA) / (2.0 * samples))
     return MeasureEstimate(value=value, method="monte_carlo", error_bound=error)
 
@@ -244,6 +255,35 @@ def compact_bound_scan(oracle: FunctionOracle,
 # The minimum-denominator function: bounded on every line, unbounded on the box
 # ---------------------------------------------------------------------------
 
+def _denominator(value: Fraction | int) -> int:
+    from fractions import Fraction
+    if isinstance(value, Fraction):
+        if value <= 0:
+            raise DomainError(f"coordinate must be positive, got {value!r}")
+        return value.denominator
+    if isinstance(value, int):
+        if value <= 0:
+            raise DomainError(f"coordinate must be positive, got {value!r}")
+        return 1
+    raise DomainError(
+        f"expected Fraction or int, got {value!r}; rationality of a "
+        "float is not decidable, so inputs must be exact"
+    )
+
+
+def rubin_eval(coords: Sequence[Fraction | int]) -> float:
+    """min over coordinates of the reduced-denominator function h.
+
+    h(p/q) = q for a positive fraction in lowest terms (Fraction reduces
+    automatically and rejects zero denominators at construction), and
+    h = 1 on positive integers.
+    """
+    values = [_denominator(c) for c in coords]
+    if not values:
+        raise DomainError("at least one coordinate required")
+    return float(min(values))
+
+
 class LineScan(_Record):
     x: Fraction
     denominator_bound: int
@@ -279,8 +319,7 @@ def _rational_grid(q_max: int) -> list[Fraction]:
     return sorted(grid)
 
 
-def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
-                             line_grid_q: int = 12) -> UnboundednessDemo:
+def rubin_unboundedness_demo(n_max: int) -> UnboundednessDemo:
     """Evaluate the minimum-denominator function exactly along the diagonal.
 
     At (1 + 1/n, 1 + 1/n) the value is exactly n, because n + 1 and n
@@ -296,44 +335,12 @@ def rubin_unboundedness_demo(n_max: int, *, line_points: int = 20,
         value = int(rubin_eval((x, x)))
         diagonal.append(((x, x), value))
 
-    ys = _rational_grid(line_grid_q)
+    ys = _rational_grid(_LINE_GRID_Q)
     line_scans = []
-    for m in range(1, line_points + 1):
+    for m in range(1, _LINE_POINTS + 1):
         x = 1 + Fraction(1, m)
         bound = x.denominator
         max_value = max(int(rubin_eval((x, y))) for y in ys)
         line_scans.append(LineScan(x=x, denominator_bound=bound,
                                    max_value=max_value, ok=max_value <= bound))
     return UnboundednessDemo(diagonal=tuple(diagonal), line_scans=tuple(line_scans))
-
-
-class RationalBoxScan(_Record):
-    """Extrema of the minimum-denominator function over the exact grid on [1, 2]^2."""
-
-    minimum: int
-    maximum: int
-    argmax: tuple[Fraction, Fraction]
-
-
-def rubin_rational_box_scan(q_max: int) -> RationalBoxScan:
-    """Scan rubin_eval over {1 + p/q : q <= q_max}^2.
-
-    The maximum grows without bound in q_max (it is at least q_max,
-    attained on the diagonal), which is exactly what a float grid scan
-    would silently miss.
-    """
-    if q_max < 1:
-        raise DomainError("q_max must be >= 1")
-    grid = _rational_grid(q_max)
-    best = -1
-    best_point: tuple[Fraction, Fraction] | None = None
-    worst = None
-    for x in grid:
-        for y in grid:
-            v = int(rubin_eval((x, y)))
-            if v > best:
-                best, best_point = v, (x, y)
-            if worst is None or v < worst:
-                worst = v
-    assert best_point is not None and worst is not None
-    return RationalBoxScan(minimum=worst, maximum=best, argmax=best_point)

@@ -465,7 +465,8 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
     the simultaneous one and its sampled infimum already equals the global
     infimum on identity-style integer diagonals.  Each power must be finite
     and above 1/2, so that each coordinate outgrows the square root of the
-    parameter's range.  On an integer domain t^p is rounded half to even.
+    parameter's range.  On an integer domain t^p is rounded half to even,
+    and each axis of the rounded path must still be strictly increasing.
     """
     _require_delta(delta)
     _require_main_orthant(oracle)
@@ -485,6 +486,13 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
         raise ScheduleError(f"a path point overflows: {exc}") from exc
     if oracle.domain.integer:
         coords = np.round(coords)  # half to even, as round()
+        # a power below 1 can round two rungs to one point: the rung rule refuses it
+        for i, axis in enumerate(coords.T):
+            repeats = axis[1:][np.diff(axis) <= 0]
+            if repeats.size:
+                raise ScheduleError(f"the rounded diagonal repeats {float(repeats[0])!r} on "
+                                    f"axis {i}; on an integer domain use a power of at "
+                                    "least 1 or a larger growth")
     with np.errstate(over="ignore"):  # _bracket refuses an overflow
         scales = math.prod(coords.T)
     return _bracket(oracle, coords, scales, np.array(ts).reshape(-1, 1), delta)
@@ -495,9 +503,10 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
 # ---------------------------------------------------------------------------
 
 class DecompositionTerm(_Record):
+    """One term of the bound: coefficient * f(y^w) for the sign word bits."""
+
     bits: tuple[int, ...]
     coefficient: int
-    point: tuple[float, ...]
     value: float
 
     @property
@@ -512,17 +521,6 @@ class DecompositionBound(_Record):
     rhs: float
     holds: bool
     terms: tuple[DecompositionTerm, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": list(self.x), "t": list(self.t),
-            "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-            "terms": [
-                {"bits": list(term.bits), "coefficient": term.coefficient,
-                 "point": list(term.point), "value": term.value}
-                for term in self.terms
-            ],
-        }
 
 
 def verify_decomposition_bound(oracle: FunctionOracle,
@@ -552,9 +550,9 @@ def verify_decomposition_bound(oracle: FunctionOracle,
     words = list(itertools.product((0, 1), repeat=d))
     points = [tuple(decomp[i].t if w[i] else decomp[i].r for i in range(d)) for w in words]
     *values, lhs = oracle.evaluate_points(list(np.array([*points, px.coords]).T)).tolist()
-    terms = [DecompositionTerm(bits=w, point=point, value=value,
+    terms = [DecompositionTerm(bits=w, value=value,
                                coefficient=math.prod(decomp[i].q for i in range(d) if w[i]))
-             for w, point, value in zip(words, points, values)]
+             for w, value in zip(words, values)]
     rhs = functools.reduce(ext_add, (term.contribution for term in terms), 0.0)
     holds = not exceeds(lhs, rhs)
     return DecompositionBound(x=tuple(px), t=tuple(pt), lhs=lhs, rhs=rhs,

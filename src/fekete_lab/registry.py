@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import reprlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,10 +41,6 @@ from .domain import (
     as_point,
 )
 
-# fractions is imported where it is used: only the exact rubin functions need it
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "ext_add",
     "exceeds",
@@ -53,7 +49,6 @@ __all__ = [
     "FunctionOracle",
     "builtin",
     "builtin_names",
-    "rubin_eval",
     "tabulated_oracle",
     "load_tabulated",
     "FiniteSetFunction",
@@ -193,39 +188,6 @@ class FunctionOracle(_Record):
             raise EvaluationError(
                 f"{self.name!r} produced NaN at {tuple(float(c[j]) for c in cols)}")
         return values
-
-
-# ---------------------------------------------------------------------------
-# Exact-rational minimum-denominator function
-# ---------------------------------------------------------------------------
-
-def _denominator(value: Fraction | int) -> int:
-    from fractions import Fraction
-    if isinstance(value, Fraction):
-        if value <= 0:
-            raise DomainError(f"coordinate must be positive, got {value!r}")
-        return value.denominator
-    if isinstance(value, int):
-        if value <= 0:
-            raise DomainError(f"coordinate must be positive, got {value!r}")
-        return 1
-    raise DomainError(
-        f"expected Fraction or int, got {value!r}; rationality of a "
-        "float is not decidable, so inputs must be exact"
-    )
-
-
-def rubin_eval(coords: Sequence[Fraction | int]) -> float:
-    """min over coordinates of the reduced-denominator function h.
-
-    h(p/q) = q for a positive fraction in lowest terms (Fraction reduces
-    automatically and rejects zero denominators at construction), and
-    h = 1 on positive integers.
-    """
-    values = [_denominator(c) for c in coords]
-    if not values:
-        raise DomainError("at least one coordinate required")
-    return float(min(values))
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_criterion_05_levelset_lemma_margins():
 
 
 def test_criterion_06_min_denominator_bounded_lines_unbounded_box():
-    demo = rubin_unboundedness_demo(1000, line_points=20, line_grid_q=12)
+    demo = rubin_unboundedness_demo(1000)
     diagonal_ok = all(
         point == (1 + Fraction(1, n), 1 + Fraction(1, n)) and value == n
         for n, (point, value) in enumerate(demo.diagonal, start=1)

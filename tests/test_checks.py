@@ -214,6 +214,18 @@ def test_shifted_subadditivity():
     assert check_shifted_subadditivity(nm, 2, BUDGET).clean
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_shift_past_exact_float_integers_is_refused(sign):
+    # every point the joint check evaluates has |n| <= 200, and n + shift is a float64
+    nm = builtin("nmod2")
+    edge = 2 ** 53 - 200
+    budget = SampleBudget(count=200, seed=1)
+    assert check_shifted_subadditivity(nm, sign * edge, budget).clean  # an even shift
+    for shift in (sign * (edge + 1), sign * 99999999999999999999):
+        with pytest.raises(DomainError, match=f"shift {shift} is beyond"):
+            check_shifted_subadditivity(nm, shift, budget)
+
+
 def test_shift_by_two_equals_original_exhaustively():
     nm = builtin("nmod2")
     for n in range(-100, 101):
@@ -337,9 +349,12 @@ def test_no_numpy_scalar_reaches_a_report():
     rows = [*check_levelset_lemma(builtin("sqrt_prod"), [(1, 1)], cells=20),
             *check_levelset_lemma(square, [(3,)], cells=20)]
     assert [row.holds for row in rows] == [True, False]
-    for item in (*verdicts, *rows):
-        assert type(item.holds) is bool
-        assert "np." not in repr(item.to_json_dict())
+    for verdict in verdicts:
+        assert type(verdict.holds) is bool
+        assert "np." not in repr(verdict)
+    for row in rows:
+        assert type(row.holds) is bool
+        assert "np." not in repr(row.to_json_dict())
 
 
 def test_nan_at_sampled_points_raises_evaluation_error():

@@ -653,11 +653,30 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     *((f"limit --fn nmod2 --growth 1.5 {mode}",
        "unusable schedule: integer schedule is not strictly increasing; use growth >= 2")
       for mode in ("", "--iterated 1", "--direction 1", "--diagonal 1")),
+    # t^0.6 at t = 2 and 4 is 1.52 and 2.30: both round to 2
+    ("limit --fn nmod2 --diagonal 0.6 --levels 10",
+     "unusable schedule: the rounded diagonal repeats 2.0 on axis 0; on an integer domain "
+     "use a power of at least 1 or a larger growth"),
+    # n + shift is taken in float64: this odd shift would round to an even one
+    ("check --fn nmod2 --mode shift --shift 99999999999999999999",
+     "shift 99999999999999999999 is beyond +-9007199254740792 (2^53 - 200): "
+     "n + shift would round in float64"),
+    ("levelset --fn sqrt_prod --anchors 1e200,1e200",
+     "the box below anchor (1e+200, 1e+200) has volume inf, which is not finite"),
 ])
 def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_monte_carlo_measure_near_the_float_range_stays_finite(tmp_path):
+    # the box volume 1e308 is finite, but volume * hits overflows
+    argv = ["levelset", "--fn", "sqrt_prod", "--anchors", "1e154,1e154", "--method", "mc"]
+    assert run([*argv, "--out", tmp_path]) == 0
+    (row,) = json.loads((tmp_path / "levelset.json").read_text())["rows"]
+    assert isinstance(row["mu_estimate"], float) and 0 < row["mu_estimate"] <= 1e308
+    assert isinstance(row["margin"], float) and row["holds"]
 
 
 @pytest.mark.parametrize("mode, stem", [(["--direction", "1"], "ray"),

@@ -14,11 +14,11 @@ from fekete_lab.levelset import (
     check_levelset_lemma,
     compact_bound_scan,
     levelset_measure,
-    rubin_rational_box_scan,
+    rubin_eval,
     rubin_unboundedness_demo,
 )
 from fekete_lab.registry import Domain, FunctionOracle, builtin
-from fekete_lab.sampling import uniform_in
+from fekete_lab.sampling import integer_in, uniform_in
 
 SQRT = builtin("sqrt_prod")
 
@@ -128,7 +128,7 @@ def test_unboundedness_demo_diagonal_values():
 
 
 def test_unboundedness_demo_lines_stay_bounded():
-    demo = rubin_unboundedness_demo(10, line_points=20, line_grid_q=30)
+    demo = rubin_unboundedness_demo(10)
     assert len(demo.line_scans) == 20
     for scan in demo.line_scans:
         assert scan.max_value <= scan.denominator_bound
@@ -137,15 +137,49 @@ def test_unboundedness_demo_lines_stay_bounded():
     assert fixed.denominator_bound == 2
 
 
-def test_rational_box_scan_grows_without_bound():
-    small = rubin_rational_box_scan(10)
-    big = rubin_rational_box_scan(20)
-    assert small.maximum >= 10
-    assert big.maximum >= 20
-    assert big.maximum > small.maximum
-    assert small.minimum >= 1
-    x, y = small.argmax
-    assert min(x.denominator, y.denominator) == small.maximum
+def test_rubin_eval_examples():
+    assert rubin_eval((Fraction(6, 5), Fraction(6, 5))) == 5.0
+    assert rubin_eval((2, 3)) == 1.0
+    assert rubin_eval((Fraction(2, 1), Fraction(3, 1))) == 1.0
+
+
+def test_rubin_zero_denominator_is_an_error():
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 0)
+
+
+def test_rubin_agrees_with_brute_force_denominator_search():
+    # brute force: smallest q <= 10^4 with q*x integral
+    def brute_denominator(x: Fraction) -> int:
+        for q in range(1, 10_001):
+            if (x * q).denominator == 1:
+                return q
+        raise AssertionError("denominator not found")
+
+    for j in range(1000):
+        q = integer_in(31, 2 * j, 1, 500)
+        p = integer_in(31, 2 * j + 1, 1, 500)
+        x = Fraction(p, q)
+        assert rubin_eval((x, x)) == brute_denominator(x)
+
+
+def test_an_anchor_whose_box_volume_overflows_is_refused():
+    for t in ((1e200, 1e200), (1e103, 1e103, 1e103)):
+        with pytest.raises(DomainError, match="which is not finite"):
+            LevelSetSpec(t=Point(t), k=1.0)
+    assert math.isfinite(LevelSetSpec(t=Point((1e154, 1e154)), k=1.0).box_volume)
+
+
+def test_monte_carlo_value_stays_finite_when_volume_times_hits_overflows():
+    spec = LevelSetSpec(t=Point((1e154, 1e154)), k=0.0)  # every sample is a hit
+    est = levelset_measure(SQRT, spec, "mc", samples=1000)
+    assert spec.box_volume * 1000 == math.inf
+    assert est.value == spec.box_volume
+    # below the overflow the estimate is vol * hits / samples, as it always was
+    small = LevelSetSpec(t=Point((3.0, 7.0)), k=2.0)
+    est = levelset_measure(SQRT, small, "mc", samples=1000, seed=5)
+    hits = round(est.value / small.box_volume * 1000)
+    assert est.value == small.box_volume * hits / 1000
 
 
 def test_levelset_checks_membership_of_every_evaluated_point():

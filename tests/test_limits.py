@@ -504,6 +504,20 @@ def test_diagonal_refuses_a_zero_scale():
         diagonal_limit(oracle, (1, 1), GridSchedule(base=Point((1e-200,))))
 
 
+def test_integer_diagonal_refuses_a_repeated_rounded_point():
+    # t^0.6 at t = 2 and 4 is 1.52 and 2.30, both rounded to 2: one point sampled twice
+    unit = Point((1.0,))
+    with pytest.raises(ScheduleError, match=r"repeats 2\.0 on axis 0;"):
+        diagonal_limit(builtin("nmod2"), (0.6,), GridSchedule(base=unit, levels=10))
+    with pytest.raises(ScheduleError, match=r"repeats 2\.0 on axis 1;"):
+        diagonal_limit(FULL, (1, 0.6), GridSchedule(base=unit, levels=10))
+    # a larger growth, a larger power, or powers of at least 1 keep the points distinct
+    for oracle, powers, growth in ((builtin("nmod2"), (0.6,), 2.5),
+                                   (builtin("nmod2"), (0.75,), 2.0), (FULL, (1, 1.5), 2.0)):
+        points = diagonal_limit(oracle, powers, GridSchedule(base=unit, growth=growth)).points
+        assert (np.diff(points, axis=0) > 0).all(), powers
+
+
 def _reference_oracles(integer):
     return [
         _everywhere("sqrt_abs_prod", integer, lambda x1, x2: np.sqrt(np.abs(x1 * x2))),

@@ -21,7 +21,7 @@ from fekete_lab.checks import Violation, ViolationReport
 from fekete_lab.domain import (GridSchedule, Orthant, Point, QRDecomposition, _Record,
                                _RecordType)
 from fekete_lab.levelset import (BoxScan, LemmaCheckRow, LevelSetSpec, LineScan,
-                                 MeasureEstimate, RationalBoxScan, UnboundednessDemo)
+                                 MeasureEstimate, UnboundednessDemo)
 from fekete_lab.limits import (DecompositionBound, DecompositionTerm, IteratedLimit,
                                LevelSummary, LimitBracket, _TailEstimate)
 from fekete_lab.registry import Domain, FiniteSetFunction, FunctionOracle, KnownLimit
@@ -72,10 +72,10 @@ RECORDS = {
     LevelSummary: _level,
     IteratedLimit: lambda: {"value": 0.0, "status": "converged", "order": (0,),
                             "levels": (LevelSummary(**_level()),), "evaluations": 8},
-    DecompositionTerm: lambda: {"bits": (0,), "coefficient": 1, "point": (1.5,), "value": 1.5},
+    DecompositionTerm: lambda: {"bits": (0,), "coefficient": 1, "value": 1.5},
     DecompositionBound: lambda: {"x": (3.5,), "t": (1.0,), "lhs": 3.5, "rhs": 3.5,
                                  "holds": True,
-                                 "terms": (DecompositionTerm((0,), 1, (1.5,), 1.5),)},
+                                 "terms": (DecompositionTerm((0,), 1, 1.5),)},
     LevelSetSpec: lambda: {"t": Point((1.0, 1.0)), "k": 0.5},
     MeasureEstimate: _estimate,
     BoxScan: lambda: {"minimum": 0.0, "maximum": 1.0, "argmin": (0.0,), "argmax": (1.0,)},
@@ -85,7 +85,6 @@ RECORDS = {
     LineScan: lambda: {"x": Fraction(3, 2), "denominator_bound": 2, "max_value": 2, "ok": True},
     UnboundednessDemo: lambda: {"diagonal": (((Fraction(2), Fraction(2)), 1),),
                                 "line_scans": (LineScan(Fraction(3, 2), 2, 2, True),)},
-    RationalBoxScan: lambda: {"minimum": 1, "maximum": 1, "argmax": (Fraction(1), Fraction(1))},
     ForbiddenPattern: lambda: {"offsets": ((0,), (1,)), "symbols": (1, 1)},
     SftSpec: lambda: {"alphabet": 2, "dim": 1,
                       "forbidden": (ForbiddenPattern(((0,), (1,)), (1, 1)),)},

@@ -1,4 +1,4 @@
-"""Built-in oracles, exact-rational evaluation, tabulated and set functions."""
+"""Built-in oracles, tabulated and set functions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 import math
 import re
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from fekete_lab.registry import (
     cardinality_set_function,
     load_set_family,
     load_tabulated,
-    rubin_eval,
     set_function_from_integer,
     tabulated_oracle,
 )
@@ -122,32 +120,6 @@ def test_tabulated_lookup_matches_axis_index_bit_for_bit():
 
     batch = tabulated_oracle(axes, values, "t").evaluate_points(list(np.array(rows).T))
     assert _same_bits(batch, [reference(p) for p in rows])
-
-
-def test_rubin_eval_examples():
-    assert rubin_eval((Fraction(6, 5), Fraction(6, 5))) == 5.0
-    assert rubin_eval((2, 3)) == 1.0
-    assert rubin_eval((Fraction(2, 1), Fraction(3, 1))) == 1.0
-
-
-def test_rubin_zero_denominator_is_an_error():
-    with pytest.raises(ZeroDivisionError):
-        Fraction(1, 0)
-
-
-def test_rubin_agrees_with_brute_force_denominator_search():
-    # brute force: smallest q <= 10^4 with q*x integral
-    def brute_denominator(x: Fraction) -> int:
-        for q in range(1, 10_001):
-            if (x * q).denominator == 1:
-                return q
-        raise AssertionError("denominator not found")
-
-    for j in range(1000):
-        q = integer_in(31, 2 * j, 1, 500)
-        p = integer_in(31, 2 * j + 1, 1, 500)
-        x = Fraction(p, q)
-        assert rubin_eval((x, x)) == brute_denominator(x)
 
 
 def test_nmod2_group_sign_lemma_exhaustive():

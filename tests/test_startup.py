@@ -32,7 +32,7 @@ EXPORTS = {
               "ScheduleError as_point default_schedule directed_upper_bound "
               "orthant_reflect product_leq qr_decompose",
     "registry": "Domain FiniteSetFunction FunctionOracle KnownLimit builtin builtin_names "
-                "cardinality_set_function load_set_family load_tabulated rubin_eval "
+                "cardinality_set_function load_set_family load_tabulated "
                 "set_function_from_integer tabulated_oracle",
     "sampling": "SampleBudget",
     "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
@@ -40,7 +40,7 @@ EXPORTS = {
     "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
               "iterated_limit ray_limit simultaneous_limit verify_decomposition_bound",
     "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
-                "compact_bound_scan levelset_measure rubin_rational_box_scan "
+                "compact_bound_scan levelset_measure rubin_eval "
                 "rubin_unboundedness_demo",
     "subshift": "CapExceededError EntropyBracket ForbiddenPattern SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
@@ -182,8 +182,9 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
+               "levelset": ["rubin_rational_box_scan", "RationalBoxScan"],
                "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational",
-                            "TabulatedFunction", "_parse_tabulated"],
+                            "TabulatedFunction", "_parse_tabulated", "_denominator"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper",
                             "PatternCount", "transfer_matrix_count_1d", "transfer_matrix_1d",
@@ -195,11 +196,10 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
             assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
             assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
     from fekete_lab.domain import Orthant
-    from fekete_lab.levelset import BoxScan, RationalBoxScan
+    from fekete_lab.levelset import BoxScan
     from fekete_lab.limits import LimitBracket
     from fekete_lab.registry import FiniteSetFunction
-    for cls in (BoxScan, RationalBoxScan):
-        assert not hasattr(cls, "to_json_dict"), cls.__name__
+    assert not hasattr(BoxScan, "to_json_dict")
     assert "translation_invariant" not in FiniteSetFunction.__slots__
     from fekete_lab.sampling import SampleBudget
     from fekete_lab.subshift import EntropyBracket, builtin_sft

@@ -9,8 +9,10 @@ make_inputs writes for that seed, each of the 8 commands of acceptance
 criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
 on a table that this script writes (`check --table` in modes all and
 componentwise at seeds 1 and 2, and `limit --table`, which refuses a
-finite grid and exits 2) and 8 ray and diagonal `limit` runs, on real
-and integer oracles, with whole and fractional powers.  Every run is a
+finite grid and exits 2), 8 ray and diagonal `limit` runs, on real
+and integer oracles, with whole and fractional powers, and 5 runs next
+to a refusal (an integer diagonal whose rounded points stay distinct, a
+large shift, and level-set anchors near the float range).  Every run is a
 fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
 writing to `out` in a scratch directory of its own, so the two sides see
 the same relative paths.
@@ -71,6 +73,17 @@ PATH_COMMANDS = (
     ("limit", "--fn", "sqrt_prod", "--diagonal", "1,2", "--growth", "1.05", "--levels", "60"),
 )
 
+# each runs just inside a refusal: a repeated rounded diagonal point, a shift
+# past 2^53 - 200, or an anchor whose box volume is not finite
+NEIGHBOUR_COMMANDS = (
+    ("limit", "--fn", "nmod2", "--diagonal", "0.75"),
+    ("limit", "--fn", "nmod2", "--diagonal", "0.6", "--growth", "2.5"),
+    ("check", "--fn", "nmod2", "--mode", "shift", "--shift", "1000001"),
+    ("levelset", "--fn", "sqrt_prod", "--anchors", "1e150,1e150", "--cells", "20"),
+    ("levelset", "--fn", "sqrt_prod", "--anchors", "1e150,1e150", "--method", "mc",
+     "--samples", "1000"),
+)
+
 
 def write_table(path: Path) -> None:
     """sqrt(x1*x2), componentwise subadditive but not jointly, on the grid
@@ -86,7 +99,8 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
         (seed, (*job.argv, "--seed", str(seed), "--no-timestamp"))
         for seed in SEEDS for jobs in WORKLOADS.values() for job in jobs]
     return runs + [(None, (*argv, "--no-timestamp"))
-                   for argv in (*CRITERION_10, *TABLE_COMMANDS, *PATH_COMMANDS)]
+                   for argv in (*CRITERION_10, *TABLE_COMMANDS, *PATH_COMMANDS,
+                                *NEIGHBOUR_COMMANDS)]
 
 
 def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
@@ -127,10 +141,11 @@ def main(argv: list[str] | None = None) -> int:
                     if parent.get(key) != change.get(key)]
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
-    bench = len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
+    bench = (len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
+             - len(NEIGHBOUR_COMMANDS))
     print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
           f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands, "
-          f"{len(PATH_COMMANDS)} path commands): "
+          f"{len(PATH_COMMANDS)} path commands, {len(NEIGHBOUR_COMMANDS)} refusal neighbours): "
           f"{len(runs) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
         print(f"  differs: {line}")
