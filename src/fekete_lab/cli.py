@@ -21,6 +21,8 @@ findings, not failures, and exit 0.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import sys
 from pathlib import Path
@@ -38,6 +40,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATIONS = 3
 EXIT_INTERNAL = 4
+
+# freeze what is alive at exit, so shutdown neither collects nor frees the run's heap
+atexit.register(gc.freeze)
 
 
 # ---------------------------------------------------------------------------

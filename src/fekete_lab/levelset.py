@@ -27,6 +27,7 @@ it, so it and its demo take Fractions, not an oracle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -70,6 +71,11 @@ class LevelSetSpec(_Record):
         if not math.isfinite(self.box_volume):
             raise DomainError(f"the box below anchor {tuple(self.t)} has volume "
                               f"{self.box_volume!r}, which is not finite")
+        # a volume rounded to 0 or to a subnormal makes every margin vacuous or inexact
+        if self.box_volume < sys.float_info.min:
+            raise DomainError(f"the box below anchor {tuple(self.t)} has volume "
+                              f"{self.box_volume!r}, which is below the smallest "
+                              f"normal float {sys.float_info.min!r}")
 
     @property
     def box_volume(self) -> float:

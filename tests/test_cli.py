@@ -663,6 +663,12 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
      "n + shift would round in float64"),
     ("levelset --fn sqrt_prod --anchors 1e200,1e200",
      "the box below anchor (1e+200, 1e+200) has volume inf, which is not finite"),
+    ("levelset --fn sqrt_prod --anchors 1e-200,1e-200 --cells 20",
+     "the box below anchor (1e-200, 1e-200) has volume 0.0, which is below the smallest "
+     "normal float 2.2250738585072014e-308"),
+    ("levelset --fn sqrt_prod --anchors 1e-155,1e-155 --cells 20",
+     "the box below anchor (1e-155, 1e-155) has volume 1e-310, which is below the smallest "
+     "normal float 2.2250738585072014e-308"),
 ])
 def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,15 @@ def test_an_anchor_whose_box_volume_overflows_is_refused():
         with pytest.raises(DomainError, match="which is not finite"):
             LevelSetSpec(t=Point(t), k=1.0)
     assert math.isfinite(LevelSetSpec(t=Point((1e154, 1e154)), k=1.0).box_volume)
+
+
+def test_an_anchor_whose_box_volume_is_zero_or_subnormal_is_refused():
+    # 1e-400 rounds to 0 and 1e-310 is subnormal: either would make the margin vacuous
+    for t in ((1e-200, 1e-200), (1e-155, 1e-155), (1e-104, 1e-104, 1e-104)):
+        assert Point(t).product() < sys.float_info.min
+        with pytest.raises(DomainError, match="below the smallest normal float"):
+            LevelSetSpec(t=Point(t), k=1.0)
+    assert LevelSetSpec(t=Point((1e-150, 1e-150)), k=1.0).box_volume >= sys.float_info.min
 
 
 def test_monte_carlo_value_stays_finite_when_volume_times_hits_overflows():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import inspect
 import json
@@ -77,6 +78,26 @@ def numpy_imports(source: str) -> list[int]:
 def cli_run(argv: list[str]) -> str:
     return ("from fekete_lab.cli import main\n"
             f"assert main({argv!r}) in (0, 3)")
+
+
+def test_a_cli_run_freezes_its_heap_before_shutdown(tmp_path):
+    # exit hooks run last-registered first, so this one runs after the CLI's
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            + cli_run(["limit", "--fn", "sqrt_prod", "--levels", "4", "--out", "out",
+                       "--no-timestamp"]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True"
+    assert (tmp_path / "out" / "bracket.json").is_file()
+
+
+def test_an_in_process_run_leaves_the_collector_alone(tmp_path):
+    assert main(["limit", "--fn", "sqrt_prod", "--levels", "4", "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 def test_importing_the_cli_loads_no_numpy(tmp_path):

@@ -10,9 +10,11 @@ criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
 on a table that this script writes (`check --table` in modes all and
 componentwise at seeds 1 and 2, and `limit --table`, which refuses a
 finite grid and exits 2), 8 ray and diagonal `limit` runs, on real
-and integer oracles, with whole and fractional powers, and 5 runs next
+and integer oracles, with whole and fractional powers, 6 runs next
 to a refusal (an integer diagonal whose rounded points stay distinct, a
-large shift, and level-set anchors near the float range).  Every run is a
+large shift, and level-set anchors near both ends of the float range),
+and 3 runs that argparse ends (`--version`, `check --help`, and an
+unknown flag, which exits 2).  Every run is a
 fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
 writing to `out` in a scratch directory of its own, so the two sides see
 the same relative paths.
@@ -74,7 +76,7 @@ PATH_COMMANDS = (
 )
 
 # each runs just inside a refusal: a repeated rounded diagonal point, a shift
-# past 2^53 - 200, or an anchor whose box volume is not finite
+# past 2^53 - 200, or an anchor whose box volume is not finite or not normal
 NEIGHBOUR_COMMANDS = (
     ("limit", "--fn", "nmod2", "--diagonal", "0.75"),
     ("limit", "--fn", "nmod2", "--diagonal", "0.6", "--growth", "2.5"),
@@ -82,6 +84,14 @@ NEIGHBOUR_COMMANDS = (
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e150,1e150", "--cells", "20"),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e150,1e150", "--method", "mc",
      "--samples", "1000"),
+    ("levelset", "--fn", "sqrt_prod", "--anchors", "1e-150,1e-150", "--cells", "20"),
+)
+
+# each ends in argparse's SystemExit before a subcommand runs
+ARGPARSE_EXIT_COMMANDS = (
+    ("--version",),
+    ("check", "--help"),
+    ("check", "--fn", "abs", "--no-such-flag"),
 )
 
 
@@ -100,7 +110,7 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
         for seed in SEEDS for jobs in WORKLOADS.values() for job in jobs]
     return runs + [(None, (*argv, "--no-timestamp"))
                    for argv in (*CRITERION_10, *TABLE_COMMANDS, *PATH_COMMANDS,
-                                *NEIGHBOUR_COMMANDS)]
+                                *NEIGHBOUR_COMMANDS, *ARGPARSE_EXIT_COMMANDS)]
 
 
 def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
@@ -142,10 +152,11 @@ def main(argv: list[str] | None = None) -> int:
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
     bench = (len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
-             - len(NEIGHBOUR_COMMANDS))
+             - len(NEIGHBOUR_COMMANDS) - len(ARGPARSE_EXIT_COMMANDS))
     print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
           f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands, "
-          f"{len(PATH_COMMANDS)} path commands, {len(NEIGHBOUR_COMMANDS)} refusal neighbours): "
+          f"{len(PATH_COMMANDS)} path commands, {len(NEIGHBOUR_COMMANDS)} refusal neighbours, "
+          f"{len(ARGPARSE_EXIT_COMMANDS)} argparse exits): "
           f"{len(runs) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
         print(f"  differs: {line}")
