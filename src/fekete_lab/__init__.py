@@ -29,8 +29,8 @@ _EXPORTS = {
         "directed_upper_bound", "orthant_reflect", "product_leq", "qr_decompose",
     ),
     "registry": (
-        "Domain", "FiniteSetFunction", "FunctionOracle", "KnownLimit", "builtin",
-        "builtin_names", "cardinality_set_function", "load_set_family", "load_tabulated",
+        "Domain", "FiniteSetFunction", "FunctionOracle", "builtin", "builtin_names",
+        "cardinality_set_function", "load_set_family", "load_tabulated",
         "set_function_from_integer", "tabulated_oracle",
     ),
     "sampling": ("SampleBudget",),

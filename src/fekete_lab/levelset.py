@@ -111,6 +111,11 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
     t = spec.t
     d = t.dim
     cell_vol = spec.box_volume / cells ** d
+    # as for the box: a subnormal cell volume makes the value and its error bound inexact
+    if cell_vol < sys.float_info.min:
+        raise DomainError(f"a grid of {cells} cells per axis below anchor {tuple(t)} has cell "
+                          f"volume {cell_vol!r}, which is below the smallest normal float "
+                          f"{sys.float_info.min!r}; use fewer cells")
 
     center_axes = [(np.arange(cells) + 0.5) * (t[i] / cells) for i in range(d)]
     mesh = np.meshgrid(*center_axes, indexing="ij")
@@ -169,6 +174,7 @@ def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
     cells=10 gives value 0 and bound 0 for a measure of 2e-4.  Monte
     Carlo uses the deterministic counter stream and a 99% Hoeffding
     bound, whose premise is that the stream acts as i.i.d. uniform draws.
+    The grid refuses a cell volume below the smallest normal float.
     """
     _require_real_domain(oracle)
     if method == "grid":

@@ -1,11 +1,10 @@
 """Evaluable function oracles and the built-in example functions.
 
-An oracle bundles a named function with its declared domain and the
-claims made about it (componentwise subadditive, jointly subadditive,
-known limit of f(x)/prod(x) with a provenance note).  Claims are inputs
-to the checkers and estimators, never conclusions: the checkers exist to
-refute them and the estimators only certify their brackets when the
-componentwise claim is trusted.
+An oracle is a name, a domain and an array function, nothing more.  It
+declares no property: whether f is subadditive, jointly or along each
+axis, is what the checks compute, by searching for a violation, and the
+limit of f(x)/prod(x) is what the estimators bound from above.
+Neither reads a claim, so none is stored.
 
 Every evaluation takes one path, FunctionOracle.evaluate_points: it checks
 domain membership, calls array_fn on the coordinate arrays, and refuses
@@ -45,7 +44,6 @@ __all__ = [
     "ext_add",
     "exceeds",
     "Domain",
-    "KnownLimit",
     "FunctionOracle",
     "builtin",
     "builtin_names",
@@ -144,15 +142,8 @@ class Domain(_Record):
         return inside
 
 
-class KnownLimit(_Record):
-    """An externally known value for the limit of f(x)/prod(x), with its source."""
-
-    value: float
-    note: str
-
-
 class FunctionOracle(_Record):
-    """A named function on a declared domain, with the claims made about it.
+    """A named function on a declared domain, and nothing else.
 
     array_fn maps coordinate arrays, one per axis, to the values; it must
     accept every point of the domain.  Every evaluation checks domain
@@ -162,9 +153,6 @@ class FunctionOracle(_Record):
     name: str
     domain: Domain
     array_fn: Callable[..., np.ndarray]
-    claims_componentwise_subadditive: bool = False
-    claims_joint_subadditive: bool = False
-    known_limit: KnownLimit | None = None
 
     def evaluate(self, point: Point | Sequence[float] | float) -> float:
         """f at one point: evaluate_points on a single row."""
@@ -207,9 +195,6 @@ _BUILTINS: dict[str, FunctionOracle] = {oracle.name: oracle for oracle in (
         name="sqrt_prod",
         domain=_main_real(2),
         array_fn=lambda x1, x2: np.sqrt(x1 * x2),
-        claims_componentwise_subadditive=True,
-        claims_joint_subadditive=False,
-        known_limit=KnownLimit(0.0, "analytic: inf of 1/sqrt(x1*x2) over the positive quadrant is 0"),
     ),
     # jointly subadditive (sqrt(x2+y2) dominates both sqrt(x2) and
     # sqrt(y2)) yet not subadditive in x2 alone: the mirror image of
@@ -218,49 +203,32 @@ _BUILTINS: dict[str, FunctionOracle] = {oracle.name: oracle for oracle in (
         name="neg_x1_sqrt_x2",
         domain=_main_real(2),
         array_fn=lambda x1, x2: -x1 * np.sqrt(x2),
-        claims_componentwise_subadditive=False,
-        claims_joint_subadditive=True,
-        known_limit=KnownLimit(0.0, "analytic: ratio -1/sqrt(x2) tends to 0"),
     ),
     FunctionOracle(
         name="x1sq_sqrt_x2",
         domain=_main_real(2),
         array_fn=lambda x1, x2: x1 * x1 * np.sqrt(x2),
-        claims_componentwise_subadditive=False,
-        claims_joint_subadditive=False,
     ),
     FunctionOracle(
         name="nmod2",
         domain=Domain(dim=1, orthant=None, integer=True),
         array_fn=lambda n: np.remainder(n, 2.0),
-        claims_componentwise_subadditive=True,
-        claims_joint_subadditive=True,
-        known_limit=KnownLimit(0.0, "analytic: (n mod 2)/n vanishes along even n"),
     ),
     FunctionOracle(
         name="full_shift_count_log",
         domain=_main_int(2),
         array_fn=lambda x1, x2: x1 * x2,
-        claims_componentwise_subadditive=True,
-        claims_joint_subadditive=False,
-        known_limit=KnownLimit(1.0, "analytic: ratio n1*n2/(n1*n2) is identically 1"),
     ),
     FunctionOracle(
         name="ceiling",
         domain=Domain(dim=1, orthant=None, integer=False),
         # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into 0.0
         array_fn=lambda x: np.ceil(x) + 0.0,
-        claims_componentwise_subadditive=True,
-        claims_joint_subadditive=True,
-        known_limit=KnownLimit(1.0, "analytic: ceil(x)/x attains its infimum 1 at integers"),
     ),
     FunctionOracle(
         name="abs",
         domain=Domain(dim=1, orthant=None, integer=False),
         array_fn=np.abs,
-        claims_componentwise_subadditive=True,
-        claims_joint_subadditive=True,
-        known_limit=KnownLimit(1.0, "analytic: |x|/x = 1 for x > 0"),
     ),
 )}
 

@@ -40,6 +40,7 @@ from fekete_lab.registry import (
     tabulated_oracle,
 )
 from fekete_lab.sampling import SampleBudget, integer_in, uniform_in
+from known_limits import BUILTINS, FAMILY
 
 BUDGET = SampleBudget(count=2000, seed=20240117)
 
@@ -264,10 +265,18 @@ def test_shrinking_moves_random_witnesses_toward_the_floor():
 
 
 def test_componentwise_subadditive_builtins_all_clean_at_default_budget():
-    for name in ("sqrt_prod", "full_shift_count_log", "abs", "ceiling", "nmod2"):
-        oracle = builtin(name)
-        assert oracle.claims_componentwise_subadditive
-        report = check_componentwise(oracle, SampleBudget(seed=99))
+    # the verdicts come from the tests' own table; an oracle declares none
+    for name, known in BUILTINS.items():
+        report = check_componentwise(known.oracle, SampleBudget(seed=99))
+        if known.componentwise:
+            assert report.clean, f"{name} reported {len(report.violations)} violations"
+        else:
+            assert report.violations, f"{name} reported no violation"
+
+
+def test_the_known_limit_family_is_componentwise_clean():
+    for name, known in FAMILY.items():
+        report = check_componentwise(known.oracle, SampleBudget(count=5000, seed=3))
         assert report.clean, f"{name} reported {len(report.violations)} violations"
 
 

@@ -669,6 +669,10 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     ("levelset --fn sqrt_prod --anchors 1e-155,1e-155 --cells 20",
      "the box below anchor (1e-155, 1e-155) has volume 1e-310, which is below the smallest "
      "normal float 2.2250738585072014e-308"),
+    # the box volume 1e-306 is normal, but its 400^2 grid cells are not
+    ("levelset --fn sqrt_prod --anchors 1e-153,1e-153",
+     "a grid of 400 cells per axis below anchor (1e-153, 1e-153) has cell volume 6.25e-312, "
+     "which is below the smallest normal float 2.2250738585072014e-308; use fewer cells"),
 ])
 def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2

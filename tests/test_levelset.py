@@ -20,6 +20,7 @@ from fekete_lab.levelset import (
 )
 from fekete_lab.registry import Domain, FunctionOracle, builtin
 from fekete_lab.sampling import integer_in, uniform_in
+from known_limits import BUILTINS, FAMILY
 
 SQRT = builtin("sqrt_prod")
 
@@ -73,8 +74,10 @@ def test_lemma_margin_at_unit_anchor():
 
 
 def test_lemma_holds_at_random_anchors_for_real_csa_builtins():
-    for name, dim in (("sqrt_prod", 2), ("abs", 1), ("ceiling", 1)):
-        oracle = builtin(name)
+    for name, (oracle, componentwise, _) in BUILTINS.items():
+        if not componentwise or oracle.domain.integer:
+            continue
+        dim = oracle.domain.dim
         anchors = [
             tuple(uniform_in(23, j * dim + i, 0.5, 4.0) for i in range(dim))
             for j in range(10)
@@ -85,6 +88,12 @@ def test_lemma_holds_at_random_anchors_for_real_csa_builtins():
             # |x| attains the bound with equality; the others clear it strictly
             if name != "abs":
                 assert row.margin + row.estimate.error_bound > 0
+
+
+def test_the_lemma_holds_on_the_known_limit_family():
+    for name, known in FAMILY.items():
+        for row in check_levelset_lemma(known.oracle, [(1.0, 1.0), (3.0, 7.0)]):
+            assert row.holds, (name, row.anchor, row.margin)
 
 
 def test_lemma_rejects_integer_domains():
@@ -178,6 +187,21 @@ def test_an_anchor_whose_box_volume_is_zero_or_subnormal_is_refused():
         with pytest.raises(DomainError, match="below the smallest normal float"):
             LevelSetSpec(t=Point(t), k=1.0)
     assert LevelSetSpec(t=Point((1e-150, 1e-150)), k=1.0).box_volume >= sys.float_info.min
+
+
+def test_a_grid_whose_cell_volume_is_subnormal_is_refused():
+    # the box volume 1e-306 is normal, but each of 400^2 cells has 6.25e-312
+    spec = LevelSetSpec(t=Point((1e-153, 1e-153)), k=0.0)
+    with pytest.raises(DomainError, match=r"cell volume 6\.25e-312, which is below the "
+                                          r"smallest normal float"):
+        levelset_measure(SQRT, spec, "grid", cells=400)
+    # Monte Carlo has no cells, and fewer cells are normal again
+    assert levelset_measure(SQRT, spec, "mc", samples=1000).value == spec.box_volume
+    assert levelset_measure(SQRT, spec, "grid", cells=2).error_bound == 0.0
+    # at 1e-151 the cells have 6.25e-308, just above the smallest normal float
+    near = LevelSetSpec(t=Point((1e-151, 1e-151)), k=0.0)
+    est = levelset_measure(SQRT, near, "grid", cells=400)
+    assert est.value == 400 ** 2 * (near.box_volume / 400 ** 2) and est.error_bound == 0.0
 
 
 def test_monte_carlo_value_stays_finite_when_volume_times_hits_overflows():

@@ -35,11 +35,12 @@ from fekete_lab.limits import (
 )
 from fekete_lab.registry import Domain, FunctionOracle, builtin
 from fekete_lab.sampling import uniform_in
+from known_limits import BUILTINS, FAMILY
 
 SQRT = builtin("sqrt_prod")
 FULL = builtin("full_shift_count_log")
 MIXED = builtin("x1sq_sqrt_x2")
-CSA_BUILTINS = ("sqrt_prod", "full_shift_count_log", "abs", "ceiling", "nmod2")
+CSA_BUILTINS = tuple(name for name, known in BUILTINS.items() if known.componentwise)
 
 
 def schedule2(levels=14):
@@ -96,12 +97,20 @@ def test_best_upper_monotone_under_schedule_extension():
 
 def test_known_limits_are_bracketed_and_reached():
     for name in CSA_BUILTINS:
-        oracle = builtin(name)
-        assert oracle.known_limit is not None
+        oracle, _, limit = BUILTINS[name]
         d = oracle.domain.dim
         bracket = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,) * d)))
-        assert bracket.best_upper >= oracle.known_limit.value
-        assert abs(bracket.best_upper - oracle.known_limit.value) <= 0.01
+        assert bracket.best_upper >= limit
+        assert abs(bracket.best_upper - limit) <= 0.01
+
+
+def test_the_known_limit_family_is_bracketed_above_and_reached_in_both_orders():
+    # the running minimum of a subadditive ratio never falls below its infimum
+    for name, (oracle, _, limit) in FAMILY.items():
+        assert simultaneous_limit(oracle).best_upper >= limit, name
+        for order in ((0, 1), (1, 0)):
+            it = iterated_limit(oracle, order, delta=0.01)
+            assert it.status == CONVERGED and limit <= it.value <= limit + 0.01, (name, it)
 
 
 def test_crafted_divergence_flag():
@@ -209,8 +218,7 @@ def test_iterated_three_levels():
     volume = FunctionOracle(
         name="coordinate_product",
         domain=Domain(dim=3, orthant=Orthant.main(3)),
-        array_fn=lambda x1, x2, x3: x1 * x2 * x3,
-        claims_componentwise_subadditive=True)
+        array_fn=lambda x1, x2, x3: x1 * x2 * x3)
     result = iterated_limit(volume, (2, 0, 1), delta=0.01)
     assert result.status == CONVERGED and result.value == 1.0
     assert [l.axis for l in result.levels] == [2, 0, 1]
@@ -248,8 +256,7 @@ def test_three_dimensional_simultaneous():
     volume = FunctionOracle(
         name="coordinate_product",
         domain=Domain(dim=3, orthant=Orthant.main(3)),
-        array_fn=lambda x1, x2, x3: x1 * x2 * x3,
-        claims_componentwise_subadditive=True)
+        array_fn=lambda x1, x2, x3: x1 * x2 * x3)
     bracket = simultaneous_limit(volume, GridSchedule(base=Point((1.0,) * 3), levels=6))
     assert bracket.status == CONVERGED and bracket.best_upper == 1.0
     assert bracket.evaluations == 7 ** 3
@@ -330,8 +337,7 @@ def test_shell_extremes_and_running_bound_match_a_min_fold():
 def test_ray_limits():
     coord_sum = FunctionOracle(name="coordinate_sum",
                                domain=Domain(dim=2, orthant=None),
-                               array_fn=lambda x1, x2: x1 + x2,
-                               claims_joint_subadditive=True)
+                               array_fn=lambda x1, x2: x1 + x2)
     bracket = ray_limit(coord_sum, (1.0, 1.0), delta=0.01)
     assert bracket.status == CONVERGED and bracket.best_upper == 2.0
 
@@ -403,8 +409,7 @@ def _shifted_product(d):
     # is componentwise subadditive, and its ratio prod(1 + 1/x_i) falls to 1
     return FunctionOracle(name=f"shifted_product_{d}",
                           domain=Domain(dim=d, orthant=Orthant.main(d)),
-                          array_fn=lambda *cols: math.prod(c + 1.0 for c in cols),
-                          claims_componentwise_subadditive=True)
+                          array_fn=lambda *cols: math.prod(c + 1.0 for c in cols))
 
 
 @pytest.mark.parametrize("d, levels, delta", [(4, 8, 0.05), (5, 6, 0.1)])
@@ -469,8 +474,7 @@ def test_simultaneous_limit_evaluates_the_oracle_once_per_batch(monkeypatch):
         batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
     oracle = FunctionOracle(
         name="sqrt_x1_x2", domain=Domain(dim=2, orthant=Orthant.main(2)),
-        array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(x1 * x2),
-        claims_componentwise_subadditive=True)
+        array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(x1 * x2))
     bracket = simultaneous_limit(oracle, schedule2(levels=8))
     assert batches == [("sqrt_x1_x2", 81)] and calls == [81]
     assert bracket.to_json_dict() == {

@@ -5,19 +5,27 @@ floating point, so every ratio, bound and margin of 4·f is 4 times f's,
 bit for bit.  The violation tolerance has a floor of 1, which is not
 scale-free, so verdicts are compared only where both sides exceed 1 in
 magnitude.
+
+Axis permutation: g(x1, x2) = f(x2, x1) walks the same grid transposed
+and multiplies the same two coordinates, so g's simultaneous bracket is
+f's, g's iterated order (1, 0) is f's order (0, 1), and g's diagonal with
+powers (2, 1) is f's with powers (1, 2), bit for bit.  It runs over the
+2-D built-ins and the known-limit family.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fekete_lab.checks import check_componentwise, check_four_term
 from fekete_lab.domain import GridSchedule, Point
-from fekete_lab.limits import simultaneous_limit
+from fekete_lab.limits import IteratedLimit, diagonal_limit, iterated_limit, simultaneous_limit
 from fekete_lab.registry import FunctionOracle, builtin, builtin_names
 from fekete_lab.sampling import SampleBudget
+from known_limits import BUILTINS, FAMILY
 
 REAL = [builtin(name) for name in builtin_names() if not builtin(name).domain.integer]
 
@@ -59,3 +67,41 @@ def test_scaling_values_by_four_keeps_the_witnesses_and_scales_the_margins(seed)
             assert _listed(scaled, 4.0) == _listed(plain, 1.0), (f.name, check.__name__)
             compared += len(_listed(plain, 1.0))
     assert compared  # neg_x1_sqrt_x2 and x1sq_sqrt_x2 violate both inequalities
+
+
+PLANAR = [k.oracle for k in (*BUILTINS.values(), *FAMILY.values()) if k.oracle.domain.dim == 2]
+
+
+def swap_axes(f: FunctionOracle) -> FunctionOracle:
+    return FunctionOracle(name=f"swap({f.name})", domain=f.domain,
+                          array_fn=lambda x1, x2: f.array_fn(x2, x1))
+
+
+def _axes_swapped(it: IteratedLimit) -> dict:
+    """it.to_json_dict() with axes 0 and 1 exchanged in the order and the levels."""
+    out = it.to_json_dict()
+    return {**out, "order": [1 - a for a in out["order"]],
+            "levels": [{**level, "axis": 1 - level["axis"]} for level in out["levels"]]}
+
+
+@pytest.mark.parametrize("f", PLANAR, ids=lambda f: f.name)
+def test_swapping_the_axes_transposes_every_limit_mode(f):
+    g = swap_axes(f)
+    # an integer ladder needs growth >= 2 (a 1.3 ladder repeats rounded rungs)
+    for growth in (2.0,) if f.domain.integer else (2.0, 1.3):
+        grid = GridSchedule(base=Point((1.0, 1.0)), growth=growth)
+        plain, swapped = simultaneous_limit(f, grid), simultaneous_limit(g, grid)
+        assert swapped == plain
+        side = grid.levels + 1
+        assert np.array_equal(swapped.ratios.reshape(side, side),
+                              plain.ratios.reshape(side, side).T)
+
+        for order in ((0, 1), (1, 0)):
+            assert (iterated_limit(g, order[::-1], grid).to_json_dict()
+                    == _axes_swapped(iterated_limit(f, order, grid)))
+
+        path = GridSchedule(base=Point((1.0,)), growth=growth)
+        plain, swapped = diagonal_limit(f, (1, 2), path), diagonal_limit(g, (2, 1), path)
+        assert swapped == plain
+        assert np.array_equal(swapped.points, plain.points[:, ::-1])
+        assert np.array_equal(swapped.ratios, plain.ratios)

@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError
+from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError, Orthant
 from fekete_lab.registry import (
+    Domain,
     builtin,
     builtin_names,
     cardinality_set_function,
@@ -21,6 +22,7 @@ from fekete_lab.registry import (
     tabulated_oracle,
 )
 from fekete_lab.sampling import integer_in, uniform_in
+from known_limits import BUILTINS
 
 
 def test_builtin_values():
@@ -35,14 +37,13 @@ def test_builtin_values():
 
 
 def test_builtin_metadata():
+    # a built-in is a name, a domain and an array function; what it satisfies is
+    # computed by the checks and estimators, and the tests' own table says what to expect
+    assert sorted(BUILTINS) == list(builtin_names())
     sp = builtin("sqrt_prod")
-    assert sp.claims_componentwise_subadditive
-    assert not sp.claims_joint_subadditive
-    assert sp.known_limit is not None and sp.known_limit.value == 0.0
-    assert sp.known_limit.note
-    fs = builtin("full_shift_count_log")
-    assert fs.known_limit.value == 1.0
-    assert builtin("x1sq_sqrt_x2").known_limit is None
+    assert (sp.name, sp.domain) == ("sqrt_prod", Domain(dim=2, orthant=Orthant.main(2)))
+    assert builtin("nmod2").domain == Domain(dim=1, integer=True)
+    assert builtin("full_shift_count_log").domain == Domain(2, Orthant.main(2), integer=True)
 
 
 def test_unknown_builtin():

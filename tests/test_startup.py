@@ -32,7 +32,7 @@ EXPORTS = {
               "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
               "ScheduleError as_point default_schedule directed_upper_bound "
               "orthant_reflect product_leq qr_decompose",
-    "registry": "Domain FiniteSetFunction FunctionOracle KnownLimit builtin builtin_names "
+    "registry": "Domain FiniteSetFunction FunctionOracle builtin builtin_names "
                 "cardinality_set_function load_set_family load_tabulated "
                 "set_function_from_integer tabulated_oracle",
     "sampling": "SampleBudget",
@@ -205,7 +205,8 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                           "InnerLimitProfile"],
                "levelset": ["rubin_rational_box_scan", "RationalBoxScan"],
                "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational",
-                            "TabulatedFunction", "_parse_tabulated", "_denominator"],
+                            "TabulatedFunction", "_parse_tabulated", "_denominator",
+                            "KnownLimit"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper",
                             "PatternCount", "transfer_matrix_count_1d", "transfer_matrix_1d",
@@ -234,9 +235,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
     assert not hasattr(Orthant, "parity")
     from fekete_lab.registry import Domain, FunctionOracle
-    assert FunctionOracle.__slots__ == (
-        "name", "domain", "array_fn", "claims_componentwise_subadditive",
-        "claims_joint_subadditive", "known_limit")
+    assert FunctionOracle.__slots__ == ("name", "domain", "array_fn")
     with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):
         FunctionOracle(name="f", domain=Domain(dim=1), fn=abs)
 

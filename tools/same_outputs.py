@@ -10,9 +10,10 @@ criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
 on a table that this script writes (`check --table` in modes all and
 componentwise at seeds 1 and 2, and `limit --table`, which refuses a
 finite grid and exits 2), 8 ray and diagonal `limit` runs, on real
-and integer oracles, with whole and fractional powers, 6 runs next
+and integer oracles, with whole and fractional powers, 7 runs next
 to a refusal (an integer diagonal whose rounded points stay distinct, a
-large shift, and level-set anchors near both ends of the float range),
+large shift, level-set anchors near both ends of the float range, and
+one whose grid cells are just above the smallest normal float),
 and 3 runs that argparse ends (`--version`, `check --help`, and an
 unknown flag, which exits 2).  Every run is a
 fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
@@ -76,7 +77,8 @@ PATH_COMMANDS = (
 )
 
 # each runs just inside a refusal: a repeated rounded diagonal point, a shift
-# past 2^53 - 200, or an anchor whose box volume is not finite or not normal
+# past 2^53 - 200, or an anchor whose box volume, or whose grid cell volume at
+# the default 400 cells, is not finite or not normal
 NEIGHBOUR_COMMANDS = (
     ("limit", "--fn", "nmod2", "--diagonal", "0.75"),
     ("limit", "--fn", "nmod2", "--diagonal", "0.6", "--growth", "2.5"),
@@ -85,6 +87,7 @@ NEIGHBOUR_COMMANDS = (
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e150,1e150", "--method", "mc",
      "--samples", "1000"),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e-150,1e-150", "--cells", "20"),
+    ("levelset", "--fn", "sqrt_prod", "--anchors", "1e-151,1e-151"),
 )
 
 # each ends in argparse's SystemExit before a subcommand runs
