@@ -381,7 +381,7 @@ def check_monoid_sign(oracle: FunctionOracle,
     """
     budget = budget or SampleBudget()
     domain = oracle.domain
-    if domain.orthant is not None or domain.grid_axes is not None:
+    if not domain.is_group:
         raise DomainError("monoid check needs an oracle on the whole of R^d or Z^d")
 
     zero = (0.0,) * domain.dim
@@ -431,7 +431,7 @@ def check_shifted_subadditivity(oracle: FunctionOracle, shift: int,
     float64 and every n the joint check evaluates has |n| <= 200, so a
     shift past 2^53 - 200 in size is refused: n + shift would round.
     """
-    if oracle.domain.dim != 1 or not oracle.domain.integer or oracle.domain.orthant is not None:
+    if oracle.domain.dim != 1 or not oracle.domain.integer or not oracle.domain.is_group:
         raise DomainError("shifted check needs a one-dimensional oracle on all of Z")
     if abs(shift) > _MAX_SHIFT:
         raise DomainError(f"shift {shift} is beyond +-{_MAX_SHIFT} (2^53 - 200): "

@@ -147,8 +147,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
             reports.append(check_componentwise(oracle, budget))
         if ns.mode in ("four_term", "all"):
             reports.append(check_four_term(oracle, budget))
-        if ns.mode == "monoid" or (ns.mode == "all" and oracle.domain.orthant is None
-                                   and oracle.domain.grid_axes is None):
+        if ns.mode == "monoid" or (ns.mode == "all" and oracle.domain.is_group):
             reports.append(check_monoid_sign(oracle, budget))
         if ns.mode == "shift":
             reports.append(check_shifted_subadditivity(oracle, ns.shift, budget))

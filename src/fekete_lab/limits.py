@@ -15,7 +15,9 @@ the tolerance, not that every point beyond the threshold does.
 Samples come from one rung rule, the schedule's geometric ladder, rounded
 on an integer domain: it gives the grid axes, the iterated tails, and the
 parameter t of the ray x(t) = t * direction and of the diagonal path
-x(t) = (t^p1, ..., t^pd), which is given by its exponents.
+x(t) = (t^p1, ..., t^pd), which is given by its exponents.  Ratios come
+from one rule, _ratios: f at each sample divided by the product of its
+coordinates, multiplied left to right; the ray divides by t instead.
 
 Statuses: converged | diverging_to_minus_infinity |
 diverging_to_plus_infinity | inconclusive.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -164,12 +166,11 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return np.array([repr(v) for v in distinct.tolist()], dtype=object)[inverse]
 
 
-def _require_finite(points: np.ndarray | Sequence[float],
-                    denominators: np.ndarray | Sequence[float] | float) -> None:
-    """The overflow and scale rule of every estimator, applied before it evaluates.
+def _require_finite(points: np.ndarray, denominators: np.ndarray | Sequence[float]) -> None:
+    """The overflow and scale rule of every ratio, applied before the oracle is evaluated.
 
-    Each point it will evaluate and each ratio denominator it will divide
-    by must be finite; an overflowing one would turn the ratio into NaN
+    Each point to evaluate and each ratio denominator to divide by must
+    be finite; an overflowing one would turn the ratio into NaN
     or a silent 0, so the schedule is unusable.  Each denominator must
     also be positive: a zero one turns the ratio into NaN or an infinity,
     and a negative one flips the inequality an upper bound rests on.
@@ -182,15 +183,41 @@ def _require_finite(points: np.ndarray | Sequence[float],
                             "sample only points with positive coordinate products")
 
 
-def _require_delta(delta: float) -> None:
-    """Every estimator's tolerance rule: delta > 0, which also refuses NaN."""
+def _ratios(oracle: FunctionOracle, points: np.ndarray,
+            scales: Sequence[float] | None = None) -> np.ndarray:
+    """f(points[k])/scales[k] for the points, one per row: the ratio of every limit mode.
+
+    scales defaults to each point's coordinate product, multiplied left
+    to right; only the ray passes its own, its parameter t.
+    """
+    if scales is None:
+        with np.errstate(over="ignore"):  # _require_finite refuses an overflow
+            scales = math.prod(points.T)
+    _require_finite(points, scales)
+    return oracle.evaluate_points(list(points.T)) / scales
+
+
+def _require_estimable(oracle: FunctionOracle, delta: float, main_orthant: bool = True) -> None:
+    """Every estimator's front door, checked before its schedule.
+
+    delta must be positive, which also refuses NaN; the oracle must live
+    on the main orthant, which the ray does not need; and its domain must
+    be unbounded, not a finite grid.
+    """
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
+    w = oracle.domain.orthant
+    if main_orthant and w is not None and not w.is_main:
+        raise DomainError(
+            f"{oracle.name!r} lives on orthant {w}; limits are estimated on the main orthant"
+        )
+    if oracle.domain.grid_axes is not None:
+        raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
 
 
-def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Sequence[float],
-             corners: np.ndarray, delta: float) -> LimitBracket:
-    """Evaluate the ratios f(points[k])/scales[k] and bracket them in inf sense.
+def _bracket(oracle: FunctionOracle, points: np.ndarray, corners: np.ndarray, delta: float,
+             scales: Sequence[float] | None = None) -> LimitBracket:
+    """Evaluate the ratios of _ratios at the points and bracket them in inf sense.
 
     The points, one per row, run in C order over the parameter grid
     (len(corners),) * corners.shape[1]: grid axis i is the level of the
@@ -200,9 +227,8 @@ def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Se
     k or more on every axis.  The bracket converges at the first shell
     whose upper set stays within delta of the minimum ratio.
     """
-    _require_finite(points, scales)
     grid = (len(corners),) * corners.shape[1]
-    ratios = (oracle.evaluate_points(list(points.T)) / scales).reshape(grid)
+    ratios = _ratios(oracle, points, scales).reshape(grid)
     shells = np.indices(grid).max(axis=0).ravel()
     upper_max = ratios  # becomes the largest ratio over each sample's upper set
     for a in range(len(grid)):
@@ -231,20 +257,6 @@ def _bracket(oracle: FunctionOracle, points: np.ndarray, scales: np.ndarray | Se
 # Simultaneous (product-order) limit
 # ---------------------------------------------------------------------------
 
-def _require_unbounded(oracle: FunctionOracle) -> None:
-    if oracle.domain.grid_axes is not None:
-        raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
-
-
-def _require_main_orthant(oracle: FunctionOracle) -> None:
-    w = oracle.domain.orthant
-    if w is not None and not w.is_main:
-        raise DomainError(
-            f"{oracle.name!r} lives on orthant {w}; limits are estimated on the main orthant"
-        )
-    _require_unbounded(oracle)
-
-
 def _schedule(schedule: GridSchedule | None, d: int) -> GridSchedule:
     """The schedule of an estimator over d axes, 1 for a path; the default one if none is given."""
     schedule = schedule or default_schedule(d)
@@ -262,24 +274,13 @@ def simultaneous_limit(oracle: FunctionOracle, schedule: GridSchedule | None = N
     only adds shells and the running minimum is nonincreasing.  The
     bracket converges by the module's rule, within delta.
     """
-    _require_delta(delta)
-    _require_main_orthant(oracle)
-    return _bracket(oracle, *_grid(_schedule(schedule, oracle.domain.dim),
-                                   oracle.domain.integer), delta)
-
-
-def _grid(schedule: GridSchedule, integer: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The schedule's grid for _bracket: points, coordinate products, corners.
-
-    The points run in C order over the levels, one per row; each axis is a
-    contiguous column.  Products multiply the coordinates left to right.
-    """
-    axes = [np.asarray(schedule.axis_values(i, integer=integer), dtype=float)
+    _require_estimable(oracle, delta)
+    schedule = _schedule(schedule, oracle.domain.dim)
+    axes = [np.asarray(schedule.axis_values(i, integer=oracle.domain.integer), dtype=float)
             for i in range(schedule.dim)]
+    # the points run in C order over the levels, one per row; each axis is a contiguous column
     points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1).T
-    with np.errstate(over="ignore"):  # _bracket refuses an overflow
-        scales = math.prod(points.T)
-    return points, scales, np.stack(axes, axis=1)
+    return _bracket(oracle, points, np.stack(axes, axis=1), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -375,44 +376,6 @@ def _level_tol(delta: float, depth: int) -> float:
     return delta * 2.0 ** -(depth + 1)
 
 
-def _nested_tails(oracle: FunctionOracle, axes: Sequence[int], schedule: GridSchedule,
-                  delta: float) -> tuple[Callable[[Mapping[int, float]], _TailEstimate],
-                                         list[list[_TailEstimate]]]:
-    """One adaptive tail per axis, nested: axes[0] outermost, axes[-1] innermost.
-
-    Returns estimate(assigned), which runs the nested limits with the
-    coordinates in assigned held fixed, and sweeps, where sweeps[k] logs
-    every tail estimate run at depth k.  The innermost level evaluates
-    f(x)/prod(x), multiplying the coordinates left to right.
-    Every ladder is built before the first evaluation, so an unusable
-    schedule raises DomainError up front.
-    """
-    d = oracle.domain.dim
-    integer = oracle.domain.integer
-    ladders = {axis: [float(x) for x in schedule.tail_values(axis, integer=integer)]
-               for axis in axes}
-    sweeps: list[list[_TailEstimate]] = [[] for _ in axes]
-
-    def estimate(assigned: Mapping[int, float], depth: int = 0) -> _TailEstimate:
-        axis = axes[depth]
-
-        def g(x: float) -> float:
-            here = {**assigned, axis: x}
-            if depth + 1 < len(axes):
-                return estimate(here, depth + 1).value
-            point = tuple(here[i] for i in range(d))
-            denominator = math.prod(point)
-            if not 0 < denominator < math.inf:  # a cheap test first: this runs per point
-                _require_finite(point, denominator)
-            return oracle.evaluate(point) / denominator
-
-        est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth))
-        sweeps[depth].append(est)
-        return est
-
-    return estimate, sweeps
-
-
 def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
                    schedule: GridSchedule | None = None, delta: float = 0.01) -> IteratedLimit:
     """Nested one-variable limits of f(x)/prod(x) in the given axis order.
@@ -425,13 +388,31 @@ def iterated_limit(oracle: FunctionOracle, order: Sequence[int],
     tolerances halve with depth so the compounded error stays near
     delta; the result carries the worst level status.
     """
-    _require_delta(delta)
-    _require_main_orthant(oracle)
+    _require_estimable(oracle, delta)
     d = oracle.domain.dim
     if sorted(order) != list(range(d)):
         raise DomainError(f"order {order!r} is not a permutation of the {d} axes")
-    estimate, sweeps = _nested_tails(oracle, tuple(order), _schedule(schedule, d), delta)
-    top = estimate({})
+    schedule = _schedule(schedule, d)
+    # every ladder is built before the first evaluation, so an unusable schedule raises up front
+    ladders = {axis: [float(x) for x in schedule.tail_values(axis, integer=oracle.domain.integer)]
+               for axis in order}
+    sweeps: list[list[_TailEstimate]] = [[] for _ in order]  # every tail run at each depth
+
+    def estimate(assigned: dict[int, float], depth: int) -> _TailEstimate:
+        """The nested limits over order[depth:], the coordinates in assigned held fixed."""
+        axis = order[depth]
+
+        def g(x: float) -> float:
+            here = {**assigned, axis: x}
+            if depth + 1 < d:
+                return estimate(here, depth + 1).value
+            return _ratios(oracle, np.array([[here[i] for i in range(d)]]))[0]
+
+        est = _adaptive_tail(g, ladders[axis], tol=_level_tol(delta, depth))
+        sweeps[depth].append(est)
+        return est
+
+    top = estimate({}, 0)
     levels = tuple(
         LevelSummary(axis=order[depth], status=_worst_status([e.status for e in runs]),
                      tol=_level_tol(delta, depth), sweeps=len(runs),
@@ -468,8 +449,7 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
     parameter's range.  On an integer domain t^p is rounded half to even,
     and each axis of the rounded path must still be strictly increasing.
     """
-    _require_delta(delta)
-    _require_main_orthant(oracle)
+    _require_estimable(oracle, delta)
     d = oracle.domain.dim
     if len(powers) != d:
         raise DimensionMismatchError(f"{len(powers)} powers for {d} axes")
@@ -493,9 +473,7 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
                 raise ScheduleError(f"the rounded diagonal repeats {float(repeats[0])!r} on "
                                     f"axis {i}; on an integer domain use a power of at "
                                     "least 1 or a larger growth")
-    with np.errstate(over="ignore"):  # _bracket refuses an overflow
-        scales = math.prod(coords.T)
-    return _bracket(oracle, coords, scales, np.array(ts).reshape(-1, 1), delta)
+    return _bracket(oracle, coords, np.array(ts).reshape(-1, 1), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +549,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     is subadditive in t, so g(t)/t converges to its infimum and the
     usual bracket semantics apply along the ray.
     """
-    _require_delta(delta)
-    _require_unbounded(oracle)
+    _require_estimable(oracle, delta, main_orthant=False)
     dirp = as_point(direction)
     if dirp.dim != oracle.domain.dim:
         raise DimensionMismatchError(
@@ -580,6 +557,6 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     if all(c == 0 for c in dirp):
         raise DomainError("direction must be nonzero")
     ts = _path_parameters(oracle, schedule)
-    return _bracket(oracle, np.array([[t * c for c in dirp] for t in ts]), ts,
-                    np.array(ts).reshape(-1, 1), delta)
+    return _bracket(oracle, np.array([[t * c for c in dirp] for t in ts]),
+                    np.array(ts).reshape(-1, 1), delta, ts)
 

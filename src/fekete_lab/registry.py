@@ -123,6 +123,11 @@ class Domain(_Record):
         if self.grid_axes is not None and len(self.grid_axes) != self.dim:
             raise DimensionMismatchError("one grid axis per dimension required")
 
+    @property
+    def is_group(self) -> bool:
+        """Whether the domain is all of R^d or Z^d, an additive group: no orthant and no grid."""
+        return self.orthant is None and self.grid_axes is None
+
     def _member_mask(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Membership of each point whose axis-i coordinates form columns[i], the
         one rule of the domain: as many columns as axes, finite, integral on

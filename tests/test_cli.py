@@ -14,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from fekete_lab.checks import check_monoid_sign
 from fekete_lab.cli import main
+from fekete_lab.domain import DomainError
 from fekete_lab.ioutil import write_json_atomic, write_text_atomic
+from fekete_lab.registry import builtin, builtin_names, load_tabulated
+from fekete_lab.sampling import SampleBudget
 
 
 def run(argv):
@@ -47,6 +51,25 @@ def test_check_joint_reports_witness_and_exits_three(tmp_path):
 def test_unknown_oracle_exits_two(tmp_path, capsys):
     assert run(["check", "--fn", "nosuch", "--out", tmp_path]) == 2
     assert "unknown builtin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), None])
+def test_check_all_runs_monoid_exactly_where_the_monoid_check_accepts(tmp_path, name):
+    # None: a table, which lives on its grid and not on a whole group
+    if name is None:
+        table = tmp_path / "tab.json"
+        table.write_text(json.dumps({"dim": 1, "axes": [[1, 2, 3, 4]], "values": [1, 2, 3, 4]}))
+        source, oracle = ["--table", table], load_tabulated(table)
+    else:
+        source, oracle = ["--fn", name], builtin(name)
+    try:
+        check_monoid_sign(oracle, SampleBudget(count=50))
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert run(["check", *source, "--mode", "all", "--count", 50,
+                "--out", tmp_path / "out"]) in (0, 3)
+    assert (tmp_path / "out" / "check_monoid.json").exists() == accepted
 
 
 @pytest.mark.parametrize("argv", [["check"], ["limit"], ["levelset", "--anchors", "1,1"]])
@@ -657,6 +680,11 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     ("limit --fn nmod2 --diagonal 0.6 --levels 10",
      "unusable schedule: the rounded diagonal repeats 2.0 on axis 0; on an integer domain "
      "use a power of at least 1 or a larger growth"),
+    # the grid and the iterated tails divide by x1 * x2 = 1e400 at the first sample
+    *((f"limit --fn sqrt_prod --base 1e200,1e200 {mode}",
+       "unusable schedule: a sample point or ratio denominator is not finite; lower the "
+       "growth or the levels")
+      for mode in ("--levels 4", "--iterated 1,2")),
     # n + shift is taken in float64: this odd shift would round to an even one
     ("check --fn nmod2 --mode shift --shift 99999999999999999999",
      "shift 99999999999999999999 is beyond +-9007199254740792 (2^53 - 200): "

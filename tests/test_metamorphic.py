@@ -11,6 +11,15 @@ and multiplies the same two coordinates, so g's simultaneous bracket is
 f's, g's iterated order (1, 0) is f's order (0, 1), and g's diagonal with
 powers (2, 1) is f's with powers (1, 2), bit for bit.  It runs over the
 2-D built-ins and the known-limit family.
+
+Dyadic dilation of variables: g(x1, x2) = f(2·x1, 4·x2) on the schedule
+base (1/2, 1/4) samples f at f's own points, and divides by their
+coordinate product over 8, exactly, so every ratio of g in every limit
+mode is 8 times f's, bit for bit, with delta scaled by 8 as well.  On the
+ray, g(x) = f(4·x) with the path starting at t = 1/4 divides by t over 4,
+so every ratio is 4 times f's.  This pins the one ratio rule of the
+estimators: f at each sample over the product of its coordinates, or
+over t on the ray.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from hypothesis import strategies as st
 
 from fekete_lab.checks import check_componentwise, check_four_term
 from fekete_lab.domain import GridSchedule, Point
-from fekete_lab.limits import IteratedLimit, diagonal_limit, iterated_limit, simultaneous_limit
+from fekete_lab.limits import (IteratedLimit, LimitBracket, diagonal_limit, iterated_limit,
+                               ray_limit, simultaneous_limit)
 from fekete_lab.registry import FunctionOracle, builtin, builtin_names
 from fekete_lab.sampling import SampleBudget
 from known_limits import BUILTINS, FAMILY
@@ -105,3 +115,59 @@ def test_swapping_the_axes_transposes_every_limit_mode(f):
         assert swapped == plain
         assert np.array_equal(swapped.points, plain.points[:, ::-1])
         assert np.array_equal(swapped.ratios, plain.ratios)
+
+
+def dilate(f: FunctionOracle, factors: tuple[float, ...]) -> FunctionOracle:
+    return FunctionOracle(name=f"dilate({f.name})", domain=f.domain,
+                          array_fn=lambda *xs: f.array_fn(*(c * x for c, x in zip(factors, xs))))
+
+
+def _assert_scaled_bracket(dilated: LimitBracket, plain: LimitBracket, factor: float) -> None:
+    assert np.array_equal(dilated.ratios, factor * plain.ratios)
+    assert (dilated.best_upper, dilated.tail_estimate) == (factor * plain.best_upper,
+                                                           factor * plain.tail_estimate)
+    assert (dilated.status, dilated.shell, dilated.evaluations) == (
+        plain.status, plain.shell, plain.evaluations)
+
+
+def _dilated_levels(it: IteratedLimit, factors: tuple[float, ...], factor: float) -> dict:
+    """it.to_json_dict() as the dilated run reports it: the value and the tolerances
+    times factor, and each axis's stabilizing coordinate divided by its dilation."""
+    out = it.to_json_dict()
+    return {**out, "value": factor * out["value"], "levels": [
+        {**level, "tol": factor * level["tol"],
+         "stabilized_at": None if level["stabilized_at"] is None
+         else level["stabilized_at"] / factors[level["axis"]]}
+        for level in out["levels"]]}
+
+
+PLANAR_REAL = [f for f in PLANAR if not f.domain.integer]
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=st.sampled_from(PLANAR_REAL), growth=st.sampled_from([2.0, 1.3]))
+def test_dilating_the_variables_scales_every_ratio_exactly(f, growth):
+    factors, delta = (2.0, 4.0), 0.01
+    g = dilate(f, factors)
+    plain_grid = GridSchedule(base=Point((1.0, 1.0)), growth=growth, levels=12)
+    dilated_grid = GridSchedule(base=Point((0.5, 0.25)), growth=growth, levels=12)
+    _assert_scaled_bracket(simultaneous_limit(g, dilated_grid, 8 * delta),
+                           simultaneous_limit(f, plain_grid, delta), 8.0)
+    for order in ((0, 1), (1, 0)):
+        assert (iterated_limit(g, order, dilated_grid, 8 * delta).to_json_dict()
+                == _dilated_levels(iterated_limit(f, order, plain_grid, delta), factors, 8.0))
+    _assert_scaled_bracket(
+        diagonal_limit(g, (1, 2), GridSchedule(base=Point((0.5,)), growth=growth, levels=12),
+                       8 * delta),
+        diagonal_limit(f, (1, 2), GridSchedule(base=Point((1.0,)), growth=growth, levels=12),
+                       delta), 8.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=st.sampled_from(PLANAR_REAL),
+       direction=st.sampled_from([(1.0, 1.0), (1.0, 3.0), (0.5, 2.0)]))
+def test_dilating_the_ray_scales_every_ratio_exactly(f, direction):
+    plain = ray_limit(f, direction, GridSchedule(base=Point((1.0,)), levels=12), 0.01)
+    dilated = ray_limit(dilate(f, (4.0, 4.0)), direction,
+                        GridSchedule(base=Point((0.25,)), levels=12), 0.04)
+    _assert_scaled_bracket(dilated, plain, 4.0)

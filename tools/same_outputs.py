@@ -10,10 +10,12 @@ criterion 10 (tests/test_acceptance.py) runs once, and so do 5 commands
 on a table that this script writes (`check --table` in modes all and
 componentwise at seeds 1 and 2, and `limit --table`, which refuses a
 finite grid and exits 2), 8 ray and diagonal `limit` runs, on real
-and integer oracles, with whole and fractional powers, 7 runs next
-to a refusal (an integer diagonal whose rounded points stay distinct, a
-large shift, level-set anchors near both ends of the float range, and
-one whose grid cells are just above the smallest normal float),
+and integer oracles, with whole and fractional powers, 10 runs at or
+next to a refusal (an integer diagonal whose rounded points stay
+distinct, a large shift, level-set anchors near both ends of the float
+range, one whose grid cells are just above the smallest normal float,
+a grid and an iterated run whose ratio denominator x1 * x2 overflows,
+which exit 2, and an iterated run whose denominator stays finite),
 and 3 runs that argparse ends (`--version`, `check --help`, and an
 unknown flag, which exits 2).  Every run is a
 fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
@@ -77,8 +79,9 @@ PATH_COMMANDS = (
 )
 
 # each runs just inside a refusal: a repeated rounded diagonal point, a shift
-# past 2^53 - 200, or an anchor whose box volume, or whose grid cell volume at
-# the default 400 cells, is not finite or not normal
+# past 2^53 - 200, an anchor whose box volume, or whose grid cell volume at
+# the default 400 cells, is not finite or not normal, or a ratio denominator
+# that overflows, which the first two limit runs meet and exit 2
 NEIGHBOUR_COMMANDS = (
     ("limit", "--fn", "nmod2", "--diagonal", "0.75"),
     ("limit", "--fn", "nmod2", "--diagonal", "0.6", "--growth", "2.5"),
@@ -88,6 +91,9 @@ NEIGHBOUR_COMMANDS = (
      "--samples", "1000"),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e-150,1e-150", "--cells", "20"),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e-151,1e-151"),
+    ("limit", "--fn", "sqrt_prod", "--base", "1e200,1e200", "--levels", "4"),
+    ("limit", "--fn", "sqrt_prod", "--iterated", "1,2", "--base", "1e200,1e200"),
+    ("limit", "--fn", "sqrt_prod", "--iterated", "2,1", "--base", "1e160,1e140"),
 )
 
 # each ends in argparse's SystemExit before a subcommand runs
