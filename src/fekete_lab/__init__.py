@@ -24,9 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "domain": (
         "ConfigError", "DimensionMismatchError", "DomainError", "EvaluationError",
-        "FeketeLabError", "GridSchedule", "IndeterminateFormError", "Orthant", "Point",
-        "QRDecomposition", "ScheduleError", "as_point", "default_schedule",
-        "directed_upper_bound", "orthant_reflect", "product_leq", "qr_decompose",
+        "FeketeLabError", "GridSchedule", "IndeterminateFormError", "Point",
+        "QRDecomposition", "ScheduleError", "as_point", "default_schedule", "qr_decompose",
     ),
     "registry": (
         "Domain", "FiniteSetFunction", "FunctionOracle", "builtin", "builtin_names",

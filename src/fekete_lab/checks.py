@@ -140,14 +140,10 @@ class ViolationReport(_Record):
 # The candidate stream and the screen-then-shrink engine
 # ---------------------------------------------------------------------------
 
-def _axis_range(domain: Domain, axis: int) -> tuple[float, float]:
-    """Where a non-grid axis draws its candidates, decided by the domain alone."""
+def _axis_range(domain: Domain) -> tuple[float, float]:
+    """Where every non-grid axis draws its candidates, decided by the domain alone."""
     lo, hi = _INTEGER_RANGE if domain.integer else _POSITIVE_RANGE
-    if domain.orthant is None:
-        return (-hi, hi)
-    if domain.orthant.bits[axis] == 1:
-        return (-hi, -lo)
-    return (lo, hi)
+    return (lo, hi) if domain.positive else (-hi, hi)
 
 
 def _sample(domain: Domain, budget: SampleBudget, counters: np.ndarray) -> np.ndarray:
@@ -161,7 +157,7 @@ def _sample(domain: Domain, budget: SampleBudget, counters: np.ndarray) -> np.nd
             grid = np.asarray(domain.grid_axes[i])
             points[:, i] = grid[integer_in(budget.seed, at, 0, len(grid) - 1)]
             continue
-        lo, hi = _axis_range(domain, i)
+        lo, hi = _axis_range(domain)
         if domain.integer:
             points[:, i] = integer_in(budget.seed, at, math.ceil(lo), math.floor(hi))
         else:
@@ -179,14 +175,8 @@ def _probe_points(domain: Domain) -> np.ndarray:
         small = math.prod(map(len, domain.grid_axes)) <= 64
         grid = list(itertools.product(*domain.grid_axes)) if small else []
         return np.array(grid, dtype=float).reshape(-1, domain.dim)
-    per_axis: list[list[float]] = []
-    for i in range(domain.dim):
-        if domain.orthant is None:
-            per_axis.append([-2.0, -1.0, 1.0, 2.0, 3.0])
-        else:
-            s = -1.0 if domain.orthant.bits[i] == 1 else 1.0
-            per_axis.append([s * 1.0, s * 2.0, s * 3.0])
-    return np.array(list(itertools.product(*per_axis)), dtype=float)
+    axis = [1.0, 2.0, 3.0] if domain.positive else [-2.0, -1.0, 1.0, 2.0, 3.0]
+    return np.array(list(itertools.product(axis, repeat=domain.dim)), dtype=float)
 
 
 def _evaluator(oracle: FunctionOracle, kind: str) -> Callable[[np.ndarray], np.ndarray]:

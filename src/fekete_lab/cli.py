@@ -438,7 +438,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="schedule growth factor (default %(default)s)")
     p.add_argument("--levels", type=int, default=40,
                    help="schedule level count (default %(default)s); --iterated only "
-                        f"validates it, as its tails walk up to {_TAIL_STEPS} rungs per axis")
+                        f"needs it at least 1, as its tails walk up to {_TAIL_STEPS} rungs "
+                        "per axis")
     p.add_argument("--iterated", help="1-based axis order for nested limits, e.g. 2,1")
     p.add_argument("--direction", help="ray direction, e.g. 1,1")
     p.add_argument("--diagonal", help="per-axis powers of t for a diagonal path, e.g. 1,2")

@@ -1,10 +1,10 @@
-"""Core geometry for directed limits on orthants of R^d and Z^d.
+"""Core geometry for directed limits on the positive orthant of R^d and Z^d.
 
-Points, orthant sign words with their product orders, the q*t + r step
-decomposition used by the limit estimators, geometric sampling schedules
-and the readers of JSON input files.  Every value here is immutable after
-construction, and every function but _json_file, which reads a file, is
-pure, so concurrent use needs no synchronization.
+Points, the q*t + r step decomposition used by the limit estimators,
+geometric sampling schedules and the readers of JSON input files.  Every
+value here is immutable after construction, and every function but
+_json_file, which reads a file, is pure, so concurrent use needs no
+synchronization.
 
 Reals are IEEE double precision throughout; exactness claims are made
 "to one ulp".  The extended reals are ordinary floats allowed to be
@@ -34,10 +34,6 @@ __all__ = [
     "as_extended",
     "Point",
     "as_point",
-    "Orthant",
-    "product_leq",
-    "directed_upper_bound",
-    "orthant_reflect",
     "QRDecomposition",
     "qr_decompose",
     "GridSchedule",
@@ -280,107 +276,6 @@ def as_point(value: Point | Sequence[float] | float) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Orthants and the product order
-# ---------------------------------------------------------------------------
-
-class Orthant(_Record):
-    """Sign word w in {0,1}^d selecting an open orthant.
-
-    Axis i carries the ordinary order when w_i = 0 (positive half-line)
-    and the reversed order when w_i = 1 (negative half-line), so the
-    word both names the region and fixes its product order direction.
-    """
-
-    bits: tuple[int, ...]
-
-    def __init__(self, bits: tuple[int, ...]) -> None:
-        bits = tuple(int(b) for b in bits)
-        if len(bits) < 1:
-            raise DomainError("an orthant word needs length >= 1")
-        if any(b not in (0, 1) for b in bits):
-            raise DomainError(f"orthant word must be binary, got {bits!r}")
-        super().__init__(bits)
-
-    @classmethod
-    def from_string(cls, word: str) -> "Orthant":
-        return cls(tuple(int(ch) for ch in word))
-
-    @classmethod
-    def main(cls, dim: int) -> "Orthant":
-        return cls((0,) * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.bits)
-
-    @property
-    def is_main(self) -> bool:
-        return not any(self.bits)
-
-    def sign(self, axis: int) -> int:
-        return -1 if self.bits[axis] else 1
-
-    def contains(self, point: Point) -> bool:
-        if point.dim != self.dim:
-            raise DimensionMismatchError(
-                f"point of dimension {point.dim} vs orthant word of length {self.dim}"
-            )
-        return all(c * self.sign(i) > 0 for i, c in enumerate(point))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def _require_in_orthant(point: Point, orthant: Orthant, label: str) -> None:
-    if not orthant.contains(point):
-        raise DomainError(f"{label}={tuple(point)} is not in orthant {orthant}")
-
-
-def product_leq(x: Point | Sequence[float], y: Point | Sequence[float],
-                orthant: Orthant) -> bool:
-    """Product-order comparison inside an orthant.
-
-    Ordinary <= on axes with bit 0, reversed >= on axes with bit 1, so
-    "later" always means farther from the origin.
-    """
-    px, py = as_point(x), as_point(y)
-    _require_in_orthant(px, orthant, "x")
-    _require_in_orthant(py, orthant, "y")
-    for i in range(orthant.dim):
-        if orthant.bits[i] == 0:
-            if not px[i] <= py[i]:
-                return False
-        else:
-            if not px[i] >= py[i]:
-                return False
-    return True
-
-
-def directed_upper_bound(x: Point | Sequence[float], y: Point | Sequence[float],
-                         orthant: Orthant) -> Point:
-    """A common upper bound of x and y: coordinatewise max, min on reversed axes."""
-    px, py = as_point(x), as_point(y)
-    _require_in_orthant(px, orthant, "x")
-    _require_in_orthant(py, orthant, "y")
-    coords = tuple(
-        min(px[i], py[i]) if orthant.bits[i] else max(px[i], py[i])
-        for i in range(orthant.dim)
-    )
-    return Point(coords)
-
-
-def orthant_reflect(x: Point | Sequence[float], orthant: Orthant) -> Point:
-    """Map a point of orthant w onto the main orthant by flipping reversed axes.
-
-    The map is an involution: applying it with the same word returns the
-    original point.
-    """
-    px = as_point(x)
-    _require_in_orthant(px, orthant, "x")
-    return Point(tuple(c * orthant.sign(i) for i, c in enumerate(px)))
-
-
-# ---------------------------------------------------------------------------
 # The q*t + r step decomposition
 # ---------------------------------------------------------------------------
 
@@ -462,10 +357,10 @@ def _ladder(base: float, growth: float, rungs: int, *,
 class GridSchedule(_Record):
     """Geometric per-axis sampling schedule: coordinate i takes base_i * growth^k.
 
-    Levels run k = 0..levels inclusive, and every level must stay at or
-    below 1e300 on every axis.  Geometric spacing keeps sample counts
-    polynomial in the level count while the step-count ratio q/x
-    converges quickly, which is what the limit estimators need.
+    Levels run k = 0..levels inclusive; axis_values refuses an axis whose
+    levels pass 1e300.  Geometric spacing keeps sample counts polynomial
+    in the level count while the step-count ratio q/x converges quickly,
+    which is what the limit estimators need.
     """
 
     base: Point
@@ -480,9 +375,6 @@ class GridSchedule(_Record):
             raise ScheduleError(f"growth factor must exceed 1, got {self.growth!r}")
         if self.levels < 1:
             raise ScheduleError(f"level count must be >= 1, got {self.levels!r}")
-        if any(len(_ladder(b, self.growth, self.levels + 1, integer=False)) <= self.levels
-               for b in self.base):
-            raise ScheduleError("schedule coordinate overflowed; reduce levels")
 
     @property
     def dim(self) -> int:
@@ -492,8 +384,12 @@ class GridSchedule(_Record):
         """The levels + 1 sample coordinates of one axis, strictly increasing.
 
         Integer mode rounds each level to the nearest integer (see _ladder).
+        A level past 1e300 is refused.
         """
-        return _ladder(self.base[axis], self.growth, self.levels + 1, integer=integer)
+        values = _ladder(self.base[axis], self.growth, self.levels + 1, integer=integer)
+        if len(values) <= self.levels:
+            raise ScheduleError("schedule coordinate overflowed; reduce levels")
+        return values
 
     def tail_values(self, axis: int, *, integer: bool = False) -> list[float] | list[int]:
         """The ladder the adaptive tail estimators walk on one axis.

@@ -197,20 +197,14 @@ def _ratios(oracle: FunctionOracle, points: np.ndarray,
     return oracle.evaluate_points(list(points.T)) / scales
 
 
-def _require_estimable(oracle: FunctionOracle, delta: float, main_orthant: bool = True) -> None:
+def _require_estimable(oracle: FunctionOracle, delta: float) -> None:
     """Every estimator's front door, checked before its schedule.
 
-    delta must be positive, which also refuses NaN; the oracle must live
-    on the main orthant, which the ray does not need; and its domain must
-    be unbounded, not a finite grid.
+    delta must be positive, which also refuses NaN, and the oracle's
+    domain must be unbounded, not a finite grid.
     """
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
-    w = oracle.domain.orthant
-    if main_orthant and w is not None and not w.is_main:
-        raise DomainError(
-            f"{oracle.name!r} lives on orthant {w}; limits are estimated on the main orthant"
-        )
     if oracle.domain.grid_axes is not None:
         raise DomainError("limit estimation needs an unbounded domain, not a finite grid")
 
@@ -481,9 +475,8 @@ def diagonal_limit(oracle: FunctionOracle, powers: Sequence[float],
 # ---------------------------------------------------------------------------
 
 class DecompositionTerm(_Record):
-    """One term of the bound: coefficient * f(y^w) for the sign word bits."""
+    """One term of the bound: coefficient * f(y^w) for one sign word w."""
 
-    bits: tuple[int, ...]
     coefficient: int
     value: float
 
@@ -528,8 +521,8 @@ def verify_decomposition_bound(oracle: FunctionOracle,
     words = list(itertools.product((0, 1), repeat=d))
     points = [tuple(decomp[i].t if w[i] else decomp[i].r for i in range(d)) for w in words]
     *values, lhs = oracle.evaluate_points(list(np.array([*points, px.coords]).T)).tolist()
-    terms = [DecompositionTerm(bits=w, value=value,
-                               coefficient=math.prod(decomp[i].q for i in range(d) if w[i]))
+    terms = [DecompositionTerm(coefficient=math.prod(decomp[i].q for i in range(d) if w[i]),
+                               value=value)
              for w, value in zip(words, values)]
     rhs = functools.reduce(ext_add, (term.contribution for term in terms), 0.0)
     holds = not exceeds(lhs, rhs)
@@ -549,7 +542,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     is subadditive in t, so g(t)/t converges to its infimum and the
     usual bracket semantics apply along the ray.
     """
-    _require_estimable(oracle, delta, main_orthant=False)
+    _require_estimable(oracle, delta)
     dirp = as_point(direction)
     if dirp.dim != oracle.domain.dim:
         raise DimensionMismatchError(

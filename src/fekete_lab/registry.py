@@ -29,7 +29,6 @@ from .domain import (
     DomainError,
     EvaluationError,
     IndeterminateFormError,
-    Orthant,
     Point,
     _Record,
     _json_file,
@@ -99,39 +98,37 @@ def exceeds(lhs, rhs):
 # ---------------------------------------------------------------------------
 
 class Domain(_Record):
-    """Where an oracle is defined.
+    """Where an oracle is defined: the whole space, the positive orthant or a grid.
 
-    orthant None means the whole space (R^d or Z^d, an additive group);
-    a word restricts to that open orthant.  grid_axes marks a tabulated
+    The whole space (R^d or Z^d, an additive group) by default; positive
+    restricts to the open main orthant, where every coordinate is
+    positive, the one place where limits live.  A function on another
+    orthant w is x -> f(w*x) on this one.  grid_axes marks a tabulated
     function defined only on the cartesian grid of those coordinates.
     """
 
     dim: int
-    orthant: Orthant | None
+    positive: bool
     integer: bool
     grid_axes: tuple[tuple[float, ...], ...] | None
 
-    def __init__(self, dim: int, orthant: Orthant | None = None, integer: bool = False,
+    def __init__(self, dim: int, positive: bool = False, integer: bool = False,
                  grid_axes: tuple[tuple[float, ...], ...] | None = None) -> None:
-        super().__init__(dim, orthant, integer, grid_axes)
+        super().__init__(dim, positive, integer, grid_axes)
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim!r}")
-        if self.orthant is not None and self.orthant.dim != self.dim:
-            raise DimensionMismatchError(
-                f"orthant word length {self.orthant.dim} != dimension {self.dim}"
-            )
         if self.grid_axes is not None and len(self.grid_axes) != self.dim:
             raise DimensionMismatchError("one grid axis per dimension required")
 
     @property
     def is_group(self) -> bool:
-        """Whether the domain is all of R^d or Z^d, an additive group: no orthant and no grid."""
-        return self.orthant is None and self.grid_axes is None
+        """Whether the domain is all of R^d or Z^d, an additive group: not positive, no grid."""
+        return not self.positive and self.grid_axes is None
 
     def _member_mask(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Membership of each point whose axis-i coordinates form columns[i], the
         one rule of the domain: as many columns as axes, finite, integral on
-        integer domains, then on the grid if any, else in the orthant."""
+        integer domains, then on the grid if any, else positive if so declared."""
         if len(columns) != self.dim:
             raise DimensionMismatchError(
                 f"point of dimension {len(columns)} vs domain of dimension {self.dim}")
@@ -142,8 +139,8 @@ class Domain(_Record):
                 inside &= c == np.floor(c)
             if self.grid_axes is not None:
                 inside &= np.isin(c, self.grid_axes[i])
-            elif self.orthant is not None:
-                inside &= c * self.orthant.sign(i) > 0
+            elif self.positive:
+                inside &= c > 0
         return inside
 
 
@@ -187,18 +184,10 @@ class FunctionOracle(_Record):
 # Built-in oracles
 # ---------------------------------------------------------------------------
 
-def _main_real(d: int) -> Domain:
-    return Domain(dim=d, orthant=Orthant.main(d))
-
-
-def _main_int(d: int) -> Domain:
-    return Domain(dim=d, orthant=Orthant.main(d), integer=True)
-
-
 _BUILTINS: dict[str, FunctionOracle] = {oracle.name: oracle for oracle in (
     FunctionOracle(
         name="sqrt_prod",
-        domain=_main_real(2),
+        domain=Domain(dim=2, positive=True),
         array_fn=lambda x1, x2: np.sqrt(x1 * x2),
     ),
     # jointly subadditive (sqrt(x2+y2) dominates both sqrt(x2) and
@@ -206,33 +195,33 @@ _BUILTINS: dict[str, FunctionOracle] = {oracle.name: oracle for oracle in (
     # sqrt_prod, which is componentwise subadditive but not joint
     FunctionOracle(
         name="neg_x1_sqrt_x2",
-        domain=_main_real(2),
+        domain=Domain(dim=2, positive=True),
         array_fn=lambda x1, x2: -x1 * np.sqrt(x2),
     ),
     FunctionOracle(
         name="x1sq_sqrt_x2",
-        domain=_main_real(2),
+        domain=Domain(dim=2, positive=True),
         array_fn=lambda x1, x2: x1 * x1 * np.sqrt(x2),
     ),
     FunctionOracle(
         name="nmod2",
-        domain=Domain(dim=1, orthant=None, integer=True),
+        domain=Domain(dim=1, integer=True),
         array_fn=lambda n: np.remainder(n, 2.0),
     ),
     FunctionOracle(
         name="full_shift_count_log",
-        domain=_main_int(2),
+        domain=Domain(dim=2, positive=True, integer=True),
         array_fn=lambda x1, x2: x1 * x2,
     ),
     FunctionOracle(
         name="ceiling",
-        domain=Domain(dim=1, orthant=None, integer=False),
+        domain=Domain(dim=1),
         # + 0.0 turns the -0.0 that np.ceil gives on (-1, 0) into 0.0
         array_fn=lambda x: np.ceil(x) + 0.0,
     ),
     FunctionOracle(
         name="abs",
-        domain=Domain(dim=1, orthant=None, integer=False),
+        domain=Domain(dim=1),
         array_fn=np.abs,
     ),
 )}

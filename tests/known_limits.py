@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fekete_lab.domain import Orthant
 from fekete_lab.registry import Domain, FunctionOracle, builtin
 
 
@@ -58,7 +57,7 @@ ATOMS = {
 
 def _product(name1: str, name2: str) -> FunctionOracle:
     (fn1, _), (fn2, _) = ATOMS[name1], ATOMS[name2]
-    return FunctionOracle(f"{name1}*{name2}", Domain(dim=2, orthant=Orthant.main(2)),
+    return FunctionOracle(f"{name1}*{name2}", Domain(dim=2, positive=True),
                           lambda x1, x2: fn1(x1) * fn2(x2))
 
 

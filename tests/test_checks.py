@@ -27,7 +27,6 @@ from fekete_lab.domain import (
     DomainError,
     EvaluationError,
     IndeterminateFormError,
-    Orthant,
 )
 from fekete_lab.registry import (
     Domain,
@@ -119,30 +118,15 @@ def test_joint_no_violation_implies_four_term_for_nonnegative():
         if joint.clean:
             # ceiling is negative on negatives, so check a copy restricted to
             # the positive half-line, where both are nonnegative
-            pos = oracle._replace(domain=Domain(dim=1, orthant=Orthant.main(1)))
+            pos = oracle._replace(domain=Domain(dim=1, positive=True))
             assert check_four_term(pos, SampleBudget(count=2000, seed=20240117)).clean
-
-
-def test_a_reversed_orthant_draws_from_the_reversed_range():
-    # sqrt(x1 x2) on the negative quadrant: the probes and the stream both lie
-    # in [-100, -0.1] on each axis, mirrored from the main orthant's range
-    oracle = FunctionOracle(name="sqrt_prod_on_11",
-                            domain=Domain(dim=2, orthant=Orthant.from_string("11")),
-                            array_fn=lambda x1, x2: np.sqrt(x1 * x2))
-    joint = check_joint(oracle, BUDGET)
-    assert joint.samples_checked == 3 ** 4 + BUDGET.count  # every drawn pair is inside
-    hit = joint.find(((-1.0, -2.0), (-2.0, -1.0)))
-    assert hit is not None and hit.margin == 3.0 - 2.0 * math.sqrt(2.0)
-    coords = [c for v in joint.violations for w in v.witness for c in w]
-    assert len(joint.violations) > 1 and all(-100.0 <= c <= -0.1 for c in coords)
-    assert check_componentwise(oracle, BUDGET).clean
 
 
 def test_monoid_sign_examples():
     assert check_monoid_sign(builtin("nmod2"), BUDGET).clean
     assert check_monoid_sign(builtin("abs"), BUDGET).clean
     const = FunctionOracle(name="const_minus_one",
-                           domain=Domain(dim=1, orthant=None),
+                           domain=Domain(dim=1),
                            array_fn=lambda x: np.full_like(x, -1.0))
     report = check_monoid_sign(const, BUDGET)
     hit = report.find(((0.0,),))
@@ -340,9 +324,9 @@ def test_no_numpy_scalar_reaches_a_report():
     # writers format every value with repr
     from fekete_lab.levelset import check_levelset_lemma
     from fekete_lab.limits import verify_decomposition_bound
-    const = FunctionOracle(name="const_minus_one", domain=Domain(dim=1, orthant=None),
+    const = FunctionOracle(name="const_minus_one", domain=Domain(dim=1),
                            array_fn=lambda x: np.full_like(x, -1.0))
-    square = FunctionOracle(name="square", domain=Domain(dim=1, orthant=Orthant.main(1)),
+    square = FunctionOracle(name="square", domain=Domain(dim=1, positive=True),
                             array_fn=lambda x: x ** 2)
     monoid = check_monoid_sign(const, SampleBudget(count=50, seed=1))
     assert monoid.find(((0.0,),)) is not None  # the f(0) witness
@@ -369,7 +353,7 @@ def test_no_numpy_scalar_reaches_a_report():
 def test_nan_at_sampled_points_raises_evaluation_error():
     # finite on the probe lattice (coordinates up to 6), NaN far out
     oracle = FunctionOracle(
-        name="nan_far_out", domain=Domain(dim=2, orthant=Orthant.main(2)),
+        name="nan_far_out", domain=Domain(dim=2, positive=True),
         array_fn=lambda x1, x2: np.where(x1 > 10, np.nan, x1))
     with pytest.raises(EvaluationError, match="NaN"):
         check_joint(oracle, SampleBudget(count=200, seed=3))
@@ -378,7 +362,7 @@ def test_nan_at_sampled_points_raises_evaluation_error():
 @pytest.mark.parametrize("check", [check_joint, check_four_term])
 def test_mixed_infinities_raise_indeterminate_form(check):
     # f(x) + f(y) is inf + (-inf) whenever x and y have opposite signs
-    oracle = FunctionOracle(name="signed_infinity", domain=Domain(dim=1, orthant=None),
+    oracle = FunctionOracle(name="signed_infinity", domain=Domain(dim=1),
                             array_fn=lambda x: np.where(x > 0, math.inf, -math.inf))
     with pytest.raises(IndeterminateFormError):
         check(oracle, SampleBudget(count=200, seed=3))
@@ -410,7 +394,7 @@ def _reference_pair_check(oracle, budget, axis=None):
         # the domain's membership rule, written apart from Domain._member_mask
         return all(math.isfinite(c) and (not integer or c == math.floor(c))
                    and (c in grid[i] if grid is not None
-                        else domain.orthant is None or c * domain.orthant.sign(i) > 0)
+                        else not domain.positive or c > 0)
                    for i, c in enumerate(p))
 
     def sum_point(x, y):
@@ -467,7 +451,7 @@ def _reference_pair_check(oracle, budget, axis=None):
 
 
 def test_batch_engine_matches_the_scalar_reference_loop():
-    zint = FunctionOracle(name="zint", domain=Domain(dim=2, orthant=None, integer=True),
+    zint = FunctionOracle(name="zint", domain=Domain(dim=2, integer=True),
                           array_fn=lambda x1, x2: np.abs(x1) * np.abs(x2) % 7 - 2.0)
     # a 12 x 12 grid (too large to probe) on which x1 + x2 breaks at the far corner
     axis = tuple(float(k) for k in range(1, 13))
@@ -516,13 +500,13 @@ def test_shrunk_real_coordinates_stay_at_the_sampling_floor():
 
 def _square_product():
     # (x1 x2)^2 breaks the 2^d-term bound: (x+y)^2 terms exceed the mixed sums
-    return FunctionOracle(name="square_product", domain=Domain(dim=2, orthant=Orthant.main(2)),
+    return FunctionOracle(name="square_product", domain=Domain(dim=2, positive=True),
                           array_fn=lambda x1, x2: (x1 * x2) ** 2)
 
 
 def _negative_square_norm():
     # f(x) + f(-x) = -2|x|^2 < 0 away from the origin
-    return FunctionOracle(name="negative_square_norm", domain=Domain(dim=2, orthant=None),
+    return FunctionOracle(name="negative_square_norm", domain=Domain(dim=2),
                           array_fn=lambda x1, x2: -(x1 ** 2 + x2 ** 2))
 
 

@@ -594,8 +594,9 @@ def test_unusable_schedule_flags_exit_two(tmp_path, capsys, growth, extra):
     # growth 1.1 rounds the integer ladder 1, 1.1, 1.21, ... to 1, 1, 1, ...;
     # growth 0.5 shrinks instead of growing.  With one level, growth 1.5
     # passes the grid (1, 2), but the iterated tail walks on to rung 2.25,
-    # which rounds back to 2.  Growth 1e200 overflows a float at level 2,
-    # on the real oracle that the later --fn selects, in every mode.
+    # which rounds back to 2.  Growth 1e200, on the real oracle that the
+    # later --fn selects, passes 1e300 at level 2 on the grid and the ray,
+    # and the iterated tails' denominator 1e200 * 1e200 overflows.
     # Growth 1e100 keeps every rung at or below 1e300, but the grid and
     # iterated denominators x1 * x2, the diagonal point t^2 and the ray
     # point 1e10 * t overflow.
@@ -685,6 +686,14 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
        "unusable schedule: a sample point or ratio denominator is not finite; lower the "
        "growth or the levels")
       for mode in ("--levels 4", "--iterated 1,2")),
+    # at growth 1e20 the 40 default levels pass 1e300 on the grid and the diagonal;
+    # the iterated tails stop below it, but at growth 1e200 divide by 1e200 * 1e200
+    *((f"limit --fn sqrt_prod --growth 1e20 {mode}",
+       "unusable schedule: schedule coordinate overflowed; reduce levels")
+      for mode in ("", "--diagonal 1,2")),
+    ("limit --fn sqrt_prod --growth 1e200 --iterated 1,2",
+     "unusable schedule: a sample point or ratio denominator is not finite; lower the "
+     "growth or the levels"),
     # n + shift is taken in float64: this odd shift would round to an even one
     ("check --fn nmod2 --mode shift --shift 99999999999999999999",
      "shift 99999999999999999999 is beyond +-9007199254740792 (2^53 - 200): "
@@ -706,6 +715,18 @@ def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_levels_do_not_refuse_the_iterated_tails(tmp_path):
+    # the iterated tails walk their own ladder, which stops below 1e300, so a
+    # level count whose grid would pass 1e300 leaves them as --levels 10 does
+    argv = ["limit", "--fn", "sqrt_prod", "--iterated", "1,2", "--growth", "1e20"]
+    assert run([*argv, "--out", tmp_path / "a", "--no-timestamp"]) == 0
+    assert run([*argv, "--levels", 10, "--out", tmp_path / "b", "--no-timestamp"]) == 0
+    result = (tmp_path / "a" / "iterated.json").read_bytes()
+    assert result == (tmp_path / "b" / "iterated.json").read_bytes()
+    payload = json.loads(result)
+    assert (payload["value"], payload["status"]) == (1e-140, "converged")
 
 
 def test_monte_carlo_measure_near_the_float_range_stays_finite(tmp_path):

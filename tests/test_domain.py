@@ -1,4 +1,4 @@
-"""Core geometry: product orders, reflections, step decomposition, schedules."""
+"""Core geometry: points, step decomposition, schedules, extended reals."""
 
 from __future__ import annotations
 
@@ -14,103 +14,13 @@ from fekete_lab.domain import (
     EvaluationError,
     GridSchedule,
     IndeterminateFormError,
-    Orthant,
     Point,
+    ScheduleError,
     as_extended,
-    directed_upper_bound,
-    orthant_reflect,
-    product_leq,
     qr_decompose,
 )
 from fekete_lab.registry import exceeds, ext_add
 from fekete_lab.sampling import uniform_in
-
-W00 = Orthant.from_string("00")
-W10 = Orthant.from_string("10")
-
-
-def test_product_leq_plain():
-    assert product_leq((1, 2), (1, 3), W00)
-
-
-def test_product_leq_reversed_axis():
-    # order reverses on the negative axis: -1 >= -3 and 2 <= 5
-    assert product_leq((-1, 2), (-3, 5), W10)
-
-
-def test_product_leq_incomparable():
-    assert not product_leq((1, 2), (2, 1), W00)
-    assert not product_leq((2, 1), (1, 2), W00)
-
-
-def test_product_leq_rejects_outside_orthant():
-    with pytest.raises(DomainError):
-        product_leq((1, 2), (1, 3), W10)
-
-
-def test_product_leq_dimension_mismatch():
-    with pytest.raises(Exception):
-        product_leq((1, 2, 3), (1, 2), W00)
-
-
-def _orthant_points(w: Orthant):
-    coords = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
-    return st.tuples(*[coords for _ in range(w.dim)]).map(
-        lambda t: tuple(c * w.sign(i) for i, c in enumerate(t)))
-
-
-@settings(max_examples=300)
-@given(data=st.data(), word=st.sampled_from(["00", "10", "01", "11"]))
-def test_order_axioms(data, word):
-    w = Orthant.from_string(word)
-    pts = _orthant_points(w)
-    x, y, z = data.draw(pts), data.draw(pts), data.draw(pts)
-    assert product_leq(x, x, w)  # reflexive
-    if product_leq(x, y, w) and product_leq(y, x, w):
-        assert tuple(Point(x)) == tuple(Point(y))  # antisymmetric
-    if product_leq(x, y, w) and product_leq(y, z, w):
-        assert product_leq(x, z, w)  # transitive
-
-
-@settings(max_examples=200)
-@given(data=st.data(), word=st.sampled_from(["00", "10", "01", "11"]))
-def test_upper_bound_dominates_both(data, word):
-    w = Orthant.from_string(word)
-    pts = _orthant_points(w)
-    x, y = data.draw(pts), data.draw(pts)
-    z = directed_upper_bound(x, y, w)
-    assert product_leq(x, z, w)
-    assert product_leq(y, z, w)
-
-
-def test_upper_bound_examples():
-    assert tuple(directed_upper_bound((1, 5), (3, 2), W00)) == (3.0, 5.0)
-    assert tuple(directed_upper_bound((-1, 5), (-3, 2), W10)) == (-3.0, 5.0)
-    assert tuple(directed_upper_bound((2, 2), (2, 2), W00)) == (2.0, 2.0)
-
-
-def test_upper_bound_brute_force_check():
-    # the returned point must be the least one that dominates both
-    x, y = (-1.0, 5.0), (-3.0, 2.0)
-    z = directed_upper_bound(x, y, W10)
-    for cand in [(-1.0, 5.0), (-3.0, 5.0), (-1.0, 2.0), (-3.0, 2.0)]:
-        dominates = product_leq(x, cand, W10) and product_leq(y, cand, W10)
-        assert dominates == (cand == tuple(z)) or product_leq(z, cand, W10)
-
-
-def test_reflect_examples():
-    assert tuple(orthant_reflect((-2, 3), W10)) == (2.0, 3.0)
-    assert tuple(orthant_reflect((4, 7), W00)) == (4.0, 7.0)
-
-
-def test_reflect_is_involution_and_lands_in_main_orthant():
-    w = Orthant.from_string("101")
-    for j in range(100):
-        x = tuple(w.sign(i) * uniform_in(17, 3 * j + i, 0.1, 50.0) for i in range(3))
-        y = orthant_reflect(x, w)
-        assert Orthant.main(3).contains(y)
-        back = Point(tuple(c * w.sign(i) for i, c in enumerate(y)))
-        assert tuple(back) == tuple(Point(x))
 
 
 def test_qr_examples():
@@ -178,6 +88,17 @@ def test_schedule_rejects_bad_parameters():
         GridSchedule(base=Point((0.0,)))
     with pytest.raises(DomainError):
         GridSchedule(base=Point((1.0,)), growth=1.0)
+
+
+def test_only_the_level_walk_refuses_levels_past_1e300():
+    # 40 levels of growth 1e20 pass 1e300 at level 16: axis_values refuses
+    # them, while the tail ladder, which stops below 1e300, is unaffected
+    s = GridSchedule(base=Point((1.0,)), growth=1e20)
+    with pytest.raises(ScheduleError, match="schedule coordinate overflowed; reduce levels"):
+        s.axis_values(0)
+    assert s.tail_values(0) == [1e20 ** k for k in range(16)]
+    assert GridSchedule(base=Point((1.0,)), growth=1e20, levels=15).axis_values(0) == \
+        s.tail_values(0)
 
 
 def test_extended_reals():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fekete_lab.domain import DomainError, Orthant, Point
+from fekete_lab.domain import DomainError, Point
 from fekete_lab.levelset import (
     LevelSetSpec,
     check_levelset_lemma,
@@ -38,7 +38,7 @@ def test_grid_quadrature_matches_analytic_integral():
 
 
 def test_constant_oracle_edge_cases():
-    const = FunctionOracle(name="one", domain=Domain(dim=2, orthant=None),
+    const = FunctionOracle(name="one", domain=Domain(dim=2),
                            array_fn=lambda x1, x2: np.ones_like(x1))
     full = levelset_measure(const, LevelSetSpec(t=Point((1.0, 1.0)), k=0.5),
                             "grid", cells=50)
@@ -214,14 +214,6 @@ def test_monte_carlo_value_stays_finite_when_volume_times_hits_overflows():
     est = levelset_measure(SQRT, small, "mc", samples=1000, seed=5)
     hits = round(est.value / small.box_volume * 1000)
     assert est.value == small.box_volume * hits / 1000
-
-
-def test_levelset_checks_membership_of_every_evaluated_point():
-    # the grid lies in the main quadrant, off this oracle's orthant
-    off = FunctionOracle(name="one_on_10", domain=Domain(dim=2, orthant=Orthant((1, 0))),
-                         array_fn=lambda x1, x2: np.ones_like(x1))
-    with pytest.raises(DomainError):
-        levelset_measure(off, LevelSetSpec(t=Point((1.0, 1.0)), k=0.5), "grid", cells=4)
 
 
 def test_compact_scan_off_the_domain_is_a_domain_error():

@@ -13,7 +13,6 @@ from fekete_lab.domain import (
     DimensionMismatchError,
     DomainError,
     GridSchedule,
-    Orthant,
     Point,
     ScheduleError,
     default_schedule,
@@ -79,7 +78,7 @@ def test_full_shift_constant_ratio():
 
 def test_an_upper_set_spanning_exactly_delta_converges():
     # the ratio is 1.25 at x1 = 1 and 1 elsewhere, so shell 0's upper set spans 0.25
-    step = FunctionOracle(name="step", domain=Domain(dim=2, orthant=Orthant.main(2)),
+    step = FunctionOracle(name="step", domain=Domain(dim=2, positive=True),
                           array_fn=lambda x1, x2: x1 * x2 * np.where(x1 < 2, 1.25, 1.0))
     bracket = simultaneous_limit(step, schedule2(4), delta=0.25)
     assert (bracket.status, bracket.shell, bracket.best_upper) == (CONVERGED, 0, 1.0)
@@ -116,7 +115,7 @@ def test_the_known_limit_family_is_bracketed_above_and_reached_in_both_orders():
 def test_crafted_divergence_flag():
     # ratio at x is -x: crosses the divergence floor once the ladder is deep enough
     oracle = FunctionOracle(name="neg_square",
-                            domain=Domain(dim=1, orthant=Orthant.main(1)),
+                            domain=Domain(dim=1, positive=True),
                             array_fn=lambda x: -x * x)
     deep = simultaneous_limit(oracle, GridSchedule(base=Point((1.0,)), levels=45))
     assert deep.status == DIVERGING_MINUS  # default floor -1e12 crossed at 2^45
@@ -148,13 +147,13 @@ def test_iterated_agrees_with_simultaneous_for_subadditive_oracles():
 
 def test_iterated_rejects_repeated_integer_rungs():
     half = FunctionOracle(name="half_successor",
-                          domain=Domain(dim=1, orthant=Orthant.main(1), integer=True),
+                          domain=Domain(dim=1, positive=True, integer=True),
                           array_fn=lambda n: (n + 1) / 2)
     # growth 1.1 rounds the first rungs to 1, 1, 1, 1, 1, 2, ...: not a ladder
     with pytest.raises(DomainError):
         iterated_limit(half, (0,), GridSchedule(base=Point((1.0,)), growth=1.1))
     scaled = FunctionOracle(name="scaled_half_successor",
-                            domain=Domain(dim=2, orthant=Orthant.main(2), integer=True),
+                            domain=Domain(dim=2, positive=True, integer=True),
                             array_fn=lambda n1, n2: n1 * (n2 + 1) / 2)
     for order in ((0, 1), (1, 0)):
         with pytest.raises(DomainError):
@@ -217,7 +216,7 @@ def test_iterated_validates_order():
 def test_iterated_three_levels():
     volume = FunctionOracle(
         name="coordinate_product",
-        domain=Domain(dim=3, orthant=Orthant.main(3)),
+        domain=Domain(dim=3, positive=True),
         array_fn=lambda x1, x2, x3: x1 * x2 * x3)
     result = iterated_limit(volume, (2, 0, 1), delta=0.01)
     assert result.status == CONVERGED and result.value == 1.0
@@ -255,7 +254,7 @@ def test_diagonal_first_sample_is_unit_for_sqrt_prod():
 def test_three_dimensional_simultaneous():
     volume = FunctionOracle(
         name="coordinate_product",
-        domain=Domain(dim=3, orthant=Orthant.main(3)),
+        domain=Domain(dim=3, positive=True),
         array_fn=lambda x1, x2, x3: x1 * x2 * x3)
     bracket = simultaneous_limit(volume, GridSchedule(base=Point((1.0,) * 3), levels=6))
     assert bracket.status == CONVERGED and bracket.best_upper == 1.0
@@ -302,19 +301,6 @@ def test_decomposition_bound_random_pairs_hold_for_csa_builtins():
             assert verify_decomposition_bound(oracle, x, t).holds, (name, x, t)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda oracle: simultaneous_limit(oracle, schedule2(4)),
-    lambda oracle: iterated_limit(oracle, (0, 1), schedule2(4)),
-    lambda oracle: diagonal_limit(oracle, (1, 1)),
-], ids=["simultaneous", "iterated", "diagonal"])
-def test_main_orthant_estimators_refuse_a_reflected_orthant(estimate):
-    oracle = FunctionOracle(name="sqrt_abs_prod_on_10",
-                            domain=Domain(dim=2, orthant=Orthant.from_string("10")),
-                            array_fn=lambda x1, x2: np.sqrt(np.abs(x1 * x2)))
-    with pytest.raises(DomainError, match="limits are estimated on the main orthant$"):
-        estimate(oracle)
-
-
 def test_shell_extremes_and_running_bound_match_a_min_fold():
     oracle = _everywhere("prod_plus_x1", False, lambda x1, x2: x1 * x2 + x1)
     bracket = simultaneous_limit(oracle, GridSchedule(base=Point((1.0, 1.0)), growth=1.7,
@@ -336,7 +322,7 @@ def test_shell_extremes_and_running_bound_match_a_min_fold():
 
 def test_ray_limits():
     coord_sum = FunctionOracle(name="coordinate_sum",
-                               domain=Domain(dim=2, orthant=None),
+                               domain=Domain(dim=2),
                                array_fn=lambda x1, x2: x1 + x2)
     bracket = ray_limit(coord_sum, (1.0, 1.0), delta=0.01)
     assert bracket.status == CONVERGED and bracket.best_upper == 2.0
@@ -408,7 +394,7 @@ def _shifted_product(d):
     # prod(x_i + 1): each factor is subadditive and positive, so the product
     # is componentwise subadditive, and its ratio prod(1 + 1/x_i) falls to 1
     return FunctionOracle(name=f"shifted_product_{d}",
-                          domain=Domain(dim=d, orthant=Orthant.main(d)),
+                          domain=Domain(dim=d, positive=True),
                           array_fn=lambda *cols: math.prod(c + 1.0 for c in cols))
 
 
@@ -473,7 +459,7 @@ def test_simultaneous_limit_evaluates_the_oracle_once_per_batch(monkeypatch):
     monkeypatch.setattr(FunctionOracle, "evaluate_points", lambda self, columns: (
         batches.append((self.name, len(columns[0]))) or evaluate_points(self, columns)))
     oracle = FunctionOracle(
-        name="sqrt_x1_x2", domain=Domain(dim=2, orthant=Orthant.main(2)),
+        name="sqrt_x1_x2", domain=Domain(dim=2, positive=True),
         array_fn=lambda x1, x2: calls.append(len(x1)) or np.sqrt(x1 * x2))
     bracket = simultaneous_limit(oracle, schedule2(levels=8))
     assert batches == [("sqrt_x1_x2", 81)] and calls == [81]
@@ -486,7 +472,7 @@ def test_simultaneous_limit_evaluates_the_oracle_once_per_batch(monkeypatch):
 
 def test_estimators_raise_no_overflow_warning():
     # -e^x overflows to -inf, so an upper set and best_upper are both -inf
-    neg_exp = FunctionOracle(name="neg_exp", domain=Domain(dim=1, orthant=Orthant.main(1)),
+    neg_exp = FunctionOracle(name="neg_exp", domain=Domain(dim=1, positive=True),
                              array_fn=lambda x: -np.exp(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -497,7 +483,7 @@ def test_estimators_raise_no_overflow_warning():
 
 # Oracles defined on every orthant, for the reference comparisons below
 def _everywhere(name, integer, array_fn, d=2):
-    return FunctionOracle(name=name, domain=Domain(dim=d, orthant=None, integer=integer),
+    return FunctionOracle(name=name, domain=Domain(dim=d, integer=integer),
                           array_fn=array_fn)
 
 

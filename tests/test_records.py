@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from fekete_lab.checks import Violation, ViolationReport
-from fekete_lab.domain import (GridSchedule, Orthant, Point, QRDecomposition, _Record,
+from fekete_lab.domain import (GridSchedule, Point, QRDecomposition, _Record,
                                _RecordType)
 from fekete_lab.levelset import (BoxScan, LemmaCheckRow, LevelSetSpec, LineScan,
                                  MeasureEstimate, UnboundednessDemo)
@@ -50,10 +50,9 @@ def _level() -> dict:
 # on each call, so that equal constructions share no mutable value
 RECORDS = {
     Point: lambda: {"coords": (1.0, 2.0)},
-    Orthant: lambda: {"bits": (0, 1)},
     QRDecomposition: lambda: {"q": 2, "r": 1.5, "t": 1.0},
     GridSchedule: lambda: {"base": Point((1.0, 2.0)), "growth": 3.0, "levels": 5},
-    Domain: lambda: {"dim": 2, "orthant": Orthant((0, 0)), "integer": True},
+    Domain: lambda: {"dim": 2, "positive": True, "integer": True},
     FunctionOracle: lambda: {"name": "abs", "domain": Domain(dim=1), "array_fn": np.abs},
     FiniteSetFunction: lambda: {"name": "cardinality", "fn": len},
     SampleBudget: lambda: {"count": 50, "seed": 7},
@@ -70,10 +69,10 @@ RECORDS = {
     LevelSummary: _level,
     IteratedLimit: lambda: {"value": 0.0, "status": "converged", "order": (0,),
                             "levels": (LevelSummary(**_level()),), "evaluations": 8},
-    DecompositionTerm: lambda: {"bits": (0,), "coefficient": 1, "value": 1.5},
+    DecompositionTerm: lambda: {"coefficient": 1, "value": 1.5},
     DecompositionBound: lambda: {"x": (3.5,), "t": (1.0,), "lhs": 3.5, "rhs": 3.5,
                                  "holds": True,
-                                 "terms": (DecompositionTerm((0,), 1, 1.5),)},
+                                 "terms": (DecompositionTerm(1, 1.5),)},
     LevelSetSpec: lambda: {"t": Point((1.0, 1.0)), "k": 0.5},
     MeasureEstimate: _estimate,
     BoxScan: lambda: {"minimum": 0.0, "maximum": 1.0, "argmin": (0.0,), "argmax": (1.0,)},

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError, Orthant
+from fekete_lab.domain import ConfigError, DimensionMismatchError, DomainError
 from fekete_lab.registry import (
     Domain,
     builtin,
@@ -41,9 +41,9 @@ def test_builtin_metadata():
     # computed by the checks and estimators, and the tests' own table says what to expect
     assert sorted(BUILTINS) == list(builtin_names())
     sp = builtin("sqrt_prod")
-    assert (sp.name, sp.domain) == ("sqrt_prod", Domain(dim=2, orthant=Orthant.main(2)))
+    assert (sp.name, sp.domain) == ("sqrt_prod", Domain(dim=2, positive=True))
     assert builtin("nmod2").domain == Domain(dim=1, integer=True)
-    assert builtin("full_shift_count_log").domain == Domain(2, Orthant.main(2), integer=True)
+    assert builtin("full_shift_count_log").domain == Domain(2, positive=True, integer=True)
 
 
 def test_unknown_builtin():
@@ -57,6 +57,11 @@ def test_domain_enforcement():
     sp = builtin("sqrt_prod")
     with pytest.raises(DomainError):
         sp.evaluate((-1.0, 2.0))
+    # the positive orthant is open: a zero coordinate of either sign is outside
+    for oracle, point in ((sp, (0.0, 2.0)), (sp, (2.0, -0.0)),
+                          (builtin("full_shift_count_log"), (1.0, 0.0))):
+        with pytest.raises(DomainError):
+            oracle.evaluate(point)
     nm = builtin("nmod2")
     with pytest.raises(DomainError):
         nm.evaluate((1.5,))
@@ -84,13 +89,13 @@ def _same_bits(a, b) -> bool:
 def test_array_fn_matches_fn_bit_for_bit():
     # every built-in's batch evaluation against its scalar reference,
     # signed zeros included; 10k points per builtin, over both halves of
-    # every axis that is not restricted to an orthant, plus the extremes
+    # every axis of a domain that is not positive, plus the extremes
     assert set(SCALAR_REFERENCE) == set(builtin_names())
     counters = np.arange(10_000, dtype=np.uint64)
     for name in builtin_names():
         oracle = builtin(name)
         domain = oracle.domain
-        whole = domain.orthant is None
+        whole = not domain.positive
         lo = -3.0 if whole else 0.01
         columns = []
         for i in range(domain.dim):
@@ -98,7 +103,7 @@ def test_array_fn_matches_fn_bit_for_bit():
             if domain.integer:
                 c = np.ceil(c)
             c = np.concatenate([c, [1e300, 1.0] + ([-1e300, -0.0] if whole else [])])
-            columns.append(c if whole else c * domain.orthant.sign(i))
+            columns.append(c)
         if whole and not domain.integer:  # ceiling's (-1, 0) included
             assert ((columns[0] > -1) & (columns[0] < 0)).sum() > 50
         batch = oracle.evaluate_points(columns)

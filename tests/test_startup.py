@@ -29,9 +29,8 @@ HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
 # every name the package exports; each is in its module's __all__
 EXPORTS = {
     "domain": "ConfigError DimensionMismatchError DomainError EvaluationError FeketeLabError "
-              "GridSchedule IndeterminateFormError Orthant Point QRDecomposition "
-              "ScheduleError as_point default_schedule directed_upper_bound "
-              "orthant_reflect product_leq qr_decompose",
+              "GridSchedule IndeterminateFormError Point QRDecomposition "
+              "ScheduleError as_point default_schedule qr_decompose",
     "registry": "Domain FiniteSetFunction FunctionOracle builtin builtin_names "
                 "cardinality_set_function load_set_family load_tabulated "
                 "set_function_from_integer tabulated_oracle",
@@ -199,7 +198,8 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         missing = set(names) - set(importlib.import_module(f"fekete_lab.{module}").__all__)
         assert missing == set(), module
     assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
-    removed = {"domain": ["ext_sum", "violation_tolerance", "ext_add", "exceeds", "REL_TOL"],
+    removed = {"domain": ["ext_sum", "violation_tolerance", "ext_add", "exceeds", "REL_TOL",
+                          "Orthant", "product_leq", "directed_upper_bound", "orthant_reflect"],
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
@@ -217,7 +217,6 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         for name in names:
             assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
             assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
-    from fekete_lab.domain import Orthant
     from fekete_lab.levelset import BoxScan
     from fekete_lab.limits import LimitBracket
     from fekete_lab.registry import FiniteSetFunction
@@ -233,7 +232,6 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         assert isinstance(getattr(cls, name), str), cls.__name__
     assert "best_lower" not in LimitBracket.__slots__
     assert (LimitBracket.sense, LimitBracket.best_lower) == ("inf", None)
-    assert not hasattr(Orthant, "parity")
     from fekete_lab.registry import Domain, FunctionOracle
     assert FunctionOracle.__slots__ == ("name", "domain", "array_fn")
     with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):

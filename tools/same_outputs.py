@@ -16,8 +16,12 @@ distinct, a large shift, level-set anchors near both ends of the float
 range, one whose grid cells are just above the smallest normal float,
 a grid and an iterated run whose ratio denominator x1 * x2 overflows,
 which exit 2, and an iterated run whose denominator stays finite),
-and 3 runs that argparse ends (`--version`, `check --help`, and an
-unknown flag, which exits 2).  Every run is a
+5 runs of paths that no other command reaches (entropy truncated by the
+caps in 1-D and 2-D, `check --mode set_union` on a set family file,
+`limit --config` on a config file, both written next to the table, and
+a Monte Carlo level set whose volume * hits overflows), and 3 runs that
+argparse ends (`--version`, `check --help`, and an unknown flag, which
+exits 2).  Every run is a
 fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
 writing to `out` in a scratch directory of its own, so the two sides see
 the same relative paths.
@@ -96,6 +100,27 @@ NEIGHBOUR_COMMANDS = (
     ("limit", "--fn", "sqrt_prod", "--iterated", "2,1", "--base", "1e160,1e140"),
 )
 
+# input files of RARE_PATH_COMMANDS, written next to TABLE
+SETS = "sets.json"
+CONFIG = "config.json"
+INPUT_FILES = {
+    SETS: {"base": "nmod2", "sets": [[1, 2], [2, 3], [5]]},
+    CONFIG: {"fn": "sqrt_prod", "levels": 6, "delta": 0.5},
+}
+
+# each runs a path that no command above reaches: the caps truncating
+# a 1-D bracket at side 144 and a 2-D one at side 12, the set family reader
+# and the set-union check (exit 3), the --config reader, and the Monte Carlo
+# estimate whose vol * hits overflows
+RARE_PATH_COMMANDS = (
+    ("entropy", "--sft", "golden_mean_1d", "--max-side", "150"),
+    ("entropy", "--sft", "hard_square_2d", "--max-side", "13"),
+    ("check", "--mode", "set_union", "--sets", SETS),
+    ("limit", "--config", CONFIG),
+    ("levelset", "--fn", "sqrt_prod", "--anchors", "1e153,1e153", "--method", "mc",
+     "--samples", "1000"),
+)
+
 # each ends in argparse's SystemExit before a subcommand runs
 ARGPARSE_EXIT_COMMANDS = (
     ("--version",),
@@ -119,7 +144,8 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
         for seed in SEEDS for jobs in WORKLOADS.values() for job in jobs]
     return runs + [(None, (*argv, "--no-timestamp"))
                    for argv in (*CRITERION_10, *TABLE_COMMANDS, *PATH_COMMANDS,
-                                *NEIGHBOUR_COMMANDS, *ARGPARSE_EXIT_COMMANDS)]
+                                *NEIGHBOUR_COMMANDS, *RARE_PATH_COMMANDS,
+                                *ARGPARSE_EXIT_COMMANDS)]
 
 
 def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
@@ -150,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
         for workdir in workdirs:
             workdir.mkdir()
             write_table(workdir / TABLE)
+            for name, obj in INPUT_FILES.items():
+                (workdir / name).write_text(json.dumps(obj))
         for seed, args in runs:
             for workdir in workdirs:
                 shutil.rmtree(workdir / "inputs", ignore_errors=True)
@@ -161,10 +189,11 @@ def main(argv: list[str] | None = None) -> int:
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
     bench = (len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
-             - len(NEIGHBOUR_COMMANDS) - len(ARGPARSE_EXIT_COMMANDS))
+             - len(NEIGHBOUR_COMMANDS) - len(RARE_PATH_COMMANDS) - len(ARGPARSE_EXIT_COMMANDS))
     print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
           f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands, "
           f"{len(PATH_COMMANDS)} path commands, {len(NEIGHBOUR_COMMANDS)} refusal neighbours, "
+          f"{len(RARE_PATH_COMMANDS)} rare paths, "
           f"{len(ARGPARSE_EXIT_COMMANDS)} argparse exits): "
           f"{len(runs) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
