@@ -31,7 +31,7 @@ print("== the q*t + r step decomposition ==")
 for x_val, t_val in ((7.0, 2.0), (4.0, 2.0), (100.0, 3.0)):
     d = qr_decompose(x_val, t_val)
     print(f"x={x_val}: q={d.q}, r={d.r:.4f}  (check: {d.q}*{t_val} + {d.r:.4f} "
-          f"= {d.reconstruct():.4f}, r in [{t_val}, {2 * t_val}))")
+          f"= {d.q * d.t + d.r:.4f}, r in [{t_val}, {2 * t_val}))")
 
 print()
 print("== geometric schedules ==")

@@ -11,12 +11,13 @@ is the only way to see it (float grids miss the high denominators).
 
 import math
 
+import numpy as np
+
 from fekete_lab import (
     LevelSetSpec,
     Point,
     builtin,
     check_levelset_lemma,
-    compact_bound_scan,
     levelset_measure,
     rubin_unboundedness_demo,
 )
@@ -41,9 +42,12 @@ for row in rows:
 
 print()
 print("== boundedness scans (evidence, not proof) ==")
-scan = compact_bound_scan(sqrt_prod, [(1.0, 2.0), (1.0, 2.0)], resolution=201)
-print(f"sqrt_prod on [1,2]^2: min {scan.minimum} at {scan.argmin}, "
-      f"max {scan.maximum} at {scan.argmax}")
+axis = np.linspace(1.0, 2.0, 201)
+x, y = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+values = sqrt_prod.evaluate_points([x, y])
+lo, hi = values.argmin(), values.argmax()
+print(f"sqrt_prod on [1,2]^2: min {values[lo]} at {(float(x[lo]), float(y[lo]))}, "
+      f"max {values[hi]} at {(float(x[hi]), float(y[hi]))}")
 
 print()
 print("== per-line bounded, box unbounded ==")

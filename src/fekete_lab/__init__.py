@@ -8,9 +8,8 @@ computations:
 * directed limits of f(x)/prod(x) on the main orthant are bracketed
   from above, certified when per-axis subadditivity is trusted, with
   simultaneous, iterated, diagonal, and ray variants;
-* level-set measures, boundedness scans, and subshift pattern counts
-  supply the supporting inequalities with exact or error-bounded
-  arithmetic.
+* level-set measures and subshift pattern counts supply the
+  supporting inequalities with exact or error-bounded arithmetic.
 
 The public names below are resolved lazily (PEP 562): `from fekete_lab
 import X` imports only the module that defines X, so a caller that
@@ -43,9 +42,8 @@ _EXPORTS = {
         "iterated_limit", "ray_limit", "simultaneous_limit", "verify_decomposition_bound",
     ),
     "levelset": (
-        "BoxScan", "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma",
-        "compact_bound_scan", "levelset_measure", "rubin_eval",
-        "rubin_unboundedness_demo",
+        "LevelSetSpec", "MeasureEstimate", "check_levelset_lemma", "levelset_measure",
+        "rubin_eval", "rubin_unboundedness_demo",
     ),
     "subshift": (
         "CapExceededError", "EntropyBracket", "ForbiddenPattern", "SftSpec",

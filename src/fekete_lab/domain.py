@@ -286,9 +286,6 @@ class QRDecomposition(_Record):
     r: float
     t: float
 
-    def reconstruct(self) -> float:
-        return self.q * self.t + self.r
-
 
 def qr_decompose(x: float, t: float) -> QRDecomposition:
     """Decompose x >= 2t as x = q*t + r with q >= 1 integer, r in [t, 2t).

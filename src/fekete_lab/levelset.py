@@ -1,4 +1,4 @@
-"""Level-set measure estimation and boundedness evidence on boxes.
+"""Level-set measure estimation and the minimum-denominator counterexample.
 
 For a componentwise subadditive f and anchor t with positive
 coordinates, the set of points below t where f stays above f(t)/2^d
@@ -15,8 +15,7 @@ the volume of the cells whose corner verdicts disagree, assumes that the
 grid resolves the set: a feature thinner than a cell can cross no corner
 and is missed with an error bound of zero.  The Monte Carlo margin is a
 99% Hoeffding bound whose premise is that the counter stream acts as
-i.i.d. uniform draws.  A box scan is evidence of boundedness, never
-proof, and says so in its output.
+i.i.d. uniform draws.
 
 The minimum-denominator function rubin_eval marks where boundedness
 fails without componentwise subadditivity: it is bounded on every axis
@@ -42,11 +41,9 @@ if TYPE_CHECKING:
 __all__ = [
     "LevelSetSpec",
     "MeasureEstimate",
-    "BoxScan",
     "LemmaCheckRow",
     "levelset_measure",
     "check_levelset_lemma",
-    "compact_bound_scan",
     "rubin_eval",
     "LineScan",
     "UnboundednessDemo",
@@ -88,25 +85,6 @@ class MeasureEstimate(_Record):
     error_bound: float
 
 
-class BoxScan(_Record):
-    """Observed extrema of f over a finite evaluation grid on a box.
-
-    A scan is evidence of boundedness on the box, never proof: values
-    between grid points are not constrained by it.
-    """
-
-    minimum: float
-    maximum: float
-    argmin: tuple[float, ...]
-    argmax: tuple[float, ...]
-    note = "grid scan: evidence of boundedness, not proof"
-
-
-def _require_real_domain(oracle: FunctionOracle) -> None:
-    if oracle.domain.integer or oracle.domain.grid_axes is not None:
-        raise DomainError("measure estimation needs an oracle on a real domain")
-
-
 def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> MeasureEstimate:
     t = spec.t
     d = t.dim
@@ -130,16 +108,14 @@ def _grid_quadrature(oracle: FunctionOracle, spec: LevelSetSpec, cells: int) -> 
         corner_axes.append(ax)
     mesh = np.meshgrid(*corner_axes, indexing="ij")
     inside_corners = oracle.evaluate_points([m.ravel() for m in mesh]) >= spec.k
-    inside_corners = inside_corners.reshape(mesh[0].shape)
 
-    ref = inside_corners[tuple(slice(0, cells) for _ in range(d))]
-    agree = np.ones(ref.shape, dtype=bool)
-    for offsets in np.ndindex(*(2,) * d):
-        if not any(offsets):
-            continue
-        sl = tuple(slice(o, cells + o) for o in offsets)
-        agree &= inside_corners[sl] == ref
-    error = float((~agree).sum()) * cell_vol
+    # a cell's corners disagree when some of them, but not every one, is inside
+    every = some = inside_corners.reshape(mesh[0].shape)
+    for axis in range(d):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        every, some = every[lo] & every[hi], some[lo] | some[hi]
+    error = float((some & ~every).sum()) * cell_vol
 
     return MeasureEstimate(value=value, method="grid_quadrature", error_bound=error)
 
@@ -176,7 +152,8 @@ def levelset_measure(oracle: FunctionOracle, spec: LevelSetSpec,
     bound, whose premise is that the stream acts as i.i.d. uniform draws.
     The grid refuses a cell volume below the smallest normal float.
     """
-    _require_real_domain(oracle)
+    if oracle.domain.integer or oracle.domain.grid_axes is not None:
+        raise DomainError("measure estimation needs an oracle on a real domain")
     if method == "grid":
         if cells < 2:
             raise DomainError("need at least 2 cells per axis")
@@ -233,34 +210,6 @@ def check_levelset_lemma(oracle: FunctionOracle, anchors: Iterable[Point | Seque
         rows.append(LemmaCheckRow(anchor=tuple(t), k=k, estimate=est,
                                   bound=bound, margin=margin, holds=holds))
     return rows
-
-
-def compact_bound_scan(oracle: FunctionOracle,
-                       box: Sequence[tuple[float, float]],
-                       resolution: int = 200) -> BoxScan:
-    """Scan f over a closed box grid, recording extrema and their witnesses."""
-    _require_real_domain(oracle)
-    if resolution < 2:
-        raise DomainError("need at least 2 grid points per axis")
-    box = tuple((float(a), float(b)) for a, b in box)
-    if len(box) != oracle.domain.dim:
-        raise DomainError(f"box of dimension {len(box)} vs oracle {oracle.domain.dim}")
-    for a, b in box:
-        if not a <= b:
-            raise DomainError(f"degenerate interval [{a!r}, {b!r}]")
-    axes = [np.linspace(a, b, resolution) for a, b in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    values = oracle.evaluate_points([m.ravel() for m in mesh]).reshape(mesh[0].shape)
-    flat_min = int(np.argmin(values))
-    flat_max = int(np.argmax(values))
-    idx_min = np.unravel_index(flat_min, values.shape)
-    idx_max = np.unravel_index(flat_max, values.shape)
-    return BoxScan(
-        minimum=float(values[idx_min]),
-        maximum=float(values[idx_max]),
-        argmin=tuple(float(axes[i][idx_min[i]]) for i in range(len(box))),
-        argmax=tuple(float(axes[i][idx_max[i]]) for i in range(len(box))),
-    )
 
 
 # ---------------------------------------------------------------------------

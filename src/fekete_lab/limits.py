@@ -177,7 +177,7 @@ def _require_finite(points: np.ndarray, denominators: np.ndarray | Sequence[floa
     """
     if not (np.isfinite(points).all() and np.isfinite(denominators).all()):
         raise ScheduleError("a sample point or ratio denominator is not finite; "
-                            "lower the growth or the levels")
+                            "lower the growth or the base")
     if not (np.asarray(denominators) > 0).all():
         raise ScheduleError("a ratio denominator is zero or negative; "
                             "sample only points with positive coordinate products")

@@ -14,10 +14,18 @@ subadditive, so each product is subadditive along each axis
 lemma g(t)/t tends to its infimum over t > 0, which is 1, 0, 0, 3, 0
 and 1 for the six atoms; the ratio of a product is the product of the
 atoms' ratios, so its limit is the product of their infima.
+
+SUMS holds sums of two of those products: each term is subadditive
+along each axis, so the sum is, and the ratio of the sum is the sum of
+the terms' ratios, so its limit is the sum of their limits and lies
+below every sampled ratio.  PRODUCTS_3D holds products g1(x1)*g2(x2)*
+g3(x3) of the same atoms, whose limit is again the product of the
+atoms' infima.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,11 +63,33 @@ ATOMS = {
 }
 
 
-def _product(name1: str, name2: str) -> FunctionOracle:
-    (fn1, _), (fn2, _) = ATOMS[name1], ATOMS[name2]
-    return FunctionOracle(f"{name1}*{name2}", Domain(dim=2, positive=True),
-                          lambda x1, x2: fn1(x1) * fn2(x2))
+def _product(*names: str) -> FunctionOracle:
+    fns = [ATOMS[name][0] for name in names]
+    return FunctionOracle("*".join(names), Domain(dim=len(names), positive=True),
+                          lambda *xs: math.prod(fn(x) for fn, x in zip(fns, xs)))
 
 
-FAMILY = {f"{a}*{b}": Known(_product(a, b), True, ATOMS[a][1] * ATOMS[b][1])
-          for a in ATOMS for b in ATOMS}
+def _limit(*names: str) -> float:
+    return math.prod(ATOMS[name][1] for name in names)
+
+
+def _sum(first: tuple[str, str], second: tuple[str, str]) -> Known:
+    f, g = _product(*first), _product(*second)
+    oracle = FunctionOracle(f"{f.name}+{g.name}", Domain(dim=2, positive=True),
+                            lambda x1, x2: f.array_fn(x1, x2) + g.array_fn(x1, x2))
+    return Known(oracle, True, _limit(*first) + _limit(*second))
+
+
+FAMILY = {f"{a}*{b}": Known(_product(a, b), True, _limit(a, b)) for a in ATOMS for b in ATOMS}
+
+SUMS = {known.oracle.name: known for known in (
+    _sum(("ceil", "3x_plus_1"), ("sqrt", "ceil_2x_half")),         # limit 3 + 0
+    _sum(("3x_plus_1", "ceil_2x_half"), ("ceil", "ceil")),         # limit 3 + 1
+    _sum(("log1p", "min_x_5"), ("ceil_2x_half", "3x_plus_1")),     # limit 0 + 3
+)}
+
+PRODUCTS_3D = {"*".join(names): Known(_product(*names), True, _limit(*names)) for names in (
+    ("ceil", "3x_plus_1", "ceil_2x_half"),  # limit 3
+    ("sqrt", "ceil", "3x_plus_1"),          # limit 0
+    ("ceil_2x_half", "log1p", "ceil"),      # limit 0
+)}

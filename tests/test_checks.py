@@ -39,7 +39,7 @@ from fekete_lab.registry import (
     tabulated_oracle,
 )
 from fekete_lab.sampling import SampleBudget, integer_in, uniform_in
-from known_limits import BUILTINS, FAMILY
+from known_limits import BUILTINS, FAMILY, PRODUCTS_3D, SUMS
 
 BUDGET = SampleBudget(count=2000, seed=20240117)
 
@@ -259,7 +259,7 @@ def test_componentwise_subadditive_builtins_all_clean_at_default_budget():
 
 
 def test_the_known_limit_family_is_componentwise_clean():
-    for name, known in FAMILY.items():
+    for name, known in {**FAMILY, **SUMS, **PRODUCTS_3D}.items():
         report = check_componentwise(known.oracle, SampleBudget(count=5000, seed=3))
         assert report.clean, f"{name} reported {len(report.violations)} violations"
 

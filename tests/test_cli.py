@@ -684,7 +684,7 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     # the grid and the iterated tails divide by x1 * x2 = 1e400 at the first sample
     *((f"limit --fn sqrt_prod --base 1e200,1e200 {mode}",
        "unusable schedule: a sample point or ratio denominator is not finite; lower the "
-       "growth or the levels")
+       "growth or the base")
       for mode in ("--levels 4", "--iterated 1,2")),
     # at growth 1e20 the 40 default levels pass 1e300 on the grid and the diagonal;
     # the iterated tails stop below it, but at growth 1e200 divide by 1e200 * 1e200
@@ -693,7 +693,7 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
       for mode in ("", "--diagonal 1,2")),
     ("limit --fn sqrt_prod --growth 1e200 --iterated 1,2",
      "unusable schedule: a sample point or ratio denominator is not finite; lower the "
-     "growth or the levels"),
+     "growth or the base"),
     # n + shift is taken in float64: this odd shift would round to an even one
     ("check --fn nmod2 --mode shift --shift 99999999999999999999",
      "shift 99999999999999999999 is beyond +-9007199254740792 (2^53 - 200): "

@@ -45,7 +45,7 @@ def test_qr_invariants_random(t, mult):
     ulp = math.ulp(max(abs(x), 1.0))
     assert d.q >= 1
     assert t - ulp <= d.r < 2 * t
-    assert abs(d.reconstruct() - x) <= ulp
+    assert abs(d.q * t + d.r - x) <= ulp
     # the step count tracks x/t: |q/x - 1/t| < 2/x always
     assert abs(d.q / x - 1.0 / t) < 2.0 / x + 1e-12
 
@@ -64,7 +64,7 @@ def test_qr_bulk_stream():
         x = 2 * t + uniform_in(5, 2 * j + 1, 0.0, 1e4)
         d = qr_decompose(x, t)
         assert d.q >= 1 and t - math.ulp(x) <= d.r < 2 * t
-        assert abs(d.reconstruct() - x) <= math.ulp(max(x, 1.0))
+        assert abs(d.q * t + d.r - x) <= math.ulp(max(x, 1.0))
 
 
 def test_schedule_values_increase_and_defaults():

@@ -1,7 +1,8 @@
-"""Level-set measures, the 2^-d box-fraction inequality, boundedness scans."""
+"""Level-set measures, the 2^-d box-fraction inequality, the minimum-denominator function."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -13,14 +14,13 @@ from fekete_lab.domain import DomainError, Point
 from fekete_lab.levelset import (
     LevelSetSpec,
     check_levelset_lemma,
-    compact_bound_scan,
     levelset_measure,
     rubin_eval,
     rubin_unboundedness_demo,
 )
 from fekete_lab.registry import Domain, FunctionOracle, builtin
 from fekete_lab.sampling import integer_in, uniform_in
-from known_limits import BUILTINS, FAMILY
+from known_limits import BUILTINS, FAMILY, PRODUCTS_3D
 
 SQRT = builtin("sqrt_prod")
 
@@ -46,6 +46,27 @@ def test_constant_oracle_edge_cases():
     empty = levelset_measure(const, LevelSetSpec(t=Point((1.0, 1.0)), k=2.0),
                              "grid", cells=50)
     assert empty.value == 0.0 and empty.error_bound == 0.0
+
+
+def test_the_error_bound_counts_the_cells_whose_corners_disagree():
+    # a plain loop over every cell and its 2^d corners, on the corner grid
+    # of the quadrature, whose zero corner is nudged into the open box
+    cells = 6
+    for oracle, t in ((builtin("ceiling"), (3.0,)), (SQRT, (1.0, 2.0)),
+                      (builtin("x1sq_sqrt_x2"), (2.0, 3.0)),
+                      (PRODUCTS_3D["ceil*3x_plus_1*ceil_2x_half"].oracle, (1.0, 1.5, 2.0))):
+        spec = LevelSetSpec(t=Point(t), k=oracle.evaluate(Point(t)) / 2 ** len(t))
+        axes = [[i * (c / cells) if i else c / cells * 1e-9 for i in range(cells + 1)]
+                for c in t]
+        disagree = 0
+        for cell in itertools.product(range(cells), repeat=len(t)):
+            corners = [Point(tuple(axis[i + o] for axis, i, o in zip(axes, cell, offset)))
+                       for offset in itertools.product((0, 1), repeat=len(t))]
+            verdicts = {oracle.evaluate(corner) >= spec.k for corner in corners}
+            disagree += len(verdicts) == 2
+        assert disagree > 0, oracle.name
+        est = levelset_measure(oracle, spec, "grid", cells=cells)
+        assert est.error_bound == disagree * (spec.box_volume / cells ** len(t)), oracle.name
 
 
 def test_monte_carlo_agrees_with_quadrature():
@@ -99,33 +120,6 @@ def test_the_lemma_holds_on_the_known_limit_family():
 def test_lemma_rejects_integer_domains():
     with pytest.raises(DomainError):
         check_levelset_lemma(builtin("full_shift_count_log"), [(1, 1)])
-
-
-def test_compact_scan_examples():
-    scan = compact_bound_scan(SQRT, [(1.0, 2.0), (1.0, 2.0)], resolution=81)
-    assert scan.minimum == 1.0 and scan.argmin == (1.0, 1.0)
-    assert scan.maximum == 2.0 and scan.argmax == (2.0, 2.0)
-
-    scan_abs = compact_bound_scan(builtin("abs"), [(-1.0, 1.0)], resolution=81)
-    assert scan_abs.minimum == 0.0 and scan_abs.maximum == 1.0
-
-    scan_mixed = compact_bound_scan(builtin("x1sq_sqrt_x2"), [(1.0, 2.0), (1.0, 2.0)],
-                                    resolution=81)
-    assert scan_mixed.minimum == 1.0
-    assert abs(scan_mixed.maximum - 4.0 * math.sqrt(2.0)) <= 1e-12
-    assert "not proof" in scan_mixed.note
-
-
-def test_scan_extrema_stable_under_resolution_doubling():
-    for name, box in (("sqrt_prod", [(1.0, 2.0), (1.0, 2.0)]),
-                      ("abs", [(0.5, 2.0)]),
-                      ("ceiling", [(0.5, 2.0)])):
-        oracle = builtin(name)
-        coarse = compact_bound_scan(oracle, box, resolution=100)
-        fine = compact_bound_scan(oracle, box, resolution=200)
-        scale = max(1.0, abs(coarse.maximum))
-        assert abs(coarse.maximum - fine.maximum) / scale < 0.01
-        assert abs(coarse.minimum - fine.minimum) / max(1.0, abs(coarse.minimum)) < 0.01
 
 
 def test_unboundedness_demo_diagonal_values():
@@ -214,8 +208,3 @@ def test_monte_carlo_value_stays_finite_when_volume_times_hits_overflows():
     est = levelset_measure(SQRT, small, "mc", samples=1000, seed=5)
     hits = round(est.value / small.box_volume * 1000)
     assert est.value == small.box_volume * hits / 1000
-
-
-def test_compact_scan_off_the_domain_is_a_domain_error():
-    with pytest.raises(DomainError, match=r"\(-1\.0, 1\.0\) is outside the domain"):
-        compact_bound_scan(SQRT, [(-1.0, 1.0), (1.0, 2.0)])

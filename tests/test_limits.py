@@ -34,7 +34,7 @@ from fekete_lab.limits import (
 )
 from fekete_lab.registry import Domain, FunctionOracle, builtin
 from fekete_lab.sampling import uniform_in
-from known_limits import BUILTINS, FAMILY
+from known_limits import BUILTINS, FAMILY, PRODUCTS_3D, SUMS
 
 SQRT = builtin("sqrt_prod")
 FULL = builtin("full_shift_count_log")
@@ -105,9 +105,10 @@ def test_known_limits_are_bracketed_and_reached():
 
 def test_the_known_limit_family_is_bracketed_above_and_reached_in_both_orders():
     # the running minimum of a subadditive ratio never falls below its infimum
-    for name, (oracle, _, limit) in FAMILY.items():
+    for name, (oracle, _, limit) in {**FAMILY, **SUMS, **PRODUCTS_3D}.items():
         assert simultaneous_limit(oracle).best_upper >= limit, name
-        for order in ((0, 1), (1, 0)):
+        axes = tuple(range(oracle.domain.dim))
+        for order in (axes, axes[::-1]):
             it = iterated_limit(oracle, order, delta=0.01)
             assert it.status == CONVERGED and limit <= it.value <= limit + 0.01, (name, it)
 

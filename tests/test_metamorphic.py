@@ -4,7 +4,9 @@ Dyadic scaling of values: 4·f is f with every value times 4, exactly in
 floating point, so every ratio, bound and margin of 4·f is 4 times f's,
 bit for bit.  The violation tolerance has a floor of 1, which is not
 scale-free, so verdicts are compared only where both sides exceed 1 in
-magnitude.
+magnitude.  On a table whose values are all at least 1 in magnitude the
+floor never applies, because the left side is always one value, so every
+hit and every listed witness is the same for 4·T as for T.
 
 Axis permutation: g(x1, x2) = f(x2, x1) walks the same grid transposed
 and multiplies the same two coordinates, so g's simultaneous bracket is
@@ -36,7 +38,7 @@ from fekete_lab.checks import check_componentwise, check_four_term
 from fekete_lab.domain import GridSchedule, Point
 from fekete_lab.limits import (IteratedLimit, LimitBracket, diagonal_limit, iterated_limit,
                                ray_limit, simultaneous_limit)
-from fekete_lab.registry import FunctionOracle, builtin, builtin_names
+from fekete_lab.registry import FunctionOracle, builtin, builtin_names, tabulated_oracle
 from fekete_lab.sampling import SampleBudget
 from known_limits import BUILTINS, FAMILY
 
@@ -80,6 +82,30 @@ def test_scaling_values_by_four_keeps_the_witnesses_and_scales_the_margins(seed)
             assert _listed(scaled, 4.0) == _listed(plain, 1.0), (f.name, check.__name__)
             compared += len(_listed(plain, 1.0))
     assert compared  # neg_x1_sqrt_x2 and x1sq_sqrt_x2 violate both inequalities
+
+
+@st.composite
+def tables(draw) -> tuple[tuple[range, range], list[float]]:
+    """Axes 1..n1 and 1..n2, and finite values of magnitude at least 1."""
+    n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    value = st.one_of(st.floats(1.0, 1e6), st.floats(-1e6, -1.0))
+    values = draw(st.lists(value, min_size=n1 * n2, max_size=n1 * n2))
+    return (range(1, n1 + 1), range(1, n2 + 1)), values
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=tables(), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_scaling_a_table_by_four_keeps_every_hit_and_scales_the_margins(table, seed):
+    axes, values = table
+    budget = SampleBudget(count=200, seed=seed)
+    for check in (check_componentwise, check_four_term):
+        plain = check(tabulated_oracle(axes, values), budget)
+        scaled = check(tabulated_oracle(axes, [4.0 * v for v in values]), budget)
+        assert scaled.hit_count == plain.hit_count, check.__name__
+        assert ([v.witness for v in scaled.violations]
+                == [v.witness for v in plain.violations]), check.__name__
+        assert ([v.margin for v in scaled.violations]
+                == [4.0 * v.margin for v in plain.violations]), check.__name__
 
 
 PLANAR = [k.oracle for k in (*BUILTINS.values(), *FAMILY.values()) if k.oracle.domain.dim == 2]

@@ -20,7 +20,7 @@ import pytest
 from fekete_lab.checks import Violation, ViolationReport
 from fekete_lab.domain import (GridSchedule, Point, QRDecomposition, _Record,
                                _RecordType)
-from fekete_lab.levelset import (BoxScan, LemmaCheckRow, LevelSetSpec, LineScan,
+from fekete_lab.levelset import (LemmaCheckRow, LevelSetSpec, LineScan,
                                  MeasureEstimate, UnboundednessDemo)
 from fekete_lab.limits import (DecompositionBound, DecompositionTerm, IteratedLimit,
                                LevelSummary, LimitBracket, _TailEstimate)
@@ -75,7 +75,6 @@ RECORDS = {
                                  "terms": (DecompositionTerm(1, 1.5),)},
     LevelSetSpec: lambda: {"t": Point((1.0, 1.0)), "k": 0.5},
     MeasureEstimate: _estimate,
-    BoxScan: lambda: {"minimum": 0.0, "maximum": 1.0, "argmin": (0.0,), "argmax": (1.0,)},
     LemmaCheckRow: lambda: {"anchor": (1.0,), "k": 0.5,
                             "estimate": MeasureEstimate(**_estimate()), "bound": 0.5,
                             "margin": 0.0, "holds": True},

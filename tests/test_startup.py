@@ -39,9 +39,8 @@ EXPORTS = {
               "check_monoid_sign check_set_union check_shifted_subadditivity",
     "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
               "iterated_limit ray_limit simultaneous_limit verify_decomposition_bound",
-    "levelset": "BoxScan LevelSetSpec MeasureEstimate check_levelset_lemma "
-                "compact_bound_scan levelset_measure rubin_eval "
-                "rubin_unboundedness_demo",
+    "levelset": "LevelSetSpec MeasureEstimate check_levelset_lemma levelset_measure "
+                "rubin_eval rubin_unboundedness_demo",
     "subshift": "CapExceededError EntropyBracket ForbiddenPattern SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
                 "count_patterns entropy_bounds load_sft_spec",
@@ -203,7 +202,8 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
-               "levelset": ["rubin_rational_box_scan", "RationalBoxScan"],
+               "levelset": ["rubin_rational_box_scan", "RationalBoxScan",
+                            "compact_bound_scan", "BoxScan", "_require_real_domain"],
                "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational",
                             "TabulatedFunction", "_parse_tabulated", "_denominator",
                             "KnownLimit"],
@@ -217,17 +217,16 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         for name in names:
             assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
             assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
-    from fekete_lab.levelset import BoxScan
+    from fekete_lab.domain import QRDecomposition
     from fekete_lab.limits import LimitBracket
     from fekete_lab.registry import FiniteSetFunction
-    assert not hasattr(BoxScan, "to_json_dict")
+    assert not hasattr(QRDecomposition, "reconstruct")
     assert "translation_invariant" not in FiniteSetFunction.__slots__
     from fekete_lab.sampling import SampleBudget
     from fekete_lab.subshift import EntropyBracket, builtin_sft
     assert SampleBudget.__slots__ == ("count", "seed")
     assert list(inspect.signature(builtin_sft).parameters) == ["name"]
-    for cls, name in ((EntropyBracket, "admissibility"), (BoxScan, "note"),
-                      (LimitBracket, "sense")):
+    for cls, name in ((EntropyBracket, "admissibility"), (LimitBracket, "sense")):
         assert name not in cls.__slots__, cls.__name__
         assert isinstance(getattr(cls, name), str), cls.__name__
     assert "best_lower" not in LimitBracket.__slots__

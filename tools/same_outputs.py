@@ -1,4 +1,4 @@
-"""Run the benchmark jobs and the rerun commands on two source trees and compare them.
+"""Run the CLI commands and the demos on two source trees and compare their outputs.
 
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
@@ -21,14 +21,19 @@ caps in 1-D and 2-D, `check --mode set_union` on a set family file,
 `limit --config` on a config file, both written next to the table, and
 a Monte Carlo level set whose volume * hits overflows), and 3 runs that
 argparse ends (`--version`, `check --help`, and an unknown flag, which
-exits 2).  Every run is a
-fresh interpreter with PYTHONPATH set to one tree and `--no-timestamp`,
-writing to `out` in a scratch directory of its own, so the two sides see
-the same relative paths.
+exits 2).  Every run is a fresh interpreter with PYTHONPATH set to one
+tree and `--no-timestamp`, writing to `out` in a scratch directory of its
+own, so the two sides see the same relative paths.
 
-Prints one line per command that differs, naming what differs: the exit
-code, stdout, stderr, or an output file by name.  Exits 0 when nothing
-differs and 1 otherwise.  Standard library only; it reads the job lists
+Then each of the 6 demos in the `demos` directory next to each tree runs
+in a fresh scratch directory of its own, with PYTHONPATH set to that
+tree.  The files it writes there are compared too (demo 03 writes
+`demo_output/sqrt_prod_bracket.svg`), and the fresh temporary directory
+that demo 06 prints is masked in its stdout.
+
+Prints one line per command or demo that differs, naming what differs:
+the exit code, stdout, stderr, or an output file by name.  Exits 0 when
+nothing differs and 1 otherwise.  Standard library only; it reads the job lists
 from bench/ and changes nothing there.
 """
 
@@ -38,6 +43,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -52,6 +58,8 @@ from workloads import WORKLOADS, make_inputs  # noqa: E402
 ENTRY = "import sys; from fekete_lab.cli import main; sys.exit(main(sys.argv[1:]))"
 SEEDS = (1, 2)
 TIMEOUT_S = 600
+# a directory that tempfile makes, as demo 06 prints it
+TEMP_DIR = re.compile(re.escape(tempfile.gettempdir()).encode() + rb"/tmp\w+")
 # the commands of tests/test_acceptance.py::test_criterion_10_byte_identical_reruns
 CRITERION_10 = (
     ("counterexamples", "--seed", "7"),
@@ -148,19 +156,39 @@ def commands() -> list[tuple[int | None, tuple[str, ...]]]:
                                 *ARGPARSE_EXIT_COMMANDS)]
 
 
-def run(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
-    """Exit code, stdout, stderr and every output file of one fresh run."""
-    out = workdir / "out"
-    shutil.rmtree(out, ignore_errors=True)
+def run(src: Path, cwd: Path, command: list[str], out: Path) -> dict[str, object]:
+    """Exit code, stdout, stderr and every file under out of one fresh run in cwd."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", ENTRY, *argv, "--out", "out"], cwd=workdir,
-                          env=env, stdin=subprocess.DEVNULL, capture_output=True,
-                          timeout=TIMEOUT_S)
+    done = subprocess.run([sys.executable, *command], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S)
     result: dict[str, object] = {"exit code": done.returncode, "stdout": done.stdout,
                                  "stderr": done.stderr}
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
     result.update((f"file {p.relative_to(out)}", p.read_bytes()) for p in files)
     return result
+
+
+def run_cli(src: Path, workdir: Path, argv: tuple[str, ...]) -> dict[str, object]:
+    out = workdir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    return run(src, workdir, ["-c", ENTRY, *argv, "--out", "out"], out)
+
+
+def run_demo(src: Path, workdir: Path, name: str) -> dict[str, object]:
+    demo = src.parent / "demos" / name
+    if not demo.is_file():
+        return {"demo file": "missing"}
+    cwd = workdir / "demos" / demo.stem
+    shutil.rmtree(cwd, ignore_errors=True)
+    cwd.mkdir(parents=True)
+    result = run(src, cwd, [str(demo)], cwd)
+    result["stdout"] = TEMP_DIR.sub(b"<temporary directory>", result["stdout"])
+    return result
+
+
+def differing(parent: dict[str, object], change: dict[str, object]) -> list[str]:
+    return [key for key in sorted(parent.keys() | change.keys())
+            if parent.get(key) != change.get(key)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,19 +211,24 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.rmtree(workdir / "inputs", ignore_errors=True)
                 if seed is not None:
                     make_inputs(workdir, seed)
-            parent, change = (run(src, workdir, args) for src, workdir in zip(sides, workdirs))
-            what = [key for key in sorted(parent.keys() | change.keys())
-                    if parent.get(key) != change.get(key)]
+            what = differing(*(run_cli(src, workdir, args)
+                               for src, workdir in zip(sides, workdirs)))
             if what:
                 differ.append(f"{' '.join(args)}: {', '.join(what)}")
+        demos = sorted({p.name for side in sides for p in (side.parent / "demos").glob("*.py")})
+        for name in demos:
+            what = differing(*(run_demo(src, workdir, name)
+                               for src, workdir in zip(sides, workdirs)))
+            if what:
+                differ.append(f"demo {name}: {', '.join(what)}")
     bench = (len(runs) - len(CRITERION_10) - len(TABLE_COMMANDS) - len(PATH_COMMANDS)
              - len(NEIGHBOUR_COMMANDS) - len(RARE_PATH_COMMANDS) - len(ARGPARSE_EXIT_COMMANDS))
     print(f"{len(runs)} commands ({bench} bench runs at seeds {', '.join(map(str, SEEDS))}, "
           f"{len(CRITERION_10)} criterion-10 commands, {len(TABLE_COMMANDS)} table commands, "
           f"{len(PATH_COMMANDS)} path commands, {len(NEIGHBOUR_COMMANDS)} refusal neighbours, "
           f"{len(RARE_PATH_COMMANDS)} rare paths, "
-          f"{len(ARGPARSE_EXIT_COMMANDS)} argparse exits): "
-          f"{len(runs) - len(differ)} identical, {len(differ)} differ")
+          f"{len(ARGPARSE_EXIT_COMMANDS)} argparse exits) and {len(demos)} demos: "
+          f"{len(runs) + len(demos) - len(differ)} identical, {len(differ)} differ")
     for line in differ:
         print(f"  differs: {line}")
     return 1 if differ else 0
