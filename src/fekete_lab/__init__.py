@@ -27,9 +27,8 @@ _EXPORTS = {
         "QRDecomposition", "ScheduleError", "as_point", "default_schedule", "qr_decompose",
     ),
     "registry": (
-        "Domain", "FiniteSetFunction", "FunctionOracle", "builtin", "builtin_names",
-        "cardinality_set_function", "load_set_family", "load_tabulated",
-        "set_function_from_integer", "tabulated_oracle",
+        "Domain", "FunctionOracle", "builtin", "builtin_names", "cardinality_set_function",
+        "load_set_family", "load_tabulated", "set_function_from_integer", "tabulated_oracle",
     ),
     "sampling": ("SampleBudget",),
     "checks": (

@@ -12,7 +12,8 @@ fixtures readable.  A report therefore lists the strongest few
 witnesses, as a property-based tester reports one shrunk counterexample
 rather than every failing input, and counts the rest.  Sampling can only
 refute, never prove: an empty report means "no violation found at this
-budget", nothing stronger.
+budget", nothing stronger.  The set-union check screens every pair of a
+given family instead, with the set function an oracle on set sizes.
 
 Every verdict is registry.exceeds(lhs, rhs), the one violation test of the
 package: lhs > rhs + tau with a relative tolerance tau, so float
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .domain import DomainError, EvaluationError, _Record
-from .registry import Domain, FiniteSetFunction, FunctionOracle, exceeds, ext_add
+from .registry import Domain, FunctionOracle, exceeds, ext_add
 from .sampling import SampleBudget, integer_in, uniform_in
 
 __all__ = [
@@ -392,15 +393,16 @@ def check_monoid_sign(oracle: FunctionOracle,
                                       (found, len(rhs), int(hit.sum()), distinct)], budget)
 
 
-def check_set_union(g: FiniteSetFunction,
+def check_set_union(g: FunctionOracle,
                     family: Sequence[Iterable[int]]) -> ViolationReport:
-    """Refute g(A u B) <= g(A) + g(B) over all pairs from the family."""
+    """Refute g(A u B) <= g(A) + g(B) over all pairs from the family, g being an
+    oracle on set sizes, evaluated in one batch on |A u B|, |A| and |B| of each pair."""
     sets = [frozenset(int(n) for n in s) for s in family]
     if not sets:
         raise DomainError("set family must be nonempty")
     pairs = [(a, b) for i, a in enumerate(sets) for b in sets[i:]]
-    lhs, left, right = np.array([(g.evaluate(a | b), g.evaluate(a), g.evaluate(b))
-                                 for a, b in pairs], dtype=float).T
+    sizes = np.array([(len(a | b), len(a), len(b)) for a, b in pairs], dtype=float)
+    lhs, left, right = g.evaluate_points([sizes.ravel()]).reshape(-1, 3).T
     rhs = ext_add(left, right)
     hit = exceeds(lhs, rhs)
     violations = tuple(

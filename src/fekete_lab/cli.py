@@ -198,7 +198,7 @@ def _cmd_limit(ns: argparse.Namespace) -> int:
             raise ConfigError(f"--base does not apply to {modes[0]}: the path starts at t = 1")
         base = Point((1.0,))
     else:
-        base = Point(_numbers(ns.base, "point")) if ns.base else Point((1.0,) * d)
+        base = Point((1.0,) * d) if ns.base is None else Point(_numbers(ns.base, "point"))
     # the estimators check delta and the schedule before they evaluate
     schedule = GridSchedule(base=base, growth=ns.growth, levels=ns.levels)
 

@@ -31,7 +31,6 @@ __all__ = [
     "ScheduleError",
     "EvaluationError",
     "IndeterminateFormError",
-    "as_extended",
     "Point",
     "as_point",
     "QRDecomposition",
@@ -124,18 +123,6 @@ def _json_file(path: str | Path, kind: str, *required: str) -> Iterator[dict]:
         yield _json_object(value, "", *required)
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"invalid {kind} {path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Extended reals
-# ---------------------------------------------------------------------------
-
-def as_extended(value: float) -> float:
-    """Coerce to float, accepting +-inf but rejecting NaN."""
-    x = float(value)
-    if math.isnan(x):
-        raise EvaluationError("NaN is not a member of the extended reals")
-    return x
 
 
 # ---------------------------------------------------------------------------

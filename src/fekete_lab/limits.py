@@ -39,7 +39,6 @@ from .domain import (
     Point,
     ScheduleError,
     _Record,
-    as_extended,
     as_point,
     default_schedule,
     qr_decompose,
@@ -305,7 +304,7 @@ def _adaptive_tail(g: Callable[[float], float], ladder: Sequence[float], *,
     low = math.inf
     evals = 0
     for x in ladder:
-        v = as_extended(g(x))
+        v = float(g(x))
         evals += 1
         if v == math.inf:
             return _TailEstimate(math.inf, DIVERGING_PLUS, evals, None)

@@ -8,7 +8,8 @@ Neither reads a claim, so none is stored.
 
 Every evaluation takes one path, FunctionOracle.evaluate_points: it checks
 domain membership, calls array_fn on the coordinate arrays, and refuses
-NaN.  Each built-in is defined once, over arrays.
+NaN.  Each built-in is defined once, over arrays.  A set function is an
+oracle on set sizes: each one here is a cardinality lift g(A) = f(|A|).
 
 Oracles are immutable and evaluation is pure, so they are safe to share
 across threads.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import reprlib
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .domain import (
     _json_float,
     _json_int,
     _json_list,
-    as_extended,
     as_point,
 )
 
@@ -48,7 +48,6 @@ __all__ = [
     "builtin_names",
     "tabulated_oracle",
     "load_tabulated",
-    "FiniteSetFunction",
     "set_function_from_integer",
     "cardinality_set_function",
     "load_set_family",
@@ -302,39 +301,31 @@ def load_tabulated(path: str | Path) -> FunctionOracle:
 # Functions of finite integer sets
 # ---------------------------------------------------------------------------
 
-class FiniteSetFunction(_Record):
-    """A real-valued function of finite subsets of the integers."""
-
-    name: str
-    fn: Callable[[frozenset[int]], float]
-
-    def evaluate(self, subset: Iterable[int]) -> float:
-        s = frozenset(int(n) for n in subset)
-        return as_extended(self.fn(s))
-
-
-def set_function_from_integer(oracle: FunctionOracle) -> FiniteSetFunction:
+def set_function_from_integer(oracle: FunctionOracle) -> FunctionOracle:
     """Lift an integer function to sets via cardinality: g(A) = f(|A|), g({}) = 0.
 
-    The lift is invariant under translating A, but it need not preserve
-    subadditivity because |A u B| need not equal |A| + |B|.
+    The lift is an oracle on set sizes that evaluates f once per batch, on
+    the nonzero sizes.  It is invariant under translating A, but it need
+    not preserve subadditivity because |A u B| need not equal |A| + |B|.
     """
     if oracle.domain.dim != 1 or not oracle.domain.integer:
         raise DomainError("cardinality lift needs a one-dimensional integer oracle")
 
-    def g(s: frozenset[int]) -> float:
-        if not s:
-            return 0.0
-        return oracle.evaluate((float(len(s)),))
+    def g(n: np.ndarray) -> np.ndarray:
+        values = np.zeros(len(n))
+        values[n != 0] = oracle.evaluate_points([n[n != 0]])
+        return values
 
-    return FiniteSetFunction(name=f"{oracle.name}_of_cardinality", fn=g)
-
-
-def cardinality_set_function() -> FiniteSetFunction:
-    return FiniteSetFunction(name="cardinality", fn=lambda s: float(len(s)))
+    return FunctionOracle(name=f"{oracle.name}_of_cardinality",
+                          domain=Domain(dim=1, integer=True), array_fn=g)
 
 
-def load_set_family(path: str | Path) -> tuple[FiniteSetFunction, list[frozenset[int]]]:
+def cardinality_set_function() -> FunctionOracle:
+    return FunctionOracle(name="cardinality", domain=Domain(dim=1, integer=True),
+                          array_fn=lambda n: n)
+
+
+def load_set_family(path: str | Path) -> tuple[FunctionOracle, list[frozenset[int]]]:
     """Load {"base": name, "sets": [[...], ...]} for the set-union checker: base
     is "cardinality" or a built-in integer oracle, lifted by set_function_from_integer."""
     with _json_file(path, "set family", "base", "sets") as obj:

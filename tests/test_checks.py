@@ -30,7 +30,6 @@ from fekete_lab.domain import (
 )
 from fekete_lab.registry import (
     Domain,
-    FiniteSetFunction,
     FunctionOracle,
     builtin,
     cardinality_set_function,
@@ -156,38 +155,71 @@ def test_set_union_disjoint_singletons_clean():
     assert check_set_union(g, [[1], [3]]).clean
 
 
-def _infinite_parity(s):
-    """inf on sets holding 1 and 3, -inf on sets of 5 or more, else |A| mod 2."""
-    if {1, 3} <= s:
+def _infinite_parity(n: float) -> float:
+    """A set function of the size n = |A|: inf at 4, -inf at 6 or more, else n mod 2."""
+    if n == 4:
         return math.inf
-    return -math.inf if len(s) >= 5 else float(len(s) % 2)
+    return -math.inf if n >= 6 else float(n % 2)
 
 
-INFINITE_PARITY = FiniteSetFunction(name="infinite_parity", fn=_infinite_parity)
+INFINITE_PARITY = FunctionOracle(name="infinite_parity", domain=Domain(dim=1, integer=True),
+                                 array_fn=np.vectorize(_infinite_parity, otypes=[float]))
 
 
 def test_set_union_matches_a_scalar_loop_with_infinite_values():
-    family = [frozenset(s) for s in ([1, 2], [2, 3], [1], [3], [5, 6, 7], [4, 5, 6, 7, 8], [2],
-                                     [3, 4])]
+    family = [frozenset(s) for s in ([1, 2], [2, 3], [1], [3], [5, 6, 7], [5, 6, 7, 8, 9, 10],
+                                     [2], [3, 4])]
     found, checked = [], 0
     for i, a in enumerate(family):
         for b in family[i:]:
             checked += 1
-            lhs = _infinite_parity(a | b)
-            rhs = _infinite_parity(a) + _infinite_parity(b)
+            lhs = _infinite_parity(len(a | b))
+            rhs = _infinite_parity(len(a)) + _infinite_parity(len(b))
             if lhs > rhs + _tau(lhs, rhs):
                 found.append(((tuple(sorted(a)), tuple(sorted(b))), lhs, rhs))
     report = check_set_union(INFINITE_PARITY, family)
     assert sorted((v.witness, v.lhs, v.rhs) for v in report.violations) == sorted(found)
     assert report.samples_checked == checked == 36
-    assert report.find(((1,), (3,))).lhs == math.inf
+    assert report.find(((1, 2), (3, 4))).lhs == math.inf
     assert report.find(((2, 3), (3, 4))).lhs == 1.0
-    assert report.find(((1,), (4, 5, 6, 7, 8))) is None  # -inf on both sides
+    assert report.find(((1,), (5, 6, 7, 8, 9, 10))) is None  # -inf on both sides
 
 
 def test_set_union_refuses_an_indeterminate_sum():
     with pytest.raises(IndeterminateFormError, match=r"^indeterminate sum inf \+ -inf$"):
-        check_set_union(INFINITE_PARITY, [[2], [1, 3], [4, 5, 6, 7, 8]])
+        check_set_union(INFINITE_PARITY, [[2], [1, 2, 3, 4], [5, 6, 7, 8, 9, 10]])
+
+
+def _record_batches(monkeypatch) -> list[tuple[str, list[float]]]:
+    """(oracle name, points) of every evaluate_points call from now on, in call order."""
+    batches = []
+    evaluate_points = FunctionOracle.evaluate_points
+    monkeypatch.setattr(FunctionOracle, "evaluate_points", lambda self, columns: (
+        batches.append((self.name, np.asarray(columns[0]).tolist()))
+        or evaluate_points(self, columns)))
+    return batches
+
+
+def test_set_union_evaluates_the_lift_once_and_f_once_on_the_nonzero_sizes(monkeypatch):
+    batches = _record_batches(monkeypatch)
+    report = check_set_union(set_function_from_integer(builtin("nmod2")), [[1, 2], [2, 3], []])
+    # |A u B|, |A| and |B| of each pair, in pair order: ({1, 2}, {1, 2}), ({1, 2}, {2, 3}), ...
+    sizes = [2, 2, 2, 3, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0]
+    assert batches == [("nmod2_of_cardinality", sizes),
+                       ("nmod2", [n for n in sizes if n != 0])]
+    assert [v.witness for v in report.violations] == [((1, 2), (2, 3))]
+
+
+def test_the_lift_is_zero_on_the_empty_set_and_never_evaluates_f_there(monkeypatch):
+    batches = _record_batches(monkeypatch)
+    minus_one = FunctionOracle(name="minus_one",
+                               domain=Domain(dim=1, positive=True, integer=True),
+                               array_fn=lambda n: np.full_like(n, -1.0))
+    report = check_set_union(set_function_from_integer(minus_one), [[], [1]])
+    # g({}) = 0 and g({1}) = -1, so only ({1}, {1}) violates: -1 > -1 + -1
+    assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == [(((1,), (1,)), -1.0, -2.0)]
+    assert batches == [("minus_one_of_cardinality", [0, 0, 0, 1, 0, 1, 1, 1, 1]),
+                       ("minus_one", [1, 1, 1, 1, 1])]
 
 
 def test_shifted_subadditivity():

@@ -277,6 +277,7 @@ def test_table_numbers_must_be_json_numbers(tmp_path, capsys, text, message):
     ("check", {"fn": "abs", "mode": "joint", "seed": [1]}),
     ("limit", {"fn": "sqrt_prod", "growth": "fast"}),
     ("levelset", {"fn": "sqrt_prod", "anchors": "1,1", "cells": None}),
+    ("limit", {"fn": "sqrt_prod", "levels": 3, "base": ""}),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
@@ -662,6 +663,10 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
      "cannot parse point '1,x': could not convert string to float: 'x'"),
     ("limit --fn sqrt_prod --direction x",
      "cannot parse point 'x': could not convert string to float: 'x'"),
+    # an empty base is a point that does not parse, as an empty direction is
+    *((f"limit --fn sqrt_prod --levels 3 {flag}=",
+       "cannot parse point '': could not convert string to float: ''")
+      for flag in ("--base", "--direction")),
     ("levelset --fn sqrt_prod --anchors '1,1;2,y'",
      "cannot parse point '2,y': could not convert string to float: 'y'"),
     ("limit --fn sqrt_prod --iterated 1,x",

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from fekete_lab.domain import (
     DomainError,
-    EvaluationError,
     GridSchedule,
     IndeterminateFormError,
     Point,
     ScheduleError,
-    as_extended,
     qr_decompose,
 )
 from fekete_lab.registry import exceeds, ext_add
@@ -102,9 +100,6 @@ def test_only_the_level_walk_refuses_levels_past_1e300():
 
 
 def test_extended_reals():
-    assert as_extended(math.inf) == math.inf
-    with pytest.raises(EvaluationError):
-        as_extended(float("nan"))
     assert ext_add(math.inf, 5.0) == math.inf
     with pytest.raises(IndeterminateFormError):
         ext_add(math.inf, -math.inf)

@@ -25,6 +25,11 @@ ray, g(x) = f(4·x) with the path starting at t = 1/4 divides by t over 4,
 so every ratio is 4 times f's.  This pins the one ratio rule of the
 estimators: f at each sample over the product of its coordinates, or
 over t on the ray.
+
+Adding a multilinear term: c·x1·x2 is additive in each variable and
+satisfies the four-term identity with equality, so g = f + c·x1·x2 has
+f's componentwise and four-term hits, and each ratio of g is f's plus c
+up to rounding.  Joint verdicts do change, so they are not compared.
 """
 
 from __future__ import annotations
@@ -204,3 +209,36 @@ def test_dilating_the_ray_scales_every_ratio_exactly(f, direction):
     dilated = ray_limit(dilate(f, (4.0, 4.0)), direction,
                         GridSchedule(base=Point((0.25,)), levels=12), 0.04)
     _assert_scaled_bracket(dilated, plain, 4.0)
+
+
+# componentwise and four-term hit counts at SampleBudget(5000, 3) of the three
+# real 2-D built-ins, as measured at 991dbb1
+MULTILINEAR_HITS = {"sqrt_prod": (0, 0), "neg_x1_sqrt_x2": (5081, 5081),
+                    "x1sq_sqrt_x2": (5081, 4145)}
+# g's ratio (f(x) + (c·x1)·x2) / (x1·x2) takes five roundings and f's one, each
+# at most 2^-53 relative, so to first order g's ratio is within
+# 6·2^-53·(|f's ratio| + |c|) of f's plus c; the test allows 8·2^-53, for every
+# ratio and for their minimum, best_upper
+MULTILINEAR_ROUNDING = 2.0 ** -50
+
+
+def plus_multilinear(f: FunctionOracle, c: float) -> FunctionOracle:
+    return FunctionOracle(name=f"{f.name}+{c}*x1*x2", domain=f.domain,
+                          array_fn=lambda x1, x2: f.array_fn(x1, x2) + c * x1 * x2)
+
+
+@pytest.mark.parametrize("name", sorted(MULTILINEAR_HITS))
+def test_adding_a_multilinear_term_keeps_the_hits_and_adds_c_to_the_limit(name):
+    f, budget = builtin(name), SampleBudget(5000, 3)
+    hits = (check_componentwise(f, budget).hit_count, check_four_term(f, budget).hit_count)
+    assert hits == MULTILINEAR_HITS[name]
+    plain = simultaneous_limit(f)
+    for c in (0.5, -0.5, 3.0):
+        g = plus_multilinear(f, c)
+        assert (check_componentwise(g, budget).hit_count,
+                check_four_term(g, budget).hit_count) == hits, c
+        moved = simultaneous_limit(g)
+        assert np.all(np.abs(moved.ratios - (plain.ratios + c))
+                      <= MULTILINEAR_ROUNDING * (np.abs(plain.ratios) + abs(c))), c
+        assert (abs(moved.best_upper - (plain.best_upper + c))
+                <= MULTILINEAR_ROUNDING * (abs(plain.best_upper) + abs(c))), c

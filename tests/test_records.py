@@ -24,7 +24,7 @@ from fekete_lab.levelset import (LemmaCheckRow, LevelSetSpec, LineScan,
                                  MeasureEstimate, UnboundednessDemo)
 from fekete_lab.limits import (DecompositionBound, DecompositionTerm, IteratedLimit,
                                LevelSummary, LimitBracket, _TailEstimate)
-from fekete_lab.registry import Domain, FiniteSetFunction, FunctionOracle
+from fekete_lab.registry import Domain, FunctionOracle
 from fekete_lab.sampling import SampleBudget
 from fekete_lab.subshift import EntropyBracket, EntropyEntry, ForbiddenPattern, SftSpec
 from fekete_lab.svgplot import PlotSeries
@@ -54,7 +54,6 @@ RECORDS = {
     GridSchedule: lambda: {"base": Point((1.0, 2.0)), "growth": 3.0, "levels": 5},
     Domain: lambda: {"dim": 2, "positive": True, "integer": True},
     FunctionOracle: lambda: {"name": "abs", "domain": Domain(dim=1), "array_fn": np.abs},
-    FiniteSetFunction: lambda: {"name": "cardinality", "fn": len},
     SampleBudget: lambda: {"count": 50, "seed": 7},
     Violation: _violation,
     ViolationReport: lambda: {"kind": "joint", "oracle": "abs",

@@ -216,18 +216,21 @@ def test_tabulated_number_errors_name_the_index(tmp_path):
 
 
 def test_set_function_lift():
+    # the lift is an oracle on set sizes, so it is translation invariant by construction
     g = set_function_from_integer(builtin("nmod2"))
-    assert g.evaluate(()) == 0.0
-    assert g.evaluate((1, 2)) == 0.0
-    assert g.evaluate((1, 2, 3)) == 1.0
-    # translation invariance of the lift on sampled translates
-    for shift in (-5, 3, 11):
-        assert g.evaluate((1 + shift, 2 + shift, 3 + shift)) == g.evaluate((1, 2, 3))
+    assert (g.name, g.domain) == ("nmod2_of_cardinality", Domain(dim=1, integer=True))
+    assert g.evaluate((0,)) == 0.0
+    assert g.evaluate_points([np.array([2.0, 3.0, 0.0, 7.0])]).tolist() == [0.0, 1.0, 0.0, 1.0]
+    for oracle in (builtin("sqrt_prod"), builtin("abs")):
+        with pytest.raises(DomainError, match="cardinality lift needs a one-dimensional "
+                                              "integer oracle"):
+            set_function_from_integer(oracle)
 
 
 def test_cardinality_set_function():
     g = cardinality_set_function()
-    assert g.evaluate((1, 2, 2)) == 2.0
+    assert (g.name, g.domain) == ("cardinality", Domain(dim=1, integer=True))
+    assert g.evaluate_points([np.array([0.0, 2.0, 5.0])]).tolist() == [0.0, 2.0, 5.0]
 
 
 def test_load_set_family(tmp_path):
@@ -235,7 +238,7 @@ def test_load_set_family(tmp_path):
     path.write_text(json.dumps({"base": "nmod2", "sets": [[1, 2], [2, 3]]}))
     g, family = load_set_family(path)
     assert family == [frozenset({1, 2}), frozenset({2, 3})]
-    assert g.evaluate(family[0] | family[1]) == 1.0
+    assert g.evaluate((len(family[0] | family[1]),)) == 1.0
     path.write_text(json.dumps({"base": "nmod2", "sets": []}))
     with pytest.raises(ConfigError):
         load_set_family(path)

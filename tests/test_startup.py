@@ -31,9 +31,8 @@ EXPORTS = {
     "domain": "ConfigError DimensionMismatchError DomainError EvaluationError FeketeLabError "
               "GridSchedule IndeterminateFormError Point QRDecomposition "
               "ScheduleError as_point default_schedule qr_decompose",
-    "registry": "Domain FiniteSetFunction FunctionOracle builtin builtin_names "
-                "cardinality_set_function load_set_family load_tabulated "
-                "set_function_from_integer tabulated_oracle",
+    "registry": "Domain FunctionOracle builtin builtin_names cardinality_set_function "
+                "load_set_family load_tabulated set_function_from_integer tabulated_oracle",
     "sampling": "SampleBudget",
     "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
               "check_monoid_sign check_set_union check_shifted_subadditivity",
@@ -198,7 +197,8 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
         assert missing == set(), module
     assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
     removed = {"domain": ["ext_sum", "violation_tolerance", "ext_add", "exceeds", "REL_TOL",
-                          "Orthant", "product_leq", "directed_upper_bound", "orthant_reflect"],
+                          "Orthant", "product_leq", "directed_upper_bound", "orthant_reflect",
+                          "as_extended"],
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
@@ -206,7 +206,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
                             "compact_bound_scan", "BoxScan", "_require_real_domain"],
                "registry": ["write_tabulated", "_rubin_points", "IRRATIONAL", "_Irrational",
                             "TabulatedFunction", "_parse_tabulated", "_denominator",
-                            "KnownLimit"],
+                            "KnownLimit", "FiniteSetFunction"],
                "subshift": ["log_complexity", "relabel", "sft_to_json_dict",
                             "folner_box_ratio", "_transfer_uppers_1d", "_log_upper",
                             "PatternCount", "transfer_matrix_count_1d", "transfer_matrix_1d",
@@ -219,9 +219,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
             assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
     from fekete_lab.domain import QRDecomposition
     from fekete_lab.limits import LimitBracket
-    from fekete_lab.registry import FiniteSetFunction
     assert not hasattr(QRDecomposition, "reconstruct")
-    assert "translation_invariant" not in FiniteSetFunction.__slots__
     from fekete_lab.sampling import SampleBudget
     from fekete_lab.subshift import EntropyBracket, builtin_sft
     assert SampleBudget.__slots__ == ("count", "seed")

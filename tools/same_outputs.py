@@ -16,14 +16,15 @@ distinct, a large shift, level-set anchors near both ends of the float
 range, one whose grid cells are just above the smallest normal float,
 a grid and an iterated run whose ratio denominator x1 * x2 overflows,
 which exit 2, and an iterated run whose denominator stays finite),
-5 runs of paths that no other command reaches (entropy truncated by the
-caps in 1-D and 2-D, `check --mode set_union` on a set family file,
-`limit --config` on a config file, both written next to the table, and
-a Monte Carlo level set whose volume * hits overflows), and 3 runs that
-argparse ends (`--version`, `check --help`, and an unknown flag, which
-exits 2).  Every run is a fresh interpreter with PYTHONPATH set to one
-tree and `--no-timestamp`, writing to `out` in a scratch directory of its
-own, so the two sides see the same relative paths.
+7 runs of paths that no other command reaches (entropy truncated by the
+caps in 1-D and 2-D, `check --mode set_union` on three set family files,
+an nmod2 family, a "cardinality" family and an nmod2 family holding the
+empty set, `limit --config` on a config file, all written next to the
+table, and a Monte Carlo level set whose volume * hits overflows), and 3
+runs that argparse ends (`--version`, `check --help`, and an unknown
+flag, which exits 2).  Every run is a fresh interpreter with PYTHONPATH
+set to one tree and `--no-timestamp`, writing to `out` in a scratch
+directory of its own, so the two sides see the same relative paths.
 
 Then each of the 6 demos in the `demos` directory next to each tree runs
 in a fresh scratch directory of its own, with PYTHONPATH set to that
@@ -110,20 +111,26 @@ NEIGHBOUR_COMMANDS = (
 
 # input files of RARE_PATH_COMMANDS, written next to TABLE
 SETS = "sets.json"
+CARDINALITY_SETS = "cardinality_sets.json"
+EMPTY_SET_SETS = "empty_set_sets.json"
 CONFIG = "config.json"
 INPUT_FILES = {
     SETS: {"base": "nmod2", "sets": [[1, 2], [2, 3], [5]]},
+    CARDINALITY_SETS: {"base": "cardinality", "sets": [[1, 2], [2, 3], [5], [1, 2, 3, 4]]},
+    EMPTY_SET_SETS: {"base": "nmod2", "sets": [[1, 2], [], [2, 3], [7]]},
     CONFIG: {"fn": "sqrt_prod", "levels": 6, "delta": 0.5},
 }
 
 # each runs a path that no command above reaches: the caps truncating
 # a 1-D bracket at side 144 and a 2-D one at side 12, the set family reader
-# and the set-union check (exit 3), the --config reader, and the Monte Carlo
-# estimate whose vol * hits overflows
+# and the set-union check on both lifts (exit 3 on nmod2, 0 on cardinality)
+# and on the empty set, the --config reader, and the Monte Carlo estimate
+# whose vol * hits overflows
 RARE_PATH_COMMANDS = (
     ("entropy", "--sft", "golden_mean_1d", "--max-side", "150"),
     ("entropy", "--sft", "hard_square_2d", "--max-side", "13"),
-    ("check", "--mode", "set_union", "--sets", SETS),
+    *(("check", "--mode", "set_union", "--sets", sets)
+      for sets in (SETS, CARDINALITY_SETS, EMPTY_SET_SETS)),
     ("limit", "--config", CONFIG),
     ("levelset", "--fn", "sqrt_prod", "--anchors", "1e153,1e153", "--method", "mc",
      "--samples", "1000"),
