@@ -9,7 +9,7 @@ the upper bounds: any large coordinate is an integer number of t-steps
 plus a remainder trapped in [t, 2t).
 """
 
-from fekete_lab import GridSchedule, Point, qr_decompose
+from fekete_lab.domain import GridSchedule, Point, qr_decompose
 
 
 def leq(x, y):

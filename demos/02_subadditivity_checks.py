@@ -8,14 +8,9 @@ the probe-lattice hits as given and only the strongest few random hits,
 shrunk toward readable coordinates in lockstep, with exact margins.
 """
 
-from fekete_lab import (
-    SampleBudget,
-    builtin,
-    check_componentwise,
-    check_four_term,
-    check_joint,
-    check_monoid_sign,
-)
+from fekete_lab.checks import check_componentwise, check_four_term, check_joint, check_monoid_sign
+from fekete_lab.registry import builtin
+from fekete_lab.sampling import SampleBudget
 
 budget = SampleBudget(count=3000, seed=42)
 

@@ -10,8 +10,9 @@ disagree as badly as 0 versus +inf.
 
 from pathlib import Path
 
-from fekete_lab import GridSchedule, Point, builtin, diagonal_limit, \
-    iterated_limit, ray_limit, simultaneous_limit
+from fekete_lab.domain import GridSchedule, Point
+from fekete_lab.limits import diagonal_limit, iterated_limit, ray_limit, simultaneous_limit
+from fekete_lab.registry import builtin
 from fekete_lab.svgplot import PlotSeries, line_plot_svg
 
 schedule = GridSchedule(base=Point((1.0, 1.0)), growth=2.0, levels=20)

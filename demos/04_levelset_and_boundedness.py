@@ -13,14 +13,10 @@ import math
 
 import numpy as np
 
-from fekete_lab import (
-    LevelSetSpec,
-    Point,
-    builtin,
-    check_levelset_lemma,
-    levelset_measure,
-    rubin_unboundedness_demo,
-)
+from fekete_lab.domain import Point
+from fekete_lab.levelset import (LevelSetSpec, check_levelset_lemma, levelset_measure,
+                                 rubin_unboundedness_demo)
+from fekete_lab.registry import builtin
 
 sqrt_prod = builtin("sqrt_prod")
 

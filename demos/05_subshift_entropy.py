@@ -12,12 +12,8 @@ geometrically around the closed-form entropy of the golden mean shift.
 
 import math
 
-from fekete_lab import (
-    builtin_sft,
-    check_count_submultiplicativity,
-    count_patterns,
-    entropy_bounds,
-)
+from fekete_lab.subshift import (builtin_sft, check_count_submultiplicativity, count_patterns,
+                                 entropy_bounds)
 
 print("== golden mean shift: binary strings with no adjacent ones ==")
 golden = builtin_sft("golden_mean_1d")

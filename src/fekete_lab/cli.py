@@ -134,11 +134,18 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 
     reports = []
     if ns.mode == "set_union":
+        # the set family names its own oracle
+        for flag, value in (("--fn", ns.fn), ("--table", ns.table)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to set_union mode, "
+                                  "whose set function comes from --sets")
         if ns.sets is None:
             raise ConfigError("set_union mode needs --sets FILE")
         g, family = load_set_family(ns.sets)
         reports.append(check_set_union(g, family))
     else:
+        if ns.sets is not None:
+            raise ConfigError(f"--sets does not apply to {ns.mode} mode, only to set_union")
         oracle = _get_oracle(ns)
         budget = SampleBudget(count=ns.count, seed=ns.seed)
         if ns.mode in ("joint", "all"):

@@ -20,7 +20,7 @@ import reprlib
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "EvaluationError",
     "IndeterminateFormError",
     "Point",
-    "as_point",
     "QRDecomposition",
     "qr_decompose",
     "GridSchedule",
@@ -254,14 +253,6 @@ class Point(_Record):
         return math.prod(self.coords)
 
 
-def as_point(value: Point | Sequence[float] | float) -> Point:
-    if isinstance(value, Point):
-        return value
-    if isinstance(value, (int, float)):
-        return Point((float(value),))
-    return Point(tuple(value))
-
-
 # ---------------------------------------------------------------------------
 # The q*t + r step decomposition
 # ---------------------------------------------------------------------------
@@ -352,7 +343,7 @@ class GridSchedule(_Record):
     levels: int
 
     def __init__(self, base: Point, growth: float = 2.0, levels: int = 40) -> None:
-        super().__init__(as_point(base), growth, levels)
+        super().__init__(Point(base), growth, levels)
         if not all(c > 0 for c in self.base):
             raise ScheduleError("schedule base must have positive coordinates")
         if not self.growth > 1.0:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, Point, _Record, as_point
+from .domain import DomainError, Point, _Record
 from .registry import FunctionOracle, exceeds
 
 # fractions is imported where it is used: only the exact rubin functions need it
@@ -62,7 +62,7 @@ class LevelSetSpec(_Record):
     k: float
 
     def __init__(self, t: Point, k: float) -> None:
-        super().__init__(as_point(t), k)
+        super().__init__(Point(t), k)
         if not all(c > 0 for c in self.t):
             raise DomainError("anchor must have positive coordinates")
         if not math.isfinite(self.box_volume):
@@ -198,7 +198,7 @@ def check_levelset_lemma(oracle: FunctionOracle, anchors: Iterable[Point | Seque
     """
     rows: list[LemmaCheckRow] = []
     for anchor in anchors:
-        t = as_point(anchor)
+        t = Point(anchor)
         d = t.dim
         k = oracle.evaluate(t) / 2 ** d
         spec = LevelSetSpec(t=t, k=k)

@@ -39,7 +39,6 @@ from .domain import (
     Point,
     ScheduleError,
     _Record,
-    as_point,
     default_schedule,
     qr_decompose,
 )
@@ -507,7 +506,7 @@ def verify_decomposition_bound(oracle: FunctionOracle,
     componentwise subadditive oracle the verdict must be "holds"; a
     failure is a counterexample to the claim.
     """
-    px, pt = as_point(x), as_point(t)
+    px, pt = Point(x), Point(t)
     d = oracle.domain.dim
     if px.dim != d or pt.dim != d:
         raise DimensionMismatchError(f"points of dimension {px.dim}/{pt.dim} vs oracle {d}")
@@ -542,7 +541,7 @@ def ray_limit(oracle: FunctionOracle, direction: Point | Sequence[float],
     usual bracket semantics apply along the ray.
     """
     _require_estimable(oracle, delta)
-    dirp = as_point(direction)
+    dirp = Point(direction)
     if dirp.dim != oracle.domain.dim:
         raise DimensionMismatchError(
             f"direction of dimension {dirp.dim} vs oracle {oracle.domain.dim}")

@@ -36,7 +36,6 @@ from .domain import (
     _json_float,
     _json_int,
     _json_list,
-    as_point,
 )
 
 __all__ = [
@@ -155,9 +154,9 @@ class FunctionOracle(_Record):
     domain: Domain
     array_fn: Callable[..., np.ndarray]
 
-    def evaluate(self, point: Point | Sequence[float] | float) -> float:
+    def evaluate(self, point: Point | Sequence[float]) -> float:
         """f at one point: evaluate_points on a single row."""
-        return float(self.evaluate_points(np.array(as_point(point).coords)[:, None])[0])
+        return float(self.evaluate_points(np.array(Point(point).coords)[:, None])[0])
 
     def evaluate_points(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """f at the points whose axis-i coordinates form the 1-D array columns[i],

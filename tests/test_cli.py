@@ -657,6 +657,14 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv, message", [
     ("limit", "give an oracle with --fn NAME or --table FILE"),
     ("check --mode set_union", "set_union mode needs --sets FILE"),
+    # a flag the mode would ignore is refused before any file is read: none of these exists
+    *((f"check --mode set_union --sets s.json {flags}",
+       f"{named} does not apply to set_union mode, whose set function comes from --sets")
+      for flags, named in (("--fn sqrt_prod", "--fn"), ("--table t.json", "--table"),
+                           ("--table t.json --fn abs", "--fn"))),
+    ("check --fn sqrt_prod --mode joint --count 50 --sets s.json",
+     "--sets does not apply to joint mode, only to set_union"),
+    ("check --fn sqrt_prod --sets s.json", "--sets does not apply to all mode, only to set_union"),
     ("entropy", "give a subshift with --sft NAME or --sft FILE"),
     ("levelset --fn sqrt_prod", 'give anchors with --anchors "t1,t2[;u1,u2...]"'),
     ("limit --fn sqrt_prod --base 1,x",
@@ -718,6 +726,20 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
 ])
 def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     assert run([*shlex.split(argv), "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"mode": "set_union", "sets": "s.json", "fn": "abs"},
+     "--fn does not apply to set_union mode, whose set function comes from --sets"),
+    ({"fn": "nmod2", "sets": "s.json"}, "--sets does not apply to all mode, only to set_union"),
+], ids=["set_union_fn", "all_sets"])
+def test_config_keys_a_check_mode_ignores_are_refused(tmp_path, capsys, config, message):
+    # refused as their flags are, before the set family, which does not exist, is read
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["check", "--config", path, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

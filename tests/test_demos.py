@@ -1,8 +1,10 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README's quick start, runs to completion against the
+package sources."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     # run from a scratch directory: demos may write output files next to them
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    proc = run_python(["-c", blocks[0]], tmp_path)
     assert proc.returncode == 0, proc.stderr

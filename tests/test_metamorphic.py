@@ -29,7 +29,10 @@ over t on the ray.
 Adding a multilinear term: c·x1·x2 is additive in each variable and
 satisfies the four-term identity with equality, so g = f + c·x1·x2 has
 f's componentwise and four-term hits, and each ratio of g is f's plus c
-up to rounding.  Joint verdicts do change, so they are not compared.
+up to rounding.  Joint verdicts do change, so they are not compared.  On
+an integer table whose values, with the term added, stay below 2^26 in
+magnitude, every sum is exact and the violation tolerance stays below 1,
+so g's hits, listed witnesses and margins are f's, bit for bit.
 """
 
 from __future__ import annotations
@@ -242,3 +245,41 @@ def test_adding_a_multilinear_term_keeps_the_hits_and_adds_c_to_the_limit(name):
                       <= MULTILINEAR_ROUNDING * (np.abs(plain.ratios) + abs(c))), c
         assert (abs(moved.best_upper - (plain.best_upper + c))
                 <= MULTILINEAR_ROUNDING * (abs(plain.best_upper) + abs(c))), c
+
+
+@st.composite
+def integer_tables(draw) -> tuple[tuple[range, range], list[int]]:
+    """Axes 1..n1 and 1..n2, and integer values in [-1000, 1000]."""
+    n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    values = draw(st.lists(st.integers(-1000, 1000), min_size=n1 * n2, max_size=n1 * n2))
+    return (range(1, n1 + 1), range(1, n2 + 1)), values
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=integer_tables(), c=st.integers(-1000, 1000),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_adding_a_multilinear_term_to_an_integer_table_keeps_every_hit_and_margin(
+        table, c, seed):
+    (axis1, axis2), values = table
+    moved = [v + c * x1 * x2 for (x1, x2), v in zip(
+        ((x1, x2) for x1 in axis1 for x2 in axis2), values)]
+    budget = SampleBudget(count=200, seed=seed)
+    for check in (check_componentwise, check_four_term):
+        plain = check(tabulated_oracle((axis1, axis2), values), budget)
+        added = check(tabulated_oracle((axis1, axis2), moved), budget)
+        assert added.hit_count == plain.hit_count, check.__name__
+        assert ([(v.witness, v.margin) for v in added.violations]
+                == [(v.witness, v.margin) for v in plain.violations]), check.__name__
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_adding_a_multilinear_term_to_a_family_product_keeps_the_hits(name):
+    f, budget = FAMILY[name].oracle, SampleBudget(2000, 3)
+    hits = (check_componentwise(f, budget).hit_count, check_four_term(f, budget).hit_count)
+    plain = simultaneous_limit(f).best_upper
+    for c in (0.5, -0.5, 3.0):
+        g = plus_multilinear(f, c)
+        assert (check_componentwise(g, budget).hit_count,
+                check_four_term(g, budget).hit_count) == hits, c
+        moved = simultaneous_limit(g).best_upper
+        assert abs(moved - (plain + c)) <= MULTILINEAR_ROUNDING * (abs(plain) + abs(c)), c

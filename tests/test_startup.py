@@ -1,4 +1,4 @@
-"""Start-up: lazy package names, per-subcommand imports, and --help."""
+"""Start-up: an empty package init, per-subcommand imports, and --help."""
 
 from __future__ import annotations
 
@@ -26,25 +26,28 @@ HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
     {"offsets": [[0, 0, 0], off], "symbols": [1, 1]}
     for off in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
 
-# every name the package exports; each is in its module's __all__
+# every public name, by the one module that defines it: exactly that module's __all__
 EXPORTS = {
     "domain": "ConfigError DimensionMismatchError DomainError EvaluationError FeketeLabError "
               "GridSchedule IndeterminateFormError Point QRDecomposition "
-              "ScheduleError as_point default_schedule qr_decompose",
+              "ScheduleError default_schedule qr_decompose",
     "registry": "Domain FunctionOracle builtin builtin_names cardinality_set_function "
-                "load_set_family load_tabulated set_function_from_integer tabulated_oracle",
-    "sampling": "SampleBudget",
-    "checks": "Violation ViolationReport check_componentwise check_four_term check_joint "
+                "exceeds ext_add load_set_family load_tabulated set_function_from_integer "
+                "tabulated_oracle",
+    "sampling": "SampleBudget integer_in raw64 uniform_in unit_uniform",
+    "checks": "TOP_K Violation ViolationReport check_componentwise check_four_term check_joint "
               "check_monoid_sign check_set_union check_shifted_subadditivity",
-    "limits": "DecompositionBound IteratedLimit LimitBracket diagonal_limit "
-              "iterated_limit ray_limit simultaneous_limit verify_decomposition_bound",
-    "levelset": "LevelSetSpec MeasureEstimate check_levelset_lemma levelset_measure "
-                "rubin_eval rubin_unboundedness_demo",
-    "subshift": "CapExceededError EntropyBracket ForbiddenPattern SftSpec "
+    "limits": "DecompositionBound DecompositionTerm IteratedLimit LevelSummary LimitBracket "
+              "diagonal_limit iterated_limit ray_limit simultaneous_limit "
+              "verify_decomposition_bound",
+    "levelset": "LemmaCheckRow LevelSetSpec LineScan MeasureEstimate UnboundednessDemo "
+                "check_levelset_lemma levelset_measure rubin_eval rubin_unboundedness_demo",
+    "subshift": "CapExceededError EntropyBracket EntropyEntry ForbiddenPattern SftSpec "
                 "builtin_sft builtin_sft_names check_count_submultiplicativity "
                 "count_patterns entropy_bounds load_sft_spec",
+    "ioutil": "jsonable write_csv_atomic write_json_atomic write_text_atomic",
+    "svgplot": "PlotSeries line_plot_svg",
 }
-EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 
 
 def modules_after(code: str, cwd: Path) -> set[str]:
@@ -174,31 +177,21 @@ def test_limit_and_levelset_load_neither_checks_nor_sampling(tmp_path, module, a
     assert loaded & {"fekete_lab.checks", "fekete_lab.sampling"} == set()
 
 
-def test_a_package_name_loads_only_its_module(tmp_path):
-    loaded = modules_after("from fekete_lab import count_patterns", tmp_path)
-    assert "fekete_lab.subshift" in loaded
-    assert loaded & NUMPY_BACKED == set()
-
-
-def test_package_names_resolve_to_their_defining_module():
-    wrong = []
-    for module, name in EXPORTED:
-        namespace: dict = {}
-        exec(f"from fekete_lab import {name}", namespace)
-        if namespace[name] is not getattr(importlib.import_module(f"fekete_lab.{module}"), name):
-            wrong.append(name)
-    assert wrong == []
-    assert {name for _, name in EXPORTED} <= set(dir(fekete_lab))
+def test_importing_the_package_loads_nothing_else(tmp_path):
+    code = "import fekete_lab\nassert [n for n in vars(fekete_lab) if n[:2] != '__'] == []"
+    loaded = modules_after(code, tmp_path)
+    assert {m for m in loaded if m.partition(".")[0] == "fekete_lab"} == {"fekete_lab"}
+    assert "numpy" not in loaded
 
 
 def test_export_table_matches_module_all_and_holds_no_removed_name():
-    for module, names in fekete_lab._EXPORTS.items():
-        missing = set(names) - set(importlib.import_module(f"fekete_lab.{module}").__all__)
-        assert missing == set(), module
-    assert {name for _, name in EXPORTED} == set(fekete_lab._DEFINED_IN)
+    for module, names in EXPORTS.items():
+        assert sorted(importlib.import_module(f"fekete_lab.{module}").__all__) == sorted(
+            names.split()), module
+    assert fekete_lab.__version__ == "0.1.0"
     removed = {"domain": ["ext_sum", "violation_tolerance", "ext_add", "exceeds", "REL_TOL",
                           "Orthant", "product_leq", "directed_upper_bound", "orthant_reflect",
-                          "as_extended"],
+                          "as_extended", "as_point"],
                "checks": ["violation_tolerance", "_exceeds", "_ext_add", "_table_violations"],
                "limits": ["multiple_inf", "orthant_limit", "inner_limit_profile",
                           "InnerLimitProfile"],
@@ -215,8 +208,7 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     for module, names in removed.items():
         mod = importlib.import_module(f"fekete_lab.{module}")
         for name in names:
-            assert name not in fekete_lab._DEFINED_IN and name not in mod.__all__, name
-            assert not hasattr(mod, name) and not hasattr(fekete_lab, name), name
+            assert name not in mod.__all__ and not hasattr(mod, name), name
     from fekete_lab.domain import QRDecomposition
     from fekete_lab.limits import LimitBracket
     assert not hasattr(QRDecomposition, "reconstruct")
@@ -233,23 +225,6 @@ def test_export_table_matches_module_all_and_holds_no_removed_name():
     assert FunctionOracle.__slots__ == ("name", "domain", "array_fn")
     with pytest.raises(TypeError, match="unexpected keyword argument 'fn'"):
         FunctionOracle(name="f", domain=Domain(dim=1), fn=abs)
-
-
-def test_star_import_and_submodule_attributes():
-    namespace: dict = {}
-    exec("from fekete_lab import *", namespace)
-    assert {name for _, name in EXPORTED} <= set(namespace)
-    assert fekete_lab.limits is importlib.import_module("fekete_lab.limits")
-    assert fekete_lab.__version__ == "0.1.0"
-
-
-def test_unknown_package_attribute_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        fekete_lab.no_such_name  # noqa: B018
-    with pytest.raises(AttributeError, match="transfer_matrix_1d"):
-        fekete_lab.transfer_matrix_1d  # noqa: B018
-    with pytest.raises(ImportError):
-        exec("from fekete_lab import no_such_name", {})
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"],
