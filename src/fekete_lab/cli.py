@@ -23,16 +23,17 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
+import importlib
 import sys
 from pathlib import Path
 
 from . import __version__
 from .domain import (ConfigError, DimensionMismatchError, DomainError, FeketeLabError,
-                     GridSchedule, Point, ScheduleError, _TAIL_STEPS, _json_file)
-from .ioutil import write_csv_atomic, write_json_atomic, write_text_atomic
+                     ScheduleError, _TAIL_STEPS, _json_file)
 
-# Each subcommand imports the modules it needs inside its handler, so a run
+# Each subcommand's handler is run(ns) in its own module, commands/<name>.py,
+# which main imports only for that subcommand, so a run compiles no other
+# handler.  A handler imports the engines it needs inside run, so a run
 # loads only those: entropy never loads numpy, and only limit and entropy,
 # which plot, load svgplot.
 
@@ -117,283 +118,8 @@ def _timestamp(ns: argparse.Namespace) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
+# the check modes, which the check parser's help lists
 _CHECK_MODES = ("joint", "componentwise", "four_term", "monoid", "shift", "set_union", "all")
-
-
-def _cmd_check(ns: argparse.Namespace) -> int:
-    from .checks import (check_componentwise, check_four_term, check_joint,
-                         check_monoid_sign, check_set_union, check_shifted_subadditivity)
-    from .registry import load_set_family
-    from .sampling import SampleBudget
-    if ns.mode not in _CHECK_MODES:
-        raise ConfigError(f"unknown mode {ns.mode!r}; choose from {', '.join(_CHECK_MODES)}")
-
-    reports = []
-    if ns.mode == "set_union":
-        # the set family names its own oracle
-        for flag, value in (("--fn", ns.fn), ("--table", ns.table)):
-            if value is not None:
-                raise ConfigError(f"{flag} does not apply to set_union mode, "
-                                  "whose set function comes from --sets")
-        if ns.sets is None:
-            raise ConfigError("set_union mode needs --sets FILE")
-        g, family = load_set_family(ns.sets)
-        reports.append(check_set_union(g, family))
-    else:
-        if ns.sets is not None:
-            raise ConfigError(f"--sets does not apply to {ns.mode} mode, only to set_union")
-        oracle = _get_oracle(ns)
-        budget = SampleBudget(count=ns.count, seed=ns.seed)
-        if ns.mode in ("joint", "all"):
-            reports.append(check_joint(oracle, budget))
-        if ns.mode in ("componentwise", "all"):
-            reports.append(check_componentwise(oracle, budget))
-        if ns.mode in ("four_term", "all"):
-            reports.append(check_four_term(oracle, budget))
-        if ns.mode == "monoid" or (ns.mode == "all" and oracle.domain.is_group):
-            reports.append(check_monoid_sign(oracle, budget))
-        if ns.mode == "shift":
-            reports.append(check_shifted_subadditivity(oracle, ns.shift, budget))
-
-    total = 0
-    for report in reports:
-        stem = f"check_{report.kind}"
-        write_json_atomic(ns.out / f"{stem}.json", {"meta": _meta(ns), **report.to_json_dict()})
-        write_csv_atomic(ns.out / f"{stem}.csv", report.to_csv_rows())
-        total += report.violation_count
-        print(f"{report.kind}: {report.hit_count} hit(s), {report.violation_count} distinct, "
-              f"{len(report.violations)} listed, over {report.samples_checked} samples "
-              f"-> {ns.out / (stem + '.json')}")
-    return EXIT_VIOLATIONS if total else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# limit
-# ---------------------------------------------------------------------------
-
-def _bracket_outputs(ns: argparse.Namespace, stem: str, bracket) -> None:
-    from .svgplot import PlotSeries, line_plot_svg
-    write_json_atomic(ns.out / f"{stem}.json", {"meta": _meta(ns), **bracket.to_json_dict()})
-    write_csv_atomic(ns.out / f"{stem}.csv", bracket.samples_csv_rows())
-    series = [
-        PlotSeries(name="shell extreme",
-                   points=tuple((float(k), v) for k, v in bracket.shell_extremes())),
-        PlotSeries(name="running bound", dashed=True,
-                   points=tuple((float(k), v) for k, v in bracket.running_bound_by_shell())),
-    ]
-    svg = line_plot_svg(series, title=stem, xlabel="shell",
-                        ylabel="ratio", timestamp=_timestamp(ns))
-    write_text_atomic(ns.out / f"{stem}.svg", svg)
-
-
-def _cmd_limit(ns: argparse.Namespace) -> int:
-    from .limits import diagonal_limit, iterated_limit, ray_limit, simultaneous_limit
-    oracle = _get_oracle(ns)
-    modes = [flag for flag, value in (("--iterated", ns.iterated), ("--direction", ns.direction),
-                                      ("--diagonal", ns.diagonal)) if value is not None]
-    if len(modes) > 1:
-        raise ConfigError("give at most one of --iterated, --direction and --diagonal, "
-                          f"got {', '.join(modes)}")
-    d = oracle.domain.dim
-    if ns.direction is not None or ns.diagonal is not None:
-        # ray and diagonal limits run a one-dimensional parameter t from 1
-        if ns.base is not None:
-            raise ConfigError(f"--base does not apply to {modes[0]}: the path starts at t = 1")
-        base = Point((1.0,))
-    else:
-        base = Point((1.0,) * d) if ns.base is None else Point(_numbers(ns.base, "point"))
-    # the estimators check delta and the schedule before they evaluate
-    schedule = GridSchedule(base=base, growth=ns.growth, levels=ns.levels)
-
-    if ns.iterated is not None:
-        order = [axis - 1 for axis in _numbers(ns.iterated, "axis order", int)]
-        if sorted(order) != list(range(d)):
-            raise ConfigError(f"axis order {ns.iterated!r} is not a permutation of 1..{d}")
-        result = iterated_limit(oracle, order, schedule, ns.delta)
-        write_json_atomic(ns.out / "iterated.json", {"meta": _meta(ns), **result.to_json_dict()})
-        value = "+inf" if result.value == math.inf else (
-            "-inf" if result.value == -math.inf else repr(result.value))
-        print(f"iterated order {ns.iterated}: value {value}, status {result.status} "
-              f"-> {ns.out / 'iterated.json'}")
-        return EXIT_OK
-
-    if ns.direction is not None:
-        bracket = ray_limit(oracle, Point(_numbers(ns.direction, "point")), schedule, ns.delta)
-        _bracket_outputs(ns, "ray", bracket)
-        print(f"ray {ns.direction}: status {bracket.status}, best_upper {bracket.best_upper!r}")
-        return EXIT_OK
-
-    if ns.diagonal is not None:
-        powers = _numbers(ns.diagonal, "diagonal powers")
-        bracket = diagonal_limit(oracle, powers, schedule, ns.delta)
-        _bracket_outputs(ns, "diagonal", bracket)
-        print(f"diagonal t^{powers}: status {bracket.status}, "
-              f"best_upper {bracket.best_upper!r}")
-        return EXIT_OK
-
-    bracket = simultaneous_limit(oracle, schedule, ns.delta)
-    _bracket_outputs(ns, "bracket", bracket)
-    print(f"simultaneous: status {bracket.status}, best_upper {bracket.best_upper!r}, "
-          f"evaluations {bracket.evaluations}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# entropy
-# ---------------------------------------------------------------------------
-
-def _cmd_entropy(ns: argparse.Namespace) -> int:
-    from .subshift import builtin_sft, builtin_sft_names, entropy_bounds, load_sft_spec
-    from .svgplot import PlotSeries, line_plot_svg
-    if ns.sft is None:
-        raise ConfigError("give a subshift with --sft NAME or --sft FILE")
-    if ns.sft in builtin_sft_names():
-        sft = builtin_sft(ns.sft)
-    elif Path(ns.sft).exists():
-        sft = load_sft_spec(ns.sft)
-    else:
-        raise ConfigError(f"unknown subshift {ns.sft!r}: not a fixture "
-                          f"({', '.join(builtin_sft_names())}) and not a file")
-    bracket = entropy_bounds(sft, ns.max_side)
-    write_json_atomic(ns.out / "entropy.json",
-                      {"meta": _meta(ns), "sft": ns.sft, **bracket.to_json_dict()})
-    write_csv_atomic(ns.out / "entropy.csv", bracket.to_csv_rows())
-    pts_ratio = tuple((float(e.sides[0]), e.ratio) for e in bracket.entries)
-    pts_min = tuple((float(e.sides[0]), e.running_min) for e in bracket.entries)
-    series = [PlotSeries(name="ratio", points=pts_ratio),
-              PlotSeries(name="running min", points=pts_min, dashed=True)]
-    svg = line_plot_svg(series, title=f"entropy bounds: {ns.sft}", xlabel="side",
-                        ylabel="log_a(count)/volume", timestamp=_timestamp(ns))
-    write_text_atomic(ns.out / "entropy.svg", svg)
-    note = " (truncated at cap)" if bracket.truncated else ""
-    print(f"entropy '{ns.sft}': best_upper {bracket.best_upper!r}{note} "
-          f"-> {ns.out / 'entropy.json'}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# levelset
-# ---------------------------------------------------------------------------
-
-def _cmd_levelset(ns: argparse.Namespace) -> int:
-    from .levelset import check_levelset_lemma
-    oracle = _get_oracle(ns)
-    if ns.anchors is None:
-        raise ConfigError("give anchors with --anchors \"t1,t2[;u1,u2...]\"")
-    anchors = [Point(_numbers(chunk, "point")) for chunk in ns.anchors.split(";")]
-    rows = check_levelset_lemma(oracle, anchors, ns.method, cells=ns.cells,
-                                samples=ns.samples, seed=ns.seed)
-    write_json_atomic(ns.out / "levelset.json", {
-        "meta": _meta(ns), "oracle": oracle.name, "rows": [r.to_json_dict() for r in rows]})
-    write_csv_atomic(ns.out / "levelset.csv", [
-        ["anchor", "k", "mu_estimate", "error", "bound", "margin", "holds"],
-        *([" ".join(repr(c) for c in r.anchor), repr(r.k), repr(r.estimate.value),
-           repr(r.estimate.error_bound), repr(r.bound), repr(r.margin), str(r.holds)]
-          for r in rows)])
-    for r in rows:
-        print(f"anchor {r.anchor}: margin {r.margin!r} "
-              f"({'holds' if r.holds else 'FAILS'})")
-    return EXIT_OK if all(r.holds for r in rows) else EXIT_VIOLATIONS
-
-
-# ---------------------------------------------------------------------------
-# counterexamples
-# ---------------------------------------------------------------------------
-
-def _replay_sqrt_product(seed: int) -> dict:
-    from .checks import check_componentwise, check_joint
-    from .registry import builtin
-    from .sampling import SampleBudget
-    oracle = builtin("sqrt_prod")
-    budget = SampleBudget(count=2000, seed=seed)
-    joint = check_joint(oracle, budget)
-    witness = joint.find(((1.0, 2.0), (2.0, 1.0)))
-    expected_margin = 3.0 - 2.0 * math.sqrt(2.0)
-    margin_ok = witness is not None and abs(witness.margin - expected_margin) <= 1e-12
-    componentwise = check_componentwise(oracle, budget)
-    return {
-        "name": "sqrt_product_joint_vs_componentwise",
-        "detail": "componentwise subadditive yet jointly violated at (1,2)+(2,1)",
-        "reproduced": bool(margin_ok and componentwise.clean),
-        "joint_margin": None if witness is None else witness.margin,
-        "componentwise_clean": componentwise.clean,
-    }
-
-
-def _replay_min_denominator() -> dict:
-    from .levelset import rubin_unboundedness_demo
-    demo = rubin_unboundedness_demo(100)
-    return {
-        "name": "min_denominator_unbounded_box",
-        "detail": "bounded on every axis line, unbounded on the box",
-        "reproduced": demo.ok,
-        "max_diagonal_value": max(v for _, v in demo.diagonal),
-    }
-
-
-def _replay_mixed_curvature() -> dict:
-    from .limits import CONVERGED, DIVERGING_PLUS, INCONCLUSIVE, iterated_limit, simultaneous_limit
-    from .registry import builtin
-    oracle = builtin("x1sq_sqrt_x2")
-    schedule = GridSchedule(base=Point((1.0, 1.0)))
-    lo = iterated_limit(oracle, (0, 1), schedule, 0.01)
-    hi = iterated_limit(oracle, (1, 0), schedule, 0.01)
-    sim = simultaneous_limit(oracle, schedule, 0.01)
-    ok = (lo.status == CONVERGED and abs(lo.value) <= 0.01
-          and hi.status == DIVERGING_PLUS and hi.value == math.inf
-          and sim.status == INCONCLUSIVE)
-    return {
-        "name": "mixed_curvature_order_dependence",
-        "detail": "iterated limits 0 vs +inf depending on order; no simultaneous limit",
-        "reproduced": bool(ok),
-        "order_1_2": lo.value,
-        "order_2_1": hi.value,
-        "simultaneous_status": sim.status,
-    }
-
-
-def _replay_parity_set_lift(seed: int) -> dict:
-    from .checks import check_set_union, check_shifted_subadditivity
-    from .registry import builtin, set_function_from_integer
-    from .sampling import SampleBudget
-    oracle = builtin("nmod2")
-    g = set_function_from_integer(oracle)
-    union = check_set_union(g, [[1, 2], [2, 3]])
-    union_hit = union.find(((1, 2), (2, 3)))
-    budget = SampleBudget(count=2000, seed=seed)
-    shifted = check_shifted_subadditivity(oracle, 1, budget)
-    shift_hit = shifted.find(((1.0,), (1.0,)))
-    unshifted = check_shifted_subadditivity(oracle, 0, budget)
-    ok = (union_hit is not None and union_hit.lhs == 1.0 and union_hit.rhs == 0.0
-          and shift_hit is not None and shift_hit.lhs == 1.0 and shift_hit.rhs == 0.0
-          and unshifted.clean)
-    return {
-        "name": "parity_set_lift_and_shift",
-        "detail": "cardinality lift breaks union subadditivity; shift by 1 breaks it on Z",
-        "reproduced": bool(ok),
-        "union_margin": None if union_hit is None else union_hit.margin,
-        "shift_margin": None if shift_hit is None else shift_hit.margin,
-        "unshifted_clean": unshifted.clean,
-    }
-
-
-def _cmd_counterexamples(ns: argparse.Namespace) -> int:
-    results = [
-        _replay_sqrt_product(ns.seed),
-        _replay_min_denominator(),
-        _replay_mixed_curvature(),
-        _replay_parity_set_lift(ns.seed),
-    ]
-    write_json_atomic(ns.out / "counterexamples.json", {"meta": _meta(ns), "results": results})
-    for r in results:
-        print(f"{'PASS' if r['reproduced'] else 'FAIL'} {r['name']}: {r['detail']}")
-    print(f"{sum(r['reproduced'] for r in results)}/{len(results)} reproduced "
-          f"-> {ns.out / 'counterexamples.json'}")
-    return EXIT_OK if all(r["reproduced"] for r in results) else EXIT_VIOLATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +154,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     oracle(p)
     p.add_argument("--mode", default="all",
                    help=f"one of {', '.join(_CHECK_MODES)} (default %(default)s)")
-    p.add_argument("--count", type=int, default=10_000,
-                   help="random sample count (default %(default)s)")
-    p.add_argument("--shift", type=int, default=1,
-                   help="shift amount for shift mode (default %(default)s)")
+    # --count, --shift, --cells and --samples default to None, so that a
+    # handler can refuse one its mode ignores; the help names the real default
+    p.add_argument("--count", type=int, help="random sample count (default 10000)")
+    p.add_argument("--shift", type=int, help="shift amount for shift mode (default 1)")
     p.add_argument("--sets", help="set-family JSON file for set_union mode")
     common(p)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("limit", help="estimate ratio-net limits")
     oracle(p)
@@ -451,7 +176,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--direction", help="ray direction, e.g. 1,1")
     p.add_argument("--diagonal", help="per-axis powers of t for a diagonal path, e.g. 1,2")
     common(p)
-    p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("entropy", help="pattern-count entropy bounds for a subshift")
     p.add_argument("--sft", help="fixture name or JSON spec file "
@@ -459,23 +183,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--max-side", dest="max_side", type=int, default=12,
                    help="largest cube side (default %(default)s)")
     common(p)
-    p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("levelset", help="level-set measure lemma margins")
     oracle(p)
     p.add_argument("--anchors", help="semicolon-separated anchor points, e.g. 1,1;2,3")
     p.add_argument("--method", default="grid", help="grid or mc (default %(default)s)")
-    p.add_argument("--cells", type=int, default=400,
-                   help="quadrature cells per axis (default %(default)s)")
-    p.add_argument("--samples", type=int, default=20_000,
-                   help="Monte Carlo samples (default %(default)s)")
+    p.add_argument("--cells", type=int, help="quadrature cells per axis (default 400)")
+    p.add_argument("--samples", type=int, help="Monte Carlo samples (default 20000)")
     common(p)
-    p.set_defaults(func=_cmd_levelset)
 
     p = sub.add_parser("counterexamples",
                        help="replay the gallery of counterexamples end to end")
     common(p)
-    p.set_defaults(func=_cmd_counterexamples)
 
     return parser, sub.choices
 
@@ -494,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             commands[ns.command].set_defaults(**_config_defaults(commands[ns.command], ns))
             ns = parser.parse_args(argv)
         _check_out(ns.out)
-        return ns.func(ns)
+        return importlib.import_module(f".commands.{ns.command}", __package__).run(ns)
     except ScheduleError as exc:
         print(f"error: unusable schedule: {exc}", file=sys.stderr)
         return EXIT_USAGE

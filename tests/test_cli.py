@@ -427,7 +427,7 @@ CONFIG_RUNS = {
                            "delta": 0.01, "growth": 2.0, "levels": 10}),
     "entropy": ("entropy", {"sft": "golden_mean_1d", "max_side": 10}),
     "levelset": ("levelset", {"fn": "sqrt_prod", "anchors": "1,1;2,3", "method": "mc",
-                              "cells": 50, "samples": 2000}),
+                              "samples": 2000}),
 }
 
 
@@ -665,6 +665,19 @@ def test_argument_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     ("check --fn sqrt_prod --mode joint --count 50 --sets s.json",
      "--sets does not apply to joint mode, only to set_union"),
     ("check --fn sqrt_prod --sets s.json", "--sets does not apply to all mode, only to set_union"),
+    # --count, --shift, --cells and --samples are refused where the mode ignores
+    # them, even at their default value
+    ("check --fn abs --mode joint --count 50 --shift 7",
+     "--shift does not apply to joint mode, only to shift"),
+    ("check --fn abs --shift 1", "--shift does not apply to all mode, only to shift"),
+    ("check --mode set_union --sets s.json --count 5",
+     "--count does not apply to set_union mode, which checks every pair of the family"),
+    ("levelset --fn sqrt_prod --anchors 1,1 --cells 20 --samples 7",
+     "--samples does not apply to the grid method, only to mc"),
+    ("levelset --table t.json --anchors 1,1 --method grid --samples 20000",
+     "--samples does not apply to the grid method, only to mc"),
+    ("levelset --table t.json --anchors 1,1 --method mc --cells 20",
+     "--cells does not apply to the mc method, only to grid"),
     ("entropy", "give a subshift with --sft NAME or --sft FILE"),
     ("levelset --fn sqrt_prod", 'give anchors with --anchors "t1,t2[;u1,u2...]"'),
     ("limit --fn sqrt_prod --base 1,x",
@@ -734,12 +747,31 @@ def test_refusals_print_their_message(tmp_path, capsys, argv, message):
     ({"mode": "set_union", "sets": "s.json", "fn": "abs"},
      "--fn does not apply to set_union mode, whose set function comes from --sets"),
     ({"fn": "nmod2", "sets": "s.json"}, "--sets does not apply to all mode, only to set_union"),
-], ids=["set_union_fn", "all_sets"])
+    ({"fn": "abs", "mode": "joint", "shift": 7, "count": 50},
+     "--shift does not apply to joint mode, only to shift"),
+    ({"mode": "set_union", "sets": "s.json", "count": 5},
+     "--count does not apply to set_union mode, which checks every pair of the family"),
+], ids=["set_union_fn", "all_sets", "joint_shift", "set_union_count"])
 def test_config_keys_a_check_mode_ignores_are_refused(tmp_path, capsys, config, message):
     # refused as their flags are, before the set family, which does not exist, is read
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run(["check", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"table": "t.json", "anchors": "1,1", "samples": 7},
+     "--samples does not apply to the grid method, only to mc"),
+    ({"table": "t.json", "anchors": "1,1", "method": "mc", "cells": 400},
+     "--cells does not apply to the mc method, only to grid"),
+], ids=["grid_samples", "mc_cells"])
+def test_config_keys_a_levelset_method_ignores_are_refused(tmp_path, capsys, config, message):
+    # refused as their flags are, before the table, which does not exist, is read
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["levelset", "--config", path, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

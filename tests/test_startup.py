@@ -1,4 +1,5 @@
-"""Start-up: an empty package init, per-subcommand imports, and --help."""
+"""Start-up: an empty package init, one module per subcommand, per-subcommand
+imports, and --help."""
 
 from __future__ import annotations
 
@@ -15,13 +16,17 @@ from pathlib import Path
 import pytest
 
 import fekete_lab
-from fekete_lab.cli import main
+from fekete_lab.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NUMPY_BACKED = {"numpy", "fekete_lab.checks", "fekete_lab.limits", "fekete_lab.levelset",
                 "fekete_lab.registry", "fekete_lab.sampling"}
 # the package modules an entropy run loads; none may import numpy anywhere
-ENTROPY_PATH = ("__init__", "cli", "domain", "ioutil", "svgplot", "subshift")
+ENTROPY_PATH = ("__init__", "cli", "domain", "ioutil", "svgplot", "subshift",
+                "commands", "commands.entropy")
+# the engines that only a subcommand's own module may import
+ENGINES = {"checks", "limits", "levelset", "subshift", "sampling", "svgplot"}
+SUBCOMMANDS = ("check", "limit", "entropy", "levelset", "counterexamples")
 HARD_CUBE = {"alphabet": 2, "dim": 3, "forbidden": [
     {"offsets": [[0, 0, 0], off], "symbols": [1, 1]}
     for off in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
@@ -58,6 +63,33 @@ def modules_after(code: str, cwd: Path) -> set[str]:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def module_file(module: str) -> Path:
+    """The source file of a module of the package, named relative to it."""
+    path = SRC / "fekete_lab" / module.replace(".", "/")
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def command_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.startswith("fekete_lab.commands")}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that a module at the package's top level imports,
+    at any depth, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            top, _, rest = node.module.partition(".")
+            if top == "fekete_lab" and rest:
+                found.add(rest.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("fekete_lab.")}
+    return found
 
 
 def numpy_imports(source: str) -> list[int]:
@@ -106,6 +138,8 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
     # a record is a domain._Record, which generates no code, and only a
     # timestamped SVG needs the clock
     assert loaded & {"dataclasses", "inspect", "datetime"} == set()
+    # each subcommand's handler loads only when that subcommand runs
+    assert command_modules(loaded) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,10 +155,52 @@ def test_numpy_runs_load_neither_dataclasses_nor_fractions(tmp_path, argv):
     assert ("fekete_lab.svgplot" in loaded) == (argv[0] == "limit")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["entropy", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)])
 def test_help_loads_no_subcommand_module(tmp_path, argv):
     code = f"from fekete_lab.cli import main\nassert main({argv!r}) == 0"
-    assert modules_after(code, tmp_path) & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
+    loaded = modules_after(code, tmp_path)
+    assert loaded & (NUMPY_BACKED | {"fekete_lab.subshift"}) == set()
+    assert command_modules(loaded) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fn", "abs", "--mode", "joint", "--count", "50"],
+    ["limit", "--fn", "sqrt_prod", "--levels", "4"],
+    ["entropy", "--sft", "golden_mean_1d", "--max-side", "3"],
+    ["levelset", "--fn", "sqrt_prod", "--anchors", "1,1", "--cells", "20"],
+    ["counterexamples"],
+], ids=lambda argv: argv[0])
+def test_a_run_loads_only_its_own_command_module(tmp_path, argv):
+    loaded = modules_after(cli_run([*argv, "--out", "out", "--no-timestamp"]), tmp_path)
+    assert command_modules(loaded) == {"fekete_lab.commands", f"fekete_lab.commands.{argv[0]}"}
+
+
+def test_each_subcommand_has_one_module_with_one_run():
+    _, parsers = _build_parser()
+    assert tuple(parsers) == SUBCOMMANDS
+    modules = {p.stem for p in (SRC / "fekete_lab" / "commands").glob("*.py")}
+    assert modules == {"__init__", *SUBCOMMANDS}
+    (docstring,) = ast.parse(module_file("commands").read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    for sub in SUBCOMMANDS:
+        tree = ast.parse(module_file(f"commands.{sub}").read_text())
+        functions = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+        assert functions.count("run") == 1, sub
+        run = importlib.import_module(f"fekete_lab.commands.{sub}").run
+        assert list(inspect.signature(run).parameters) == ["ns"], sub
+
+
+def test_the_package_import_scan_finds_imports_at_any_depth():
+    source = ("from . import __version__\nfrom .domain import Point\n"
+              "def f():\n    from .checks import check_joint\n"
+              "    import fekete_lab.limits\n    from fekete_lab.svgplot import x\n"
+              "    from ..cli import main\n    import os.path\n")
+    assert package_imports(source) == {"domain", "checks", "limits", "svgplot"}
+
+
+def test_cli_imports_no_engine():
+    # the handlers live in commands/<name>.py; registry stays for _get_oracle
+    assert package_imports((SRC / "fekete_lab" / "cli.py").read_text()) & ENGINES == set()
 
 
 @pytest.mark.parametrize("sft", ["golden_mean_1d", "hard_square_2d", "hard_cube.json"])
@@ -149,7 +225,7 @@ def test_the_numpy_scan_finds_imports_at_any_depth():
 
 @pytest.mark.parametrize("module", ENTROPY_PATH)
 def test_no_module_on_the_entropy_path_imports_numpy(module):
-    assert numpy_imports((SRC / "fekete_lab" / f"{module}.py").read_text()) == []
+    assert numpy_imports(module_file(module).read_text()) == []
 
 
 def test_check_does_not_load_subshift(tmp_path):

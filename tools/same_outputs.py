@@ -20,15 +20,16 @@ which exit 2, and an iterated run whose denominator stays finite),
 caps in 1-D and 2-D, `check --mode set_union` on three set family files,
 an nmod2 family, a "cardinality" family and an nmod2 family holding the
 empty set, `limit --config` on a config file, all written next to the
-table, and a Monte Carlo level set whose volume * hits overflows), and 3
-runs that argparse ends (`--version`, `check --help`, and an unknown
-flag, which exits 2).  Every run is a fresh interpreter with PYTHONPATH
-set to one tree and `--no-timestamp`, writing to `out` in a scratch
-directory of its own, so the two sides see the same relative paths.
+table, and a Monte Carlo level set whose volume * hits overflows), and 8
+runs that argparse ends (`--version`, the top-level `--help` and each
+subcommand's, and an unknown flag, which exits 2): 74 commands in all.
+Every run is a fresh interpreter with PYTHONPATH set to one tree and
+`--no-timestamp`, writing to `out` in a scratch directory of its own, so
+the two sides see the same relative paths.
 
 Then each of the 6 demos in the `demos` directory next to each tree runs
 in a fresh scratch directory of its own, with PYTHONPATH set to that
-tree.  The files it writes there are compared too (demo 03 writes
+tree, 80 runs with the commands.  The files it writes there are compared too (demo 03 writes
 `demo_output/sqrt_prod_bracket.svg`), and the fresh temporary directory
 that demo 06 prints is masked in its stdout.
 
@@ -139,7 +140,8 @@ RARE_PATH_COMMANDS = (
 # each ends in argparse's SystemExit before a subcommand runs
 ARGPARSE_EXIT_COMMANDS = (
     ("--version",),
-    ("check", "--help"),
+    ("--help",),
+    *((sub, "--help") for sub in ("check", "limit", "entropy", "levelset", "counterexamples")),
     ("check", "--fn", "abs", "--no-such-flag"),
 )
 
